@@ -27,10 +27,16 @@ from .errors import (
     SwitchSDEError,
 )
 from .harness import (
-    substream_rng,
+    CHAIN_STREAM,
+    check_ensemble_args,
+    check_mean_change_args,
+    check_run_args,
+    check_strong_order_args,
+    first_trajectory,
     mean_change_study,
     run_ensemble,
     strong_order_study,
+    substream_rng,
 )
 from .models import (
     LinearModelParams,
@@ -42,7 +48,6 @@ from .models import (
     telomere_model,
     telomere_regime_model,
 )
-from .noise import BrownianPath
 from .reporting import (
     summary_dict,
     write_convergence_csv,
@@ -51,7 +56,6 @@ from .reporting import (
     write_meanchange_csv,
     write_trajectory_csv,
 )
-from .schemes import solve_trajectory
 from .stepping import StepParams
 
 DEFAULT_SEED = 42
@@ -214,17 +218,8 @@ def _merge(experiment: str, args: argparse.Namespace) -> dict[str, Any]:
         merged.update(file_cfg)
         merged["experiment"] = experiment
 
-    flag_map = {
-        "seed": "seed", "out": "out", "trajectories": "trajectories",
-        "scheme": "scheme", "horizon": "horizon", "r0": "r0", "x0": "x0",
-        "grid": "grid", "initial": "initial", "initial_range": "initial_range",
-        "runs_per_initial": "runs_per_initial", "initials": "initials",
-        "runs": "runs", "start_day": "start_day", "end_day": "end_day",
-        "dump_trajectory": "dump_trajectory",
-    }
-    for attr, key in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in ("experiment", "config", "model") and value is not None:
             merged[key] = value
     return merged
 
@@ -237,6 +232,10 @@ def load_config(experiment: str, args: argparse.Namespace) -> RunConfig:
     if not isinstance(step_raw, dict):
         raise ConfigValidationError("step must be an object with h_max, rho, k")
     _reject_unknown(step_raw, {"h_max", "rho", "k"}, "step")
+    scheme = raw.get("scheme", "milstein")
+    if scheme not in ("milstein", "em"):
+        raise ConfigValidationError(f"scheme must be 'milstein' or 'em', got {scheme!r}")
+    extra = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
     try:
         step = StepParams(h_max=float(step_raw.get("h_max", DEFAULT_STEP["h_max"])),
                           rho=float(step_raw.get("rho", DEFAULT_STEP["rho"])),
@@ -246,31 +245,14 @@ def load_config(experiment: str, args: argparse.Namespace) -> RunConfig:
         linear_params = None
         if "model" in raw:
             model, linear_params = _build_model(raw["model"])
-            if model.num_states != generator.num_states:
-                raise ConfigValidationError(
-                    f"model has {model.num_states} states but generator has "
-                    f"{generator.num_states}")
         if experiment == "convergence" and linear_params is None:
             raise ConfigValidationError(
                 "convergence requires a linear model (it needs the exact solution)")
+        _check_experiment(experiment, extra, generator, model, linear_params)
     except (SwitchSDEError, ValueError, TypeError, KeyError) as exc:
         if isinstance(exc, (ConfigParseError, ConfigValidationError)):
             raise
         raise ConfigValidationError(str(exc))
-
-    scheme = raw.get("scheme", "milstein")
-    if scheme not in ("milstein", "em"):
-        raise ConfigValidationError(f"scheme must be 'milstein' or 'em', got {scheme!r}")
-
-    extra = {k: raw[k] for k in raw
-             if k not in {"experiment", "seed", "out", "step", "generator",
-                          "scheme", "dump_trajectory", "model"}}
-    if "r0" in extra:
-        extra["r0"] = _parse_r0(extra["r0"])
-        if isinstance(extra["r0"], int) and not 1 <= extra["r0"] <= generator.num_states:
-            raise ConfigValidationError(
-                f"r0={extra['r0']} outside 1..{generator.num_states}")
-    _validate_experiment(experiment, extra, generator)
     return RunConfig(experiment=experiment, raw=raw, seed=int(raw["seed"]),
                      out_dir=Path(raw["out"]), step=step, generator=generator,
                      scheme=scheme,
@@ -278,48 +260,37 @@ def load_config(experiment: str, args: argparse.Namespace) -> RunConfig:
                      model=model, linear_params=linear_params, extra=extra)
 
 
-def _validate_experiment(experiment: str, extra: dict, generator: GeneratorMatrix) -> None:
-    """Check every module precondition up front so bad configs exit with 2."""
-    def positive(key):
-        if not float(extra[key]) > 0:
-            raise ConfigValidationError(f"{key} must be positive, got {extra[key]}")
-
-    def at_least(key, minimum):
-        if int(extra[key]) < minimum:
-            raise ConfigValidationError(f"{key} must be >= {minimum}, got {extra[key]}")
-
-    if experiment in ("simulate-chain", "convergence") and extra.get("r0") == "uniform":
+def _check_experiment(experiment: str, extra: dict, generator: GeneratorMatrix,
+                      model: RegimeModel | None,
+                      linear_params: LinearModelParams | None) -> None:
+    """Parse ``r0`` and ``initial`` in place, then run the harness's argument
+    checks, so that a bad config exits with 2 before any work."""
+    extra["r0"] = r0 = _parse_r0(extra["r0"])
+    if experiment in ("simulate-chain", "convergence") and r0 == "uniform":
         raise ConfigValidationError(f"{experiment} requires a fixed integer r0")
     if experiment == "simulate-chain":
-        positive("horizon")
-        at_least("trajectories", 1)
+        num_states = generator.num_states if model is None else model.num_states
+        check_run_args(num_states, generator, r0, float(extra["horizon"]),
+                       int(extra["trajectories"]))
     elif experiment == "convergence":
-        positive("horizon")
-        at_least("trajectories", 100)
-        grid = [float(h) for h in extra["grid"]]
-        if len(grid) < 3 or any(b >= a for a, b in zip(grid, grid[1:])):
-            raise ConfigValidationError(
-                "grid must be strictly decreasing with at least 3 levels")
+        check_strong_order_args(linear_params, generator, float(extra["horizon"]),
+                                [float(h) for h in extra["grid"]],
+                                int(extra["trajectories"]), r0)
     elif experiment == "ensemble":
-        positive("horizon")
-        at_least("trajectories", 1)
-        at_least("runs_per_initial", 1)
         initial = extra["initial"]
         if isinstance(initial, dict):
             _reject_unknown(initial, {"uniform"}, "initial")
             lo, hi = (float(v) for v in initial["uniform"])
-            if not lo < hi:
-                raise ConfigValidationError(f"initial range needs lo < hi, got {lo}, {hi}")
+            extra["initial"] = initial = (lo, hi)
         else:
-            float(initial)
+            extra["initial"] = initial = float(initial)
+        check_ensemble_args(model, generator, initial, r0, float(extra["horizon"]),
+                            int(extra["trajectories"]), int(extra["runs_per_initial"]))
     elif experiment == "mean-change":
         lo, hi = (float(v) for v in extra["initial_range"])
-        if not 0 < lo < hi:
-            raise ConfigValidationError(f"initial_range needs 0 < lo < hi, got {lo}, {hi}")
-        if not float(extra["end_day"]) > float(extra["start_day"]):
-            raise ConfigValidationError("end_day must be after start_day")
-        at_least("initials", 1)
-        at_least("runs", 1)
+        check_mean_change_args(model, generator, lo, hi, float(extra["start_day"]),
+                               float(extra["end_day"]), int(extra["initials"]),
+                               int(extra["runs"]), r0)
 
 
 def _params_echo(cfg: RunConfig) -> dict[str, Any]:
@@ -327,13 +298,9 @@ def _params_echo(cfg: RunConfig) -> dict[str, Any]:
     return {k: v for k, v in cfg.raw.items() if k not in ("out", "dump_trajectory")}
 
 
-def _dump_first_trajectory(cfg: RunConfig, x0: float, horizon: float) -> None:
-    chain = simulate_chain(cfg.generator, 1 if cfg.extra.get("r0") == "uniform"
-                           else int(cfg.extra.get("r0", 1)), horizon,
-                           substream_rng(cfg.seed, 0, 0))
-    path = BrownianPath(substream_rng(cfg.seed, 0, 1))
-    trajectory = solve_trajectory(cfg.model, chain, path, x0, horizon, cfg.step,
-                                  cfg.scheme)
+def _dump_first_trajectory(cfg: RunConfig, initial, horizon: float) -> None:
+    trajectory = first_trajectory(cfg.model, cfg.generator, initial, cfg.extra["r0"],
+                                  horizon, cfg.step, cfg.seed, cfg.scheme)
     with open(cfg.out_dir / "trajectory.csv", "w") as fh:
         write_trajectory_csv(fh, trajectory)
 
@@ -350,7 +317,7 @@ def run(cfg: RunConfig) -> int:
         for idx in range(n_chains):
             chain = simulate_chain(cfg.generator, int(cfg.extra["r0"]),
                                    float(cfg.extra["horizon"]),
-                                   substream_rng(cfg.seed, idx, 0))
+                                   substream_rng(cfg.seed, idx, CHAIN_STREAM))
             name = "chain.csv" if n_chains == 1 else f"chain_{idx:03d}.csv"
             with open(cfg.out_dir / name, "w") as fh:
                 write_chain_csv(chain, fh)
@@ -374,11 +341,6 @@ def run(cfg: RunConfig) -> int:
 
     elif cfg.experiment == "ensemble":
         initial = cfg.extra["initial"]
-        if isinstance(initial, dict):
-            _reject_unknown(initial, {"uniform"}, "initial")
-            initial = tuple(float(v) for v in initial["uniform"])
-        else:
-            initial = float(initial)
         summary = run_ensemble(
             cfg.model, cfg.generator, initial, cfg.extra["r0"],
             float(cfg.extra["horizon"]), cfg.step, int(cfg.extra["trajectories"]),
@@ -391,8 +353,7 @@ def run(cfg: RunConfig) -> int:
         print(f"mean={summary.mean:.4f} sd={summary.std_dev:.4f} "
               f"se={summary.standard_error:.4f} failed={failed}")
         if cfg.dump_trajectory:
-            x0 = initial[0] if isinstance(initial, tuple) else initial
-            _dump_first_trajectory(cfg, x0, float(cfg.extra["horizon"]))
+            _dump_first_trajectory(cfg, initial, float(cfg.extra["horizon"]))
 
     elif cfg.experiment == "mean-change":
         lo, hi = (float(v) for v in cfg.extra["initial_range"])
@@ -411,8 +372,8 @@ def run(cfg: RunConfig) -> int:
             write_json(fh, payload)
         print(f"grand mean change: {report.grand_mean_change:.4f} (failed={failed})")
         if cfg.dump_trajectory:
-            _dump_first_trajectory(cfg, float(report.initials[0]),
-                                   float(cfg.extra["end_day"]) - float(cfg.extra["start_day"]))
+            _dump_first_trajectory(cfg, (lo, hi), float(cfg.extra["end_day"])
+                                   - float(cfg.extra["start_day"]))
 
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigValidationError(f"unknown experiment {cfg.experiment!r}")

@@ -13,6 +13,9 @@ Three experiments are provided:
   trajectories per initial, and reports per-initial and grand mean changes
   over the horizon.
 
+The ensemble and the mean-change study are reductions over the per-index
+arrays of one engine; :func:`first_trajectory` replays its index 0.
+
 Seeding: every trajectory gets independent chain / noise / auxiliary random
 streams derived from the master seed and the trajectory index through
 ``numpy.random.SeedSequence`` spawn keys, so results do not depend on
@@ -38,7 +41,7 @@ from .errors import (
 )
 from .models import LinearModelParams, RegimeModel, exact_linear_solution, linear_model
 from .noise import BrownianPath
-from .schemes import solve_terminal
+from .schemes import Trajectory, solve_terminal, solve_trajectory
 from .stepping import StepParams
 
 logger = logging.getLogger(__name__)
@@ -48,10 +51,10 @@ BACKSTOP_WARN_FRACTION = 0.05
 _TRAJECTORY_FAILURES = (NonfiniteResultError, RootNotFoundError, StepBudgetExceededError)
 
 # Per-trajectory substream tags.
-_CHAIN_STREAM = 0
-_NOISE_STREAM = 1
-_AUX_STREAM = 2
-_INITIAL_STREAM = 3
+CHAIN_STREAM = 0
+NOISE_STREAM = 1
+AUX_STREAM = 2
+INITIAL_STREAM = 3
 
 
 def substream_rng(seed: int, index: int, stream: int) -> np.random.Generator:
@@ -130,13 +133,120 @@ def _summarize(values: np.ndarray, backstop_fraction: float,
                            backstop_fraction=backstop_fraction, failed_count=failed_count)
 
 
-def _draw_r0(rule, num_states: int, aux: np.random.Generator) -> int:
-    if rule == "uniform":
-        return 1 + int(aux.integers(num_states))
-    r0 = int(rule)
-    if not 1 <= r0 <= num_states:
+def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
+                   *counts: int) -> None:
+    """Checks shared by every study: the generator matches the model's state
+    count, the horizon is positive, ``r0`` is ``'uniform'`` or a state in
+    1..num_states, and every trajectory count is at least one."""
+    if g.num_states != num_states:
+        raise InvalidParamsError(
+            f"generator has {g.num_states} states, model {num_states}")
+    if not T > 0.0:
+        raise InvalidParamsError(f"horizon must be positive, got {T}")
+    if r0 != "uniform" and not 1 <= int(r0) <= num_states:
         raise InvalidParamsError(f"r0={r0} outside 1..{num_states}")
-    return r0
+    if any(n < 1 for n in counts):
+        raise InvalidParamsError(f"trajectory counts must be >= 1, got {counts}")
+
+
+def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: float,
+                            grid, M: int, r0: int) -> None:
+    """The argument checks of :func:`strong_order_study`."""
+    if len(grid) < 3:
+        raise DegenerateGridError(f"need at least 3 grid levels, got {len(grid)}")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise DegenerateGridError("grid must be strictly decreasing")
+    if M < 100:
+        raise InvalidParamsError(f"need M >= 100 samples, got {M}")
+    check_run_args(params.num_states, g, r0, T)
+
+
+def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
+                        M: int, runs_per_initial: int) -> None:
+    """The argument checks of :func:`run_ensemble`."""
+    if isinstance(initial, (tuple, list)) and not initial[0] < initial[1]:
+        raise InvalidParamsError(f"need lo < hi, got ({initial[0]}, {initial[1]})")
+    check_run_args(model.num_states, g, r0, T, M, runs_per_initial)
+
+
+def check_mean_change_args(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: float,
+                           t_start_day: float, t_end_day: float, n_initials: int,
+                           runs_per_initial: int, r0) -> None:
+    """The argument checks of :func:`mean_change_study`."""
+    if not 0 < lo < hi:
+        raise InvalidParamsError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    if not t_end_day > t_start_day:
+        raise InvalidParamsError(
+            f"need t_end_day > t_start_day, got ({t_start_day}, {t_end_day})")
+    check_run_args(model.num_states, g, r0, t_end_day - t_start_day, n_initials,
+                   runs_per_initial)
+
+
+def _draw_initial(initial, seed: int, j: int) -> float:
+    """Initial value of outer index ``j``: fixed, or uniform on ``(lo, hi)``."""
+    if isinstance(initial, (tuple, list)):
+        lo, hi = float(initial[0]), float(initial[1])
+        return float(substream_rng(seed, j, INITIAL_STREAM).uniform(lo, hi))
+    return float(initial)
+
+
+def _trajectory_inputs(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
+    """Chain and Brownian path of trajectory ``index``; a ``'uniform'`` r0 is
+    drawn from the trajectory's auxiliary stream."""
+    aux = substream_rng(seed, index, AUX_STREAM)
+    r0_i = 1 + int(aux.integers(g.num_states)) if r0 == "uniform" else int(r0)
+    chain = simulate_chain(g, r0_i, T, substream_rng(seed, index, CHAIN_STREAM))
+    return chain, BrownianPath(substream_rng(seed, index, NOISE_STREAM))
+
+
+def _backstop_fraction(n_steps: np.ndarray, n_backstop: np.ndarray) -> float:
+    """Backstop share of all steps taken; warns when the backstop is not rare."""
+    steps = int(n_steps.sum())
+    fraction = int(n_backstop.sum()) / steps if steps else 0.0
+    if fraction >= BACKSTOP_WARN_FRACTION:
+        logger.warning("backstop used on %.1f%% of steps (design intent: rare)",
+                       100.0 * fraction)
+    return fraction
+
+
+def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
+                        p: StepParams, n_initials: int, runs_per_initial: int,
+                        seed: int, scheme: str):
+    """Per-trajectory arrays ``(x0, y, n_steps, n_backstop, failed)`` of
+    ``n_initials * runs_per_initial`` trajectories, indexed by
+    ``j * runs_per_initial + r``.  The runs of outer index ``j`` share its
+    initial value; a failed trajectory has ``y`` NaN and zero step counts."""
+    total = n_initials * runs_per_initial
+    x0 = np.empty(total)
+    y = np.full(total, np.nan)
+    n_steps = np.zeros(total, dtype=np.int64)
+    n_backstop = np.zeros(total, dtype=np.int64)
+    failed = np.zeros(total, dtype=bool)
+    for idx in range(total):
+        j, r = divmod(idx, runs_per_initial)
+        if r == 0:
+            start = _draw_initial(initial, seed, j)
+        x0[idx] = start
+        chain, path = _trajectory_inputs(g, r0, T, seed, idx)
+        try:
+            y[idx], n_steps[idx], n_backstop[idx] = solve_terminal(model, chain, path,
+                                                                   start, T, p, scheme)
+        except _TRAJECTORY_FAILURES as exc:
+            failed[idx] = True
+            logger.warning("trajectory %d failed: %s", idx, exc)
+    if failed.all():
+        raise AllTrajectoriesFailedError(f"all {total} trajectories failed")
+    return x0, y, n_steps, n_backstop, failed
+
+
+def first_trajectory(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
+                     p: StepParams, seed: int, scheme: str = "milstein") -> Trajectory:
+    """Trajectory 0 of :func:`run_ensemble` or :func:`mean_change_study` run
+    with the same arguments (initial ``(lo, hi)`` for the latter), with every
+    step record."""
+    x0 = _draw_initial(initial, seed, 0)
+    chain, path = _trajectory_inputs(g, r0, T, seed, 0)
+    return solve_trajectory(model, chain, path, x0, T, p, scheme)
 
 
 def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
@@ -156,22 +266,14 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
         Milstein either way.
     """
     grid = tuple(float(h) for h in grid)
-    if len(grid) < 3:
-        raise DegenerateGridError(f"need at least 3 grid levels, got {len(grid)}")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise DegenerateGridError("grid must be strictly decreasing")
-    if M < 100:
-        raise InvalidParamsError(f"need M >= 100 samples, got {M}")
-    if g.num_states != params.num_states:
-        raise InvalidParamsError(
-            f"generator has {g.num_states} states, model {params.num_states}")
+    check_strong_order_args(params, g, T, grid, M, r0)
 
     model = linear_model(params)
     step_params = [StepParams(h_max=h, rho=rho, k=k) for h in grid]
     errors = np.empty((len(grid), M))
     for i in range(M):
-        chain = simulate_chain(g, r0, T, substream_rng(seed, i, _CHAIN_STREAM))
-        path = BrownianPath(substream_rng(seed, i, _NOISE_STREAM))
+        chain = simulate_chain(g, r0, T, substream_rng(seed, i, CHAIN_STREAM))
+        path = BrownianPath(substream_rng(seed, i, NOISE_STREAM))
         exact = exact_linear_solution(params, x0, chain, path, T)
         for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
             y, _, _ = solve_terminal(model, chain, path, x0, T, step_params[lvl], scheme)
@@ -202,51 +304,11 @@ def run_ensemble(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
     Trajectories that abort (non-finite value, failed backstop solve, or step
     budget) are excluded from the statistics and counted in ``failed_count``.
     """
-    if M < 1 or runs_per_initial < 1:
-        raise InvalidParamsError("M and runs_per_initial must be >= 1")
-    if g.num_states != model.num_states:
-        raise InvalidParamsError(
-            f"generator has {g.num_states} states, model {model.num_states}")
-    uniform_initial = isinstance(initial, (tuple, list))
-    if uniform_initial:
-        lo, hi = float(initial[0]), float(initial[1])
-        if not lo < hi:
-            raise InvalidParamsError(f"need lo < hi, got ({lo}, {hi})")
-
-    total = M * runs_per_initial
-    values = np.empty(total)
-    ok = np.zeros(total, dtype=bool)
-    failed = 0
-    steps_total = 0
-    backstop_total = 0
-    for j in range(M):
-        if uniform_initial:
-            x0 = float(substream_rng(seed, j, _INITIAL_STREAM).uniform(lo, hi))
-        else:
-            x0 = float(initial)
-        for r in range(runs_per_initial):
-            idx = j * runs_per_initial + r
-            aux = substream_rng(seed, idx, _AUX_STREAM)
-            r0_i = _draw_r0(r0, g.num_states, aux)
-            chain = simulate_chain(g, r0_i, T, substream_rng(seed, idx, _CHAIN_STREAM))
-            path = BrownianPath(substream_rng(seed, idx, _NOISE_STREAM))
-            try:
-                y, n_steps, n_backstop = solve_terminal(model, chain, path, x0, T, p, scheme)
-            except _TRAJECTORY_FAILURES as exc:
-                failed += 1
-                logger.warning("trajectory %d failed: %s", idx, exc)
-                continue
-            values[idx] = y
-            ok[idx] = True
-            steps_total += n_steps
-            backstop_total += n_backstop
-    if not ok.any():
-        raise AllTrajectoriesFailedError(f"all {total} trajectories failed")
-    fraction = backstop_total / steps_total if steps_total else 0.0
-    if fraction >= BACKSTOP_WARN_FRACTION:
-        logger.warning("backstop used on %.1f%% of steps (design intent: rare)",
-                       100.0 * fraction)
-    return _summarize(values[ok], fraction, failed)
+    check_ensemble_args(model, g, initial, r0, T, M, runs_per_initial)
+    _, y, n_steps, n_backstop, failed = _simulate_terminals(
+        model, g, initial, r0, T, p, M, runs_per_initial, seed, scheme)
+    return _summarize(y[~failed], _backstop_fraction(n_steps, n_backstop),
+                      int(failed.sum()))
 
 
 def mean_change_study(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: float,
@@ -262,67 +324,26 @@ def mean_change_study(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: flo
     change (final minus initial), the grand mean over all trajectories, and
     line-plot series ordered by initial value.
     """
-    if not 0 < lo < hi:
-        raise InvalidParamsError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    if not t_end_day > t_start_day:
-        raise InvalidParamsError(
-            f"need t_end_day > t_start_day, got ({t_start_day}, {t_end_day})")
-    if n_initials < 1 or runs_per_initial < 1:
-        raise InvalidParamsError("n_initials and runs_per_initial must be >= 1")
-    if g.num_states != model.num_states:
-        raise InvalidParamsError(
-            f"generator has {g.num_states} states, model {model.num_states}")
+    check_mean_change_args(model, g, lo, hi, t_start_day, t_end_day, n_initials,
+                           runs_per_initial, r0)
     if p is None:
         p = StepParams(h_max=0.03, rho=15.0, k=10.0)
-    horizon = t_end_day - t_start_day
+    x0, y, n_steps, n_backstop, failed = _simulate_terminals(
+        model, g, (lo, hi), r0, t_end_day - t_start_day, p, n_initials,
+        runs_per_initial, seed, scheme)
 
-    initials = np.empty(n_initials)
-    mean_finals = np.full(n_initials, np.nan)
-    single_finals = np.full(n_initials, np.nan)
-    all_changes: list[float] = []
-    failed = 0
-    steps_total = 0
-    backstop_total = 0
-    for j in range(n_initials):
-        x0 = float(substream_rng(seed, j, _INITIAL_STREAM).uniform(lo, hi))
-        initials[j] = x0
-        finals: list[float] = []
-        for r in range(runs_per_initial):
-            idx = j * runs_per_initial + r
-            aux = substream_rng(seed, idx, _AUX_STREAM)
-            r0_i = _draw_r0(r0, g.num_states, aux)
-            chain = simulate_chain(g, r0_i, horizon, substream_rng(seed, idx, _CHAIN_STREAM))
-            path = BrownianPath(substream_rng(seed, idx, _NOISE_STREAM))
-            try:
-                y, n_steps, n_backstop = solve_terminal(model, chain, path, x0,
-                                                        horizon, p, scheme)
-            except _TRAJECTORY_FAILURES as exc:
-                failed += 1
-                logger.warning("trajectory %d failed: %s", idx, exc)
-                continue
-            finals.append(y)
-            all_changes.append(y - x0)
-            steps_total += n_steps
-            backstop_total += n_backstop
-        if finals:
-            mean_finals[j] = float(np.mean(finals))
-            single_finals[j] = finals[0]
-    if not all_changes:
-        raise AllTrajectoriesFailedError(
-            f"all {n_initials * runs_per_initial} trajectories failed")
-
-    valid = ~np.isnan(mean_finals)
-    order = np.argsort(initials[valid], kind="stable")
-    initials_sorted = initials[valid][order]
-    mean_finals_sorted = mean_finals[valid][order]
-    single_finals_sorted = single_finals[valid][order]
-    mean_changes = mean_finals_sorted - initials_sorted
-    grand = float(np.mean(all_changes))
-    fraction = backstop_total / steps_total if steps_total else 0.0
-    if fraction >= BACKSTOP_WARN_FRACTION:
-        logger.warning("backstop used on %.1f%% of steps (design intent: rare)",
-                       100.0 * fraction)
-    summary = _summarize(mean_changes, fraction, failed)
-    return MeanChangeReport(initials=initials_sorted, mean_finals=mean_finals_sorted,
-                            single_finals=single_finals_sorted, mean_changes=mean_changes,
-                            grand_mean_change=grand, summary=summary, failed_count=failed)
+    # The successful runs' finals of each outer index that has any.
+    kept = ~failed.reshape(n_initials, runs_per_initial)
+    rows = [finals[k] for finals, k in zip(y.reshape(kept.shape), kept) if k.any()]
+    initials = x0[::runs_per_initial][kept.any(axis=1)]
+    order = np.argsort(initials, kind="stable")
+    initials = initials[order]
+    mean_finals = np.array([np.mean(row) for row in rows])[order]
+    single_finals = np.array([row[0] for row in rows])[order]
+    mean_changes = mean_finals - initials
+    grand = float(np.mean((y - x0)[~failed]))
+    n_failed = int(failed.sum())
+    summary = _summarize(mean_changes, _backstop_fraction(n_steps, n_backstop), n_failed)
+    return MeanChangeReport(initials=initials, mean_finals=mean_finals,
+                            single_finals=single_finals, mean_changes=mean_changes,
+                            grand_mean_change=grand, summary=summary, failed_count=n_failed)

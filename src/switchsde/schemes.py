@@ -8,11 +8,11 @@ Maps (all with the Markov state frozen at the step's start):
       X* = X + h f(X*, i) + g(X,i) dW + (1/2) g'(X,i) g(X,i) (dW^2 - h)
   by Newton iteration (numeric drift derivative) with a bisection fallback.
 
-The solver walks the adaptive mesh from :mod:`switchsde.stepping`, applying
-the chosen main map on steps with h_min < h <= h_max and the drift-implicit
-Milstein backstop on steps with h <= h_min (including steps shortened by a
-switching-time or terminal clamp).  Switching times and T land on the mesh
-bitwise.
+The solver walks the adaptive mesh from :mod:`switchsde.stepping`: each step
+goes to the landing time the step rule chose, so switching times and T land
+on the mesh bitwise.  The drift-implicit Milstein backstop runs if and only if
+the step rule gave h <= h_min (floored, or clamped to within h_min); the
+chosen main map runs on every other step.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .models import RegimeModel
 from .noise import BrownianPath
-from .stepping import StepParams, StepReason, build_mesh_bound, next_step
+from .stepping import StepParams, build_mesh_bound, next_step
 
 NEWTON_ABS_TOL = 1e-12
 NEWTON_MAX_ITER = 50
@@ -190,7 +190,6 @@ def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: floa
     taus = chain.switch_times
     states = chain.states
     n_max = build_mesh_bound(T, p, len(taus))[1]
-    h_min = p.h_min
 
     records: list[StepRecord] | None = [] if collect else None
     t = 0.0
@@ -202,22 +201,10 @@ def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: floa
         state = chain.initial_state if si == 0 else states[si - 1]
         nxt = taus[si] if si < len(taus) else None
         decision = next_step(abs(y), t, nxt, T, p)
-        if decision.reason is StepReason.CLAMPED_TO_SWITCH:
-            t_next = nxt
-        elif decision.reason is StepReason.CLAMPED_TO_TERMINAL:
-            t_next = T
-        else:
-            t_next = t + decision.h
-            # Sub-ulp roundup past the next switch or T would break the
-            # mesh-inclusion invariant; land on the clamp time instead.
-            if nxt is not None and t_next > nxt:
-                t_next = nxt
-            if t_next > T:
-                t_next = T
+        t_next = decision.t_next
         h = t_next - t
-        use_backstop = h <= h_min
         dW = w.increment(t, t_next)
-        if use_backstop:
+        if decision.use_backstop:
             y_next = implicit_milstein_map(y, state, h, dW, m)
             backstops += 1
         else:
@@ -228,7 +215,8 @@ def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: floa
                 f"exceeded N_max={n_max} steps before reaching T={T}")
         if records is not None:
             records.append(StepRecord(t_start=t, t_end=t_next, state=state, h=h,
-                                      dW=dW, used_backstop=use_backstop, y_end=y_next))
+                                      dW=dW, used_backstop=decision.use_backstop,
+                                      y_end=y_next))
         t = t_next
         y = y_next
         while si < len(taus) and taus[si] <= t:

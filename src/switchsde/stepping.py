@@ -5,10 +5,15 @@ The candidate step shrinks with the current solution norm,
     candidate = h_min  v  ( h_max / ||Y||^(1/k)  ^  h_max ),
 
 and is then clamped so the next mesh point never passes the next switching
-time of the Markov chain or the terminal time T; clamped steps land exactly
-(bitwise) on those times.  Steps of length at most h_min dispatch to the
-backstop map.  With h_max = rho * h_min, every norm-controlled step implies
-||Y|| < rho^k, which the solver asserts.
+time of the Markov chain or the terminal time T.  The decision carries the
+landing time: a clamped step lands exactly (bitwise) on the switching time or
+T; any other step lands on the rounded sum t_n + h, which cannot pass either,
+because in round-to-nearest fl(b - t_n) > h implies fl(t_n + h) <= b.
+
+The backstop map runs if and only if the rule gave h <= h_min: the step was
+floored at h_min, or a clamp shortened it to within h_min.  Every other step
+started from a norm-controlled candidate above h_min, which with
+h_max = rho * h_min implies ||Y|| < rho^k: explicit maps only run there.
 """
 
 from __future__ import annotations
@@ -55,9 +60,13 @@ class StepParams:
 
 @dataclass(frozen=True)
 class StepDecision:
+    """Step length, backstop flag, the clause that fixed the step, and the
+    mesh point the step lands on."""
+
     h: float
     use_backstop: bool
     reason: StepReason
+    t_next: float
 
 
 def next_step(y_norm: float, t_n: float, next_switch: float | None, T: float,
@@ -88,13 +97,14 @@ def next_step(y_norm: float, t_n: float, next_switch: float | None, T: float,
         h, reason = h_min, StepReason.FLOORED_AT_HMIN
     else:
         h, reason = raw, StepReason.NORM_CONTROLLED
+    t_next = t_n + h
     if next_switch is not None:
         to_switch = next_switch - t_n
         if to_switch <= h:
-            h, reason = to_switch, StepReason.CLAMPED_TO_SWITCH
+            h, reason, t_next = to_switch, StepReason.CLAMPED_TO_SWITCH, next_switch
     if remaining <= h:
-        h, reason = remaining, StepReason.CLAMPED_TO_TERMINAL
-    return StepDecision(h=h, use_backstop=h <= h_min, reason=reason)
+        h, reason, t_next = remaining, StepReason.CLAMPED_TO_TERMINAL, T
+    return StepDecision(h=h, use_backstop=h <= h_min, reason=reason, t_next=t_next)
 
 
 def build_mesh_bound(t: float, p: StepParams, n_switches: int) -> tuple[int, int]:

@@ -94,6 +94,18 @@ class TestExitCodes:
         config = write_config(tmp_path, {"step": {"rho": 0.5}})
         assert run_cli(["ensemble", "--config", config]) == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"horizon": 0.0},
+        {"r0": 5},
+        {"initial": "abc"},
+        {"initial": {"uniform": [1.0, 2.0, 3.0]}},
+        {"trajectories": "many"},
+    ])
+    def test_bad_ensemble_values_exit_2(self, tmp_path, payload):
+        config = write_config(tmp_path, payload)
+        assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_computation_failure_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, {
             "model": {"kind": "linear", "mu": [1e308], "sigma": [0.0]},
@@ -192,3 +204,42 @@ class TestDeterminism:
             outs.append(out)
         for fname in ("histogram.csv", "summary.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def _dumped(out):
+    """(first y, last y) of trajectory.csv."""
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    return float(rows[0].split(",")[2]), float(rows[-1].split(",")[2])
+
+
+class TestDumpTrajectory:
+    """--dump-trajectory writes trajectory 0 of the study it ran with."""
+
+    STEP = s.StepParams(0.03, 15.0, 10.0)
+
+    def test_ensemble_dumps_index_0(self, tmp_path):
+        out = tmp_path / "ens"
+        assert run_cli(["ensemble", "--model", "telomere", "--horizon", 1.0,
+                        "--trajectories", 3, "--runs-per-initial", 2,
+                        "--initial-range", 4000, 8000, "--r0", "uniform",
+                        "--seed", 42, "--out", out, "--dump-trajectory"]) == 0
+        g = s.validate_generator(cli.TELOMERE_GENERATOR)
+        summary = s.run_ensemble(s.telomere_model(s.TelomereParams()), g,
+                                 (4000.0, 8000.0), "uniform", 1.0, self.STEP, M=3,
+                                 runs_per_initial=2, seed=42)
+        assert _dumped(out)[1] == summary.terminal_values[0]
+
+    def test_mean_change_dumps_index_0(self, tmp_path):
+        out = tmp_path / "mc"
+        assert run_cli(["mean-change", "--initials", 3, "--runs", 2,
+                        "--start-day", 5.0, "--end-day", 6.0, "--r0", "uniform",
+                        "--seed", 42, "--out", out, "--dump-trajectory"]) == 0
+        g = s.validate_generator(cli.TELOMERE_GENERATOR)
+        report = s.mean_change_study(s.telomere_model(s.TelomereParams()), g,
+                                     4000.0, 8000.0, 5.0, 6.0, n_initials=3,
+                                     runs_per_initial=2, seed=42, p=self.STEP,
+                                     r0="uniform")
+        x0, y = _dumped(out)
+        # index 0 is the first run of its initial, so its final is single_final
+        j = list(report.initials).index(x0)
+        assert y == report.single_finals[j]

@@ -1,0 +1,102 @@
+"""Scalar-reference gate: exact study outputs at fixed seeds.
+
+The literals below were recorded from the scalar per-trajectory walk.  Any
+engine that reorganises the per-trajectory loop (or replaces it with a batched
+one) must reproduce them bit for bit, including which trajectories fail.
+"""
+
+import logging
+import math
+import re
+
+import pytest
+
+import switchsde as s
+
+TELOMERE_GENERATOR = [
+    [-0.3, 0.1, 0.1, 0.1],
+    [0.1, -0.3, 0.1, 0.1],
+    [0.1, 0.1, -0.3, 0.1],
+    [0.1, 0.1, 0.1, -0.3],
+]
+STEP = s.StepParams(0.03, 15.0, 10.0)
+
+
+@pytest.fixture(scope="module")
+def telomere():
+    return s.telomere_model(s.TelomereParams())
+
+
+def _exploding_in_state_2(quiet_drift, noise):
+    """Two-state model whose drift is infinite in state 2 and constant in state 1,
+    with constant diffusion; with a frozen chain, exactly the trajectories that
+    start in state 2 fail."""
+    return s.RegimeModel(num_states=2,
+                         drift=lambda x, i: math.inf if i == 2 else quiet_drift,
+                         diffusion=lambda x, i: noise,
+                         diffusion_derivative=lambda x, i: 0.0)
+
+
+def _failed_indices(caplog):
+    return [int(m.group(1)) for rec in caplog.records
+            if (m := re.match(r"trajectory (\d+) failed", rec.getMessage()))]
+
+
+def test_ensemble_uniform_initial_uniform_r0(telomere):
+    g = s.validate_generator(TELOMERE_GENERATOR)
+    summary = s.run_ensemble(telomere, g, (4000.0, 8000.0), "uniform", 2.0, STEP,
+                             M=3, runs_per_initial=2, seed=42)
+    assert summary.terminal_values.tolist() == [
+        4907.472765002495, 5057.256627626666, 7290.208937845298,
+        7726.989126373074, 8041.94379509751, 7900.342249148917]
+    assert summary.backstop_fraction == 0.0030959752321981426
+    assert summary.failed_count == 0
+
+
+def test_ensemble_partial_failures(caplog):
+    g = s.validate_generator([[0.0, 0.0], [0.0, 0.0]])
+    with caplog.at_level(logging.WARNING, logger="switchsde.harness"):
+        summary = s.run_ensemble(_exploding_in_state_2(0.0, 0.0), g, 1.0, "uniform",
+                                 1.0, STEP, M=40, seed=5)
+    failed = [0, 3, 4, 5, 6, 8, 9, 12, 13, 16, 19, 20, 22, 23, 24, 25, 27, 29, 32,
+              35, 36, 38]
+    assert summary.failed_count == len(failed)
+    assert _failed_indices(caplog) == failed
+    assert summary.terminal_values.tolist() == [1.0] * (40 - len(failed))
+
+
+def test_mean_change(telomere):
+    g = s.validate_generator(TELOMERE_GENERATOR)
+    report = s.mean_change_study(telomere, g, 4000.0, 8000.0, 5.0, 7.0, n_initials=4,
+                                 runs_per_initial=3, seed=42, p=STEP)
+    assert report.initials.tolist() == [
+        4372.026221643812, 4933.85590758846, 7438.550206410789, 7452.052135963386]
+    assert report.mean_finals.tolist() == [
+        4368.682466738205, 4948.0027370084945, 7387.856860474331, 7869.1879939029795]
+    assert report.single_finals.tolist() == [
+        4267.837578940722, 4916.974398992513, 6844.201734414762, 7748.178512643737]
+    assert report.grand_mean_change == 94.31139662939154
+    assert report.failed_count == 0
+
+
+def test_mean_change_partial_failures(caplog):
+    # Outer indices 1, 2 and 6 lose both runs and drop out; 3 and 7 keep only
+    # their second run and 5 only its first, so single_final equals
+    # mean_final there and nowhere else.
+    g = s.validate_generator([[0.0, 0.0], [0.0, 0.0]])
+    with caplog.at_level(logging.WARNING, logger="switchsde.harness"):
+        report = s.mean_change_study(_exploding_in_state_2(-0.5, 1.0), g, 4000.0,
+                                     8000.0, 5.0, 6.0, n_initials=8,
+                                     runs_per_initial=2, seed=42, p=STEP, r0="uniform")
+    assert _failed_indices(caplog) == [2, 3, 4, 5, 6, 11, 12, 13, 14]
+    assert report.failed_count == 9
+    assert report.initials.tolist() == [
+        4372.026221643812, 4933.85590758846, 5779.267871252998, 7244.850677704855,
+        7741.89402920965]
+    assert report.mean_finals.tolist() == [
+        4372.593285918647, 4933.175507033999, 5778.509493425509, 7243.622476585055,
+        7740.561718214343]
+    assert report.single_finals.tolist() == [
+        4372.593285918647, 4932.614980240734, 5778.509493425509, 7243.938785553632,
+        7740.561718214343]
+    assert report.grand_mean_change == -0.7629754137834814

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde import errors
+from switchsde import errors, schemes
 from switchsde.harness import substream_rng
 
 LINEAR = s.LinearModelParams(mu=(0.05,), sigma=(0.2,))
@@ -158,6 +158,24 @@ class TestSolveTrajectory:
             inside = [t for t in taus if rec.t_start < t < rec.t_end]
             assert inside == []
         assert tr.backstop_count == sum(r.used_backstop for r in tr.records)
+
+    def test_floored_steps_use_the_backstop(self, monkeypatch):
+        # |Y| = 1e20 >> rho^k floors every step at h_min; for t > 0 the mesh
+        # spacing (t + h_min) - t often rounds one ulp above h_min, and the
+        # backstop must still run on every one of these steps.
+        def explicit_map(*args):
+            raise AssertionError("explicit map ran at |Y| >= rho^k")
+
+        monkeypatch.setitem(schemes._MAIN_MAPS, "milstein", explicit_map)
+        model = s.linear_model(s.LinearModelParams(mu=(0.0,), sigma=(0.0,)))
+        chain = s.MarkovPath(1, (), (), 1.0)
+        w = s.BrownianPath(np.random.default_rng(0))
+        tr = s.solve_trajectory(model, chain, w, 1e20, 1.0,
+                                s.StepParams(0.03, 15.0, 10.0))
+        assert tr.n_steps >= 500
+        assert all(rec.used_backstop for rec in tr.records)
+        assert tr.backstop_count == tr.n_steps
+        assert tr.terminal_value == 1e20
 
     def test_step_count_within_budget(self, telomere):
         g = s.validate_generator(TELOMERE_GENERATOR)

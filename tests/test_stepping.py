@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
@@ -128,3 +128,36 @@ class TestBuildMeshBound:
             s.build_mesh_bound(-1.0, P, 0)
         with pytest.raises(errors.InvalidParamsError):
             s.build_mesh_bound(1.0, P, -1)
+
+
+@st.composite
+def _time_after(draw, t_n, h):
+    """A time strictly after t_n: random, or within a few ulps of t_n + h."""
+    if draw(st.booleans()):
+        t = t_n + draw(st.floats(min_value=1e-9, max_value=0.1))
+    else:
+        t = t_n + h
+        ulps = draw(st.integers(min_value=-3, max_value=3))
+        for _ in range(abs(ulps)):
+            t = math.nextafter(t, math.copysign(math.inf, ulps))
+    assume(t > t_n)
+    return t
+
+
+@given(data=st.data(),
+       y=st.floats(min_value=0.0, max_value=1e30, allow_nan=False),
+       t_n=st.floats(min_value=1e-6, max_value=1e4))
+@settings(max_examples=500, deadline=None)
+def test_landing_time_never_passes_switch_or_terminal(data, y, t_n):
+    h = s.next_step(y, t_n, None, math.inf, P).h  # the unclamped step
+    nxt = data.draw(st.none() | _time_after(t_n, h))
+    T = data.draw(_time_after(t_n, h))
+    d = s.next_step(y, t_n, nxt, T, P)
+    assert t_n < d.t_next <= (T if nxt is None else min(nxt, T))
+    if d.reason is StepReason.CLAMPED_TO_SWITCH:
+        assert d.t_next.hex() == nxt.hex()
+    elif d.reason is StepReason.CLAMPED_TO_TERMINAL:
+        assert d.t_next.hex() == T.hex()
+    else:
+        assert d.t_next == t_n + d.h
+    assert d.use_backstop == (d.h <= P.h_min)
