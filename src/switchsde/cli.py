@@ -89,14 +89,6 @@ MODEL_PRESETS: dict[str, dict[str, Any]] = {
 
 _COMMON_KEYS = {"experiment", "seed", "out", "step", "generator", "scheme",
                 "dump_trajectory", "model"}
-_KNOWN_KEYS = {
-    "simulate-chain": _COMMON_KEYS | {"horizon", "r0", "trajectories"},
-    "convergence": _COMMON_KEYS | {"horizon", "trajectories", "grid", "x0", "r0"},
-    "ensemble": _COMMON_KEYS | {"horizon", "trajectories", "runs_per_initial",
-                                "initial", "r0"},
-    "mean-change": _COMMON_KEYS | {"initial_range", "initials", "runs",
-                                   "start_day", "end_day", "r0"},
-}
 
 _EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
     "simulate-chain": {"generator": [[0.0]], "horizon": 30.0, "r0": 1,
@@ -175,15 +167,6 @@ def _build_model(desc: dict) -> tuple[RegimeModel, LinearModelParams | None]:
     raise ConfigValidationError(f"unknown model kind {kind!r}")
 
 
-def _parse_r0(value) -> int | str:
-    if value == "uniform":
-        return "uniform"
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigValidationError(f"r0 must be an integer or 'uniform', got {value!r}")
-
-
 def _merge(experiment: str, args: argparse.Namespace) -> dict[str, Any]:
     merged: dict[str, Any] = {"experiment": experiment,
                               "seed": DEFAULT_SEED,
@@ -224,73 +207,113 @@ def _merge(experiment: str, args: argparse.Namespace) -> dict[str, Any]:
     return merged
 
 
+def _expect(key: str, value, ok: bool, what: str):
+    if not ok:
+        raise ConfigValidationError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _integer(key: str, value) -> int:
+    return _expect(key, value, type(value) is int, "an integer")  # not 2.5, not true
+
+
+def _number(key: str, value) -> float:
+    return float(_expect(key, value, type(value) in (int, float), "a number"))
+
+
+def _pair(key: str, value) -> tuple[float, float]:
+    _expect(key, value, isinstance(value, list) and len(value) == 2, "a pair [lo, hi]")
+    return _number(key, value[0]), _number(key, value[1])
+
+
+def _initial(key: str, value) -> float | tuple[float, float]:
+    if isinstance(value, dict):
+        _reject_unknown(value, {"uniform"}, key)
+        return _pair(key, value["uniform"])
+    return _number(key, value)
+
+
+def _r0(key: str, value) -> int | str:
+    if isinstance(value, str) and value.isdecimal():  # --r0 passes text
+        value = int(value)
+    return _expect(key, value, value == "uniform" or type(value) is int,
+                   "a state number or 'uniform'")
+
+
+def _step(key: str, value) -> StepParams:
+    _expect(key, value, isinstance(value, dict), "an object with h_max, rho, k")
+    _reject_unknown(value, set(DEFAULT_STEP), key)
+    return StepParams(**{name: _number(f"{key}.{name}", value.get(name, default))
+                         for name, default in DEFAULT_STEP.items()})
+
+
+# The one parser of each config key: (key, raw value) -> typed value.
+_PARSERS = {
+    "experiment": lambda key, value: value,
+    "seed": lambda key, value: _expect(key, value, _integer(key, value) >= 0,
+                                       "an integer >= 0"),
+    "out": lambda key, value: Path(value),
+    "step": _step,
+    "generator": lambda key, value: validate_generator(value),
+    "scheme": lambda key, value: _expect(key, value, value in ("milstein", "em"),
+                                         "'milstein' or 'em'"),
+    "dump_trajectory": lambda key, value: _expect(key, value, type(value) is bool,
+                                                  "true or false"),
+    "model": lambda key, value: _build_model(value),
+    "grid": lambda key, value: [
+        _number(key, h) for h in _expect(key, value, isinstance(value, list), "a list")],
+    "initial_range": _pair,
+    "initial": _initial,
+    "r0": _r0,
+    **dict.fromkeys(("horizon", "x0", "start_day", "end_day"), _number),
+    **dict.fromkeys(("trajectories", "runs_per_initial", "initials", "runs"), _integer),
+}
+
+
 def load_config(experiment: str, args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, preset, config file and flags; validate everything."""
+    """Merge defaults, preset, config file and flags; type and validate every
+    value, so that a bad config fails here, before any output exists."""
     raw = _merge(experiment, args)
-    _reject_unknown(raw, _KNOWN_KEYS[experiment], "config")
-    step_raw = raw.get("step", DEFAULT_STEP)
-    if not isinstance(step_raw, dict):
-        raise ConfigValidationError("step must be an object with h_max, rho, k")
-    _reject_unknown(step_raw, {"h_max", "rho", "k"}, "step")
-    scheme = raw.get("scheme", "milstein")
-    if scheme not in ("milstein", "em"):
-        raise ConfigValidationError(f"scheme must be 'milstein' or 'em', got {scheme!r}")
-    extra = {k: v for k, v in raw.items() if k not in _COMMON_KEYS}
+    _reject_unknown(raw, _COMMON_KEYS | _EXPERIMENT_DEFAULTS[experiment].keys(), "config")
     try:
-        step = StepParams(h_max=float(step_raw.get("h_max", DEFAULT_STEP["h_max"])),
-                          rho=float(step_raw.get("rho", DEFAULT_STEP["rho"])),
-                          k=float(step_raw.get("k", DEFAULT_STEP["k"])))
-        generator = validate_generator(raw["generator"])
-        model = None
-        linear_params = None
-        if "model" in raw:
-            model, linear_params = _build_model(raw["model"])
-        if experiment == "convergence" and linear_params is None:
-            raise ConfigValidationError(
-                "convergence requires a linear model (it needs the exact solution)")
-        _check_experiment(experiment, extra, generator, model, linear_params)
+        typed = {key: _PARSERS[key](key, value) for key, value in raw.items()}
+        model, linear_params = typed.get("model", (None, None))
+        extra = {k: v for k, v in typed.items() if k not in _COMMON_KEYS}
+        _check_experiment(experiment, extra, typed["generator"], model, linear_params)
     except (SwitchSDEError, ValueError, TypeError, KeyError) as exc:
         if isinstance(exc, (ConfigParseError, ConfigValidationError)):
             raise
         raise ConfigValidationError(str(exc))
-    return RunConfig(experiment=experiment, raw=raw, seed=int(raw["seed"]),
-                     out_dir=Path(raw["out"]), step=step, generator=generator,
-                     scheme=scheme,
-                     dump_trajectory=bool(raw.get("dump_trajectory", False)),
+    return RunConfig(experiment=experiment, raw=raw, seed=typed["seed"],
+                     out_dir=typed["out"], step=typed["step"],
+                     generator=typed["generator"],
+                     scheme=typed.get("scheme", "milstein"),
+                     dump_trajectory=typed["dump_trajectory"],
                      model=model, linear_params=linear_params, extra=extra)
 
 
-def _check_experiment(experiment: str, extra: dict, generator: GeneratorMatrix,
+def _check_experiment(experiment: str, x: dict, generator: GeneratorMatrix,
                       model: RegimeModel | None,
                       linear_params: LinearModelParams | None) -> None:
-    """Parse ``r0`` and ``initial`` in place, then run the harness's argument
-    checks, so that a bad config exits with 2 before any work."""
-    extra["r0"] = r0 = _parse_r0(extra["r0"])
-    if experiment in ("simulate-chain", "convergence") and r0 == "uniform":
-        raise ConfigValidationError(f"{experiment} requires a fixed integer r0")
+    """Run the harness's argument checks on the typed values ``x``."""
     if experiment == "simulate-chain":
+        if x["r0"] == "uniform":
+            raise ConfigValidationError("simulate-chain requires a fixed integer r0")
         num_states = generator.num_states if model is None else model.num_states
-        check_run_args(num_states, generator, r0, float(extra["horizon"]),
-                       int(extra["trajectories"]))
+        check_run_args(num_states, generator, x["r0"], x["horizon"], x["trajectories"])
     elif experiment == "convergence":
-        check_strong_order_args(linear_params, generator, float(extra["horizon"]),
-                                [float(h) for h in extra["grid"]],
-                                int(extra["trajectories"]), r0)
+        if linear_params is None:
+            raise ConfigValidationError(
+                "convergence requires a linear model (it needs the exact solution)")
+        check_strong_order_args(linear_params, generator, x["horizon"], x["grid"],
+                                x["trajectories"], x["r0"])
     elif experiment == "ensemble":
-        initial = extra["initial"]
-        if isinstance(initial, dict):
-            _reject_unknown(initial, {"uniform"}, "initial")
-            lo, hi = (float(v) for v in initial["uniform"])
-            extra["initial"] = initial = (lo, hi)
-        else:
-            extra["initial"] = initial = float(initial)
-        check_ensemble_args(model, generator, initial, r0, float(extra["horizon"]),
-                            int(extra["trajectories"]), int(extra["runs_per_initial"]))
+        check_ensemble_args(model, generator, x["initial"], x["r0"], x["horizon"],
+                            x["trajectories"], x["runs_per_initial"])
     elif experiment == "mean-change":
-        lo, hi = (float(v) for v in extra["initial_range"])
-        check_mean_change_args(model, generator, lo, hi, float(extra["start_day"]),
-                               float(extra["end_day"]), int(extra["initials"]),
-                               int(extra["runs"]), r0)
+        lo, hi = x["initial_range"]
+        check_mean_change_args(model, generator, lo, hi, x["start_day"], x["end_day"],
+                               x["initials"], x["runs"], x["r0"])
 
 
 def _params_echo(cfg: RunConfig) -> dict[str, Any]:
@@ -310,13 +333,13 @@ def run(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     failed = 0
+    x = cfg.extra
 
     if cfg.experiment == "simulate-chain":
-        n_chains = int(cfg.extra["trajectories"])
+        n_chains = x["trajectories"]
         total_switches = 0
         for idx in range(n_chains):
-            chain = simulate_chain(cfg.generator, int(cfg.extra["r0"]),
-                                   float(cfg.extra["horizon"]),
+            chain = simulate_chain(cfg.generator, x["r0"], x["horizon"],
                                    substream_rng(cfg.seed, idx, CHAIN_STREAM))
             name = "chain.csv" if n_chains == 1 else f"chain_{idx:03d}.csv"
             with open(cfg.out_dir / name, "w") as fh:
@@ -327,24 +350,20 @@ def run(cfg: RunConfig) -> int:
 
     elif cfg.experiment == "convergence":
         report = strong_order_study(
-            cfg.linear_params, cfg.generator, float(cfg.extra["x0"]),
-            float(cfg.extra["horizon"]), [float(h) for h in cfg.extra["grid"]],
-            cfg.step.rho, cfg.step.k, int(cfg.extra["trajectories"]), cfg.seed,
-            scheme=cfg.scheme, r0=int(cfg.extra["r0"]))
+            cfg.linear_params, cfg.generator, x["x0"], x["horizon"], x["grid"],
+            cfg.step.rho, cfg.step.k, x["trajectories"], cfg.seed,
+            scheme=cfg.scheme, r0=x["r0"])
         with open(cfg.out_dir / "convergence.csv", "w") as fh:
             write_convergence_csv(fh, report)
         print(f"fitted order: {report.fitted_order:.4f} ({report.scheme}, "
               f"M={report.sample_count})")
         if cfg.dump_trajectory:
-            _dump_first_trajectory(cfg, float(cfg.extra["x0"]),
-                                   float(cfg.extra["horizon"]))
+            _dump_first_trajectory(cfg, x["x0"], x["horizon"])
 
     elif cfg.experiment == "ensemble":
-        initial = cfg.extra["initial"]
         summary = run_ensemble(
-            cfg.model, cfg.generator, initial, cfg.extra["r0"],
-            float(cfg.extra["horizon"]), cfg.step, int(cfg.extra["trajectories"]),
-            int(cfg.extra.get("runs_per_initial", 1)), cfg.seed, cfg.scheme)
+            cfg.model, cfg.generator, x["initial"], x["r0"], x["horizon"], cfg.step,
+            x["trajectories"], x["runs_per_initial"], cfg.seed, cfg.scheme)
         failed = summary.failed_count
         with open(cfg.out_dir / "histogram.csv", "w") as fh:
             write_histogram_csv(fh, summary)
@@ -353,14 +372,13 @@ def run(cfg: RunConfig) -> int:
         print(f"mean={summary.mean:.4f} sd={summary.std_dev:.4f} "
               f"se={summary.standard_error:.4f} failed={failed}")
         if cfg.dump_trajectory:
-            _dump_first_trajectory(cfg, initial, float(cfg.extra["horizon"]))
+            _dump_first_trajectory(cfg, x["initial"], x["horizon"])
 
     elif cfg.experiment == "mean-change":
-        lo, hi = (float(v) for v in cfg.extra["initial_range"])
+        lo, hi = x["initial_range"]
         report = mean_change_study(
-            cfg.model, cfg.generator, lo, hi, float(cfg.extra["start_day"]),
-            float(cfg.extra["end_day"]), int(cfg.extra["initials"]),
-            int(cfg.extra["runs"]), cfg.seed, cfg.step, cfg.extra["r0"], cfg.scheme)
+            cfg.model, cfg.generator, lo, hi, x["start_day"], x["end_day"],
+            x["initials"], x["runs"], cfg.seed, cfg.step, x["r0"], cfg.scheme)
         failed = report.failed_count
         with open(cfg.out_dir / "meanchange.csv", "w") as fh:
             write_meanchange_csv(fh, report)
@@ -372,8 +390,7 @@ def run(cfg: RunConfig) -> int:
             write_json(fh, payload)
         print(f"grand mean change: {report.grand_mean_change:.4f} (failed={failed})")
         if cfg.dump_trajectory:
-            _dump_first_trajectory(cfg, (lo, hi), float(cfg.extra["end_day"])
-                                   - float(cfg.extra["start_day"]))
+            _dump_first_trajectory(cfg, (lo, hi), x["end_day"] - x["start_day"])
 
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigValidationError(f"unknown experiment {cfg.experiment!r}")
@@ -390,16 +407,6 @@ def run(cfg: RunConfig) -> int:
     return failed
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output directory (default: out)")
-    sub.add_argument("--trajectories", type=int, default=None, metavar="M")
-    sub.add_argument("--dump-trajectory", dest="dump_trajectory",
-                     action="store_const", const=True, default=None,
-                     help="also write trajectory.csv for the first trajectory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchsde",
@@ -407,44 +414,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "Markovian switching")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="experiment", required=True)
-
-    p = subs.add_parser("simulate-chain", help="sample one Markov chain path")
-    _add_common(p)
-    p.add_argument("--r0", default=None)
-    p.add_argument("--horizon", type=float, default=None)
-
-    p = subs.add_parser("convergence", help="strong-order study on the linear model")
-    _add_common(p)
-    p.add_argument("--scheme", choices=["milstein", "em"], default=None)
-    p.add_argument("--grid", type=float, nargs="+", default=None,
-                   help="decreasing h_max levels")
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--r0", default=None)
-
-    p = subs.add_parser("ensemble", help="terminal-value ensemble statistics")
-    _add_common(p)
-    p.add_argument("--model", choices=sorted(MODEL_PRESETS), default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--initial", type=float, default=None)
-    p.add_argument("--initial-range", dest="initial_range", type=float, nargs=2,
-                   default=None, metavar=("LO", "HI"))
-    p.add_argument("--runs-per-initial", dest="runs_per_initial", type=int,
-                   default=None)
-    p.add_argument("--r0", default=None)
-    p.add_argument("--scheme", choices=["milstein", "em"], default=None)
-
-    p = subs.add_parser("mean-change", help="mean change over uniform initials")
-    _add_common(p)
-    p.add_argument("--model", choices=sorted(MODEL_PRESETS), default=None)
-    p.add_argument("--initial-range", dest="initial_range", type=float, nargs=2,
-                   default=None, metavar=("LO", "HI"))
-    p.add_argument("--initials", type=int, default=None)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--start-day", dest="start_day", type=float, default=None)
-    p.add_argument("--end-day", dest="end_day", type=float, default=None)
-    p.add_argument("--r0", default=None)
-    p.add_argument("--scheme", choices=["milstein", "em"], default=None)
+    chain = subs.add_parser("simulate-chain", help="sample one Markov chain path")
+    conv = subs.add_parser("convergence", help="strong-order study on the linear model")
+    ens = subs.add_parser("ensemble", help="terminal-value ensemble statistics")
+    mc = subs.add_parser("mean-change", help="mean change over uniform initials")
+    for p in (chain, conv, ens, mc):
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", help="output directory (default: out)")
+        p.add_argument("--trajectories", type=int, metavar="M")
+        p.add_argument("--dump-trajectory", action="store_const", const=True,
+                       help="also write trajectory.csv for the first trajectory")
+        p.add_argument("--r0")
+    for p in (chain, conv, ens):
+        p.add_argument("--horizon", type=float)
+    for p in (conv, ens, mc):
+        p.add_argument("--scheme", choices=["milstein", "em"])
+    for p in (ens, mc):
+        p.add_argument("--model", choices=sorted(MODEL_PRESETS))
+        p.add_argument("--initial-range", type=float, nargs=2, metavar=("LO", "HI"))
+    conv.add_argument("--grid", type=float, nargs="+", help="decreasing h_max levels")
+    conv.add_argument("--x0", type=float)
+    ens.add_argument("--initial", type=float)
+    ens.add_argument("--runs-per-initial", type=int)
+    mc.add_argument("--initials", type=int)
+    mc.add_argument("--runs", type=int)
+    mc.add_argument("--start-day", type=float)
+    mc.add_argument("--end-day", type=float)
     return parser
 
 
@@ -452,7 +448,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "ensemble" and getattr(args, "initial_range", None) is not None:
-        args.initial = {"uniform": [float(v) for v in args.initial_range]}
+        args.initial = {"uniform": list(args.initial_range)}
         args.initial_range = None
     try:
         cfg = load_config(args.experiment, args)

@@ -37,11 +37,14 @@ ROW_SUM_TOL = 1e-12
 class GeneratorMatrix:
     """Validated L x L transition-rate matrix (units 1/time).
 
+    ``jumps[i - 1]`` is ``(lambda_i, cum, dests)`` for state i: its holding
+    rate, and the states one jump reaches with their cumulative probabilities.
     Construct through :func:`validate_generator`; the rates array is frozen.
     """
 
     rates: np.ndarray
     num_states: int
+    jumps: tuple[tuple[float, tuple[float, ...], tuple[int, ...]], ...]
 
     def __post_init__(self):
         self.rates.setflags(write=False)
@@ -105,7 +108,15 @@ def validate_generator(rates) -> GeneratorMatrix:
         residual = float(arr[i].sum())
         if abs(residual) > ROW_SUM_TOL:
             raise RowSumNonzeroError(i, residual)
-    return GeneratorMatrix(rates=arr, num_states=n)
+    jumps = []
+    for i in range(n):
+        lam = -float(arr[i, i])
+        p = arr[i] / lam if lam > 0.0 else np.zeros(n)
+        p[i] = 0.0
+        dests = np.nonzero(p > 0)[0]
+        cum = tuple(np.cumsum(p[dests]).tolist())
+        jumps.append((lam, cum, tuple((dests + 1).tolist())))
+    return GeneratorMatrix(rates=arr, num_states=n, jumps=tuple(jumps))
 
 
 def holding_rate(g: GeneratorMatrix, i: int) -> float:
@@ -145,26 +156,12 @@ def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
     if not 1 <= r0 <= g.num_states:
         raise StateIndexError(f"initial state {r0} outside 1..{g.num_states}")
 
-    pmf_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def destination(state: int) -> int:
-        if state not in pmf_cache:
-            p = transition_pmf(g, state)
-            dests = np.nonzero(p > 0)[0] + 1
-            pmf_cache[state] = (np.cumsum(p[dests - 1]), dests)
-        cum, dests = pmf_cache[state]
-        u = rng.random()
-        k = int(np.searchsorted(cum, u, side="right"))
-        if k >= len(dests):  # u landed above cum[-1] by rounding
-            k = len(dests) - 1
-        return int(dests[k])
-
     times: list[float] = []
     states: list[int] = []
     t = 0.0
     s = r0
     while True:
-        lam = holding_rate(g, s)
+        lam, cum, dests = g.jumps[s - 1]
         if lam <= 0.0:
             break
         dt = -math.log1p(-rng.random()) / lam
@@ -173,7 +170,8 @@ def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
         t = t + dt
         if t > horizon:
             break
-        s = destination(s)
+        # a draw above cum[-1] (by rounding) goes to the last destination
+        s = dests[min(bisect_right(cum, rng.random()), len(dests) - 1)]
         times.append(t)
         states.append(s)
     return MarkovPath(initial_state=r0, switch_times=tuple(times),

@@ -136,15 +136,15 @@ def _summarize(values: np.ndarray, backstop_fraction: float,
 def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
                    *counts: int) -> None:
     """Checks shared by every study: the generator matches the model's state
-    count, the horizon is positive, ``r0`` is ``'uniform'`` or a state in
-    1..num_states, and every trajectory count is at least one."""
+    count, the horizon is positive, ``r0`` is ``'uniform'`` or an integer
+    state in 1..num_states, and every trajectory count is at least one."""
     if g.num_states != num_states:
         raise InvalidParamsError(
             f"generator has {g.num_states} states, model {num_states}")
     if not T > 0.0:
         raise InvalidParamsError(f"horizon must be positive, got {T}")
-    if r0 != "uniform" and not 1 <= int(r0) <= num_states:
-        raise InvalidParamsError(f"r0={r0} outside 1..{num_states}")
+    if r0 != "uniform" and not (type(r0) is int and 1 <= r0 <= num_states):
+        raise InvalidParamsError(f"r0={r0!r} is not 'uniform' or a state 1..{num_states}")
     if any(n < 1 for n in counts):
         raise InvalidParamsError(f"trajectory counts must be >= 1, got {counts}")
 
@@ -158,6 +158,8 @@ def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: fl
         raise DegenerateGridError("grid must be strictly decreasing")
     if M < 100:
         raise InvalidParamsError(f"need M >= 100 samples, got {M}")
+    if r0 == "uniform":
+        raise InvalidParamsError("the strong-order study needs a fixed r0, got 'uniform'")
     check_run_args(params.num_states, g, r0, T)
 
 
@@ -193,9 +195,9 @@ def _draw_initial(initial, seed: int, j: int) -> float:
 def _trajectory_inputs(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
     """Chain and Brownian path of trajectory ``index``; a ``'uniform'`` r0 is
     drawn from the trajectory's auxiliary stream."""
-    aux = substream_rng(seed, index, AUX_STREAM)
-    r0_i = 1 + int(aux.integers(g.num_states)) if r0 == "uniform" else int(r0)
-    chain = simulate_chain(g, r0_i, T, substream_rng(seed, index, CHAIN_STREAM))
+    if r0 == "uniform":
+        r0 = 1 + int(substream_rng(seed, index, AUX_STREAM).integers(g.num_states))
+    chain = simulate_chain(g, r0, T, substream_rng(seed, index, CHAIN_STREAM))
     return chain, BrownianPath(substream_rng(seed, index, NOISE_STREAM))
 
 
@@ -272,8 +274,7 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
     step_params = [StepParams(h_max=h, rho=rho, k=k) for h in grid]
     errors = np.empty((len(grid), M))
     for i in range(M):
-        chain = simulate_chain(g, r0, T, substream_rng(seed, i, CHAIN_STREAM))
-        path = BrownianPath(substream_rng(seed, i, NOISE_STREAM))
+        chain, path = _trajectory_inputs(g, r0, T, seed, i)
         exact = exact_linear_solution(params, x0, chain, path, T)
         for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
             y, _, _ = solve_terminal(model, chain, path, x0, T, step_params[lvl], scheme)

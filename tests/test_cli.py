@@ -75,6 +75,13 @@ class TestLoadConfig:
         bodies = {(out / n).read_text() for n in names}
         assert len(bodies) == 3  # independent substreams per chain
 
+    def test_every_key_has_one_parser(self):
+        keys = set(cli._COMMON_KEYS).union(*cli._EXPERIMENT_DEFAULTS.values())
+        assert keys <= cli._PARSERS.keys()
+        parser = cli.build_parser()
+        for experiment in cli._EXPERIMENT_DEFAULTS:
+            cli.load_config(experiment, parser.parse_args([experiment]))
+
     def test_generator_model_mismatch_rejected(self, tmp_path):
         config = write_config(tmp_path, {"generator": [[0.0]]})
         parser = cli.build_parser()
@@ -100,11 +107,34 @@ class TestExitCodes:
         {"initial": "abc"},
         {"initial": {"uniform": [1.0, 2.0, 3.0]}},
         {"trajectories": "many"},
+        {"trajectories": 2.5},
+        {"trajectories": True},
+        {"r0": 1.9},
+        {"seed": "abc"},
+        {"seed": -1},
+        {"dump_trajectory": "no"},
     ])
     def test_bad_ensemble_values_exit_2(self, tmp_path, payload):
         config = write_config(tmp_path, payload)
         assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_fractional_chain_count_and_r0_exit_2(self, tmp_path):
+        config = write_config(tmp_path, {"generator": cli.TELOMERE_GENERATOR,
+                                         "trajectories": 2.5, "r0": 1.9})
+        assert run_cli(["simulate-chain", "--config", config,
+                        "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path):
+        assert run_cli(["simulate-chain", "--seed", -1, "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_r0_flag_is_a_state_number(self, tmp_path):
+        config = write_config(tmp_path, {"generator": cli.TELOMERE_GENERATOR})
+        assert run_cli(["simulate-chain", "--config", config, "--r0", "2",
+                        "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "chain.csv").read_text().startswith("# r0=2 ")
 
     def test_computation_failure_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -94,6 +94,12 @@ class TestRunEnsemble:
         with pytest.raises(errors.InvalidParamsError):
             s.run_ensemble(_zero_model(4), g, 1.0, 1, 1.0, STEP, M=1, seed=0)
 
+    @pytest.mark.parametrize("r0", [2.7, True])
+    def test_r0_that_is_not_a_state_number_rejected(self, r0):
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        with pytest.raises(errors.InvalidParamsError, match="r0"):
+            s.run_ensemble(_zero_model(), g, 1.0, r0, 1.0, STEP, M=1, seed=0)
+
     def test_backstop_fraction_small_on_telomere(self):
         g = s.validate_generator(TELOMERE_GENERATOR)
         model = s.telomere_model(s.TelomereParams())
@@ -133,6 +139,14 @@ class TestStrongOrderStudy:
         with pytest.raises(errors.InvalidParamsError):
             s.strong_order_study(params, g, 1.0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
                                  M=50, seed=0)
+
+    @pytest.mark.parametrize("r0", ["uniform", 1.9, True])
+    def test_r0_must_be_a_fixed_state(self, r0):
+        g = s.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        params = s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5))
+        with pytest.raises(errors.InvalidParamsError, match="r0"):
+            s.strong_order_study(params, g, 1.0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
+                                 M=100, seed=0, r0=r0)
 
 
 class TestMeanChangeStudy:

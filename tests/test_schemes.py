@@ -1,5 +1,6 @@
 """One-step maps and the hybrid solver over the adaptive mesh."""
 
+import bisect
 import math
 
 import numpy as np
@@ -148,16 +149,30 @@ class TestSolveTrajectory:
     def test_backstop_dispatch_and_regime_constancy(self, telomere):
         g = s.validate_generator(TELOMERE_GENERATOR)
         p = s.StepParams(0.03, 15.0, 10.0)
-        chain = s.simulate_chain(g, 1, 30.0, np.random.default_rng(30))
-        w = s.BrownianPath(np.random.default_rng(31))
-        tr = s.solve_trajectory(telomere, chain, w, 1000.0, 30.0, p)
-        taus = set(chain.switch_times)
-        for rec in tr.records:
-            assert rec.used_backstop == (rec.h <= p.h_min)
-            assert rec.state == s.state_at(chain, rec.t_start)
-            inside = [t for t in taus if rec.t_start < t < rec.t_end]
-            assert inside == []
-        assert tr.backstop_count == sum(r.used_backstop for r in tr.records)
+        zero = s.linear_model(s.LinearModelParams(mu=(0.0,), sigma=(0.0,)))
+        cases = [  # a telomere path, and a path floored at h_min on every step
+            (telomere, s.simulate_chain(g, 1, 30.0, np.random.default_rng(30)),
+             1000.0, 30.0),
+            (zero, s.MarkovPath(1, (), (), 1.0), 1e20, 1.0),
+        ]
+        for model, chain, x0, T in cases:
+            w = s.BrownianPath(np.random.default_rng(31))
+            tr = s.solve_trajectory(model, chain, w, x0, T, p)
+            taus = chain.switch_times
+            y_start = x0
+            for rec in tr.records:
+                # Replay the step rule: the realised spacing t_end - t_start
+                # can round an ulp above the rule's h.
+                nxt = bisect.bisect_right(taus, rec.t_start)
+                d = s.next_step(abs(y_start), rec.t_start,
+                                taus[nxt] if nxt < len(taus) else None, T, p)
+                assert rec.used_backstop == d.use_backstop
+                assert rec.t_end == d.t_next
+                assert d.h <= p.h_max
+                assert rec.state == s.state_at(chain, rec.t_start)
+                assert not any(rec.t_start < t < rec.t_end for t in taus)
+                y_start = rec.y_end
+            assert tr.backstop_count == sum(r.used_backstop for r in tr.records)
 
     def test_floored_steps_use_the_backstop(self, monkeypatch):
         # |Y| = 1e20 >> rho^k floors every step at h_min; for t > 0 the mesh
