@@ -233,13 +233,6 @@ def _initial(key: str, value) -> float | tuple[float, float]:
     return _number(key, value)
 
 
-def _r0(key: str, value) -> int | str:
-    if isinstance(value, str) and value.isdecimal():  # --r0 passes text
-        value = int(value)
-    return _expect(key, value, value == "uniform" or type(value) is int,
-                   "a state number or 'uniform'")
-
-
 def _step(key: str, value) -> StepParams:
     _expect(key, value, isinstance(value, dict), "an object with h_max, rho, k")
     _reject_unknown(value, set(DEFAULT_STEP), key)
@@ -264,7 +257,8 @@ _PARSERS = {
         _number(key, h) for h in _expect(key, value, isinstance(value, list), "a list")],
     "initial_range": _pair,
     "initial": _initial,
-    "r0": _r0,
+    "r0": lambda key, value: _expect(key, value, value == "uniform" or type(value) is int,
+                                     "a state number or 'uniform'"),
     **dict.fromkeys(("horizon", "x0", "start_day", "end_day"), _number),
     **dict.fromkeys(("trajectories", "runs_per_initial", "initials", "runs"), _integer),
 }
@@ -280,7 +274,7 @@ def load_config(experiment: str, args: argparse.Namespace) -> RunConfig:
         model, linear_params = typed.get("model", (None, None))
         extra = {k: v for k, v in typed.items() if k not in _COMMON_KEYS}
         _check_experiment(experiment, extra, typed["generator"], model, linear_params)
-    except (SwitchSDEError, ValueError, TypeError, KeyError) as exc:
+    except (SwitchSDEError, ValueError, TypeError, KeyError, OverflowError) as exc:
         if isinstance(exc, (ConfigParseError, ConfigValidationError)):
             raise
         raise ConfigValidationError(str(exc))
@@ -407,6 +401,10 @@ def run(cfg: RunConfig) -> int:
     return failed
 
 
+def _state_or_uniform(text: str) -> int | str:
+    return text if text == "uniform" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchsde",
@@ -425,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trajectories", type=int, metavar="M")
         p.add_argument("--dump-trajectory", action="store_const", const=True,
                        help="also write trajectory.csv for the first trajectory")
-        p.add_argument("--r0")
+        p.add_argument("--r0", type=_state_or_uniform)
     for p in (chain, conv, ens):
         p.add_argument("--horizon", type=float)
     for p in (conv, ens, mc):

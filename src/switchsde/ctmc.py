@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -37,17 +37,26 @@ ROW_SUM_TOL = 1e-12
 class GeneratorMatrix:
     """Validated L x L transition-rate matrix (units 1/time).
 
-    ``jumps[i - 1]`` is ``(lambda_i, cum, dests)`` for state i: its holding
-    rate, and the states one jump reaches with their cumulative probabilities.
     Construct through :func:`validate_generator`; the rates array is frozen.
+    ``jumps[i - 1]`` is ``(lambda_i, cum, dests)`` for state i, derived from
+    the rates: its holding rate, and the states one jump reaches with their
+    cumulative probabilities (none for an absorbing state).
     """
 
     rates: np.ndarray
     num_states: int
-    jumps: tuple[tuple[float, tuple[float, ...], tuple[int, ...]], ...]
+    jumps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rates.setflags(write=False)
+        jumps = []
+        for i in range(1, self.num_states + 1):
+            lam = holding_rate(self, i)
+            p = transition_pmf(self, i) if lam > 0.0 else np.zeros(0)
+            dests = np.nonzero(p > 0)[0]
+            jumps.append((lam, tuple(np.cumsum(p[dests]).tolist()),
+                          tuple((dests + 1).tolist())))
+        object.__setattr__(self, "jumps", tuple(jumps))
 
 
 @dataclass(frozen=True)
@@ -108,15 +117,7 @@ def validate_generator(rates) -> GeneratorMatrix:
         residual = float(arr[i].sum())
         if abs(residual) > ROW_SUM_TOL:
             raise RowSumNonzeroError(i, residual)
-    jumps = []
-    for i in range(n):
-        lam = -float(arr[i, i])
-        p = arr[i] / lam if lam > 0.0 else np.zeros(n)
-        p[i] = 0.0
-        dests = np.nonzero(p > 0)[0]
-        cum = tuple(np.cumsum(p[dests]).tolist())
-        jumps.append((lam, cum, tuple((dests + 1).tolist())))
-    return GeneratorMatrix(rates=arr, num_states=n, jumps=tuple(jumps))
+    return GeneratorMatrix(rates=arr, num_states=n)
 
 
 def holding_rate(g: GeneratorMatrix, i: int) -> float:

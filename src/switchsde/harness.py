@@ -143,7 +143,8 @@ def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
             f"generator has {g.num_states} states, model {num_states}")
     if not T > 0.0:
         raise InvalidParamsError(f"horizon must be positive, got {T}")
-    if r0 != "uniform" and not (type(r0) is int and 1 <= r0 <= num_states):
+    is_state = isinstance(r0, (int, np.integer)) and not isinstance(r0, bool)
+    if r0 != "uniform" and not (is_state and 1 <= r0 <= num_states):
         raise InvalidParamsError(f"r0={r0!r} is not 'uniform' or a state 1..{num_states}")
     if any(n < 1 for n in counts):
         raise InvalidParamsError(f"trajectory counts must be >= 1, got {counts}")
@@ -195,8 +196,8 @@ def _draw_initial(initial, seed: int, j: int) -> float:
 def _trajectory_inputs(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
     """Chain and Brownian path of trajectory ``index``; a ``'uniform'`` r0 is
     drawn from the trajectory's auxiliary stream."""
-    if r0 == "uniform":
-        r0 = 1 + int(substream_rng(seed, index, AUX_STREAM).integers(g.num_states))
+    r0 = (1 + int(substream_rng(seed, index, AUX_STREAM).integers(g.num_states))
+          if r0 == "uniform" else int(r0))
     chain = simulate_chain(g, r0, T, substream_rng(seed, index, CHAIN_STREAM))
     return chain, BrownianPath(substream_rng(seed, index, NOISE_STREAM))
 

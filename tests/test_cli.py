@@ -113,6 +113,9 @@ class TestExitCodes:
         {"seed": "abc"},
         {"seed": -1},
         {"dump_trajectory": "no"},
+        {"r0": "2"},
+        {"horizon": 10 ** 400},
+        {"step": {"h_max": 10 ** 400}},
     ])
     def test_bad_ensemble_values_exit_2(self, tmp_path, payload):
         config = write_config(tmp_path, payload)
@@ -135,6 +138,19 @@ class TestExitCodes:
         assert run_cli(["simulate-chain", "--config", config, "--r0", "2",
                         "--out", tmp_path / "o"]) == 0
         assert (tmp_path / "o" / "chain.csv").read_text().startswith("# r0=2 ")
+        # the echo holds the typed state, so the manifest reruns the same chain
+        echo = json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]
+        assert echo["r0"] == 2
+        rerun = write_config(tmp_path, echo, name="rerun.json")
+        assert run_cli(["simulate-chain", "--config", rerun, "--out", tmp_path / "r"]) == 0
+        assert ((tmp_path / "r" / "chain.csv").read_bytes()
+                == (tmp_path / "o" / "chain.csv").read_bytes())
+
+    def test_fractional_r0_flag_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate-chain", "--r0", "1.9", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_computation_failure_exits_3(self, tmp_path, capsys):
         config = write_config(tmp_path, {

@@ -100,6 +100,13 @@ class TestRunEnsemble:
         with pytest.raises(errors.InvalidParamsError, match="r0"):
             s.run_ensemble(_zero_model(), g, 1.0, r0, 1.0, STEP, M=1, seed=0)
 
+    def test_numpy_integer_r0_runs_as_the_int(self):
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        model = s.telomere_model(s.TelomereParams())
+        runs = [s.run_ensemble(model, g, 1000.0, r0, 1.0, STEP, M=3, seed=4)
+                for r0 in (2, np.int64(2))]
+        assert np.array_equal(runs[0].terminal_values, runs[1].terminal_values)
+
     def test_backstop_fraction_small_on_telomere(self):
         g = s.validate_generator(TELOMERE_GENERATOR)
         model = s.telomere_model(s.TelomereParams())
