@@ -20,14 +20,13 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .ctmc import GeneratorMatrix, simulate_chain, validate_generator, write_chain_csv
+from .ctmc import GeneratorMatrix, validate_generator, write_chain_csv
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
     SwitchSDEError,
 )
 from .harness import (
-    CHAIN_STREAM,
     check_ensemble_args,
     check_mean_change_args,
     check_run_args,
@@ -36,7 +35,7 @@ from .harness import (
     mean_change_study,
     run_ensemble,
     strong_order_study,
-    substream_rng,
+    trajectory_chain,
 )
 from .models import (
     LinearModelParams,
@@ -87,39 +86,40 @@ MODEL_PRESETS: dict[str, dict[str, Any]] = {
     },
 }
 
-_COMMON_KEYS = {"experiment", "seed", "out", "step", "generator", "scheme",
-                "dump_trajectory", "model"}
+_COMMON_KEYS = {"experiment", "seed", "out", "generator"}
 
+# Keys of the three studies that walk trajectories; each also takes a model preset.
+_STUDY_DEFAULTS = {"step": DEFAULT_STEP, "scheme": "milstein", "r0": 1,
+                   "dump_trajectory": False}
+
+# Each experiment accepts _COMMON_KEYS and exactly the keys it has a default for.
 _EXPERIMENT_DEFAULTS: dict[str, dict[str, Any]] = {
     "simulate-chain": {"generator": [[0.0]], "horizon": 30.0, "r0": 1,
                        "trajectories": 1},
     "convergence": {
+        **_STUDY_DEFAULTS,
         **MODEL_PRESETS["linear2"],
         "horizon": 1.0,
         "x0": 1.0,
         "grid": [2.0 ** -e for e in range(4, 10)],
         "trajectories": 1000,
-        "scheme": "milstein",
-        "r0": 1,
     },
     "ensemble": {
+        **_STUDY_DEFAULTS,
         **MODEL_PRESETS["telomere"],
         "horizon": 30.0,
         "initial": 1000.0,
         "trajectories": 1000,
         "runs_per_initial": 1,
-        "scheme": "milstein",
-        "r0": 1,
     },
     "mean-change": {
+        **_STUDY_DEFAULTS,
         **MODEL_PRESETS["telomere"],
         "initial_range": [4000.0, 8000.0],
         "start_day": 5.0,
         "end_day": 30.0,
         "initials": 1000,
         "runs": 100,
-        "scheme": "milstein",
-        "r0": 1,
     },
 }
 
@@ -132,8 +132,8 @@ class RunConfig:
     raw: dict[str, Any]
     seed: int
     out_dir: Path
-    step: StepParams
     generator: GeneratorMatrix
+    step: StepParams | None = None
     scheme: str = "milstein"
     dump_trajectory: bool = False
     model: RegimeModel | None = None
@@ -148,31 +148,8 @@ def _reject_unknown(raw: dict, known: set[str], context: str) -> None:
             f"unknown {context} key(s): {', '.join(sorted(unknown))}")
 
 
-def _build_model(desc: dict) -> tuple[RegimeModel, LinearModelParams | None]:
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigValidationError("model must be an object with a 'kind'")
-    kind = desc["kind"]
-    if kind == "telomere":
-        _reject_unknown(desc, {"kind", "c", "a"}, "model")
-        params = TelomereParams(c_values=tuple(desc.get("c", TELOMERE_C)),
-                                a_values=tuple(desc.get("a", TELOMERE_A)))
-        return telomere_model(params), None
-    if kind == "telomere-fixed":
-        _reject_unknown(desc, {"kind", "c", "a"}, "model")
-        return telomere_regime_model([(desc["c"], desc["a"])]), None
-    if kind == "linear":
-        _reject_unknown(desc, {"kind", "mu", "sigma"}, "model")
-        params = LinearModelParams(mu=tuple(desc["mu"]), sigma=tuple(desc["sigma"]))
-        return linear_model(params), params
-    raise ConfigValidationError(f"unknown model kind {kind!r}")
-
-
 def _merge(experiment: str, args: argparse.Namespace) -> dict[str, Any]:
-    merged: dict[str, Any] = {"experiment": experiment,
-                              "seed": DEFAULT_SEED,
-                              "out": "out",
-                              "step": dict(DEFAULT_STEP),
-                              "dump_trajectory": False}
+    merged = {"experiment": experiment, "seed": DEFAULT_SEED, "out": "out"}
     merged.update(_EXPERIMENT_DEFAULTS[experiment])
 
     model_name = getattr(args, "model", None)
@@ -218,7 +195,14 @@ def _integer(key: str, value) -> int:
 
 
 def _number(key: str, value) -> float:
-    return float(_expect(key, value, type(value) in (int, float), "a number"))
+    fits = type(value) is float or (type(value) is int
+                                    and abs(value) <= sys.float_info.max)
+    return float(_expect(key, value, fits, "a number that fits a float"))
+
+
+def _numbers(key: str, value) -> tuple[float, ...]:
+    _expect(key, value, isinstance(value, list), "a list of numbers")
+    return tuple(_number(key, v) for v in value)
 
 
 def _pair(key: str, value) -> tuple[float, float]:
@@ -240,6 +224,27 @@ def _step(key: str, value) -> StepParams:
                          for name, default in DEFAULT_STEP.items()})
 
 
+# Model kind -> (build: parsed fields in order -> (model, linear params or None),
+# {field: (parser, default)}); a None default makes its parser refuse a missing field.
+_MODELS = {
+    "telomere": (lambda c, a: (telomere_model(TelomereParams(c, a)), None),
+                 {"c": (_pair, list(TELOMERE_C)), "a": (_pair, list(TELOMERE_A))}),
+    "telomere-fixed": (lambda c, a: (telomere_regime_model([(c, a)]), None),
+                       {"c": (_number, None), "a": (_number, None)}),
+    "linear": (lambda mu, sigma: (linear_model(p := LinearModelParams(mu, sigma)), p),
+               {"mu": (_numbers, None), "sigma": (_numbers, None)}),
+}
+
+
+def _model(key: str, value) -> tuple[RegimeModel, LinearModelParams | None]:
+    _expect(key, value, isinstance(value, dict) and value.get("kind") in _MODELS,
+            f"an object with a 'kind' of {', '.join(map(repr, _MODELS))}")
+    build, fields = _MODELS[value["kind"]]
+    _reject_unknown(value, {"kind", *fields}, key)
+    return build(*(parse(f"{key}.{name}", value.get(name, default))
+                   for name, (parse, default) in fields.items()))
+
+
 # The one parser of each config key: (key, raw value) -> typed value.
 _PARSERS = {
     "experiment": lambda key, value: value,
@@ -252,9 +257,8 @@ _PARSERS = {
                                          "'milstein' or 'em'"),
     "dump_trajectory": lambda key, value: _expect(key, value, type(value) is bool,
                                                   "true or false"),
-    "model": lambda key, value: _build_model(value),
-    "grid": lambda key, value: [
-        _number(key, h) for h in _expect(key, value, isinstance(value, list), "a list")],
+    "model": _model,
+    "grid": _numbers,
     "initial_range": _pair,
     "initial": _initial,
     "r0": lambda key, value: _expect(key, value, value == "uniform" or type(value) is int,
@@ -271,42 +275,37 @@ def load_config(experiment: str, args: argparse.Namespace) -> RunConfig:
     _reject_unknown(raw, _COMMON_KEYS | _EXPERIMENT_DEFAULTS[experiment].keys(), "config")
     try:
         typed = {key: _PARSERS[key](key, value) for key, value in raw.items()}
-        model, linear_params = typed.get("model", (None, None))
-        extra = {k: v for k, v in typed.items() if k not in _COMMON_KEYS}
-        _check_experiment(experiment, extra, typed["generator"], model, linear_params)
+        model, linear_params = typed.pop("model", (None, None))
+        study = {key: typed.pop(key) for key in ("step", "scheme", "dump_trajectory")
+                 if key in typed}
+        cfg = RunConfig(typed.pop("experiment"), raw, typed.pop("seed"), typed.pop("out"),
+                        typed.pop("generator"), model=model, linear_params=linear_params,
+                        extra=typed, **study)
+        _check_experiment(cfg)
     except (SwitchSDEError, ValueError, TypeError, KeyError, OverflowError) as exc:
         if isinstance(exc, (ConfigParseError, ConfigValidationError)):
             raise
         raise ConfigValidationError(str(exc))
-    return RunConfig(experiment=experiment, raw=raw, seed=typed["seed"],
-                     out_dir=typed["out"], step=typed["step"],
-                     generator=typed["generator"],
-                     scheme=typed.get("scheme", "milstein"),
-                     dump_trajectory=typed["dump_trajectory"],
-                     model=model, linear_params=linear_params, extra=extra)
+    return cfg
 
 
-def _check_experiment(experiment: str, x: dict, generator: GeneratorMatrix,
-                      model: RegimeModel | None,
-                      linear_params: LinearModelParams | None) -> None:
-    """Run the harness's argument checks on the typed values ``x``."""
-    if experiment == "simulate-chain":
-        if x["r0"] == "uniform":
-            raise ConfigValidationError("simulate-chain requires a fixed integer r0")
-        num_states = generator.num_states if model is None else model.num_states
-        check_run_args(num_states, generator, x["r0"], x["horizon"], x["trajectories"])
-    elif experiment == "convergence":
-        if linear_params is None:
+def _check_experiment(cfg: RunConfig) -> None:
+    """Run the harness's argument checks on the typed configuration."""
+    x, g = cfg.extra, cfg.generator
+    if cfg.experiment == "simulate-chain":
+        check_run_args(g.num_states, g, x["r0"], x["horizon"], x["trajectories"])
+    elif cfg.experiment == "convergence":
+        if cfg.linear_params is None:
             raise ConfigValidationError(
                 "convergence requires a linear model (it needs the exact solution)")
-        check_strong_order_args(linear_params, generator, x["horizon"], x["grid"],
+        check_strong_order_args(cfg.linear_params, g, x["horizon"], x["grid"],
                                 x["trajectories"], x["r0"])
-    elif experiment == "ensemble":
-        check_ensemble_args(model, generator, x["initial"], x["r0"], x["horizon"],
+    elif cfg.experiment == "ensemble":
+        check_ensemble_args(cfg.model, g, x["initial"], x["r0"], x["horizon"],
                             x["trajectories"], x["runs_per_initial"])
-    elif experiment == "mean-change":
+    elif cfg.experiment == "mean-change":
         lo, hi = x["initial_range"]
-        check_mean_change_args(model, generator, lo, hi, x["start_day"], x["end_day"],
+        check_mean_change_args(cfg.model, g, lo, hi, x["start_day"], x["end_day"],
                                x["initials"], x["runs"], x["r0"])
 
 
@@ -315,11 +314,9 @@ def _params_echo(cfg: RunConfig) -> dict[str, Any]:
     return {k: v for k, v in cfg.raw.items() if k not in ("out", "dump_trajectory")}
 
 
-def _dump_first_trajectory(cfg: RunConfig, initial, horizon: float) -> None:
-    trajectory = first_trajectory(cfg.model, cfg.generator, initial, cfg.extra["r0"],
-                                  horizon, cfg.step, cfg.seed, cfg.scheme)
-    with open(cfg.out_dir / "trajectory.csv", "w") as fh:
-        write_trajectory_csv(fh, trajectory)
+def _write(cfg: RunConfig, name: str, writer, *args) -> None:
+    with open(cfg.out_dir / name, "w") as fh:
+        writer(fh, *args)
 
 
 def run(cfg: RunConfig) -> int:
@@ -333,11 +330,9 @@ def run(cfg: RunConfig) -> int:
         n_chains = x["trajectories"]
         total_switches = 0
         for idx in range(n_chains):
-            chain = simulate_chain(cfg.generator, x["r0"], x["horizon"],
-                                   substream_rng(cfg.seed, idx, CHAIN_STREAM))
+            chain = trajectory_chain(cfg.generator, x["r0"], x["horizon"], cfg.seed, idx)
             name = "chain.csv" if n_chains == 1 else f"chain_{idx:03d}.csv"
-            with open(cfg.out_dir / name, "w") as fh:
-                write_chain_csv(chain, fh)
+            _write(cfg, name, lambda fh: write_chain_csv(chain, fh))
             total_switches += chain.num_switches
         print(f"wrote {n_chains} chain file(s) to {cfg.out_dir} "
               f"({total_switches} switches)")
@@ -347,26 +342,22 @@ def run(cfg: RunConfig) -> int:
             cfg.linear_params, cfg.generator, x["x0"], x["horizon"], x["grid"],
             cfg.step.rho, cfg.step.k, x["trajectories"], cfg.seed,
             scheme=cfg.scheme, r0=x["r0"])
-        with open(cfg.out_dir / "convergence.csv", "w") as fh:
-            write_convergence_csv(fh, report)
+        _write(cfg, "convergence.csv", write_convergence_csv, report)
         print(f"fitted order: {report.fitted_order:.4f} ({report.scheme}, "
               f"M={report.sample_count})")
-        if cfg.dump_trajectory:
-            _dump_first_trajectory(cfg, x["x0"], x["horizon"])
+        initial, horizon = x["x0"], x["horizon"]
 
     elif cfg.experiment == "ensemble":
         summary = run_ensemble(
             cfg.model, cfg.generator, x["initial"], x["r0"], x["horizon"], cfg.step,
             x["trajectories"], x["runs_per_initial"], cfg.seed, cfg.scheme)
         failed = summary.failed_count
-        with open(cfg.out_dir / "histogram.csv", "w") as fh:
-            write_histogram_csv(fh, summary)
-        with open(cfg.out_dir / "summary.json", "w") as fh:
-            write_json(fh, summary_dict(summary, cfg.seed, _params_echo(cfg)))
+        _write(cfg, "histogram.csv", write_histogram_csv, summary)
+        _write(cfg, "summary.json", write_json,
+               summary_dict(summary, cfg.seed, _params_echo(cfg)))
         print(f"mean={summary.mean:.4f} sd={summary.std_dev:.4f} "
               f"se={summary.standard_error:.4f} failed={failed}")
-        if cfg.dump_trajectory:
-            _dump_first_trajectory(cfg, x["initial"], x["horizon"])
+        initial, horizon = x["initial"], x["horizon"]
 
     elif cfg.experiment == "mean-change":
         lo, hi = x["initial_range"]
@@ -374,30 +365,28 @@ def run(cfg: RunConfig) -> int:
             cfg.model, cfg.generator, lo, hi, x["start_day"], x["end_day"],
             x["initials"], x["runs"], cfg.seed, cfg.step, x["r0"], cfg.scheme)
         failed = report.failed_count
-        with open(cfg.out_dir / "meanchange.csv", "w") as fh:
-            write_meanchange_csv(fh, report)
-        with open(cfg.out_dir / "histogram.csv", "w") as fh:
-            write_histogram_csv(fh, report.summary)
+        _write(cfg, "meanchange.csv", write_meanchange_csv, report)
+        _write(cfg, "histogram.csv", write_histogram_csv, report.summary)
         payload = summary_dict(report.summary, cfg.seed, _params_echo(cfg))
         payload["grand_mean_change"] = report.grand_mean_change
-        with open(cfg.out_dir / "summary.json", "w") as fh:
-            write_json(fh, payload)
+        _write(cfg, "summary.json", write_json, payload)
         print(f"grand mean change: {report.grand_mean_change:.4f} (failed={failed})")
-        if cfg.dump_trajectory:
-            _dump_first_trajectory(cfg, (lo, hi), x["end_day"] - x["start_day"])
+        initial, horizon = (lo, hi), x["end_day"] - x["start_day"]
 
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigValidationError(f"unknown experiment {cfg.experiment!r}")
 
-    manifest = {
+    if cfg.dump_trajectory:  # each study branch names its initial value and horizon
+        _write(cfg, "trajectory.csv", write_trajectory_csv,
+               first_trajectory(cfg.model, cfg.generator, initial, x["r0"], horizon,
+                                cfg.step, cfg.seed, cfg.scheme))
+    _write(cfg, "manifest.json", write_json, {
         "config": cfg.raw,
         "seed": cfg.seed,
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "failed_count": failed,
-    }
-    with open(cfg.out_dir / "manifest.json", "w") as fh:
-        write_json(fh, manifest)
+    })
     return failed
 
 
@@ -421,13 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("--trajectories", type=int, metavar="M")
-        p.add_argument("--dump-trajectory", action="store_const", const=True,
-                       help="also write trajectory.csv for the first trajectory")
         p.add_argument("--r0", type=_state_or_uniform)
     for p in (chain, conv, ens):
         p.add_argument("--horizon", type=float)
     for p in (conv, ens, mc):
         p.add_argument("--scheme", choices=["milstein", "em"])
+        p.add_argument("--dump-trajectory", action="store_const", const=True,
+                       help="also write trajectory.csv for the first trajectory")
     for p in (ens, mc):
         p.add_argument("--model", choices=sorted(MODEL_PRESETS))
         p.add_argument("--initial-range", type=float, nargs=2, metavar=("LO", "HI"))

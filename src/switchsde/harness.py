@@ -133,21 +133,25 @@ def _summarize(values: np.ndarray, backstop_fraction: float,
                            backstop_fraction=backstop_fraction, failed_count=failed_count)
 
 
+def _is_integer(n) -> bool:
+    """An exact integer: an ``int`` or a numpy integer, never a ``bool``."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
                    *counts: int) -> None:
     """Checks shared by every study: the generator matches the model's state
     count, the horizon is positive, ``r0`` is ``'uniform'`` or an integer
-    state in 1..num_states, and every trajectory count is at least one."""
+    state in 1..num_states, and every trajectory count is an integer >= 1."""
     if g.num_states != num_states:
         raise InvalidParamsError(
             f"generator has {g.num_states} states, model {num_states}")
     if not T > 0.0:
         raise InvalidParamsError(f"horizon must be positive, got {T}")
-    is_state = isinstance(r0, (int, np.integer)) and not isinstance(r0, bool)
-    if r0 != "uniform" and not (is_state and 1 <= r0 <= num_states):
+    if r0 != "uniform" and not (_is_integer(r0) and 1 <= r0 <= num_states):
         raise InvalidParamsError(f"r0={r0!r} is not 'uniform' or a state 1..{num_states}")
-    if any(n < 1 for n in counts):
-        raise InvalidParamsError(f"trajectory counts must be >= 1, got {counts}")
+    if not all(_is_integer(n) and n >= 1 for n in counts):
+        raise InvalidParamsError(f"trajectory counts must be integers >= 1, got {counts}")
 
 
 def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: float,
@@ -157,11 +161,11 @@ def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: fl
         raise DegenerateGridError(f"need at least 3 grid levels, got {len(grid)}")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise DegenerateGridError("grid must be strictly decreasing")
-    if M < 100:
-        raise InvalidParamsError(f"need M >= 100 samples, got {M}")
     if r0 == "uniform":
         raise InvalidParamsError("the strong-order study needs a fixed r0, got 'uniform'")
-    check_run_args(params.num_states, g, r0, T)
+    check_run_args(params.num_states, g, r0, T, M)
+    if M < 100:
+        raise InvalidParamsError(f"need M >= 100 samples, got {M}")
 
 
 def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
@@ -193,13 +197,18 @@ def _draw_initial(initial, seed: int, j: int) -> float:
     return float(initial)
 
 
-def _trajectory_inputs(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
-    """Chain and Brownian path of trajectory ``index``; a ``'uniform'`` r0 is
-    drawn from the trajectory's auxiliary stream."""
+def trajectory_chain(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
+    """Chain of trajectory ``index``; a ``'uniform'`` r0 is drawn from the
+    trajectory's auxiliary stream."""
     r0 = (1 + int(substream_rng(seed, index, AUX_STREAM).integers(g.num_states))
           if r0 == "uniform" else int(r0))
-    chain = simulate_chain(g, r0, T, substream_rng(seed, index, CHAIN_STREAM))
-    return chain, BrownianPath(substream_rng(seed, index, NOISE_STREAM))
+    return simulate_chain(g, r0, T, substream_rng(seed, index, CHAIN_STREAM))
+
+
+def _trajectory_inputs(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
+    """Chain and Brownian path of trajectory ``index``, derived in that order."""
+    return (trajectory_chain(g, r0, T, seed, index),
+            BrownianPath(substream_rng(seed, index, NOISE_STREAM)))
 
 
 def _backstop_fraction(n_steps: np.ndarray, n_backstop: np.ndarray) -> float:

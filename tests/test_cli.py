@@ -1,11 +1,14 @@
 """CLI configuration loading, experiment dispatch, outputs and exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import switchsde as s
 from switchsde import cli
+from switchsde.harness import first_trajectory
 
 
 def run_cli(args):
@@ -16,6 +19,12 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+def model_coefficients(model, xs=(0.5, 1000.0, 6000.0)):
+    """Drift, diffusion and diffusion derivative of every state at a few points."""
+    return [(model.drift(x, i), model.diffusion(x, i), model.diffusion_derivative(x, i))
+            for i in range(1, model.num_states + 1) for x in xs]
 
 
 class TestLoadConfig:
@@ -75,12 +84,55 @@ class TestLoadConfig:
         bodies = {(out / n).read_text() for n in names}
         assert len(bodies) == 3  # independent substreams per chain
 
+    def test_uniform_r0_chain_is_the_trajectory_chain(self, tmp_path):
+        out = tmp_path / "chains"
+        config = write_config(tmp_path, {"generator": cli.TELOMERE_GENERATOR})
+        assert run_cli(["simulate-chain", "--config", config, "--r0", "uniform",
+                        "--trajectories", 3, "--horizon", 20.0, "--seed", 42,
+                        "--out", out]) == 0
+        with open(out / "chain_000.csv") as fh:
+            chain = s.read_chain_csv(fh)
+        trajectory = first_trajectory(s.telomere_model(s.TelomereParams()),
+                                      s.validate_generator(cli.TELOMERE_GENERATOR),
+                                      1000.0, "uniform", 20.0,
+                                      s.StepParams(0.03, 15.0, 10.0), seed=42)
+        assert chain == trajectory.chain
+
+    def test_readme_table_documents_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        first_cells = [line.split("|")[1] for line in readme.splitlines()
+                       if line.startswith("| `")]
+        documented = set(re.findall(r"`([^`]+)`", "".join(first_cells)))
+        fields = {f"model.{name}" for _, kind_fields in cli._MODELS.values()
+                  for name in kind_fields}
+        assert cli._PARSERS.keys() | fields <= documented
+        assert all(f'"{kind}"' in readme for kind in cli._MODELS)
+
     def test_every_key_has_one_parser(self):
         keys = set(cli._COMMON_KEYS).union(*cli._EXPERIMENT_DEFAULTS.values())
         assert keys <= cli._PARSERS.keys()
         parser = cli.build_parser()
         for experiment in cli._EXPERIMENT_DEFAULTS:
             cli.load_config(experiment, parser.parse_args([experiment]))
+
+    @pytest.mark.parametrize("ints, floats, generator", [
+        ({"kind": "telomere", "c": [4, 7]}, {"kind": "telomere", "c": [4.0, 7.0]},
+         cli.TELOMERE_GENERATOR),
+        ({"kind": "telomere-fixed", "c": 4, "a": 0},
+         {"kind": "telomere-fixed", "c": 4.0, "a": 0.0}, [[0.0]]),
+        ({"kind": "linear", "mu": [1, -1], "sigma": [0, 2]},
+         {"kind": "linear", "mu": [1.0, -1.0], "sigma": [0.0, 2.0]}, [[-1, 1], [1, -1]]),
+    ])
+    def test_integer_model_fields_load_the_same_model(self, tmp_path, ints, floats,
+                                                      generator):
+        parser = cli.build_parser()
+        coefficients = []
+        for payload in (ints, floats):
+            config = write_config(tmp_path, {"model": payload, "generator": generator})
+            args = parser.parse_args(["ensemble", "--config", str(config)])
+            model = cli.load_config("ensemble", args).model
+            coefficients.append(model_coefficients(model))
+        assert coefficients[0] == coefficients[1]
 
     def test_generator_model_mismatch_rejected(self, tmp_path):
         config = write_config(tmp_path, {"generator": [[0.0]]})
@@ -120,6 +172,49 @@ class TestExitCodes:
     def test_bad_ensemble_values_exit_2(self, tmp_path, payload):
         config = write_config(tmp_path, payload)
         assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, payload, key", [
+        ("ensemble", {"model": {"kind": "telomere-fixed", "c": "4.5", "a": 2.2e-7},
+                      "generator": [[0.0]]}, "model.c"),
+        ("ensemble", {"model": {"kind": "telomere-fixed", "c": True, "a": 2.2e-7},
+                      "generator": [[0.0]]}, "model.c"),
+        ("ensemble", {"model": {"kind": "telomere-fixed", "c": 10 ** 400, "a": 2.2e-7},
+                      "generator": [[0.0]]}, "model.c"),
+        ("ensemble", {"model": {"kind": "telomere", "a": [True, 4.1e-7]}}, "model.a"),
+        ("ensemble", {"model": {"kind": "telomere", "c": [4.5, 10 ** 400]}}, "model.c"),
+        ("convergence", {"model": {"kind": "linear", "mu": [True, -0.5],
+                                   "sigma": [0.3, 0.5]}}, "model.mu"),
+        ("convergence", {"model": {"kind": "linear", "mu": "ab",
+                                   "sigma": [0.3, 0.5]}}, "model.mu"),
+        ("convergence", {"model": {"kind": "linear", "mu": [0.5, -0.5]}}, "model.sigma"),
+        ("ensemble", {"horizon": 10 ** 400}, "horizon"),
+    ])
+    def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, experiment,
+                                              payload, key):
+        config = write_config(tmp_path, payload)
+        assert run_cli([experiment, "--config", config, "--trajectories", 100,
+                        "--out", tmp_path / "o"]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", {"h_max": 0.5}),
+        ("scheme", "em"),
+        ("model", {"kind": "telomere-fixed", "c": 4.5, "a": 2.2e-7}),
+        ("dump_trajectory", True),
+    ])
+    def test_simulate_chain_refuses_study_keys(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, {key: value})
+        assert run_cli(["simulate-chain", "--config", config,
+                        "--out", tmp_path / "o"]) == 2
+        assert f"unknown config key(s): {key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_chain_has_no_dump_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["simulate-chain", "--dump-trajectory", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
     def test_fractional_chain_count_and_r0_exit_2(self, tmp_path):

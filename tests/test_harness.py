@@ -107,6 +107,14 @@ class TestRunEnsemble:
                 for r0 in (2, np.int64(2))]
         assert np.array_equal(runs[0].terminal_values, runs[1].terminal_values)
 
+    def test_numpy_integer_counts_run_as_the_int(self):
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        model = s.telomere_model(s.TelomereParams())
+        runs = [s.run_ensemble(model, g, 1000.0, 1, 1.0, STEP, M=m, runs_per_initial=r,
+                               seed=4)
+                for m, r in ((3, 2), (np.int64(3), np.int64(2)))]
+        assert np.array_equal(runs[0].terminal_values, runs[1].terminal_values)
+
     def test_backstop_fraction_small_on_telomere(self):
         g = s.validate_generator(TELOMERE_GENERATOR)
         model = s.telomere_model(s.TelomereParams())
@@ -192,6 +200,39 @@ class TestMeanChangeStudy:
         with pytest.raises(errors.InvalidParamsError):
             s.mean_change_study(_zero_model(), g, 4000.0, 8000.0, 30.0, 5.0,
                                 n_initials=2, runs_per_initial=1, seed=0, p=STEP)
+
+
+@pytest.mark.parametrize("study", [
+    lambda g: s.run_ensemble(_zero_model(), g, 1.0, 1, 1.0, STEP, M=True, seed=0),
+    lambda g: s.run_ensemble(_zero_model(), g, 1.0, 1, 1.0, STEP, M=2.0, seed=0),
+    lambda g: s.run_ensemble(_zero_model(), g, 1.0, 1, 1.0, STEP, M=2,
+                             runs_per_initial=1.5, seed=0),
+    lambda g: s.mean_change_study(_zero_model(), g, 4000.0, 8000.0, 5.0, 6.0,
+                                  n_initials=2.0, runs_per_initial=1, seed=0, p=STEP),
+    lambda g: s.mean_change_study(_zero_model(), g, 4000.0, 8000.0, 5.0, 6.0,
+                                  n_initials=2, runs_per_initial=True, seed=0, p=STEP),
+    lambda g: s.strong_order_study(s.LinearModelParams(mu=(0.0,) * 4, sigma=(0.0,) * 4),
+                                   g, 1.0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
+                                   M=100.0, seed=0),
+])
+def test_counts_that_are_not_integers_rejected(study):
+    with pytest.raises(errors.InvalidParamsError, match="integer"):
+        study(s.validate_generator(TELOMERE_GENERATOR))
+
+
+def test_numpy_integer_counts_run_the_studies_as_the_int():
+    g = s.validate_generator(TELOMERE_GENERATOR)
+    model = s.telomere_model(s.TelomereParams())
+    reports = [s.mean_change_study(model, g, 4000.0, 8000.0, 5.0, 6.0, n_initials=n,
+                                   runs_per_initial=r, seed=3, p=STEP)
+               for n, r in ((3, 2), (np.int64(3), np.int64(2)))]
+    assert np.array_equal(reports[0].mean_finals, reports[1].mean_finals)
+    params = s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5))
+    g2 = s.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+    orders = [s.strong_order_study(params, g2, 1.0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
+                                   M=m, seed=0).rms_errors
+              for m in (100, np.int64(100))]
+    assert orders[0] == orders[1]
 
 
 def test_standard_error_shrinks_with_sample_size():
