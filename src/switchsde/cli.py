@@ -195,14 +195,19 @@ def _integer(key: str, value) -> int:
 
 
 def _number(key: str, value) -> float:
-    fits = type(value) is float or (type(value) is int
-                                    and abs(value) <= sys.float_info.max)
-    return float(_expect(key, value, fits, "a number that fits a float"))
+    # abs() <= max also refuses nan, infinities and ints too large for a float
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return float(_expect(key, value, finite, "a finite number"))
 
 
 def _numbers(key: str, value) -> tuple[float, ...]:
     _expect(key, value, isinstance(value, list), "a list of numbers")
     return tuple(_number(key, v) for v in value)
+
+
+def _generator(key: str, value) -> GeneratorMatrix:
+    _expect(key, value, isinstance(value, list), "a list of rows of numbers")
+    return validate_generator([_numbers(key, row) for row in value])
 
 
 def _pair(key: str, value) -> tuple[float, float]:
@@ -252,7 +257,7 @@ _PARSERS = {
                                        "an integer >= 0"),
     "out": lambda key, value: Path(value),
     "step": _step,
-    "generator": lambda key, value: validate_generator(value),
+    "generator": _generator,
     "scheme": lambda key, value: _expect(key, value, value in ("milstein", "em"),
                                          "'milstein' or 'em'"),
     "dump_trajectory": lambda key, value: _expect(key, value, type(value) is bool,

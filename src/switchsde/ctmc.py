@@ -101,12 +101,14 @@ class MarkovPath:
 def validate_generator(rates) -> GeneratorMatrix:
     """Validate a rate matrix and wrap it as a :class:`GeneratorMatrix`.
 
-    Requires a square matrix with nonnegative off-diagonal entries and row
-    sums within ``ROW_SUM_TOL`` of zero.
+    Requires a square matrix of finite rates with nonnegative off-diagonal
+    entries and row sums within ``ROW_SUM_TOL`` of zero.
     """
     arr = np.array(rates, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidParamsError(f"rates must be finite, got {arr.tolist()}")
     n = arr.shape[0]
     if n < 1:
         raise NonSquareError("matrix must have at least one state")
@@ -152,8 +154,8 @@ def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
     stops at the first holding time crossing the horizon; a switch landing
     exactly on the horizon is kept.  Deterministic given the generator state.
     """
-    if horizon <= 0:
-        raise InvalidParamsError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise InvalidParamsError(f"horizon must be positive and finite, got {horizon}")
     if not 1 <= r0 <= g.num_states:
         raise StateIndexError(f"initial state {r0} outside 1..{g.num_states}")
 
@@ -179,12 +181,27 @@ def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
                       states=tuple(states), horizon=horizon)
 
 
+def segments(path: MarkovPath, t0: float, t1: float):
+    """Constant-state pieces ``(a, b, state)`` of [t0, t1] in time order, for
+    0 <= t0 <= t1 <= horizon.  Right-continuous: a switch at ``a`` is in force
+    on its piece, one at exactly ``t1`` starts none; t0 == t1 gives one piece."""
+    if not 0.0 <= t0 <= t1 <= path.horizon:
+        raise TimeOutOfRangeError(
+            f"need 0 <= t0={t0} <= t1={t1} <= horizon={path.horizon}")
+    i = bisect_right(path.switch_times, t0)
+    a, state = t0, path.initial_state if i == 0 else path.states[i - 1]
+    for tau, nxt in zip(path.switch_times[i:], path.states[i:]):
+        if tau >= t1:
+            break
+        yield a, tau, state
+        a, state = tau, nxt
+    yield a, t1, state
+
+
 def state_at(path: MarkovPath, t: float) -> int:
     """State in force at time t, right-continuous at switch instants."""
-    if not 0.0 <= t <= path.horizon:
-        raise TimeOutOfRangeError(f"t={t} outside [0, {path.horizon}]")
-    idx = bisect_right(path.switch_times, t)
-    return path.initial_state if idx == 0 else path.states[idx - 1]
+    [(_, _, state)] = segments(path, t, t)
+    return state
 
 
 def write_chain_csv(path: MarkovPath, stream: IO[str]) -> None:

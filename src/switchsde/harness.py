@@ -141,13 +141,13 @@ def _is_integer(n) -> bool:
 def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
                    *counts: int) -> None:
     """Checks shared by every study: the generator matches the model's state
-    count, the horizon is positive, ``r0`` is ``'uniform'`` or an integer
+    count, the horizon is in (0, inf), ``r0`` is ``'uniform'`` or an integer
     state in 1..num_states, and every trajectory count is an integer >= 1."""
     if g.num_states != num_states:
         raise InvalidParamsError(
             f"generator has {g.num_states} states, model {num_states}")
-    if not T > 0.0:
-        raise InvalidParamsError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise InvalidParamsError(f"horizon must be positive and finite, got {T}")
     if r0 != "uniform" and not (_is_integer(r0) and 1 <= r0 <= num_states):
         raise InvalidParamsError(f"r0={r0!r} is not 'uniform' or a state 1..{num_states}")
     if not all(_is_integer(n) and n >= 1 for n in counts):
@@ -324,8 +324,7 @@ def run_ensemble(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
 
 def mean_change_study(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: float,
                       t_start_day: float, t_end_day: float, n_initials: int,
-                      runs_per_initial: int, seed: int,
-                      p: StepParams | None = None, r0=1,
+                      runs_per_initial: int, seed: int, p: StepParams, r0=1,
                       scheme: str = "milstein") -> MeanChangeReport:
     """Mean change in value over [t_start_day, t_end_day] for uniform initials.
 
@@ -337,8 +336,6 @@ def mean_change_study(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: flo
     """
     check_mean_change_args(model, g, lo, hi, t_start_day, t_end_day, n_initials,
                            runs_per_initial, r0)
-    if p is None:
-        p = StepParams(h_max=0.03, rho=15.0, k=10.0)
     x0, y, n_steps, n_backstop, failed = _simulate_terminals(
         model, g, (lo, hi), r0, t_end_day - t_start_day, p, n_initials,
         runs_per_initial, seed, scheme)

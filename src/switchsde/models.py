@@ -17,12 +17,11 @@ Two concrete families are provided:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
-from .ctmc import MarkovPath
-from .errors import InvalidParamsError, StateIndexError, TimeOutOfRangeError
+from .ctmc import MarkovPath, segments
+from .errors import InvalidParamsError, StateIndexError
 from .noise import BrownianPath
 
 Coefficient = Callable[[float, int], float]
@@ -169,24 +168,11 @@ def exact_linear_solution(p: LinearModelParams, x0: float, chain: MarkovPath,
     same path).  ``t_start`` restarts the product from a later time, with x0
     then interpreted as the value at ``t_start``.
     """
-    if not 0.0 <= t_start <= t <= chain.horizon:
-        raise TimeOutOfRangeError(
-            f"need 0 <= t_start={t_start} <= t={t} <= horizon={chain.horizon}")
-    taus = chain.switch_times
-    idx = bisect_right(taus, t_start)
-    state = chain.initial_state if idx == 0 else chain.states[idx - 1]
     acc = 0.0
-    a = t_start
-    while True:
-        b = taus[idx] if idx < len(taus) and taus[idx] < t else t
+    for a, b, state in segments(chain, t_start, t):
         k = _check_state(state, p.num_states)
         mu, sigma = p.mu[k], p.sigma[k]
         acc += (mu - 0.5 * sigma * sigma) * (b - a) + sigma * path.increment(a, b)
-        if b == t:
-            break
-        state = chain.states[idx]
-        idx += 1
-        a = b
     return x0 * math.exp(acc)
 
 

@@ -39,8 +39,8 @@ def write_meanchange_csv(stream: IO[str], report: MeanChangeReport) -> None:
 def write_trajectory_csv(stream: IO[str], trajectory: Trajectory) -> None:
     """Step records as t,state,y,h,backstop rows, starting from t=0."""
     stream.write("t,state,y,h,backstop\n")
-    first_state = trajectory.records[0].state if trajectory.records else trajectory.chain.initial_state
-    stream.write(f"{_f(0.0)},{first_state},{_f(trajectory.x0)},{_f(0.0)},0\n")
+    stream.write(f"{_f(0.0)},{trajectory.chain.initial_state},{_f(trajectory.x0)},"
+                 f"{_f(0.0)},0\n")
     for rec in trajectory.records:
         stream.write(f"{_f(rec.t_end)},{rec.state},{_f(rec.y_end)},{_f(rec.h)},"
                      f"{int(rec.used_backstop)}\n")

@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ctmc import MarkovPath
+from .ctmc import MarkovPath, segments
 from .errors import (
     InvalidParamsError,
     NonfiniteResultError,
     RootNotFoundError,
     StepBudgetExceededError,
-    TimeOutOfRangeError,
 )
 from .models import RegimeModel
 from .noise import BrownianPath
@@ -184,43 +183,36 @@ def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: floa
         raise InvalidParamsError(f"unknown main map {main!r}; use 'em' or 'milstein'")
     if T <= 0.0:
         raise InvalidParamsError(f"T must be positive, got {T}")
-    if chain.horizon < T:
-        raise TimeOutOfRangeError(f"chain horizon {chain.horizon} shorter than T={T}")
     main_map = _MAIN_MAPS[main]
-    taus = chain.switch_times
-    states = chain.states
-    n_max = build_mesh_bound(T, p, len(taus))[1]
+    n_max = build_mesh_bound(T, p, chain.num_switches)[1]
 
     records: list[StepRecord] | None = [] if collect else None
     t = 0.0
     y = float(x0)
-    si = 0  # index of the first switching time strictly after t
     n_steps = 0
     backstops = 0
-    while t < T:
-        state = chain.initial_state if si == 0 else states[si - 1]
-        nxt = taus[si] if si < len(taus) else None
-        decision = next_step(abs(y), t, nxt, T, p)
-        t_next = decision.t_next
-        h = t_next - t
-        dW = w.increment(t, t_next)
-        if decision.use_backstop:
-            y_next = implicit_milstein_map(y, state, h, dW, m)
-            backstops += 1
-        else:
-            y_next = main_map(y, state, h, dW, m)
-        n_steps += 1
-        if n_steps > n_max:
-            raise StepBudgetExceededError(
-                f"exceeded N_max={n_max} steps before reaching T={T}")
-        if records is not None:
-            records.append(StepRecord(t_start=t, t_end=t_next, state=state, h=h,
-                                      dW=dW, used_backstop=decision.use_backstop,
-                                      y_end=y_next))
-        t = t_next
-        y = y_next
-        while si < len(taus) and taus[si] <= t:
-            si += 1
+    for _, end, state in segments(chain, 0.0, T):
+        nxt = end if end < T else None  # end is a switching time unless it is T
+        while t < end:
+            decision = next_step(abs(y), t, nxt, T, p)
+            t_next = decision.t_next
+            h = t_next - t
+            dW = w.increment(t, t_next)
+            if decision.use_backstop:
+                y_next = implicit_milstein_map(y, state, h, dW, m)
+                backstops += 1
+            else:
+                y_next = main_map(y, state, h, dW, m)
+            n_steps += 1
+            if n_steps > n_max:
+                raise StepBudgetExceededError(
+                    f"exceeded N_max={n_max} steps before reaching T={T}")
+            if records is not None:
+                records.append(StepRecord(t_start=t, t_end=t_next, state=state, h=h,
+                                          dW=dW, used_backstop=decision.use_backstop,
+                                          y_end=y_next))
+            t = t_next
+            y = y_next
     return y, n_steps, backstops, records
 
 

@@ -48,8 +48,8 @@ class StepParams:
     def __post_init__(self):
         if not (0.0 < self.h_max <= 1.0):
             raise InvalidParamsError(f"require 0 < h_max <= 1, got {self.h_max}")
-        if not self.rho > 1.0:
-            raise InvalidParamsError(f"require rho > 1, got {self.rho}")
+        if not (self.rho > 1.0 and self.h_min > 0.0):  # refuses an infinite rho
+            raise InvalidParamsError(f"require rho > 1 and h_max / rho > 0, got {self.rho}")
         if not self.k > 0.0:
             raise InvalidParamsError(f"require k > 0, got {self.k}")
 
@@ -111,12 +111,13 @@ def build_mesh_bound(t: float, p: StepParams, n_switches: int) -> tuple[int, int
     """(N_min, N_max) mesh-size bounds for horizon t with n_switches switches.
 
     N_min = floor(t / h_max);  N_max = ceil(t / h_min + n_switches).  N_max is
-    a hard iteration cap for the solver.
+    a hard iteration cap for the solver, so it must be finite.
     """
     if t < 0.0:
         raise InvalidParamsError(f"t must be nonnegative, got {t}")
     if n_switches < 0:
         raise InvalidParamsError(f"n_switches must be nonnegative, got {n_switches}")
-    n_min = math.floor(t / p.h_max)
-    n_max = math.ceil(t / p.h_min + n_switches)
-    return n_min, n_max
+    n_max = t / p.h_min + n_switches
+    if not math.isfinite(n_max):
+        raise InvalidParamsError(f"N_max = {t} / {p.h_min} + {n_switches} is not finite")
+    return math.floor(t / p.h_max), math.ceil(n_max)

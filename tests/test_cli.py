@@ -1,6 +1,7 @@
 """CLI configuration loading, experiment dispatch, outputs and exit codes."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -189,6 +190,16 @@ class TestExitCodes:
                                    "sigma": [0.3, 0.5]}}, "model.mu"),
         ("convergence", {"model": {"kind": "linear", "mu": [0.5, -0.5]}}, "model.sigma"),
         ("ensemble", {"horizon": 10 ** 400}, "horizon"),
+        ("simulate-chain", {"generator": [["-1", True], ["1", -1]], "r0": 2}, "generator"),
+        ("simulate-chain", {"generator": [[math.nan, 1.0], [1.0, -1.0]]}, "generator"),
+        ("simulate-chain", {"generator": [[-math.inf, math.inf], [1.0, -1.0]]}, "generator"),
+        ("simulate-chain", {"generator": 3}, "generator"),
+        ("simulate-chain", {"horizon": math.inf}, "horizon"),
+        ("ensemble", {"step": {"rho": math.inf}}, "step.rho"),
+        ("ensemble", {"initial": math.nan}, "initial"),
+        ("ensemble", {"initial": {"uniform": [4000.0, math.inf]}}, "initial"),
+        ("convergence", {"x0": math.nan}, "x0"),
+        ("convergence", {"grid": [0.1, math.nan, 0.01]}, "grid"),
     ])
     def test_bad_value_exits_2_naming_its_key(self, tmp_path, capsys, experiment,
                                               payload, key):
@@ -197,6 +208,21 @@ class TestExitCodes:
                         "--out", tmp_path / "o"]) == 2
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, key", [
+        (["mean-change", "--end-day", "inf"], "end_day"),
+        (["ensemble", "--horizon", "nan"], "horizon"),
+    ])
+    def test_non_finite_flag_exits_2_naming_its_key(self, tmp_path, capsys, args, key):
+        assert run_cli(args + ["--out", tmp_path / "o"]) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_rho_too_large_for_the_mesh_bound_exits_3(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"step": {"rho": 1e308}})
+        assert run_cli(["ensemble", "--config", config, "--trajectories", 2,
+                        "--out", tmp_path / "o"]) == 3
+        assert "N_max" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("step", {"h_max": 0.5}),

@@ -1,6 +1,7 @@
 """Generator validation, chain simulation statistics, and path queries."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde import errors
+from switchsde.ctmc import segments
 
 TELOMERE_GENERATOR = [
     [-0.3, 0.1, 0.1, 0.1],
@@ -44,6 +46,16 @@ class TestValidateGenerator:
         with pytest.raises(errors.NegativeOffDiagonalError) as exc:
             s.validate_generator([[1.0, -1.0], [1.0, -1.0]])
         assert (exc.value.i, exc.value.j) == (0, 1)
+
+    @pytest.mark.parametrize("rates", [
+        [[math.nan, 1.0], [1.0, -1.0]],
+        [[-math.inf, math.inf], [1.0, -1.0]],
+        [[-1.0, 1.0], [math.inf, -math.inf]],
+    ])
+    def test_non_finite_rates_rejected(self, rates):
+        with pytest.raises(errors.InvalidParamsError, match="finite") as exc:
+            s.validate_generator(rates)
+        assert isinstance(exc.value, ValueError)
 
     def test_rates_are_frozen(self):
         g = s.validate_generator(TELOMERE_GENERATOR)
@@ -138,8 +150,9 @@ class TestSimulateChain:
         g = s.validate_generator(TWO_STATE)
         with pytest.raises(errors.StateIndexError):
             s.simulate_chain(g, 3, 1.0, np.random.default_rng(0))
-        with pytest.raises(errors.InvalidParamsError):
-            s.simulate_chain(g, 1, 0.0, np.random.default_rng(0))
+        for horizon in (0.0, math.inf, math.nan):
+            with pytest.raises(errors.InvalidParamsError):
+                s.simulate_chain(g, 1, horizon, np.random.default_rng(0))
 
 
 class TestStateAt:
@@ -162,6 +175,25 @@ class TestStateAt:
         for t in (-0.1, 4.1):
             with pytest.raises(errors.TimeOutOfRangeError):
                 s.state_at(path, t)
+
+
+class TestSegments:
+    PATH = s.MarkovPath(1, (1.0, 2.5), (3, 2), 4.0)
+
+    @pytest.mark.parametrize("t0, t1, pieces", [
+        (0.5, 3.0, [(0.5, 1.0, 1), (1.0, 2.5, 3), (2.5, 3.0, 2)]),
+        (0.0, 2.5, [(0.0, 1.0, 1), (1.0, 2.5, 3)]),  # a switch at t1 starts no piece
+        (1.0, 2.0, [(1.0, 2.0, 3)]),  # a switch at t0 is in force
+        (2.5, 2.5, [(2.5, 2.5, 2)]),
+    ])
+    def test_pieces(self, t0, t1, pieces):
+        assert list(segments(self.PATH, t0, t1)) == pieces
+
+    @pytest.mark.parametrize("t0, t1", [(-0.1, 1.0), (2.0, 1.0), (0.0, 4.1),
+                                        (math.nan, 1.0), (0.0, math.inf)])
+    def test_out_of_range(self, t0, t1):
+        with pytest.raises(errors.TimeOutOfRangeError):
+            list(segments(self.PATH, t0, t1))
 
 
 class TestMarkovPathInvariants:
@@ -204,6 +236,30 @@ def test_simulated_path_invariants(rates, seed):
         assert 1 <= state <= g.num_states
         assert state != prev_s
         prev_t, prev_s = t, state
+
+
+@given(rates=generators(), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_segments_tile_the_interval_at_the_switching_times(rates, seed, data):
+    g = s.validate_generator(rates)
+    path = s.simulate_chain(g, 1, 5.0, np.random.default_rng(seed))
+    times = (st.floats(min_value=0.0, max_value=5.0)
+             | st.sampled_from((0.0, 5.0) + path.switch_times))
+    t0, t1 = sorted((data.draw(times), data.draw(times)))
+    pieces = list(segments(path, t0, t1))
+    starts = [a for a, _, _ in pieces]
+    ends = [b for _, b, _ in pieces]
+    assert starts[0] == t0 and ends[-1] == t1
+    assert starts[1:] == ends[:-1]
+    # the interior boundaries are exactly the switches strictly inside (t0, t1)
+    inside = [tau for tau in path.switch_times if t0 < tau < t1]
+    assert [b.hex() for b in ends[:-1]] == [tau.hex() for tau in inside]
+    assert all(state == s.state_at(path, a) for a, _, state in pieces)
+    if t0 == t1:
+        assert len(pieces) == 1
+    else:  # so a switch at t1 starts no piece
+        assert all(a < b for a, b, _ in pieces)
 
 
 def test_chain_csv_roundtrip():

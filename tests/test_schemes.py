@@ -221,6 +221,29 @@ class TestSolveTrajectory:
             s.solve_trajectory(telomere, chain, w, 1000.0, 2.0,
                                s.StepParams(0.03, 15.0, 10.0))
 
+    def test_chain_beyond_T_walks_as_the_chain_truncated_at_T(self):
+        g = s.validate_generator([[-3.0, 2.0, 1.0], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]])
+        model = s.linear_model(s.LinearModelParams(mu=(0.5, -0.5, 0.1),
+                                                   sigma=(0.3, 0.5, 0.2)))
+        p = s.StepParams(0.03, 15.0, 10.0)
+        for i in range(20):
+            chain = s.simulate_chain(g, 1, 30.0, substream_rng(77, i, 0))
+            kept = sum(t <= 2.0 for t in chain.switch_times)
+            cut = s.MarkovPath(1, chain.switch_times[:kept], chain.states[:kept], 2.0)
+            walks = [s.solve_trajectory(model, c, s.BrownianPath(substream_rng(77, i, 1)),
+                                        1.0, 2.0, p) for c in (chain, cut)]
+            assert walks[0].records == walks[1].records
+
+    def test_switch_exactly_at_T_is_not_in_force(self, telomere):
+        p = s.StepParams(0.03, 15.0, 10.0)
+        for horizon in (2.0, 30.0):
+            chain = s.MarkovPath(1, (0.5, 2.0), (2, 3), horizon)
+            w = s.BrownianPath(np.random.default_rng(5))
+            tr = s.solve_trajectory(telomere, chain, w, 1000.0, 2.0, p)
+            assert tr.records[-1].t_end == 2.0
+            assert tr.records[-1].state == 2
+            assert {rec.state for rec in tr.records} == {1, 2}
+
     def test_unknown_main_map_rejected(self, telomere):
         chain = s.MarkovPath(1, (), (), 1.0)
         w = s.BrownianPath(np.random.default_rng(0))

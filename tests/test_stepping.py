@@ -24,6 +24,9 @@ class TestStepParams:
         dict(h_max=0.03, rho=1.0, k=10.0),
         dict(h_max=0.03, rho=0.5, k=10.0),
         dict(h_max=0.03, rho=15.0, k=0.0),
+        dict(h_max=0.03, rho=math.inf, k=10.0),
+        dict(h_max=0.03, rho=math.nan, k=10.0),
+        dict(h_max=1e-20, rho=1e305, k=10.0),  # h_min underflows to 0
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(errors.InvalidParamsError):
@@ -128,6 +131,15 @@ class TestBuildMeshBound:
             s.build_mesh_bound(-1.0, P, 0)
         with pytest.raises(errors.InvalidParamsError):
             s.build_mesh_bound(1.0, P, -1)
+
+    @pytest.mark.parametrize("t, p", [
+        (30.0, s.StepParams(h_max=0.03, rho=1e308, k=10.0)),  # 30 / 3e-310 overflows
+        (math.inf, P),
+        (math.nan, P),
+    ])
+    def test_non_finite_n_max_rejected(self, t, p):
+        with pytest.raises(errors.InvalidParamsError, match="not finite"):
+            s.build_mesh_bound(t, p, 0)
 
 
 @st.composite
