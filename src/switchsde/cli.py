@@ -414,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--trajectories", type=int, metavar="M")
         p.add_argument("--r0", type=_state_or_uniform)
     for p in (chain, conv, ens):
+        p.add_argument("--trajectories", type=int, metavar="M")
         p.add_argument("--horizon", type=float)
     for p in (conv, ens, mc):
         p.add_argument("--scheme", choices=["milstein", "em"])

@@ -108,11 +108,7 @@ class MeanChangeReport:
 
 def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Freedman-Diaconis density histogram; densities integrate to one."""
-    if len(values) == 0:
-        return np.array([0.0, 1.0]), np.array([0.0])
     edges = np.histogram_bin_edges(values, bins="fd")
-    if len(edges) < 2 or edges[0] == edges[-1]:
-        edges = np.array([values[0] - 0.5, values[0] + 0.5])
     densities, _ = np.histogram(values, bins=edges, density=True)
     return edges, densities
 

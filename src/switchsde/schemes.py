@@ -192,9 +192,8 @@ def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: floa
     n_steps = 0
     backstops = 0
     for _, end, state in segments(chain, 0.0, T):
-        nxt = end if end < T else None  # end is a switching time unless it is T
         while t < end:
-            decision = next_step(abs(y), t, nxt, T, p)
+            decision = next_step(abs(y), t, end, T, p)
             t_next = decision.t_next
             h = t_next - t
             dW = w.increment(t, t_next)

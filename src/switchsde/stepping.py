@@ -1,17 +1,18 @@
-"""Adaptive timestep selection with switching-time and terminal clamping.
+"""Adaptive timestep selection with one clamp to the next mesh bound.
 
 The candidate step shrinks with the current solution norm,
 
     candidate = h_min  v  ( h_max / ||Y||^(1/k)  ^  h_max ),
 
-and is then clamped so the next mesh point never passes the next switching
-time of the Markov chain or the terminal time T.  The decision carries the
-landing time: a clamped step lands exactly (bitwise) on the switching time or
-T; any other step lands on the rounded sum t_n + h, which cannot pass either,
-because in round-to-nearest fl(b - t_n) > h implies fl(t_n + h) <= b.
+so every norm up to 1 gives h_max.  The step has one bound b: the next
+switching time of the Markov chain if it lies before the terminal time T,
+else T.  Choosing b compares times, which is exact.  A step that reaches b
+is clamped to it and lands exactly (bitwise) on b; any other step lands on the
+rounded sum t_n + h, which cannot pass b, because in round-to-nearest
+fl(b - t_n) > h implies fl(t_n + h) <= b.
 
 The backstop map runs if and only if the rule gave h <= h_min: the step was
-floored at h_min, or a clamp shortened it to within h_min.  Every other step
+floored at h_min, or the clamp shortened it to within h_min.  Every other step
 started from a norm-controlled candidate above h_min, which with
 h_max = rho * h_min implies ||Y|| < rho^k: explicit maps only run there.
 """
@@ -74,11 +75,10 @@ def next_step(y_norm: float, t_n: float, next_switch: float | None, T: float,
     """Choose the step from t_n given the current solution norm.
 
     ``next_switch`` is the first switching time strictly after t_n, or None
-    if the chain does not switch again before T.  A solution norm of zero is
-    treated as candidate h_max (the formula's cap in the ||Y|| -> 0 limit).
+    if the chain does not switch again before T; a switch at or after T is
+    not a bound.  Norms up to 1 (zero included) give candidate h_max.
     """
-    remaining = T - t_n
-    if remaining <= 0.0:
+    if not t_n < T:
         raise NonpositiveRemainingTimeError(f"t_n={t_n} is at or beyond T={T}")
     if y_norm < 0.0 or math.isnan(y_norm):
         raise InvalidParamsError(f"y_norm must be nonnegative, got {y_norm}")
@@ -87,23 +87,17 @@ def next_step(y_norm: float, t_n: float, next_switch: float | None, T: float,
             f"next_switch={next_switch} must lie strictly after t_n={t_n}")
 
     h_min = p.h_min
-    if y_norm == 0.0:
-        raw = p.h_max
-    else:
-        raw = p.h_max / y_norm ** (1.0 / p.k)
-        if raw > p.h_max:
-            raw = p.h_max
-    if raw < h_min:
+    h = p.h_max / y_norm ** (1.0 / p.k) if y_norm > 1.0 else p.h_max
+    if h < h_min:
         h, reason = h_min, StepReason.FLOORED_AT_HMIN
     else:
-        h, reason = raw, StepReason.NORM_CONTROLLED
+        reason = StepReason.NORM_CONTROLLED
     t_next = t_n + h
-    if next_switch is not None:
-        to_switch = next_switch - t_n
-        if to_switch <= h:
-            h, reason, t_next = to_switch, StepReason.CLAMPED_TO_SWITCH, next_switch
-    if remaining <= h:
-        h, reason, t_next = remaining, StepReason.CLAMPED_TO_TERMINAL, T
+    bound = next_switch if next_switch is not None and next_switch < T else T
+    if bound - t_n <= h:
+        reason = (StepReason.CLAMPED_TO_TERMINAL if bound == T
+                  else StepReason.CLAMPED_TO_SWITCH)
+        h, t_next = bound - t_n, bound
     return StepDecision(h=h, use_backstop=h <= h_min, reason=reason, t_next=t_next)
 
 

@@ -243,6 +243,13 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_mean_change_has_no_trajectories_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["mean-change", "--trajectories", 5, "--initials", 2, "--runs", 1,
+                     "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
     def test_fractional_chain_count_and_r0_exit_2(self, tmp_path):
         config = write_config(tmp_path, {"generator": cli.TELOMERE_GENERATOR,
                                          "trajectories": 2.5, "r0": 1.9})

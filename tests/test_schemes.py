@@ -101,6 +101,36 @@ def _zero_model():
     return s.linear_model(s.LinearModelParams(mu=(0.0,) * 4, sigma=(0.0,) * 4))
 
 
+def _drift_only_model(drift, seen):
+    def f(y, i):
+        seen.add(y)
+        return drift(y)
+
+    return s.RegimeModel(num_states=1, drift=f, diffusion=lambda x, i: 0.0,
+                         diffusion_derivative=lambda x, i: 0.0)
+
+
+class TestBisectionFallback:
+    # g = 0, h = 0.5 and x = 1, so the residual is y - 1 - f(y) / 2
+    H = 0.5
+
+    def test_newton_cycle_falls_through_to_bisection(self):
+        # residual y^3 - 2y + 2: Newton from the explicit value 0 cycles 0 -> 1 -> 0
+        seen = set()
+        model = _drift_only_model(lambda y: (-y ** 3 + 3.0 * y - 3.0) / self.H, seen)
+        y = s.implicit_milstein_map(1.0, 1, self.H, 0.0, model)
+        assert 2.0 in seen  # the first bisection bracket is [x - 1, x + 1]
+        assert y == pytest.approx(-1.769292354238587, rel=1e-14)
+        residual = s.implicit_milstein_residual(y, 1.0, 1, self.H, 0.0, model)
+        assert abs(residual) <= schemes.RESIDUAL_REL_TOL * max(1.0, abs(y))
+
+    def test_no_root_raises(self):
+        # residual y^2 + 1 has no real root, so no bracket changes sign
+        model = _drift_only_model(lambda y: (y - 1.0 - y * y - 1.0) / self.H, set())
+        with pytest.raises(errors.RootNotFoundError):
+            s.implicit_milstein_map(1.0, 1, self.H, 0.0, model)
+
+
 class TestSolveTrajectory:
     def test_constant_solution(self):
         g = s.validate_generator(TELOMERE_GENERATOR)
@@ -243,6 +273,28 @@ class TestSolveTrajectory:
             assert tr.records[-1].t_end == 2.0
             assert tr.records[-1].state == 2
             assert {rec.state for rec in tr.records} == {1, 2}
+
+    def test_switch_just_below_T_is_a_mesh_point(self):
+        tau = math.nextafter(0.03, 0.0)
+        chain = s.MarkovPath(1, (0.0117, tau), (2, 1), 0.03)
+        w = s.BrownianPath(np.random.default_rng(0))
+        tr = s.solve_trajectory(_zero_model(), chain, w, 7.0, 0.03,
+                                s.StepParams(0.03, 15.0, 10.0))
+        assert tau in [rec.t_end for rec in tr.records]
+        assert tr.records[-1].state == 1
+        assert tr.records[-1].t_end == 0.03
+
+    def test_step_budget_caps_the_walk(self, monkeypatch):
+        monkeypatch.setattr(schemes, "build_mesh_bound", lambda t, p, n: (0, 3))
+        chain = s.MarkovPath(1, (), (), 1.0)
+        w = s.BrownianPath(np.random.default_rng(0))
+        with pytest.raises(errors.StepBudgetExceededError):
+            s.solve_trajectory(_zero_model(), chain, w, 7.0, 1.0,
+                               s.StepParams(0.03, 15.0, 10.0))
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        with pytest.raises(errors.AllTrajectoriesFailedError):
+            s.run_ensemble(_zero_model(), g, 7.0, 1, 1.0, s.StepParams(0.03, 15.0, 10.0),
+                           M=3, seed=0)
 
     def test_unknown_main_map_rejected(self, telomere):
         chain = s.MarkovPath(1, (), (), 1.0)

@@ -81,6 +81,13 @@ class TestNextStep:
         assert d.h == 0.01
         assert d.reason is StepReason.CLAMPED_TO_TERMINAL
 
+    def test_switch_just_below_terminal_is_not_stepped_over(self):
+        # fl(tau - t) == fl(T - t): the clamp must still land on the switch
+        tau = math.nextafter(0.03, 0.0)
+        d = s.next_step(1.0, 0.0117, tau, 0.03, P)
+        assert d.reason is StepReason.CLAMPED_TO_SWITCH
+        assert d.t_next.hex() == tau.hex()
+
     def test_backstop_iff_h_at_most_h_min(self):
         at_floor = s.next_step(15.0 ** 10, 0.0, None, 1e9, P)  # raw == h_min
         assert at_floor.h == pytest.approx(P.h_min, rel=1e-12)
