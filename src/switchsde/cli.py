@@ -304,14 +304,14 @@ def _check_experiment(cfg: RunConfig) -> None:
             raise ConfigValidationError(
                 "convergence requires a linear model (it needs the exact solution)")
         check_strong_order_args(cfg.linear_params, g, x["horizon"], x["grid"],
-                                x["trajectories"], x["r0"])
+                                cfg.step.rho, cfg.step.k, x["trajectories"], x["r0"])
     elif cfg.experiment == "ensemble":
-        check_ensemble_args(cfg.model, g, x["initial"], x["r0"], x["horizon"],
+        check_ensemble_args(cfg.model, g, x["initial"], x["r0"], x["horizon"], cfg.step,
                             x["trajectories"], x["runs_per_initial"])
     elif cfg.experiment == "mean-change":
         lo, hi = x["initial_range"]
         check_mean_change_args(cfg.model, g, lo, hi, x["start_day"], x["end_day"],
-                               x["initials"], x["runs"], x["r0"])
+                               x["initials"], x["runs"], cfg.step, x["r0"])
 
 
 def _params_echo(cfg: RunConfig) -> dict[str, Any]:

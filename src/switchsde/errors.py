@@ -83,6 +83,10 @@ class AllTrajectoriesFailedError(SwitchSDEError):
     """Every trajectory in an ensemble aborted."""
 
 
+class HistogramRangeError(SwitchSDEError, ValueError):
+    """Study values span a range too small for their histogram's bins."""
+
+
 class ConfigParseError(SwitchSDEError, ValueError):
     """Configuration file or flag could not be parsed."""
 

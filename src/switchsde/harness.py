@@ -14,7 +14,11 @@ Three experiments are provided:
   over the horizon.
 
 The ensemble and the mean-change study are reductions over the per-index
-arrays of one engine; :func:`first_trajectory` replays its index 0.
+arrays of one engine, which walks the trajectories in lane groups through the
+batched walk :func:`switchsde.schemes.solve_terminals`.  The scalar walk stays
+the reference: it replays any index bit for bit (:func:`first_trajectory`
+replays index 0) and serves the strong-order study, whose coupled meshes
+refine one shared Brownian path.
 
 Seeding: every trajectory gets independent chain / noise / auxiliary random
 streams derived from the master seed and the trajectory index through
@@ -34,6 +38,7 @@ from .ctmc import GeneratorMatrix, simulate_chain
 from .errors import (
     AllTrajectoriesFailedError,
     DegenerateGridError,
+    HistogramRangeError,
     InvalidParamsError,
     NonfiniteResultError,
     RootNotFoundError,
@@ -41,12 +46,15 @@ from .errors import (
 )
 from .models import LinearModelParams, RegimeModel, exact_linear_solution, linear_model
 from .noise import BrownianPath
-from .schemes import Trajectory, solve_terminal, solve_trajectory
-from .stepping import StepParams
+from .schemes import Trajectory, solve_terminal, solve_terminals, solve_trajectory
+from .stepping import StepParams, build_mesh_bound
 
 logger = logging.getLogger(__name__)
 
 BACKSTOP_WARN_FRACTION = 0.05
+# Trajectories the batched walk steps together.  Groups bound a study's memory
+# (each lane holds its chain and a block of normals) at any study size.
+LANE_GROUP = 256
 
 _TRAJECTORY_FAILURES = (NonfiniteResultError, RootNotFoundError, StepBudgetExceededError)
 
@@ -108,7 +116,10 @@ class MeanChangeReport:
 
 def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Freedman-Diaconis density histogram; densities integrate to one."""
-    edges = np.histogram_bin_edges(values, bins="fd")
+    try:
+        edges = np.histogram_bin_edges(values, bins="fd")
+    except ValueError as exc:  # a range below the values' float resolution
+        raise HistogramRangeError(f"cannot bin the values: {exc}") from exc
     densities, _ = np.histogram(values, bins=edges, density=True)
     return edges, densities
 
@@ -151,8 +162,9 @@ def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
 
 
 def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: float,
-                            grid, M: int, r0: int) -> None:
-    """The argument checks of :func:`strong_order_study`."""
+                            grid, rho: float, k: float, M: int, r0: int) -> None:
+    """The argument checks of :func:`strong_order_study`; the finest grid
+    level, which has the largest step cap, must have a finite one."""
     if len(grid) < 3:
         raise DegenerateGridError(f"need at least 3 grid levels, got {len(grid)}")
     if any(b >= a for a, b in zip(grid, grid[1:])):
@@ -162,20 +174,22 @@ def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: fl
     check_run_args(params.num_states, g, r0, T, M)
     if M < 100:
         raise InvalidParamsError(f"need M >= 100 samples, got {M}")
+    build_mesh_bound(T, StepParams(h_max=grid[-1], rho=rho, k=k), 0)
 
 
 def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
-                        M: int, runs_per_initial: int) -> None:
-    """The argument checks of :func:`run_ensemble`."""
+                        p: StepParams, M: int, runs_per_initial: int) -> None:
+    """The argument checks of :func:`run_ensemble`, the step cap included."""
     if isinstance(initial, (tuple, list)) and not initial[0] < initial[1]:
         raise InvalidParamsError(f"need lo < hi, got ({initial[0]}, {initial[1]})")
     check_run_args(model.num_states, g, r0, T, M, runs_per_initial)
+    build_mesh_bound(T, p, 0)
 
 
 def check_mean_change_args(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: float,
                            t_start_day: float, t_end_day: float, n_initials: int,
-                           runs_per_initial: int, r0) -> None:
-    """The argument checks of :func:`mean_change_study`."""
+                           runs_per_initial: int, p: StepParams, r0) -> None:
+    """The argument checks of :func:`mean_change_study`, the step cap included."""
     if not 0 < lo < hi:
         raise InvalidParamsError(f"need 0 < lo < hi, got ({lo}, {hi})")
     if not t_end_day > t_start_day:
@@ -183,6 +197,7 @@ def check_mean_change_args(model: RegimeModel, g: GeneratorMatrix, lo: float, hi
             f"need t_end_day > t_start_day, got ({t_start_day}, {t_end_day})")
     check_run_args(model.num_states, g, r0, t_end_day - t_start_day, n_initials,
                    runs_per_initial)
+    build_mesh_bound(t_end_day - t_start_day, p, 0)
 
 
 def _draw_initial(initial, seed: int, j: int) -> float:
@@ -202,9 +217,10 @@ def trajectory_chain(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
 
 
 def _trajectory_inputs(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
-    """Chain and Brownian path of trajectory ``index``, derived in that order."""
+    """Chain and noise generator of trajectory ``index``, derived in that order;
+    the generator drives the trajectory's Brownian path."""
     return (trajectory_chain(g, r0, T, seed, index),
-            BrownianPath(substream_rng(seed, index, NOISE_STREAM)))
+            substream_rng(seed, index, NOISE_STREAM))
 
 
 def _backstop_fraction(n_steps: np.ndarray, n_backstop: np.ndarray) -> float:
@@ -223,23 +239,36 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
     """Per-trajectory arrays ``(x0, y, n_steps, n_backstop, failed)`` of
     ``n_initials * runs_per_initial`` trajectories, indexed by
     ``j * runs_per_initial + r``.  The runs of outer index ``j`` share its
-    initial value; a failed trajectory has ``y`` NaN and zero step counts."""
+    initial value; a failed trajectory has ``y`` NaN and zero step counts.
+
+    The trajectories are walked ``LANE_GROUP`` at a time by the batched walk,
+    each bitwise equal to its scalar walk; failures are logged in index order,
+    and an error that is not a trajectory failure is raised from the first
+    index that has one, as a walk in index order would."""
     total = n_initials * runs_per_initial
     x0 = np.empty(total)
     y = np.full(total, np.nan)
     n_steps = np.zeros(total, dtype=np.int64)
     n_backstop = np.zeros(total, dtype=np.int64)
     failed = np.zeros(total, dtype=bool)
-    for idx in range(total):
-        j, r = divmod(idx, runs_per_initial)
-        if r == 0:
-            start = _draw_initial(initial, seed, j)
-        x0[idx] = start
-        chain, path = _trajectory_inputs(g, r0, T, seed, idx)
-        try:
-            y[idx], n_steps[idx], n_backstop[idx] = solve_terminal(model, chain, path,
-                                                                   start, T, p, scheme)
-        except _TRAJECTORY_FAILURES as exc:
+    for first in range(0, total, LANE_GROUP):
+        group = slice(first, min(first + LANE_GROUP, total))
+        chains, noise_rngs = [], []
+        for idx in range(group.start, group.stop):
+            j, r = divmod(idx, runs_per_initial)
+            if r == 0:
+                start = _draw_initial(initial, seed, j)
+            x0[idx] = start
+            chain, noise_rng = _trajectory_inputs(g, r0, T, seed, idx)
+            chains.append(chain)
+            noise_rngs.append(noise_rng)
+        y[group], n_steps[group], n_backstop[group], errors = solve_terminals(
+            model, chains, noise_rngs, x0[group], T, p, scheme)
+        for idx, exc in enumerate(errors, start=first):
+            if exc is None:
+                continue
+            if not isinstance(exc, _TRAJECTORY_FAILURES):
+                raise exc
             failed[idx] = True
             logger.warning("trajectory %d failed: %s", idx, exc)
     if failed.all():
@@ -253,8 +282,8 @@ def first_trajectory(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: flo
     with the same arguments (initial ``(lo, hi)`` for the latter), with every
     step record."""
     x0 = _draw_initial(initial, seed, 0)
-    chain, path = _trajectory_inputs(g, r0, T, seed, 0)
-    return solve_trajectory(model, chain, path, x0, T, p, scheme)
+    chain, noise_rng = _trajectory_inputs(g, r0, T, seed, 0)
+    return solve_trajectory(model, chain, BrownianPath(noise_rng), x0, T, p, scheme)
 
 
 def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
@@ -274,13 +303,14 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
         Milstein either way.
     """
     grid = tuple(float(h) for h in grid)
-    check_strong_order_args(params, g, T, grid, M, r0)
+    check_strong_order_args(params, g, T, grid, rho, k, M, r0)
 
     model = linear_model(params)
     step_params = [StepParams(h_max=h, rho=rho, k=k) for h in grid]
     errors = np.empty((len(grid), M))
     for i in range(M):
-        chain, path = _trajectory_inputs(g, r0, T, seed, i)
+        chain, noise_rng = _trajectory_inputs(g, r0, T, seed, i)
+        path = BrownianPath(noise_rng)
         exact = exact_linear_solution(params, x0, chain, path, T)
         for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
             y, _, _ = solve_terminal(model, chain, path, x0, T, step_params[lvl], scheme)
@@ -311,7 +341,7 @@ def run_ensemble(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
     Trajectories that abort (non-finite value, failed backstop solve, or step
     budget) are excluded from the statistics and counted in ``failed_count``.
     """
-    check_ensemble_args(model, g, initial, r0, T, M, runs_per_initial)
+    check_ensemble_args(model, g, initial, r0, T, p, M, runs_per_initial)
     _, y, n_steps, n_backstop, failed = _simulate_terminals(
         model, g, initial, r0, T, p, M, runs_per_initial, seed, scheme)
     return _summarize(y[~failed], _backstop_fraction(n_steps, n_backstop),
@@ -331,7 +361,7 @@ def mean_change_study(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: flo
     line-plot series ordered by initial value.
     """
     check_mean_change_args(model, g, lo, hi, t_start_day, t_end_day, n_initials,
-                           runs_per_initial, r0)
+                           runs_per_initial, p, r0)
     x0, y, n_steps, n_backstop, failed = _simulate_terminals(
         model, g, (lo, hi), r0, t_end_day - t_start_day, p, n_initials,
         runs_per_initial, seed, scheme)

@@ -13,6 +13,13 @@ goes to the landing time the step rule chose, so switching times and T land
 on the mesh bitwise.  The drift-implicit Milstein backstop runs if and only if
 the step rule gave h <= h_min (floored, or clamped to within h_min); the
 chosen main map runs on every other step.
+
+Two engines walk that mesh.  The scalar walk (:func:`solve_trajectory`,
+:func:`solve_terminal`) takes one trajectory at a time and is the reference.
+The lane-batched walk (:func:`solve_terminals`) steps many independent
+trajectories together, one step of every lane per iteration, with the step
+rule, the noise and the explicit maps as array operations; it reproduces the
+scalar walk of every lane bit for bit, failures included.
 """
 
 from __future__ import annotations
@@ -20,12 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .ctmc import MarkovPath, segments
 from .errors import (
     InvalidParamsError,
     NonfiniteResultError,
     RootNotFoundError,
     StepBudgetExceededError,
+    SwitchSDEError,
 )
 from .models import RegimeModel
 from .noise import BrownianPath
@@ -35,6 +45,7 @@ NEWTON_ABS_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 RESIDUAL_REL_TOL = 1e-10  # acceptance bound: |F(X)| <= tol * max(1, |X|)
 BRACKET_MAX_DOUBLINGS = 60
+NORMAL_BLOCK = 64  # normals drawn per lane at a time by the batched walk
 
 
 @dataclass(frozen=True)
@@ -70,12 +81,16 @@ def _require_positive_step(h: float) -> None:
         raise InvalidParamsError(f"step must be positive, got {h}")
 
 
+def _nonfinite(name: str, y: float, x: float, i: int, h: float) -> NonfiniteResultError:
+    return NonfiniteResultError(f"{name} produced {y} from x={x}, i={i}, h={h}")
+
+
 def em_map(x: float, i: int, h: float, dW: float, m: RegimeModel) -> float:
     """Euler-Maruyama one-step map."""
     _require_positive_step(h)
     y = x + h * m.drift(x, i) + m.diffusion(x, i) * dW
     if not math.isfinite(y):
-        raise NonfiniteResultError(f"em_map produced {y} from x={x}, i={i}, h={h}")
+        raise _nonfinite("em_map", y, x, i, h)
     return y
 
 
@@ -86,7 +101,7 @@ def milstein_map(x: float, i: int, h: float, dW: float, m: RegimeModel) -> float
     y = (x + h * m.drift(x, i) + g * dW
          + 0.5 * m.diffusion_derivative(x, i) * g * (dW * dW - h))
     if not math.isfinite(y):
-        raise NonfiniteResultError(f"milstein_map produced {y} from x={x}, i={i}, h={h}")
+        raise _nonfinite("milstein_map", y, x, i, h)
     return y
 
 
@@ -176,13 +191,38 @@ def implicit_milstein_map(x: float, i: int, h: float, dW: float, m: RegimeModel)
 _MAIN_MAPS = {"em": em_map, "milstein": milstein_map}
 
 
-def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: float,
-          p: StepParams, main: str, collect: bool):
-    """Core mesh walk shared by the full and terminal-only entry points."""
+# The main maps' values over arrays of lanes, from the coefficients at (x, i).
+# Each repeats its scalar map's operations in the same order, so every lane is
+# bitwise equal to the scalar map (the scalar maps keep their own expressions:
+# a shared helper would cost the scalar walk a call per step).
+def _em_values(x, h, dW, f, g):
+    return x + h * f + g * dW
+
+
+def _milstein_values(x, h, dW, f, g, dg):
+    return x + h * f + g * dW + 0.5 * dg * g * (dW * dW - h)
+
+
+# Main map -> (its lane form, the model coefficients it reads, in order).
+_LANE_MAPS = {"em": (_em_values, ("drift", "diffusion")),
+              "milstein": (_milstein_values, ("drift", "diffusion", "diffusion_derivative"))}
+
+
+def _check_walk(main: str, T: float) -> None:
     if main not in _MAIN_MAPS:
         raise InvalidParamsError(f"unknown main map {main!r}; use 'em' or 'milstein'")
     if T <= 0.0:
         raise InvalidParamsError(f"T must be positive, got {T}")
+
+
+def _over_budget(n_max: int, T: float) -> StepBudgetExceededError:
+    return StepBudgetExceededError(f"exceeded N_max={n_max} steps before reaching T={T}")
+
+
+def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: float,
+          p: StepParams, main: str, collect: bool):
+    """Core mesh walk shared by the full and terminal-only entry points."""
+    _check_walk(main, T)
     main_map = _MAIN_MAPS[main]
     n_max = build_mesh_bound(T, p, chain.num_switches)[1]
 
@@ -204,8 +244,7 @@ def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: floa
                 y_next = main_map(y, state, h, dW, m)
             n_steps += 1
             if n_steps > n_max:
-                raise StepBudgetExceededError(
-                    f"exceeded N_max={n_max} steps before reaching T={T}")
+                raise _over_budget(n_max, T)
             if records is not None:
                 records.append(StepRecord(t_start=t, t_end=t_next, state=state, h=h,
                                           dW=dW, used_backstop=decision.use_backstop,
@@ -232,7 +271,137 @@ def solve_terminal(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float
     """Terminal value only: returns (Y(T), step count, backstop count).
 
     Identical mesh and arithmetic to :func:`solve_trajectory`, without
-    materialising step records; meant for large ensembles.
+    materialising step records.
     """
     y, n_steps, backstops, _ = _walk(m, chain, w, x0, T, p, main, collect=False)
     return y, n_steps, backstops
+
+
+def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepParams,
+                    main: str = "milstein"):
+    """Terminal values of many trajectories, stepped together.
+
+    Lane ``j`` is the trajectory that :func:`solve_terminal` computes from
+    ``chains[j]``, ``BrownianPath(noise_rngs[j])`` and ``x0[j]``, bit for bit:
+    the same mesh, the same normal draws, the same arithmetic and the same
+    model calls.  Every iteration takes one step of each unfinished lane.  The
+    step rule, the noise and the main map run as array operations; the main
+    map's coefficients come from the model's scalar callables, and backstop
+    steps run :func:`implicit_milstein_map` one lane at a time.
+
+    Returns ``(y, n_steps, n_backstop, errors)``: per-lane arrays and, per
+    lane, ``None`` or the exception the scalar walk raises for that lane
+    (such a lane has ``y`` NaN and zero counts).  An exception that is not a
+    :class:`SwitchSDEError` (from a model callable, say) ends the whole walk.
+    """
+    _check_walk(main, T)
+    value, names = _LANE_MAPS[main]
+    coefficients = [getattr(m, name) for name in names]
+    h_max, h_min, inv_k = p.h_max, p.h_min, 1.0 / p.k
+    n = len(chains)
+    budget = [build_mesh_bound(T, p, chain.num_switches)[1] for chain in chains]
+    limit, lowest = np.array(budget, dtype=float), min(budget, default=0)
+    y_out = np.full(n, np.nan)
+    steps_out = np.zeros(n, dtype=np.int64)
+    backstops_out = np.zeros(n, dtype=np.int64)
+    errors: list[SwitchSDEError | None] = [None] * n
+
+    # Switch tables: the end and the state of each lane's constant-state
+    # pieces of [0, T], padded to the longest; a lane steps inside piece[j].
+    pieces = [list(segments(chain, 0.0, T)) for chain in chains]
+    width = max(map(len, pieces), default=1)
+    ends = np.full((n, width), T)
+    states = np.ones((n, width), dtype=np.int64)
+    for j, lane_pieces in enumerate(pieces):
+        _, lane_ends, lane_states = zip(*lane_pieces)
+        ends[j, :len(lane_ends)] = lane_ends
+        states[j, :len(lane_states)] = lane_states
+
+    y = np.array(x0, dtype=float)
+    for j in np.flatnonzero(np.isnan(y)).tolist():  # the scalar step rule refuses them
+        errors[j] = InvalidParamsError(f"y_norm must be nonnegative, got {abs(y[j])}")
+    lane = np.flatnonzero(~np.isnan(y))  # original index of each unfinished lane
+    y = y[lane]
+    t = np.zeros(lane.size)
+    w = np.zeros(lane.size)
+    piece = np.zeros(lane.size, dtype=np.intp)
+    bound = ends[lane, 0]
+    state = states[lane, 0]
+    backstops = np.zeros(lane.size, dtype=np.int64)
+    z = np.empty((lane.size, NORMAL_BLOCK))
+    col = NORMAL_BLOCK
+    n_steps = 0
+    with np.errstate(all="ignore"):  # a lane that overflows fails its finiteness check
+        while lane.size:
+            n_steps += 1
+            if col == NORMAL_BLOCK:
+                for j, index in enumerate(lane.tolist()):
+                    noise_rngs[index].standard_normal(out=z[j])
+                col = 0
+            failed = {}  # lane position -> the exception that ends its walk
+
+            # The step rule of next_step: the norm candidate in Python floats
+            # (numpy's pow can differ in the last ulp), the floor, one clamp.
+            h = np.array([h_max / v ** inv_k if v > 1.0 else h_max
+                          for v in np.abs(y).tolist()])
+            np.maximum(h, h_min, out=h)
+            gap = bound - t
+            clamp = gap <= h
+            backstop = np.where(clamp, gap, h) <= h_min
+            t_next = np.where(clamp, bound, t + h)
+            dt = t_next - t  # the realised spacing drives the map and the noise
+            w_next = w + np.sqrt(dt) * z[:, col]
+            col += 1
+            dw = w_next - w
+
+            # Backstop lanes, and lanes whose spacing rounded to zero (their
+            # scalar map raises), take the scalar maps one lane at a time.
+            scalar = backstop | (dt <= 0.0)
+            some_scalar = scalar.any()
+            explicit = np.flatnonzero(~scalar) if some_scalar else slice(None)
+            x, h_e, dw_e = y[explicit], dt[explicit], dw[explicit]
+            xs, i = x.tolist(), state[explicit].tolist()
+            y_e = value(x, h_e, dw_e, *(np.array(list(map(c, xs, i)), dtype=float)
+                                        for c in coefficients))
+            if not np.isfinite(y_e).all():
+                positions = np.arange(lane.size)[explicit].tolist()
+                for k in np.flatnonzero(~np.isfinite(y_e)).tolist():
+                    failed[positions[k]] = _nonfinite(f"{main}_map", float(y_e[k]), xs[k],
+                                                      i[k], float(h_e[k]))
+            y_next = y_e
+            if some_scalar:
+                y_next = np.empty_like(y)
+                y_next[explicit] = y_e
+                for j in np.flatnonzero(scalar).tolist():
+                    step_map = implicit_milstein_map if backstop[j] else _MAIN_MAPS[main]
+                    try:
+                        y_next[j] = step_map(float(y[j]), int(state[j]), float(dt[j]),
+                                             float(dw[j]), m)
+                    except SwitchSDEError as exc:
+                        failed[j] = exc
+                backstops += backstop
+            if n_steps > lowest:
+                for j in np.flatnonzero(limit[lane] < n_steps).tolist():
+                    failed.setdefault(j, _over_budget(budget[lane[j]], T))
+
+            t, y, w = t_next, y_next, w_next
+            leaving = list(failed)
+            for j, exc in failed.items():
+                errors[lane[j]] = exc
+            arrived = t >= bound
+            if arrived.any():
+                done = [j for j in np.flatnonzero(t >= T).tolist() if j not in failed]
+                y_out[lane[done]] = y[done]
+                steps_out[lane[done]] = n_steps
+                backstops_out[lane[done]] = backstops[done]
+                leaving += done
+                move = arrived & (t < T)
+                piece[move] += 1
+                bound[move] = ends[lane[move], piece[move]]
+                state[move] = states[lane[move], piece[move]]
+            if leaving:
+                keep = np.ones(lane.size, dtype=bool)
+                keep[leaving] = False
+                lane, t, y, w, piece, bound, state, backstops, z = (
+                    a[keep] for a in (lane, t, y, w, piece, bound, state, backstops, z))
+    return y_out, steps_out, backstops_out, errors

@@ -218,11 +218,28 @@ class TestExitCodes:
         assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_rho_too_large_for_the_mesh_bound_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("experiment, size", [
+        ("ensemble", ["--trajectories", 2]),
+        ("mean-change", ["--initials", 2, "--runs", 1]),
+        ("convergence", ["--trajectories", 100]),
+    ])
+    def test_rho_too_large_for_the_mesh_bound_exits_2(self, tmp_path, capsys, experiment,
+                                                      size):
+        # convergence checks its finest grid level, which has the largest cap
         config = write_config(tmp_path, {"step": {"rho": 1e308}})
+        assert run_cli([experiment, "--config", config, *size,
+                        "--out", tmp_path / "o"]) == 2
+        assert "N_max" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_values_below_histogram_resolution_exit_3(self, tmp_path, capsys):
+        # every terminal value is 1e20, a range no bin width can resolve
+        config = write_config(tmp_path, {
+            "model": {"kind": "linear", "mu": [0.0], "sigma": [0.0]},
+            "generator": [[0.0]], "initial": 1e20, "horizon": 1.0})
         assert run_cli(["ensemble", "--config", config, "--trajectories", 2,
                         "--out", tmp_path / "o"]) == 3
-        assert "N_max" in capsys.readouterr().err
+        assert "computation failed: cannot bin the values" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("step", {"h_max": 0.5}),

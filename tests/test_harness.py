@@ -248,8 +248,8 @@ def test_engine_matches_the_full_solver_index_by_index():
     switches = 0
     for idx in range(len(y)):
         start = harness._draw_initial(initial, seed, idx // runs)
-        chain, path = harness._trajectory_inputs(g, "uniform", T, seed, idx)
-        tr = s.solve_trajectory(model, chain, path, start, T, STEP)
+        chain, noise_rng = harness._trajectory_inputs(g, "uniform", T, seed, idx)
+        tr = s.solve_trajectory(model, chain, s.BrownianPath(noise_rng), start, T, STEP)
         assert start == x0[idx]
         assert tr.terminal_value.hex() == float(y[idx]).hex()
         assert (tr.n_steps, tr.backstop_count) == (n_steps[idx], n_backstop[idx])
