@@ -17,8 +17,9 @@ The ensemble and the mean-change study are reductions over the per-index
 arrays of one engine, which walks the trajectories in lane groups through the
 batched walk :func:`switchsde.schemes.solve_terminals`.  The scalar walk stays
 the reference: it replays any index bit for bit (:func:`first_trajectory`
-replays index 0) and serves the strong-order study, whose coupled meshes
-refine one shared Brownian path.
+replays index 0), supplies the error of each index the batched walk marks
+as failed, and serves the strong-order study, whose coupled meshes refine
+one shared Brownian path.
 
 Seeding: every trajectory gets independent chain / noise / auxiliary random
 streams derived from the master seed and the trajectory index through
@@ -241,10 +242,9 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
     ``j * runs_per_initial + r``.  The runs of outer index ``j`` share its
     initial value; a failed trajectory has ``y`` NaN and zero step counts.
 
-    The trajectories are walked ``LANE_GROUP`` at a time by the batched walk,
-    each bitwise equal to its scalar walk; failures are logged in index order,
-    and an error that is not a trajectory failure is raised from the first
-    index that has one, as a walk in index order would."""
+    The batched walk takes ``LANE_GROUP`` trajectories at a time and marks
+    which failed; the scalar walk replays each failed index, in index order,
+    and its error is logged if it is a trajectory failure, else raised."""
     total = n_initials * runs_per_initial
     x0 = np.empty(total)
     y = np.full(total, np.nan)
@@ -262,15 +262,18 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
             chain, noise_rng = _trajectory_inputs(g, r0, T, seed, idx)
             chains.append(chain)
             noise_rngs.append(noise_rng)
-        y[group], n_steps[group], n_backstop[group], errors = solve_terminals(
+        y[group], n_steps[group], n_backstop[group], failed[group] = solve_terminals(
             model, chains, noise_rngs, x0[group], T, p, scheme)
-        for idx, exc in enumerate(errors, start=first):
-            if exc is None:
-                continue
-            if not isinstance(exc, _TRAJECTORY_FAILURES):
-                raise exc
-            failed[idx] = True
-            logger.warning("trajectory %d failed: %s", idx, exc)
+        for lane in np.flatnonzero(failed[group]).tolist():
+            idx = first + lane
+            path = BrownianPath(substream_rng(seed, idx, NOISE_STREAM))
+            try:
+                solve_terminal(model, chains[lane], path, x0[idx], T, p, scheme)
+            except _TRAJECTORY_FAILURES as exc:
+                logger.warning("trajectory %d failed: %s", idx, exc)
+            else:
+                raise RuntimeError(f"trajectory {idx} failed in the batched walk "
+                                   "but not in its scalar walk")
     if failed.all():
         raise AllTrajectoriesFailedError(f"all {total} trajectories failed")
     return x0, y, n_steps, n_backstop, failed

@@ -19,7 +19,8 @@ Two engines walk that mesh.  The scalar walk (:func:`solve_trajectory`,
 The lane-batched walk (:func:`solve_terminals`) steps many independent
 trajectories together, one step of every lane per iteration, with the step
 rule, the noise and the explicit maps as array operations; it reproduces the
-scalar walk of every lane bit for bit, failures included.
+scalar walk of every lane bit for bit.  It reports only *that* a lane failed:
+replaying that lane's scalar walk says why.
 """
 
 from __future__ import annotations
@@ -81,16 +82,12 @@ def _require_positive_step(h: float) -> None:
         raise InvalidParamsError(f"step must be positive, got {h}")
 
 
-def _nonfinite(name: str, y: float, x: float, i: int, h: float) -> NonfiniteResultError:
-    return NonfiniteResultError(f"{name} produced {y} from x={x}, i={i}, h={h}")
-
-
 def em_map(x: float, i: int, h: float, dW: float, m: RegimeModel) -> float:
     """Euler-Maruyama one-step map."""
     _require_positive_step(h)
     y = x + h * m.drift(x, i) + m.diffusion(x, i) * dW
     if not math.isfinite(y):
-        raise _nonfinite("em_map", y, x, i, h)
+        raise NonfiniteResultError(f"em_map produced {y} from x={x}, i={i}, h={h}")
     return y
 
 
@@ -101,7 +98,7 @@ def milstein_map(x: float, i: int, h: float, dW: float, m: RegimeModel) -> float
     y = (x + h * m.drift(x, i) + g * dW
          + 0.5 * m.diffusion_derivative(x, i) * g * (dW * dW - h))
     if not math.isfinite(y):
-        raise _nonfinite("milstein_map", y, x, i, h)
+        raise NonfiniteResultError(f"milstein_map produced {y} from x={x}, i={i}, h={h}")
     return y
 
 
@@ -215,10 +212,6 @@ def _check_walk(main: str, T: float) -> None:
         raise InvalidParamsError(f"T must be positive, got {T}")
 
 
-def _over_budget(n_max: int, T: float) -> StepBudgetExceededError:
-    return StepBudgetExceededError(f"exceeded N_max={n_max} steps before reaching T={T}")
-
-
 def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: float,
           p: StepParams, main: str, collect: bool):
     """Core mesh walk shared by the full and terminal-only entry points."""
@@ -244,7 +237,8 @@ def _walk(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float, T: floa
                 y_next = main_map(y, state, h, dW, m)
             n_steps += 1
             if n_steps > n_max:
-                raise _over_budget(n_max, T)
+                raise StepBudgetExceededError(
+                    f"exceeded N_max={n_max} steps before reaching T={T}")
             if records is not None:
                 records.append(StepRecord(t_start=t, t_end=t_next, state=state, h=h,
                                           dW=dW, used_backstop=decision.use_backstop,
@@ -289,22 +283,23 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
     map's coefficients come from the model's scalar callables, and backstop
     steps run :func:`implicit_milstein_map` one lane at a time.
 
-    Returns ``(y, n_steps, n_backstop, errors)``: per-lane arrays and, per
-    lane, ``None`` or the exception the scalar walk raises for that lane
-    (such a lane has ``y`` NaN and zero counts).  An exception that is not a
-    :class:`SwitchSDEError` (from a model callable, say) ends the whole walk.
+    Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``.  A lane
+    fails where its scalar walk raises: its start is NaN, a value is not
+    finite (a backstop without a root leaves NaN), or it passes its step cap.
+    It has ``y`` NaN and zero counts; its scalar walk says which error ended
+    it.  An exception that is not a :class:`SwitchSDEError` (from a model
+    callable, say) ends the whole walk.
     """
     _check_walk(main, T)
     value, names = _LANE_MAPS[main]
     coefficients = [getattr(m, name) for name in names]
     h_max, h_min, inv_k = p.h_max, p.h_min, 1.0 / p.k
     n = len(chains)
-    budget = [build_mesh_bound(T, p, chain.num_switches)[1] for chain in chains]
-    limit, lowest = np.array(budget, dtype=float), min(budget, default=0)
+    limit = np.array([build_mesh_bound(T, p, c.num_switches)[1] for c in chains], dtype=float)
+    lowest = limit.min(initial=math.inf)
     y_out = np.full(n, np.nan)
     steps_out = np.zeros(n, dtype=np.int64)
     backstops_out = np.zeros(n, dtype=np.int64)
-    errors: list[SwitchSDEError | None] = [None] * n
 
     # Switch tables: the end and the state of each lane's constant-state
     # pieces of [0, T], padded to the longest; a lane steps inside piece[j].
@@ -318,12 +313,10 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
         states[j, :len(lane_states)] = lane_states
 
     y = np.array(x0, dtype=float)
-    for j in np.flatnonzero(np.isnan(y)).tolist():  # the scalar step rule refuses them
-        errors[j] = InvalidParamsError(f"y_norm must be nonnegative, got {abs(y[j])}")
-    lane = np.flatnonzero(~np.isnan(y))  # original index of each unfinished lane
+    failed = np.isnan(y)  # the scalar step rule refuses a NaN norm
+    lane = np.flatnonzero(~failed)  # original index of each unfinished lane
     y = y[lane]
-    t = np.zeros(lane.size)
-    w = np.zeros(lane.size)
+    t, w = np.zeros(lane.size), np.zeros(lane.size)
     piece = np.zeros(lane.size, dtype=np.intp)
     bound = ends[lane, 0]
     state = states[lane, 0]
@@ -338,12 +331,14 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
                 for j, index in enumerate(lane.tolist()):
                     noise_rngs[index].standard_normal(out=z[j])
                 col = 0
-            failed = {}  # lane position -> the exception that ends its walk
 
             # The step rule of next_step: the norm candidate in Python floats
             # (numpy's pow can differ in the last ulp), the floor, one clamp.
-            h = np.array([h_max / v ** inv_k if v > 1.0 else h_max
-                          for v in np.abs(y).tolist()])
+            norms = np.abs(y).tolist()
+            try:
+                h = np.array([h_max / v ** inv_k if v > 1.0 else h_max for v in norms])
+            except OverflowError:  # a norm's power passes the float range: ask next_step
+                h = np.array([next_step(v, 0.0, None, math.inf, p).h for v in norms])
             np.maximum(h, h_min, out=h)
             gap = bound - t
             clamp = gap <= h
@@ -354,54 +349,42 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
             col += 1
             dw = w_next - w
 
-            # Backstop lanes, and lanes whose spacing rounded to zero (their
-            # scalar map raises), take the scalar maps one lane at a time.
-            scalar = backstop | (dt <= 0.0)
-            some_scalar = scalar.any()
-            explicit = np.flatnonzero(~scalar) if some_scalar else slice(None)
-            x, h_e, dw_e = y[explicit], dt[explicit], dw[explicit]
-            xs, i = x.tolist(), state[explicit].tolist()
-            y_e = value(x, h_e, dw_e, *(np.array(list(map(c, xs, i)), dtype=float)
-                                        for c in coefficients))
-            if not np.isfinite(y_e).all():
-                positions = np.arange(lane.size)[explicit].tolist()
-                for k in np.flatnonzero(~np.isfinite(y_e)).tolist():
-                    failed[positions[k]] = _nonfinite(f"{main}_map", float(y_e[k]), xs[k],
-                                                      i[k], float(h_e[k]))
-            y_next = y_e
-            if some_scalar:
-                y_next = np.empty_like(y)
+            some_backstop = backstop.any()
+            explicit = np.flatnonzero(~backstop) if some_backstop else slice(None)
+            x = y[explicit]
+            y_next = value(x, dt[explicit], dw[explicit],
+                           *(np.array(list(map(c, x.tolist(), state[explicit].tolist())),
+                                      dtype=float) for c in coefficients))
+            if some_backstop:
+                y_e, y_next = y_next, np.empty_like(y)
                 y_next[explicit] = y_e
-                for j in np.flatnonzero(scalar).tolist():
-                    step_map = implicit_milstein_map if backstop[j] else _MAIN_MAPS[main]
+                for j in np.flatnonzero(backstop).tolist():
                     try:
-                        y_next[j] = step_map(float(y[j]), int(state[j]), float(dt[j]),
-                                             float(dw[j]), m)
-                    except SwitchSDEError as exc:
-                        failed[j] = exc
+                        y_next[j] = implicit_milstein_map(float(y[j]), int(state[j]),
+                                                          float(dt[j]), float(dw[j]), m)
+                    except SwitchSDEError:  # the lane fails; its scalar replay says why
+                        y_next[j] = np.nan
                 backstops += backstop
-            if n_steps > lowest:
-                for j in np.flatnonzero(limit[lane] < n_steps).tolist():
-                    failed.setdefault(j, _over_budget(budget[lane[j]], T))
 
             t, y, w = t_next, y_next, w_next
-            leaving = list(failed)
-            for j, exc in failed.items():
-                errors[lane[j]] = exc
+            lost = ~np.isfinite(y)
+            if n_steps > lowest:
+                lost |= limit[lane] < n_steps
+            leaving = lost
             arrived = t >= bound
             if arrived.any():
-                done = [j for j in np.flatnonzero(t >= T).tolist() if j not in failed]
+                done = (t >= T) & ~lost
                 y_out[lane[done]] = y[done]
                 steps_out[lane[done]] = n_steps
                 backstops_out[lane[done]] = backstops[done]
-                leaving += done
+                leaving = lost | done
                 move = arrived & (t < T)
                 piece[move] += 1
                 bound[move] = ends[lane[move], piece[move]]
                 state[move] = states[lane[move], piece[move]]
-            if leaving:
-                keep = np.ones(lane.size, dtype=bool)
-                keep[leaving] = False
+            if leaving.any():
+                failed[lane[lost]] = True
+                keep = ~leaving
                 lane, t, y, w, piece, bound, state, backstops, z = (
                     a[keep] for a in (lane, t, y, w, piece, bound, state, backstops, z))
-    return y_out, steps_out, backstops_out, errors
+    return y_out, steps_out, backstops_out, failed

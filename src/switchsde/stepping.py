@@ -87,7 +87,10 @@ def next_step(y_norm: float, t_n: float, next_switch: float | None, T: float,
             f"next_switch={next_switch} must lie strictly after t_n={t_n}")
 
     h_min = p.h_min
-    h = p.h_max / y_norm ** (1.0 / p.k) if y_norm > 1.0 else p.h_max
+    try:
+        h = p.h_max / y_norm ** (1.0 / p.k) if y_norm > 1.0 else p.h_max
+    except OverflowError:  # a power beyond the float range: candidate 0
+        h = 0.0
     if h < h_min:
         h, reason = h_min, StepReason.FLOORED_AT_HMIN
     else:
@@ -104,14 +107,23 @@ def next_step(y_norm: float, t_n: float, next_switch: float | None, T: float,
 def build_mesh_bound(t: float, p: StepParams, n_switches: int) -> tuple[int, int]:
     """(N_min, N_max) mesh-size bounds for horizon t with n_switches switches.
 
-    N_min = floor(t / h_max);  N_max = ceil(t / h_min + n_switches).  N_max is
-    a hard iteration cap for the solver, so it must be finite.
+    N_min = floor(t / h_max);  N_max = ceil(t / (h_min - ulp(t)/2)) + n_switches,
+    computed exactly, is a hard iteration cap for the solver.  In
+    round-to-nearest an unclamped step (h >= h_min, landing at most on t)
+    advances at least h_min - ulp(t)/2, and a clamped step ends one of the
+    n_switches + 1 constant-state pieces.  If every piece ends in a clamp, the
+    clamps advance a positive time and fewer than t / (h_min - ulp(t)/2) steps
+    are unclamped; otherwise at most n_switches steps are clamped.  Refused: a
+    cap that is not finite, and h_min <= ulp(t)/2 (t_n + h_min can be t_n).
     """
     if t < 0.0:
         raise InvalidParamsError(f"t must be nonnegative, got {t}")
     if n_switches < 0:
         raise InvalidParamsError(f"n_switches must be nonnegative, got {n_switches}")
-    n_max = t / p.h_min + n_switches
-    if not math.isfinite(n_max):
+    if not math.isfinite(t / p.h_min + n_switches):
         raise InvalidParamsError(f"N_max = {t} / {p.h_min} + {n_switches} is not finite")
-    return math.floor(t / p.h_max), math.ceil(n_max)
+    (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (t, p.h_min, math.ulp(t)))
+    slowest = 2 * c * f - e * d  # (h_min - ulp(t)/2) * 2df, in exact integers
+    if slowest <= 0:
+        raise InvalidParamsError(f"h_min = {p.h_min} is at most half an ulp of t = {t}")
+    return math.floor(t / p.h_max), -(-2 * a * d * f // (b * slowest)) + n_switches

@@ -232,6 +232,23 @@ class TestExitCodes:
         assert "N_max" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_step_that_can_round_to_nothing_exits_2(self, tmp_path, capsys):
+        # h_min = 1e-11 is at most half an ulp of T = 1e6
+        config = write_config(tmp_path, {"horizon": 1e6,
+                                         "step": {"h_max": 1e-3, "rho": 1e8}})
+        assert run_cli(["ensemble", "--config", config, "--trajectories", 2,
+                        "--out", tmp_path / "o"]) == 2
+        assert "half an ulp" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_norm_whose_power_overflows_exits_0(self, tmp_path):
+        # k = 0.5 squares the norm: (1e200)^2 is beyond the float range
+        config = write_config(tmp_path, {
+            "model": {"kind": "linear", "mu": [-0.5], "sigma": [0.5]},
+            "generator": [[0.0]], "initial": 1e200, "step": {"k": 0.5},
+            "horizon": 1.0, "trajectories": 5})
+        assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 0
+
     def test_values_below_histogram_resolution_exit_3(self, tmp_path, capsys):
         # every terminal value is 1e20, a range no bin width can resolve
         config = write_config(tmp_path, {

@@ -235,28 +235,6 @@ def test_numpy_integer_counts_run_the_studies_as_the_int():
     assert orders[0] == orders[1]
 
 
-def test_engine_matches_the_full_solver_index_by_index():
-    """Each index of the engine replays through the harness's inputs and the
-    full solver bitwise, on a fast-switching telomere study."""
-    fast = [[-90.0 if i == j else 30.0 for j in range(4)] for i in range(4)]
-    g = s.validate_generator(fast)
-    model = s.telomere_model(s.TelomereParams())
-    initial, T, runs, seed = (4000.0, 8000.0), 0.25, 2, 5
-    x0, y, n_steps, n_backstop, failed = harness._simulate_terminals(
-        model, g, initial, "uniform", T, STEP, 8, runs, seed, "milstein")
-    assert not failed.any()
-    switches = 0
-    for idx in range(len(y)):
-        start = harness._draw_initial(initial, seed, idx // runs)
-        chain, noise_rng = harness._trajectory_inputs(g, "uniform", T, seed, idx)
-        tr = s.solve_trajectory(model, chain, s.BrownianPath(noise_rng), start, T, STEP)
-        assert start == x0[idx]
-        assert tr.terminal_value.hex() == float(y[idx]).hex()
-        assert (tr.n_steps, tr.backstop_count) == (n_steps[idx], n_backstop[idx])
-        switches += chain.num_switches
-    assert switches > 0 and n_backstop.sum() > 0  # both clamps are exercised
-
-
 def test_standard_error_shrinks_with_sample_size():
     """Doubling M from 500 to 1000 (fresh seeds) shrinks the SE estimate
     by roughly 1/sqrt(2)."""

@@ -4,7 +4,8 @@
 through ``schemes.solve_terminals``; each index must equal a replay of that
 index alone through ``trajectory_chain``, a fresh ``BrownianPath`` on the
 index's noise stream and ``solve_terminal``: the terminal value bitwise, the
-step and backstop counts, and each failure's class and message.
+step and backstop counts, and whether it failed.  The error of a failed index
+is what the harness's own replay of that index raises.
 """
 
 import logging
@@ -13,6 +14,7 @@ import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,11 @@ def _exploding_model(n):
 
     return s.RegimeModel(num_states=n, drift=drift, diffusion=lambda x, i: 0.5 * x,
                          diffusion_derivative=lambda x, i: 0.5)
+
+
+FAILING = (_exploding_model(3),
+           s.validate_generator([[-4.0, 2.0, 2.0], [2.0, -4.0, 2.0], [2.0, 2.0, -4.0]]),
+           (0.5, 3.0), "uniform", 0.5, s.StepParams(0.03, 15.0, 10.0), 5, 3, 11, "milstein")
 
 
 class _Failures(logging.Handler):
@@ -59,14 +66,14 @@ def _replay(model, g, initial, r0, T, p, n_initials, runs, seed, scheme):
 
 
 def _batched(model, g, initial, r0, T, p, n_initials, runs, seed, scheme, group):
-    """The engine's result (or the error it raised), every per-lane error
-    the batched walk returned, and the failure messages logged."""
-    lane_errors = []
+    """The engine's result (or the error it raised), the failed mask of every
+    lane the batched walk returned, and the failure messages logged."""
+    lane_failed = []
     solve = harness.solve_terminals
 
     def spy(*args):
         out = solve(*args)
-        lane_errors.extend(out[3])
+        lane_failed.extend(out[3].tolist())
         return out
 
     failures = _Failures()
@@ -84,7 +91,7 @@ def _batched(model, g, initial, r0, T, p, n_initials, runs, seed, scheme, group)
                 result = exc
     finally:
         logger.removeHandler(failures)
-    return result, lane_errors, failures.messages
+    return result, lane_failed, failures.messages
 
 
 def _same_error(a, b):
@@ -94,13 +101,10 @@ def _same_error(a, b):
 def assert_engines_agree(model, g, initial, r0, T, p, n_initials, runs, seed, scheme,
                          group):
     expected = _replay(model, g, initial, r0, T, p, n_initials, runs, seed, scheme)
-    result, lane_errors, logged = _batched(model, g, initial, r0, T, p, n_initials,
+    result, lane_failed, logged = _batched(model, g, initial, r0, T, p, n_initials,
                                            runs, seed, scheme, group)
-    for (_, outcome), lane_error in zip(expected, lane_errors):
-        if isinstance(outcome, Exception):
-            assert _same_error(lane_error, outcome)
-        else:
-            assert lane_error is None
+    assert lane_failed == [isinstance(outcome, Exception)
+                           for _, outcome in expected[:len(lane_failed)]]
 
     # A walk in index order logs each failure and stops at the first index
     # whose error is not a trajectory failure.
@@ -110,10 +114,10 @@ def assert_engines_agree(model, g, initial, r0, T, p, n_initials, runs, seed, sc
             failed.append((idx, outcome))
         elif isinstance(outcome, Exception):
             assert _same_error(result, outcome)
-            assert len(lane_errors) > idx
+            assert len(lane_failed) > idx
             break
     else:
-        assert len(lane_errors) == len(expected)
+        assert len(lane_failed) == len(expected)
         if len(failed) == len(expected):
             assert isinstance(result, errors.AllTrajectoriesFailedError)
         else:
@@ -127,6 +131,7 @@ def assert_engines_agree(model, g, initial, r0, T, p, n_initials, runs, seed, sc
                     assert float(y[idx]).hex() == outcome[0].hex()
                     assert (n_steps[idx], n_backstop[idx]) == outcome[1:]
     assert logged == [f"trajectory {idx} failed: {exc}" for idx, exc in failed]
+    return result
 
 
 @st.composite
@@ -188,8 +193,7 @@ def test_floored_and_failing_studies_agree():
     # |Y| = 1e20 floors every step at h_min, so every step is a backstop step.
     assert_engines_agree(zero, g, 1e20, 1, 0.5, step, 2, 2, 7, "milstein", 3)
     # Explicit overflows and backstops without a root, among successes.
-    assert_engines_agree(_exploding_model(3), g, (0.5, 3.0), "uniform", 0.5, step, 5, 3,
-                         11, "milstein", 4)
+    assert_engines_agree(*FAILING, 4)
 
 
 def test_error_that_is_not_a_trajectory_failure_is_raised_from_its_index():
@@ -208,11 +212,92 @@ def test_a_step_rounding_onto_a_switch_ends_its_piece():
     assert decision.reason is s.StepReason.NORM_CONTROLLED and decision.t_next == tau
     model = s.linear_model(s.LinearModelParams(mu=(0.0, -1.0), sigma=(0.0, 0.5)))
     chains = [s.MarkovPath(1, (tau,), (2,), 0.5), s.MarkovPath(1, (0.3,), (2,), 0.5)]
-    y, n_steps, n_backstop, lane_errors = schemes.solve_terminals(
+    y, n_steps, n_backstop, failed = schemes.solve_terminals(
         model, chains, [np.random.default_rng(j) for j in range(2)], [0.5, 0.5], 0.5, p)
-    assert lane_errors == [None, None]
+    assert not failed.any()
     for j, chain in enumerate(chains):
         path = s.BrownianPath(np.random.default_rng(j))
         y_ref, steps_ref, backstops_ref = s.solve_terminal(model, chain, path, 0.5, 0.5, p)
         assert float(y[j]).hex() == y_ref.hex()
         assert (n_steps[j], n_backstop[j]) == (steps_ref, backstops_ref)
+
+
+def test_fast_switching_telomere_study_agrees():
+    fast = [[-90.0 if i == j else 30.0 for j in range(4)] for i in range(4)]
+    g = s.validate_generator(fast)
+    initial, T, runs, seed = (4000.0, 8000.0), 0.25, 2, 5
+    x0, y, n_steps, n_backstop, failed = assert_engines_agree(
+        s.telomere_model(s.TelomereParams()), g, initial, "uniform", T,
+        s.StepParams(0.03, 15.0, 10.0), 8, runs, seed, "milstein", harness.LANE_GROUP)
+    assert not failed.any()
+    switches = sum(harness.trajectory_chain(g, "uniform", T, seed, idx).num_switches
+                   for idx in range(len(y)))
+    assert switches > 0 and n_backstop.sum() > 0  # both clamps are exercised
+
+
+@pytest.mark.parametrize("h_max, rho, T", [
+    (0.1, 15.0, 0.5), (0.01, 3.0, 0.2), (0.01, 100.0, 0.5), (0.3, 15.0, 0.2)])
+def test_floored_walks_stay_within_their_step_cap(h_max, rho, T):
+    # Every step floors at h_min, and a rounded landing fl(t + h_min) can fall
+    # short of t + h_min, so some walks take more than T / h_min + switches steps.
+    g = s.validate_generator([[-3.0, 3.0], [3.0, -3.0]])
+    zero = s.linear_model(s.LinearModelParams(mu=(0.0, 0.0), sigma=(0.0, 0.0)))
+    result = assert_engines_agree(zero, g, 1e20, "uniform", T, s.StepParams(h_max, rho, 10.0),
+                                  3, 2, 5, "milstein", 4)
+    assert not result[4].any()
+
+
+def test_norms_whose_power_overflows_agree():
+    # k = 0.5: |Y|^2 is beyond the float range near 1e200, so those steps floor.
+    g = s.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
+    model = s.linear_model(s.LinearModelParams(mu=(-0.5, 0.1), sigma=(0.5, 0.2)))
+    result = assert_engines_agree(model, g, (5e199, 2e200), "uniform", 0.5,
+                                  s.StepParams(0.1, 15.0, 0.5), 3, 2, 3, "milstein", 4)
+    assert not result[4].any() and result[3].sum() > 0
+
+
+def _replayed_indices(monkeypatch, outcome=None):
+    """The index of each scalar replay the harness runs, in call order; with
+    ``outcome`` set, each replay returns it in place of walking."""
+    substream_calls, replayed = [], []
+    substream, solve = harness.substream_rng, harness.solve_terminal
+
+    def substream_spy(seed, index, stream):
+        substream_calls.append(index)
+        return substream(seed, index, stream)
+
+    def solve_spy(*args):
+        replayed.append(substream_calls[-1])  # the replay's fresh noise stream
+        return solve(*args) if outcome is None else outcome
+
+    monkeypatch.setattr(harness, "substream_rng", substream_spy)
+    monkeypatch.setattr(harness, "solve_terminal", solve_spy)
+    return replayed
+
+
+def test_each_failed_index_is_replayed_once(monkeypatch):
+    expected = [idx for idx, (_, outcome) in enumerate(_replay(*FAILING))
+                if isinstance(outcome, Exception)]
+    assert 0 < len(expected) < 15
+    replayed = _replayed_indices(monkeypatch)
+    monkeypatch.setattr(harness, "LANE_GROUP", 4)
+    harness._simulate_terminals(*FAILING)
+    assert replayed == expected
+
+
+def test_study_without_failures_replays_nothing(monkeypatch):
+    g = s.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
+    model = s.linear_model(s.LinearModelParams(mu=(-0.5, 0.1), sigma=(0.5, 0.2)))
+    replayed = _replayed_indices(monkeypatch)
+    failed = harness._simulate_terminals(model, g, (0.5, 3.0), "uniform", 0.5,
+                                         s.StepParams(0.03, 15.0, 10.0), 4, 3, 2, "milstein")[4]
+    assert not failed.any() and replayed == []
+
+
+def test_replay_that_succeeds_is_an_engine_disagreement(monkeypatch):
+    first = next(idx for idx, (_, outcome) in enumerate(_replay(*FAILING))
+                 if isinstance(outcome, Exception))
+    _replayed_indices(monkeypatch, outcome=(0.0, 1, 0))
+    with pytest.raises(RuntimeError, match=f"trajectory {first} failed") as exc:
+        harness._simulate_terminals(*FAILING)
+    assert not isinstance(exc.value, errors.SwitchSDEError)

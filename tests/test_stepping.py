@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,13 @@ class TestNextStep:
     def test_huge_norm_floors_at_h_min(self):
         # 1e20^(1/10) = 100, candidate 3e-4 < h_min = 2e-3
         d = s.next_step(1e20, 0.0, None, 1e9, P)
+        assert d.h == 0.002
+        assert d.use_backstop
+        assert d.reason is StepReason.FLOORED_AT_HMIN
+
+    def test_norm_whose_power_overflows_floors_at_h_min(self):
+        # k = 0.5: (1e200)^2 is beyond the float range, so the candidate is 0.
+        d = s.next_step(1e200, 0.0, None, 1e9, s.StepParams(0.03, 15.0, 0.5))
         assert d.h == 0.002
         assert d.use_backstop
         assert d.reason is StepReason.FLOORED_AT_HMIN
@@ -122,7 +130,7 @@ def test_step_monotone_in_norm(y1, y2):
 
 class TestBuildMeshBound:
     def test_telomere_scale(self):
-        assert s.build_mesh_bound(30.0, P, 9) == (1000, 15009)
+        assert s.build_mesh_bound(30.0, P, 9) == (1000, 15010)
 
     def test_zero_horizon(self):
         assert s.build_mesh_bound(0.0, P, 3) == (0, 3)
@@ -131,13 +139,27 @@ class TestBuildMeshBound:
         p = s.StepParams(h_max=1.0, rho=2.0, k=1.0)
         n_min, n_max = s.build_mesh_bound(1.0, p, 0)
         assert n_min == 1
-        assert n_max == 2
+        assert n_max == 3  # 1 / (0.5 - ulp(1)/2) is just above 2
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(errors.InvalidParamsError):
             s.build_mesh_bound(-1.0, P, 0)
         with pytest.raises(errors.InvalidParamsError):
             s.build_mesh_bound(1.0, P, -1)
+
+    def test_step_that_can_round_to_nothing_rejected(self):
+        # h_min = 1e-11 is below ulp(1e6) / 2 = 5.8e-11: t + h_min can round to t.
+        with pytest.raises(errors.InvalidParamsError, match="half an ulp"):
+            s.build_mesh_bound(1e6, s.StepParams(h_max=1e-3, rho=1e8, k=1.0), 0)
+
+    def test_caps_a_walk_of_rounded_floored_steps(self):
+        # 0.5 / h_min = 75, but 75 rounded landings t + h_min end short of 0.5.
+        p = s.StepParams(0.1, 15.0, 10.0)
+        zero = s.linear_model(s.LinearModelParams(mu=(0.0,), sigma=(0.0,)))
+        chain = s.MarkovPath(1, (), (), 0.5)
+        tr = s.solve_trajectory(zero, chain, s.BrownianPath(np.random.default_rng(0)),
+                                1e20, 0.5, p)
+        assert tr.n_steps == 76 == s.build_mesh_bound(0.5, p, 0)[1]
 
     @pytest.mark.parametrize("t, p", [
         (30.0, s.StepParams(h_max=0.03, rho=1e308, k=10.0)),  # 30 / 3e-310 overflows
