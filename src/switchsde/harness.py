@@ -130,7 +130,13 @@ def _summarize(values: np.ndarray, backstop_fraction: float,
     values = np.asarray(values, dtype=float)
     mean = float(np.mean(values))
     if len(values) > 1:
-        std = float(np.std(values, ddof=1))
+        with np.errstate(over="ignore"):
+            std = float(np.std(values, ddof=1))
+        if math.isinf(std):
+            # The squares passed the float range (an infinite value would give
+            # NaN): take the spread of the values scaled into [-1, 1] instead.
+            scale = float(np.max(np.abs(values)))
+            std = float(np.std(values / scale, ddof=1)) * scale
         se = std / math.sqrt(len(values))
     else:
         std = 0.0

@@ -2,6 +2,8 @@
 
 A model supplies per-state drift f(x, i), diffusion g(x, i) and the diffusion
 x-derivative g'(x, i) (needed by Milstein-type schemes).  States are 1-based.
+It also has a lane form, the three coefficients over arrays of values and
+states at once, which the lane-batched walk calls once per step.
 
 Two concrete families are provided:
 
@@ -17,14 +19,19 @@ Two concrete families are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .ctmc import MarkovPath, segments
 from .errors import InvalidParamsError, StateIndexError
 from .noise import BrownianPath
 
 Coefficient = Callable[[float, int], float]
+# (x, states, derivative) -> (f, g, g'), with g' None unless ``derivative``.
+LaneCoefficients = Callable[[np.ndarray, np.ndarray, bool],
+                            tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
 # Parameter estimates for the telomere model (base pairs / day and
 # 1 / (bp^2 day)); paired in the order ((c1,a1), (c1,a2), (c2,a1), (c2,a2)).
@@ -38,12 +45,41 @@ class RegimeModel:
 
     All three callables are pure functions of (x, state); the instance is
     immutable and safe to share across threads.
+
+    ``lanes(x, states, derivative)`` is the lane form: for a float array ``x``
+    and an integer array ``states`` it returns the arrays ``(f, g, g')``, each
+    entry bitwise equal to the scalar callable at ``(x[j], states[j])``, with
+    ``g'`` left as None unless ``derivative`` is true.  It raises what the
+    scalar callables raise for the first lane that raises; floating-point
+    warnings follow numpy's error state.  Without one, a lane form is derived
+    from the scalar callables: it maps each over the lanes, drift first, and
+    calls ``diffusion_derivative`` only when asked for g'.
     """
 
     num_states: int
     drift: Coefficient
     diffusion: Coefficient
     diffusion_derivative: Coefficient
+    lanes: LaneCoefficients | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.lanes is None:
+            object.__setattr__(self, "lanes", _mapped_lanes(
+                self.drift, self.diffusion, self.diffusion_derivative))
+
+
+def _mapped_lanes(drift: Coefficient, diffusion: Coefficient,
+                  diffusion_derivative: Coefficient) -> LaneCoefficients:
+    """The lane form that calls the scalar callables lane by lane."""
+    def lanes(x, states, derivative):
+        xs, ss = x.tolist(), states.tolist()
+        f = np.array(list(map(drift, xs, ss)), dtype=float)
+        g = np.array(list(map(diffusion, xs, ss)), dtype=float)
+        if not derivative:
+            return f, g, None
+        return f, g, np.array(list(map(diffusion_derivative, xs, ss)), dtype=float)
+
+    return lanes
 
 
 @dataclass(frozen=True)
@@ -93,6 +129,15 @@ def _check_state(i: int, n: int) -> int:
     return i - 1
 
 
+def _check_states(states: np.ndarray, n: int) -> np.ndarray:
+    """Row of each lane's state in the per-state tables; raises as
+    :func:`_check_state` does for the first lane outside 1..n."""
+    rows = states - 1
+    if not (0 <= rows.min(initial=0) and rows.max(initial=0) < n):
+        _check_state(int(states[(rows < 0) | (rows >= n)][0]), n)
+    return rows
+
+
 def telomere_regime_model(pairs) -> RegimeModel:
     """Telomere model over an explicit list of (c, a) state pairs.
 
@@ -127,8 +172,23 @@ def telomere_regime_model(pairs) -> RegimeModel:
             return 0.0
         return 0.5 * math.sqrt(3.0 * as_[k] * x)
 
+    c_table, a_table = np.array(cs), np.array(as_)
+    a3_table = 3.0 * a_table  # the scalar 3.0 * a * x multiplies 3.0 * a first
+
+    def lanes(x, states, derivative):
+        rows = _check_states(states, n)
+        ax2 = a_table[rows] * x * x
+        f = -(c_table[rows] + ax2)
+        positive = ~(x <= 0.0)  # NaN takes the square root, as in the scalars
+        g = np.sqrt(ax2 * x / 3.0, out=np.zeros(x.shape), where=positive)
+        if not derivative:
+            return f, g, None
+        dg = np.sqrt(a3_table[rows] * x, out=np.zeros(x.shape), where=positive)
+        dg *= 0.5
+        return f, g, dg
+
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
-                       diffusion_derivative=diffusion_derivative)
+                       diffusion_derivative=diffusion_derivative, lanes=lanes)
 
 
 def telomere_model(p: TelomereParams) -> RegimeModel:
@@ -151,8 +211,15 @@ def linear_model(p: LinearModelParams) -> RegimeModel:
     def diffusion_derivative(x: float, i: int) -> float:
         return sigma[_check_state(i, n)]
 
+    mu_table, sigma_table = np.array(mu), np.array(sigma)
+
+    def lanes(x, states, derivative):
+        rows = _check_states(states, n)
+        s = sigma_table[rows]
+        return mu_table[rows] * x, s * x, s if derivative else None
+
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
-                       diffusion_derivative=diffusion_derivative)
+                       diffusion_derivative=diffusion_derivative, lanes=lanes)
 
 
 def exact_linear_solution(p: LinearModelParams, x0: float, chain: MarkovPath,

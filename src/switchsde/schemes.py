@@ -192,7 +192,7 @@ _MAIN_MAPS = {"em": em_map, "milstein": milstein_map}
 # Each repeats its scalar map's operations in the same order, so every lane is
 # bitwise equal to the scalar map (the scalar maps keep their own expressions:
 # a shared helper would cost the scalar walk a call per step).
-def _em_values(x, h, dW, f, g):
+def _em_values(x, h, dW, f, g, dg):
     return x + h * f + g * dW
 
 
@@ -200,9 +200,8 @@ def _milstein_values(x, h, dW, f, g, dg):
     return x + h * f + g * dW + 0.5 * dg * g * (dW * dW - h)
 
 
-# Main map -> (its lane form, the model coefficients it reads, in order).
-_LANE_MAPS = {"em": (_em_values, ("drift", "diffusion")),
-              "milstein": (_milstein_values, ("drift", "diffusion", "diffusion_derivative"))}
+# Main map -> (its lane form, whether it reads g').
+_LANE_MAPS = {"em": (_em_values, False), "milstein": (_milstein_values, True)}
 
 
 def _check_walk(main: str, T: float) -> None:
@@ -280,19 +279,19 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
     the same mesh, the same normal draws, the same arithmetic and the same
     model calls.  Every iteration takes one step of each unfinished lane.  The
     step rule, the noise and the main map run as array operations; the main
-    map's coefficients come from the model's scalar callables, and backstop
-    steps run :func:`implicit_milstein_map` one lane at a time.
+    map's coefficients come from one call of the model's lane form
+    (:attr:`RegimeModel.lanes`) over the lanes that step explicitly, and
+    backstop steps run :func:`implicit_milstein_map` one lane at a time.
 
     Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``.  A lane
     fails where its scalar walk raises: its start is NaN, a value is not
     finite (a backstop without a root leaves NaN), or it passes its step cap.
     It has ``y`` NaN and zero counts; its scalar walk says which error ended
-    it.  An exception that is not a :class:`SwitchSDEError` (from a model
-    callable, say) ends the whole walk.
+    it.  An exception from the lane form, or one that is not a
+    :class:`SwitchSDEError` from a backstop step, ends the whole walk.
     """
     _check_walk(main, T)
-    value, names = _LANE_MAPS[main]
-    coefficients = [getattr(m, name) for name in names]
+    value, derivative = _LANE_MAPS[main]
     h_max, h_min, inv_k = p.h_max, p.h_min, 1.0 / p.k
     n = len(chains)
     limit = np.array([build_mesh_bound(T, p, c.num_switches)[1] for c in chains], dtype=float)
@@ -342,19 +341,20 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
             np.maximum(h, h_min, out=h)
             gap = bound - t
             clamp = gap <= h
-            backstop = np.where(clamp, gap, h) <= h_min
-            t_next = np.where(clamp, bound, t + h)
+            t_next = t + h
+            np.copyto(h, gap, where=clamp)
+            np.copyto(t_next, bound, where=clamp)
+            backstop = h <= h_min
             dt = t_next - t  # the realised spacing drives the map and the noise
             w_next = w + np.sqrt(dt) * z[:, col]
             col += 1
             dw = w_next - w
 
-            some_backstop = backstop.any()
+            some_backstop = np.count_nonzero(backstop)
             explicit = np.flatnonzero(~backstop) if some_backstop else slice(None)
             x = y[explicit]
             y_next = value(x, dt[explicit], dw[explicit],
-                           *(np.array(list(map(c, x.tolist(), state[explicit].tolist())),
-                                      dtype=float) for c in coefficients))
+                           *m.lanes(x, state[explicit], derivative))
             if some_backstop:
                 y_e, y_next = y_next, np.empty_like(y)
                 y_next[explicit] = y_e
@@ -372,7 +372,7 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
                 lost |= limit[lane] < n_steps
             leaving = lost
             arrived = t >= bound
-            if arrived.any():
+            if np.count_nonzero(arrived):
                 done = (t >= T) & ~lost
                 y_out[lane[done]] = y[done]
                 steps_out[lane[done]] = n_steps
@@ -382,7 +382,7 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
                 piece[move] += 1
                 bound[move] = ends[lane[move], piece[move]]
                 state[move] = states[lane[move], piece[move]]
-            if leaving.any():
+            if np.count_nonzero(leaving):
                 failed[lane[lost]] = True
                 keep = ~leaving
                 lane, t, y, w, piece, bound, state, backstops, z = (

@@ -1,6 +1,7 @@
 """Monte Carlo engine: ensembles, convergence studies, mean-change runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,3 +254,28 @@ def test_trajectory_streams_are_index_addressable():
     c = substream_rng(42, 4, 1).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_spread_of_values_whose_squares_overflow_is_finite():
+    """Terminal values near 1e200 have squared deviations beyond the float
+    range; the standard deviation is still the finite spread, without a
+    warning."""
+    g = s.validate_generator([[0.0]])
+    model = s.linear_model(s.LinearModelParams(mu=(-0.5,), sigma=(0.5,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = s.run_ensemble(model, g, 1e200, 1, 1.0, s.StepParams(0.03, 15.0, 0.5),
+                                 M=5, seed=0)
+    values = summary.terminal_values
+    with np.errstate(over="ignore"):
+        assert np.isfinite(values).all() and np.std(values, ddof=1) == math.inf
+    assert math.isfinite(summary.std_dev) and summary.std_dev > 0.0
+    scaled = values / 1e200
+    assert summary.std_dev == pytest.approx(np.std(scaled, ddof=1) * 1e200, rel=1e-14)
+    assert summary.standard_error == summary.std_dev / math.sqrt(5)
+
+
+def test_ordinary_spread_is_numpys_std():
+    values = np.random.default_rng(3).normal(1000.0, 50.0, 200)
+    summary = harness._summarize(values, 0.0, 0)
+    assert summary.std_dev.hex() == float(np.std(values, ddof=1)).hex()

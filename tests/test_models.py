@@ -1,12 +1,15 @@
 """Model coefficients, derivative consistency, and the exact linear oracle."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import errors
+from switchsde import errors, schemes
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,118 @@ class TestTelomereRegimeModel:
         m = s.telomere_regime_model([(4.5, 0.0)])
         assert m.diffusion(1000.0, 1) == 0.0
         assert m.drift(1000.0, 1) == -4.5
+
+
+# Zeros of both signs, negatives, subnormals, huge values and non-finite ones.
+SPECIAL_X = [0.0, -0.0, -1.0, -3.5e3, 5e-324, -5e-324, 1e-310, 1e200, -1e200,
+             math.nan, math.inf, -math.inf]
+
+
+def _counting_model():
+    """A model outside the two families, with per-coefficient call counts."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def coefficient(x, i):
+            calls[name] += 1
+            return fn(x, i)
+        return coefficient
+
+    model = s.RegimeModel(
+        num_states=2,
+        drift=counted("drift", lambda x, i: -0.5 * i * x - x * x * x),
+        diffusion=counted("diffusion", lambda x, i: 0.2 * i * x),
+        diffusion_derivative=counted("diffusion_derivative", lambda x, i: 0.2 * i))
+    return model, calls
+
+
+@st.composite
+def regime_models(draw):
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["telomere", "linear", "custom"]))
+    if kind == "telomere":
+        pairs = draw(st.lists(st.tuples(st.floats(1e-3, 1e3),
+                                        st.one_of(st.just(0.0), st.floats(0.0, 1e-3))),
+                              min_size=n, max_size=n))
+        return s.telomere_regime_model(pairs)
+    if kind == "linear":
+        coefficients = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+        return s.linear_model(s.LinearModelParams(mu=tuple(draw(coefficients)),
+                                                  sigma=tuple(draw(coefficients))))
+    return _counting_model()[0]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestLaneForm:
+    @settings(max_examples=150, deadline=None)
+    @given(regime_models(),
+           st.lists(st.one_of(st.sampled_from(SPECIAL_X), st.floats(-1e4, 1e4), st.floats()),
+                    min_size=1, max_size=10))
+    def test_equals_the_scalar_callables_in_every_state(self, model, xs):
+        n = model.num_states
+        x = np.tile(np.array(xs), n)
+        states = np.repeat(np.arange(1, n + 1), len(xs))
+        with np.errstate(all="ignore"):  # the scalar forms overflow silently
+            f, g, dg = model.lanes(x, states, True)
+            f_em, g_em, none = model.lanes(x, states, False)
+        pairs = list(zip(x.tolist(), states.tolist()))
+        assert _hex(f) == _hex(f_em) == [model.drift(*p).hex() for p in pairs]
+        assert _hex(g) == _hex(g_em) == [model.diffusion(*p).hex() for p in pairs]
+        assert _hex(dg) == [model.diffusion_derivative(*p).hex() for p in pairs]
+        assert none is None
+
+    @pytest.mark.parametrize("model", [
+        s.telomere_model(s.TelomereParams()),
+        s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))])
+    def test_state_outside_the_model_raises_as_the_scalars_do(self, model):
+        n = model.num_states
+        for bad in (0, -1, n + 1):
+            with pytest.raises(errors.StateIndexError) as scalar:
+                model.drift(1.0, bad)
+            for states in ([1, bad, 1], [1, bad, n + 7]):  # the first lane outside
+                with pytest.raises(errors.StateIndexError) as lanes:
+                    model.lanes(np.ones(3), np.array(states), True)
+                assert str(lanes.value) == str(scalar.value)
+
+    def test_no_lanes(self):
+        for model in (s.telomere_model(s.TelomereParams()), _counting_model()[0]):
+            f, g, dg = model.lanes(np.empty(0), np.empty(0, dtype=np.int64), True)
+            assert f.shape == g.shape == dg.shape == (0,)
+
+    def test_derived_form_reads_only_what_is_asked(self):
+        model, calls = _counting_model()
+        model.lanes(np.array([0.5, 2.0, -1.0]), np.array([1, 2, 2]), False)
+        assert calls == {"drift": 3, "diffusion": 3}
+        model.lanes(np.array([0.5, 2.0, -1.0]), np.array([1, 2, 2]), True)
+        assert calls == {"drift": 6, "diffusion": 6, "diffusion_derivative": 3}
+
+    @pytest.mark.parametrize("main", ["em", "milstein"])
+    def test_derived_form_calls_in_the_engine_match_the_scalar_walk(self, main):
+        model, calls = _counting_model()
+        g = s.validate_generator([[-3.0, 3.0], [3.0, -3.0]])
+        p = s.StepParams(0.03, 15.0, 10.0)
+        chains = [s.simulate_chain(g, 1 + j % 2, 0.5, np.random.default_rng(j))
+                  for j in range(4)]
+        x0 = [0.4, 1.0, 1.6, 2.2]
+        y, _, n_backstop, failed = schemes.solve_terminals(
+            model, chains, [np.random.default_rng(10 + j) for j in range(4)], x0, 0.5, p,
+            main)
+        lane_calls = dict(calls)
+        calls.clear()
+        for j, chain in enumerate(chains):
+            path = s.BrownianPath(np.random.default_rng(10 + j))
+            assert s.solve_terminal(model, chain, path, x0[j], 0.5, p, main)[0] == y[j]
+        assert not failed.any() and lane_calls == calls
+        if main == "em":  # g' is read by the backstop steps alone, once each
+            assert calls["diffusion_derivative"] == n_backstop.sum() == 1
+
+    def test_equality_ignores_the_lane_form(self):
+        m = s.linear_model(s.LinearModelParams(mu=(0.1,), sigma=(0.3,)))
+        derived = s.RegimeModel(m.num_states, m.drift, m.diffusion, m.diffusion_derivative)
+        assert derived == m and derived.lanes is not m.lanes
 
 
 class TestExactLinearSolution:

@@ -301,3 +301,32 @@ def test_replay_that_succeeds_is_an_engine_disagreement(monkeypatch):
     with pytest.raises(RuntimeError, match=f"trajectory {first} failed") as exc:
         harness._simulate_terminals(*FAILING)
     assert not isinstance(exc.value, errors.SwitchSDEError)
+
+
+@pytest.mark.parametrize("scheme", ["milstein", "em"])
+def test_telomere_lanes_that_cross_zero_agree(scheme):
+    # A drift of about -5 bp/day takes initials below 2.5 bp under zero within
+    # half a day, where the diffusion and its derivative are extended by zero.
+    g = s.validate_generator([[-4.0, 4.0], [4.0, -4.0]])
+    model = s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)])
+    x0, y, n_steps, n_backstop, failed = assert_engines_agree(
+        model, g, (0.1, 4.0), "uniform", 0.5, s.StepParams(0.03, 15.0, 10.0), 6, 2, 9,
+        scheme, 5)
+    assert not failed.any() and (x0 > 0.0).all()
+    assert (y < 0.0).sum() >= 4 and (y > 0.0).any()
+
+
+@pytest.mark.parametrize("model", [
+    s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4))),
+    s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)])])
+@pytest.mark.parametrize("chain", [s.MarkovPath(1, (0.2,), (3,), 0.5),
+                                   s.MarkovPath(3, (), (), 0.5)])
+def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
+    p = s.StepParams(0.03, 15.0, 10.0)
+    chains = [s.MarkovPath(2, (0.1,), (1,), 0.5), chain]
+    with pytest.raises(errors.StateIndexError) as scalar:
+        s.solve_terminal(model, chain, s.BrownianPath(np.random.default_rng(1)), 1.0, 0.5, p)
+    with pytest.raises(errors.StateIndexError) as lanes:
+        schemes.solve_terminals(model, chains, [np.random.default_rng(j) for j in range(2)],
+                                [1.0, 1.0], 0.5, p)
+    assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
