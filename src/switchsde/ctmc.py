@@ -31,6 +31,7 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-12
+CHAIN_BLOCK = 64  # uniforms a chain draws at a time
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,15 @@ def transition_pmf(g: GeneratorMatrix, i: int) -> np.ndarray:
     return p
 
 
+def _uniforms(rng: np.random.Generator):
+    """The generator's uniforms u in draw order, each with ``math.log1p(-u)``
+    (numpy's log1p can differ in the last ulp), drawn ``CHAIN_BLOCK`` at a time:
+    a block draw equals as many single draws, bit for bit."""
+    while True:
+        u = rng.random(CHAIN_BLOCK)
+        yield from zip(u.tolist(), map(math.log1p, (-u).tolist()))
+
+
 def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
                    rng: np.random.Generator) -> MarkovPath:
     """Sample one chain trajectory on [0, horizon] starting from r0.
@@ -152,7 +162,9 @@ def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
     Holding times use inverse-CDF exponential sampling on uniform draws;
     destinations use inverse-CDF sampling of the transition pmf.  Generation
     stops at the first holding time crossing the horizon; a switch landing
-    exactly on the horizon is kept.  Deterministic given the generator state.
+    exactly on the horizon is kept.  Deterministic given the generator state;
+    the uniforms are drawn in blocks, so the generator ends up to a block past
+    the last uniform used.
     """
     if not 0.0 < horizon < math.inf:
         raise InvalidParamsError(f"horizon must be positive and finite, got {horizon}")
@@ -163,18 +175,19 @@ def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
     states: list[int] = []
     t = 0.0
     s = r0
+    draws = _uniforms(rng)
     while True:
         lam, cum, dests = g.jumps[s - 1]
         if lam <= 0.0:
             break
-        dt = -math.log1p(-rng.random()) / lam
+        dt = -next(draws)[1] / lam
         while dt <= 0.0:  # a uniform draw of exactly 0 would stall the clock
-            dt = -math.log1p(-rng.random()) / lam
+            dt = -next(draws)[1] / lam
         t = t + dt
         if t > horizon:
             break
         # a draw above cum[-1] (by rounding) goes to the last destination
-        s = dests[min(bisect_right(cum, rng.random()), len(dests) - 1)]
+        s = dests[min(bisect_right(cum, next(draws)[0]), len(dests) - 1)]
         times.append(t)
         states.append(s)
     return MarkovPath(initial_state=r0, switch_times=tuple(times),

@@ -24,13 +24,17 @@ one shared Brownian path.
 Seeding: every trajectory gets independent chain / noise / auxiliary random
 streams derived from the master seed and the trajectory index through
 ``numpy.random.SeedSequence`` spawn keys, so results do not depend on
-execution order and are reproducible bit for bit.
+execution order and are reproducible bit for bit.  :func:`substream_rngs`
+derives one stream of many indices at once: it runs SeedSequence's hash as
+array arithmetic and gives each generator the state SeedSequence would.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +57,10 @@ from .stepping import StepParams, build_mesh_bound
 logger = logging.getLogger(__name__)
 
 BACKSTOP_WARN_FRACTION = 0.05
-# Trajectories the batched walk steps together.  Groups bound a study's memory
-# (each lane holds its chain and a block of normals) at any study size.
-LANE_GROUP = 256
+# Trajectories the batched walk steps together, and whose substreams a study
+# derives together.  Groups bound a study's memory (each lane holds its chain,
+# its generators and a block of normals) at any study size.
+LANE_GROUP = 1024
 
 _TRAJECTORY_FAILURES = (NonfiniteResultError, RootNotFoundError, StepBudgetExceededError)
 
@@ -66,9 +71,121 @@ AUX_STREAM = 2
 INITIAL_STREAM = 3
 
 
+# numpy.random.SeedSequence's hash constants, for its default pool of 4 words.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of an integer, low first, as SeedSequence splits it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _column(words: list[int]):
+    """One word position of a group's entropy: a Python int where every row
+    has the same word, else a uint32 array of the rows' words."""
+    return words[0] if len(set(words)) == 1 else np.array(words, dtype=np.uint32)
+
+
+def _pcg64_states(entropy: list, n: int) -> np.ndarray:
+    """``SeedSequence.generate_state(4, uint64)`` of ``n`` entropy sequences,
+    as an (n, 4) array.  ``entropy`` holds the assembled words in order: each
+    a Python int that all n share, or a uint32 array with one word per row.
+
+    The hash constant advances with each hash, not with the data, so the rows
+    share its sequence and each word position is one array operation (a
+    shared word stays a Python int).  Uint32 arrays wrap modulo 2**32
+    silently, and the masks keep Python ints to 32 bits.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const = _INIT_B
+    state = np.empty((n, 2 * _POOL), dtype=np.uint32)
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const & _MASK32
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)  # little-endian word pairs
+
+
+@functools.cache
+def _preset_state():
+    """The seed sequence that hands a bit generator the state words computed
+    for it.  Made on first use: importing the package does not import
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetState(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return PresetState
+
+
+def substream_rngs(seed: int, indices, stream: int) -> list[np.random.Generator]:
+    """Generator of (trajectory index, substream) for each of ``indices``, in
+    order: the generator ``numpy.random.default_rng(numpy.random.SeedSequence(
+    seed, spawn_key=(index, stream)))``, with the same state and draws.
+
+    The entropy is the seed's words, zero-padded to the pool size, then the
+    index's and the stream's; indices are hashed together in groups of one
+    word count (an index of 2**32 or more takes more than one word)."""
+    head = _words(operator.index(seed))
+    head += [0] * (_POOL - len(head))
+    tail = _words(stream)
+    indices = [operator.index(i) for i in indices]
+    if min(indices, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    counts = [max(1, -(-i.bit_length() // 32)) for i in indices]
+    rngs = [None] * len(indices)
+    preset = _preset_state()
+    for count in set(counts):
+        where = [pos for pos, c in enumerate(counts) if c == count]
+        index = [indices[pos] for pos in where]
+        words = [_column([(i >> 32 * k) & _MASK32 for i in index]) for k in range(count)]
+        for pos, state in zip(where, _pcg64_states(head + words + tail, len(where))):
+            rngs[pos] = np.random.Generator(np.random.PCG64(preset(state)))
+    return rngs
+
+
 def substream_rng(seed: int, index: int, stream: int) -> np.random.Generator:
     """Independent generator for (trajectory index, substream)."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stream)))
+    return substream_rngs(seed, [index], stream)[0]
 
 
 @dataclass(frozen=True)
@@ -128,13 +245,17 @@ def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _summarize(values: np.ndarray, backstop_fraction: float,
                failed_count: int) -> EnsembleSummary:
     values = np.asarray(values, dtype=float)
-    mean = float(np.mean(values))
+    # Where a sum or the squares pass the float range (an infinite value would
+    # give NaN), the statistic is taken of the values scaled into [-1, 1].
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(values))
+    if math.isinf(mean):
+        scale = float(np.max(np.abs(values)))
+        mean = float(np.mean(values / scale)) * scale
     if len(values) > 1:
         with np.errstate(over="ignore"):
             std = float(np.std(values, ddof=1))
         if math.isinf(std):
-            # The squares passed the float range (an infinite value would give
-            # NaN): take the spread of the values scaled into [-1, 1] instead.
             scale = float(np.max(np.abs(values)))
             std = float(np.std(values / scale, ddof=1)) * scale
         se = std / math.sqrt(len(values))
@@ -207,27 +328,36 @@ def check_mean_change_args(model: RegimeModel, g: GeneratorMatrix, lo: float, hi
     build_mesh_bound(t_end_day - t_start_day, p, 0)
 
 
-def _draw_initial(initial, seed: int, j: int) -> float:
-    """Initial value of outer index ``j``: fixed, or uniform on ``(lo, hi)``."""
+def _draw_initials(initial, seed: int, outer) -> np.ndarray:
+    """Initial values of the outer indices ``outer``: fixed, or uniform on
+    ``(lo, hi)`` from each outer index's initial stream."""
     if isinstance(initial, (tuple, list)):
         lo, hi = float(initial[0]), float(initial[1])
-        return float(substream_rng(seed, j, INITIAL_STREAM).uniform(lo, hi))
-    return float(initial)
+        return np.array([rng.uniform(lo, hi)
+                         for rng in substream_rngs(seed, outer, INITIAL_STREAM)])
+    return np.full(len(outer), float(initial))
+
+
+def _draw_initial(initial, seed: int, j: int) -> float:
+    """Initial value of outer index ``j``."""
+    return float(_draw_initials(initial, seed, [j])[0])
+
+
+def _trajectory_chains(g: GeneratorMatrix, r0, T: float, seed: int, indices) -> list:
+    """Chains of the trajectories ``indices``; a ``'uniform'`` r0 is drawn from
+    each trajectory's auxiliary stream."""
+    if r0 == "uniform":
+        starts = [1 + int(rng.integers(g.num_states))
+                  for rng in substream_rngs(seed, indices, AUX_STREAM)]
+    else:
+        starts = [int(r0)] * len(indices)
+    return [simulate_chain(g, start, T, rng)
+            for start, rng in zip(starts, substream_rngs(seed, indices, CHAIN_STREAM))]
 
 
 def trajectory_chain(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
-    """Chain of trajectory ``index``; a ``'uniform'`` r0 is drawn from the
-    trajectory's auxiliary stream."""
-    r0 = (1 + int(substream_rng(seed, index, AUX_STREAM).integers(g.num_states))
-          if r0 == "uniform" else int(r0))
-    return simulate_chain(g, r0, T, substream_rng(seed, index, CHAIN_STREAM))
-
-
-def _trajectory_inputs(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
-    """Chain and noise generator of trajectory ``index``, derived in that order;
-    the generator drives the trajectory's Brownian path."""
-    return (trajectory_chain(g, r0, T, seed, index),
-            substream_rng(seed, index, NOISE_STREAM))
+    """Chain of trajectory ``index``."""
+    return _trajectory_chains(g, r0, T, seed, [index])[0]
 
 
 def _backstop_fraction(n_steps: np.ndarray, n_backstop: np.ndarray) -> float:
@@ -258,19 +388,17 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
     n_backstop = np.zeros(total, dtype=np.int64)
     failed = np.zeros(total, dtype=bool)
     for first in range(0, total, LANE_GROUP):
-        group = slice(first, min(first + LANE_GROUP, total))
-        chains, noise_rngs = [], []
-        for idx in range(group.start, group.stop):
-            j, r = divmod(idx, runs_per_initial)
-            if r == 0:
-                start = _draw_initial(initial, seed, j)
-            x0[idx] = start
-            chain, noise_rng = _trajectory_inputs(g, r0, T, seed, idx)
-            chains.append(chain)
-            noise_rngs.append(noise_rng)
-        y[group], n_steps[group], n_backstop[group], failed[group] = solve_terminals(
-            model, chains, noise_rngs, x0[group], T, p, scheme)
-        for lane in np.flatnonzero(failed[group]).tolist():
+        group = range(first, min(first + LANE_GROUP, total))
+        # The outer indices whose first run is in the group set all their runs.
+        outer = range(-(-group.start // runs_per_initial), -(-group.stop // runs_per_initial))
+        x0[outer.start * runs_per_initial:outer.stop * runs_per_initial] = np.repeat(
+            _draw_initials(initial, seed, outer), runs_per_initial)
+        chains = _trajectory_chains(g, r0, T, seed, group)
+        lanes = slice(group.start, group.stop)
+        y[lanes], n_steps[lanes], n_backstop[lanes], failed[lanes] = solve_terminals(
+            model, chains, substream_rngs(seed, group, NOISE_STREAM), x0[lanes], T, p,
+            scheme)
+        for lane in np.flatnonzero(failed[lanes]).tolist():
             idx = first + lane
             path = BrownianPath(substream_rng(seed, idx, NOISE_STREAM))
             try:
@@ -290,9 +418,9 @@ def first_trajectory(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: flo
     """Trajectory 0 of :func:`run_ensemble` or :func:`mean_change_study` run
     with the same arguments (initial ``(lo, hi)`` for the latter), with every
     step record."""
-    x0 = _draw_initial(initial, seed, 0)
-    chain, noise_rng = _trajectory_inputs(g, r0, T, seed, 0)
-    return solve_trajectory(model, chain, BrownianPath(noise_rng), x0, T, p, scheme)
+    path = BrownianPath(substream_rng(seed, 0, NOISE_STREAM))
+    return solve_trajectory(model, trajectory_chain(g, r0, T, seed, 0), path,
+                            _draw_initial(initial, seed, 0), T, p, scheme)
 
 
 def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
@@ -317,13 +445,16 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
     model = linear_model(params)
     step_params = [StepParams(h_max=h, rho=rho, k=k) for h in grid]
     errors = np.empty((len(grid), M))
-    for i in range(M):
-        chain, noise_rng = _trajectory_inputs(g, r0, T, seed, i)
-        path = BrownianPath(noise_rng)
-        exact = exact_linear_solution(params, x0, chain, path, T)
-        for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
-            y, _, _ = solve_terminal(model, chain, path, x0, T, step_params[lvl], scheme)
-            errors[lvl, i] = y - exact
+    for first in range(0, M, LANE_GROUP):
+        samples = range(first, min(first + LANE_GROUP, M))
+        chains = _trajectory_chains(g, r0, T, seed, samples)
+        noise_rngs = substream_rngs(seed, samples, NOISE_STREAM)
+        for i, chain, noise_rng in zip(samples, chains, noise_rngs):
+            path = BrownianPath(noise_rng)
+            exact = exact_linear_solution(params, x0, chain, path, T)
+            for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
+                y, _, _ = solve_terminal(model, chain, path, x0, T, step_params[lvl], scheme)
+                errors[lvl, i] = y - exact
     rms = np.sqrt(np.mean(errors * errors, axis=1))
     slope = float(np.polyfit(np.log(grid), np.log(rms), 1)[0])
     if not math.isfinite(slope):

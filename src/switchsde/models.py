@@ -53,7 +53,8 @@ class RegimeModel:
     scalar callables raise for the first lane that raises; floating-point
     warnings follow numpy's error state.  Without one, a lane form is derived
     from the scalar callables: it maps each over the lanes, drift first, and
-    calls ``diffusion_derivative`` only when asked for g'.
+    calls ``diffusion_derivative`` only when asked for g'; ``lanes_from_scalars``
+    records that it was derived.
     """
 
     num_states: int
@@ -61,8 +62,10 @@ class RegimeModel:
     diffusion: Coefficient
     diffusion_derivative: Coefficient
     lanes: LaneCoefficients | None = field(default=None, repr=False, compare=False)
+    lanes_from_scalars: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "lanes_from_scalars", self.lanes is None)
         if self.lanes is None:
             object.__setattr__(self, "lanes", _mapped_lanes(
                 self.drift, self.diffusion, self.diffusion_derivative))

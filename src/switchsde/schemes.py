@@ -204,6 +204,46 @@ def _milstein_values(x, h, dW, f, g, dg):
 _LANE_MAPS = {"em": (_em_values, False), "milstein": (_milstein_values, True)}
 
 
+def _newton_values(m: RegimeModel, x, states, h, dW):
+    """The Newton iteration of :func:`implicit_milstein_map` on many lanes at
+    once, in the map's order of operations.  Returns each lane's last iterate
+    and a mask of the lanes whose iterate the map returns; the map takes every
+    other lane on to its bisection.  Each round takes the drift at y and at
+    y +- delta from one lane-form call."""
+    f, g, dg = m.lanes(x, states, True)
+    const = x + g * dW + 0.5 * dg * g * (dW * dW - h)
+    y = const + h * f  # explicit Milstein value
+    solved = np.zeros(x.size, dtype=bool)
+    live = np.flatnonzero(np.isfinite(y) & (h > 0.0))
+
+    def accept(lanes, r):  # NaN and inf residuals compare false
+        bound = RESIDUAL_REL_TOL * np.maximum(1.0, np.abs(y[lanes]))
+        solved[lanes[np.abs(r) <= bound]] = True
+
+    for _ in range(NEWTON_MAX_ITER):
+        if not live.size:
+            break
+        n, y_l, h_l = live.size, y[live], h[live]
+        delta = 1e-7 * np.maximum(1.0, np.abs(y_l))
+        f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)),
+                     np.tile(states[live], 3), False)[0]
+        r = y_l - const[live] - h_l * f3[:n]
+        done = np.abs(r) <= NEWTON_ABS_TOL
+        slope = 1.0 - h_l * (f3[n:2 * n] - f3[2 * n:]) / (2.0 * delta)
+        y_next = y_l - r / slope
+        stop = ~np.isfinite(r) | (~done & (
+            (slope == 0.0) | ~np.isfinite(slope) | ~np.isfinite(y_next) | (y_next == y_l)))
+        solved[live[done]] = True
+        accept(live[stop], r[stop])
+        move = ~(done | stop)
+        live = live[move]
+        y[live] = y_next[move]
+    if live.size:  # the lanes that spent the budget: their last iterate's residual
+        f = m.lanes(y[live], states[live], False)[0]
+        accept(live, y[live] - const[live] - h[live] * f)
+    return y, solved
+
+
 def _check_walk(main: str, T: float) -> None:
     if main not in _MAIN_MAPS:
         raise InvalidParamsError(f"unknown main map {main!r}; use 'em' or 'milstein'")
@@ -277,11 +317,16 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
     Lane ``j`` is the trajectory that :func:`solve_terminal` computes from
     ``chains[j]``, ``BrownianPath(noise_rngs[j])`` and ``x0[j]``, bit for bit:
     the same mesh, the same normal draws, the same arithmetic and the same
-    model calls.  Every iteration takes one step of each unfinished lane.  The
-    step rule, the noise and the main map run as array operations; the main
-    map's coefficients come from one call of the model's lane form
-    (:attr:`RegimeModel.lanes`) over the lanes that step explicitly, and
-    backstop steps run :func:`implicit_milstein_map` one lane at a time.
+    model calls where the lane form is derived from the scalar callables.
+    Every iteration takes one step of each unfinished lane.  The step rule,
+    the noise and the main map run as array operations; the main map's
+    coefficients come from one call of the model's lane form
+    (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  The
+    backstop steps run the Newton iteration of :func:`implicit_milstein_map`
+    together, through the model's own lane form; a lane that Newton does not
+    settle, or any backstop lane of a model without its own lane form, runs
+    :func:`implicit_milstein_map` alone, which redoes the Newton iteration and
+    goes on to the bisection.
 
     Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``.  A lane
     fails where its scalar walk raises: its start is NaN, a value is not
@@ -292,22 +337,26 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
     """
     _check_walk(main, T)
     value, derivative = _LANE_MAPS[main]
+    # A lane form derived from the scalar callables maps them lane by lane
+    # anyway, and it would read g where the scalar Newton reads f alone.
+    newton = not m.lanes_from_scalars
     h_max, h_min, inv_k = p.h_max, p.h_min, 1.0 / p.k
     n = len(chains)
-    limit = np.array([build_mesh_bound(T, p, c.num_switches)[1] for c in chains], dtype=float)
+    limit = build_mesh_bound(T, p, 0)[1] + np.array([c.num_switches for c in chains],
+                                                    dtype=float)
     lowest = limit.min(initial=math.inf)
     y_out = np.full(n, np.nan)
     steps_out = np.zeros(n, dtype=np.int64)
     backstops_out = np.zeros(n, dtype=np.int64)
 
     # Switch tables: the end and the state of each lane's constant-state
-    # pieces of [0, T], padded to the longest; a lane steps inside piece[j].
-    pieces = [list(segments(chain, 0.0, T)) for chain in chains]
-    width = max(map(len, pieces), default=1)
+    # pieces of [0, T] (at most one more than its switches), padded; a lane
+    # steps inside piece[j].
+    width = 1 + max((chain.num_switches for chain in chains), default=0)
     ends = np.full((n, width), T)
     states = np.ones((n, width), dtype=np.int64)
-    for j, lane_pieces in enumerate(pieces):
-        _, lane_ends, lane_states = zip(*lane_pieces)
+    for j, chain in enumerate(chains):
+        _, lane_ends, lane_states = zip(*segments(chain, 0.0, T))
         ends[j, :len(lane_ends)] = lane_ends
         states[j, :len(lane_states)] = lane_states
 
@@ -331,13 +380,13 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
                     noise_rngs[index].standard_normal(out=z[j])
                 col = 0
 
-            # The step rule of next_step: the norm candidate in Python floats
-            # (numpy's pow can differ in the last ulp), the floor, one clamp.
-            norms = np.abs(y).tolist()
-            try:
-                h = np.array([h_max / v ** inv_k if v > 1.0 else h_max for v in norms])
-            except OverflowError:  # a norm's power passes the float range: ask next_step
-                h = np.array([next_step(v, 0.0, None, math.inf, p).h for v in norms])
+            # The step rule of next_step: the norm candidate (float_power calls
+            # the libm pow that ** calls, where numpy's power can differ in the
+            # last ulp; a power past the float range gives h 0), the floor,
+            # one clamp.
+            norms = np.abs(y)
+            h = h_max / np.float_power(norms, inv_k, out=np.ones(lane.size),
+                                       where=norms > 1.0)
             np.maximum(h, h_min, out=h)
             gap = bound - t
             clamp = gap <= h
@@ -358,7 +407,12 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
             if some_backstop:
                 y_e, y_next = y_next, np.empty_like(y)
                 y_next[explicit] = y_e
-                for j in np.flatnonzero(backstop).tolist():
+                implicit = np.flatnonzero(backstop)
+                if newton:
+                    y_next[implicit], solved = _newton_values(
+                        m, y[implicit], state[implicit], dt[implicit], dw[implicit])
+                    implicit = implicit[~solved]
+                for j in implicit.tolist():
                     try:
                         y_next[j] = implicit_milstein_map(float(y[j]), int(state[j]),
                                                           float(dt[j]), float(dw[j]), m)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,18 @@ class TestExitCodes:
             "generator": [[0.0]], "initial": 1e200, "step": {"k": 0.5},
             "horizon": 1.0, "trajectories": 5})
         assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 0
+
+    def test_mean_of_values_near_the_float_range_is_finite(self, tmp_path):
+        # five values near 1e308 sum past the float range
+        config = write_config(tmp_path, {
+            "model": {"kind": "linear", "mu": [0.5], "sigma": [0.5]},
+            "generator": [[0.0]], "initial": 1e308, "step": {"k": 0.5},
+            "horizon": 0.01, "trajectories": 5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert 1e307 < summary["mean"] < math.inf and 0.0 < summary["sd"] < math.inf
 
     def test_values_below_histogram_resolution_exit_3(self, tmp_path, capsys):
         # every terminal value is 1e20, a range no bin width can resolve

@@ -1,7 +1,9 @@
 """Generator validation, chain simulation statistics, and path queries."""
 
+import hashlib
 import io
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import errors
+from switchsde import errors, harness
 from switchsde.ctmc import segments
 
 TELOMERE_GENERATOR = [
@@ -271,3 +273,89 @@ def test_chain_csv_roundtrip():
     assert text.startswith("# r0=3 T=30.0\ntau,state\n")
     restored = s.read_chain_csv(io.StringIO(text))
     assert restored == path
+
+
+CHAIN_SET_SHA256 = "b439dcbd2aee3ad89d2cf6bfdbb380235772cf47b9eb3f537e0fc7037bc94934"
+FAST_GENERATOR = [[-90.0 if i == j else 30.0 for j in range(4)] for i in range(4)]
+
+
+def _chain_set_digest():
+    """SHA-256 over the switch times (by ``.hex()``) and states of the chains
+    of 200 trajectory indices per seed, for the ensemble's and the
+    fast-switching workload's generators, from a fixed and a uniform r0."""
+    h = hashlib.sha256()
+    for rates, T in ((TELOMERE_GENERATOR, 30.0), (FAST_GENERATOR, 0.25)):
+        g = s.validate_generator(rates)
+        for r0 in (1, "uniform"):
+            for seed in (0, 7, 42, 2 ** 40 + 3):
+                for idx in range(200):
+                    path = harness.trajectory_chain(g, r0, T, seed, idx)
+                    h.update(f"{path.initial_state};".encode())
+                    h.update(",".join(t.hex() for t in path.switch_times).encode())
+                    h.update(f";{path.states};".encode())
+    return h.hexdigest()
+
+
+def test_chain_set_is_pinned():
+    # Recorded from the sequential-draw chain sampler; any change to the
+    # substream derivation or to the order in which a chain reads its
+    # uniforms changes the digest.
+    assert _chain_set_digest() == CHAIN_SET_SHA256
+
+
+class _PresetUniforms:
+    """A stand-in generator that hands out preset uniforms, in blocks or one
+    at a time, and records the block sizes asked for."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        n = 1 if size is None else size
+        out = self.values[self.drawn:self.drawn + n]
+        self.drawn += n
+        return out[0] if size is None else np.array(out)
+
+
+def _sequential_chain(g, r0, horizon, rng):
+    """The chain sampler that reads one uniform at a time."""
+    times, states, t, state = [], [], 0.0, r0
+    while True:
+        lam, cum, dests = g.jumps[state - 1]
+        if lam <= 0.0:
+            break
+        dt = -math.log1p(-rng.random()) / lam
+        while dt <= 0.0:
+            dt = -math.log1p(-rng.random()) / lam
+        t = t + dt
+        if t > horizon:
+            break
+        state = dests[min(bisect_right(cum, rng.random()), len(dests) - 1)]
+        times.append(t)
+        states.append(state)
+    return s.MarkovPath(r0, tuple(times), tuple(states), horizon)
+
+
+def test_a_uniform_of_exactly_zero_is_drawn_again():
+    g = s.validate_generator(TWO_STATE)
+    values = [0.0, 0.5, 0.7, 0.0, 0.0, 0.25, 0.1] + [0.999] * 60
+    path = s.simulate_chain(g, 1, 3.0, _PresetUniforms(values))
+    first = -math.log1p(-0.5) / 2.0
+    assert path.switch_times[:2] == (first, first - math.log1p(-0.25) / 1.0)
+    assert path.states[:2] == (2, 1)
+    assert path == _sequential_chain(g, 1, 3.0, _PresetUniforms(values))
+
+
+def test_a_chain_that_needs_several_blocks():
+    g = s.validate_generator(FAST_GENERATOR)
+    rng = _PresetUniforms(np.random.default_rng(11).random(1000))
+    path = s.simulate_chain(g, 2, 2.0, rng)
+    assert path.num_switches > 2 * s.ctmc.CHAIN_BLOCK  # two uniforms per switch
+    assert set(rng.sizes) == {s.ctmc.CHAIN_BLOCK} and len(rng.sizes) >= 5
+    assert path == _sequential_chain(g, 2, 2.0, _PresetUniforms(rng.values))
+    for seed in range(20):  # a block draw is the same uniforms as single draws
+        assert (s.simulate_chain(g, 1, 2.0, np.random.default_rng(seed))
+                == _sequential_chain(g, 1, 2.0, np.random.default_rng(seed)))

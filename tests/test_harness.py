@@ -8,7 +8,10 @@ import pytest
 
 import switchsde as s
 from switchsde import errors, harness
-from switchsde.harness import substream_rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from switchsde.harness import substream_rng, substream_rngs
 
 TELOMERE_GENERATOR = [
     [-0.3, 0.1, 0.1, 0.1],
@@ -279,3 +282,74 @@ def test_ordinary_spread_is_numpys_std():
     values = np.random.default_rng(3).normal(1000.0, 50.0, 200)
     summary = harness._summarize(values, 0.0, 0)
     assert summary.std_dev.hex() == float(np.std(values, ddof=1)).hex()
+
+
+def test_mean_of_values_whose_sum_overflows_is_finite():
+    """Five terminal values near 1e308 sum past the float range; the mean is
+    still the finite mean, without a warning."""
+    g = s.validate_generator([[0.0]])
+    model = s.linear_model(s.LinearModelParams(mu=(0.5,), sigma=(0.5,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = s.run_ensemble(model, g, 1e308, 1, 0.01, s.StepParams(0.03, 15.0, 0.5),
+                                 M=5, seed=0)
+    values = summary.terminal_values
+    with np.errstate(over="ignore"):
+        assert np.isfinite(values).all() and np.mean(values) == math.inf
+    scale = float(np.max(np.abs(values)))
+    assert summary.mean == float(np.mean(values / scale)) * scale
+    assert values.min() <= summary.mean <= values.max()
+
+
+def test_ordinary_mean_is_numpys_mean():
+    values = np.random.default_rng(4).normal(1000.0, 50.0, 200)
+    assert harness._summarize(values, 0.0, 0).mean.hex() == float(np.mean(values)).hex()
+
+
+STREAMS = (harness.CHAIN_STREAM, harness.NOISE_STREAM, harness.AUX_STREAM,
+           harness.INITIAL_STREAM)
+
+
+def _assert_seed_sequence_streams(seed, indices, stream):
+    """Each generator has the state and the first 70 normals of the generator
+    that ``SeedSequence(seed, spawn_key=(index, stream))`` seeds."""
+    rngs = substream_rngs(seed, indices, stream)
+    assert len(rngs) == len(indices)
+    for index, rng in zip(indices, rngs):
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stream)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.standard_normal(70).tolist() == ref.standard_normal(70).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 32, 2 ** 40 + 3, 2 ** 64 + 5, 2 ** 130 + 9])
+@pytest.mark.parametrize("stream", STREAMS)
+def test_substream_rngs_are_the_seed_sequence_streams(seed, stream):
+    # Indices of one, two and three words, out of order and repeated.
+    indices = [2 ** 40, 0, 2 ** 32 - 1, 2 ** 32, 5, 2 ** 64 + 1, 1, 5, *range(100, 140)]
+    _assert_seed_sequence_streams(seed, indices, stream)
+    for index in (0, 2 ** 32 - 1, 2 ** 32, 2 ** 40):
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index, stream)))
+        state = substream_rng(seed, index, stream).bit_generator.state
+        assert state == ref.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 140), stream=st.sampled_from(STREAMS),
+       indices=st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=12))
+def test_substream_rngs_match_seed_sequence_on_any_input(seed, stream, indices):
+    _assert_seed_sequence_streams(seed, indices, stream)
+
+
+def test_substream_rngs_of_no_indices():
+    assert substream_rngs(3, [], harness.NOISE_STREAM) == []
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (3, -1)])
+def test_negative_seed_or_index_raises_as_seed_sequence_does(seed, index):
+    with pytest.raises(ValueError) as ref:
+        np.random.SeedSequence(seed, spawn_key=(index, harness.NOISE_STREAM))
+    for derive in (lambda: substream_rng(seed, index, harness.NOISE_STREAM),
+                   lambda: substream_rngs(seed, [0, index], harness.NOISE_STREAM)):
+        with pytest.raises(ValueError) as exc:
+            derive()
+        assert str(exc.value) == str(ref.value)

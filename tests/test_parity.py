@@ -151,11 +151,15 @@ def generators(draw):
 def studies(draw):
     g = draw(generators())
     n = g.num_states
-    kind = draw(st.sampled_from(["telomere", "linear", "floored", "failing"]))
-    if kind == "telomere":
+    kind = draw(st.sampled_from(["telomere", "linear", "floored", "failing", "stiff"]))
+    if kind in ("telomere", "stiff"):
         pairs = draw(st.lists(st.tuples(st.floats(1.0, 10.0), st.floats(1e-8, 1e-6)),
                               min_size=n, max_size=n))
-        model, lo, hi = s.telomere_regime_model(pairs), 1000.0, 8000.0
+        model = s.telomere_regime_model(pairs)
+        # Stiff initials reach |Y| ~ 1e7 on either side of zero: the lane
+        # Newton settles most backstop steps, stalls on some, and below about
+        # -1 / (4 h_min a) leaves lanes without a root to the bisection.
+        lo, hi = (-4e7, 1e7) if kind == "stiff" else (1000.0, 8000.0)
     elif kind in ("linear", "floored"):
         params = s.LinearModelParams(
             mu=tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))),
@@ -180,7 +184,7 @@ def studies(draw):
     return model, g, initial, r0, T, p, n_initials, runs, seed, scheme, group
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(studies())
 def test_batched_engine_equals_the_scalar_walk(study):
     assert_engines_agree(*study)
@@ -330,3 +334,39 @@ def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
         schemes.solve_terminals(model, chains, [np.random.default_rng(j) for j in range(2)],
                                 [1.0, 1.0], 0.5, p)
     assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
+
+
+STIFF = (s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)]),
+         s.validate_generator([[-4.0, 4.0], [4.0, -4.0]]),
+         (-4e7, 1e7), "uniform", 0.5, s.StepParams(0.1, 4.0, 2.0), 8, 3, 3, "milstein")
+
+
+def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch):
+    # rho^k = 16, so every step from |Y| >= 16 is a backstop step.
+    batches = []
+    newton = schemes._newton_values
+
+    def spy(m, x, states, h, dW):
+        y, solved = newton(m, x, states, h, dW)
+        batches.append((m, x, states, h, dW, y, solved))
+        return y, solved
+
+    monkeypatch.setattr(schemes, "_newton_values", spy)
+    failed = assert_engines_agree(*STIFF, harness.LANE_GROUP)[4]
+    assert 0 < failed.sum() < failed.size
+
+    mixed = relative = no_root = 0
+    for m, x, states, h, dW, y, solved in batches:
+        mixed += bool(solved.any() and not solved.all())
+        for j in range(x.size):
+            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), m
+            if solved[j]:  # a settled lane is what the scalar map returns
+                assert float(y[j]).hex() == schemes.implicit_milstein_map(*args).hex()
+                # settled by the relative bound after a stall, not by |r| <= 1e-12
+                relative += abs(schemes.implicit_milstein_residual(
+                    float(y[j]), *args)) > schemes.NEWTON_ABS_TOL
+            else:
+                with pytest.raises(errors.RootNotFoundError):
+                    schemes.implicit_milstein_map(*args)
+                no_root += 1
+    assert mixed > 0 and relative > 0 and no_root > 0

@@ -131,6 +131,61 @@ class TestBisectionFallback:
             s.implicit_milstein_map(1.0, 1, self.H, 0.0, model)
 
 
+def _newton_returns(x, i, h, dW, m):
+    """Whether implicit_milstein_map returns from its Newton iteration: it
+    neither raises nor reaches the first bisection bracket's end x - max(1, |x|)."""
+    seen = set()
+    probe = s.RegimeModel(m.num_states, lambda y, j: (seen.add(y), m.drift(y, j))[1],
+                          m.diffusion, m.diffusion_derivative)
+    try:
+        s.implicit_milstein_map(x, i, h, dW, probe)
+    except errors.SwitchSDEError:
+        return False
+    return x - max(1.0, abs(x)) not in seen
+
+
+class TestLaneNewton:
+    """``schemes._newton_values`` runs the backstop's Newton iteration on many
+    lanes at once; a lane it settles must be one the scalar Newton returns,
+    with the same bits, and every other lane one the scalar map bisects."""
+
+    def test_settles_exactly_the_lanes_the_scalar_newton_returns(self):
+        # Stiff states (h * mu down to -1e8) leave residuals near the relative
+        # bound, so Newton stalls and some lanes only just pass or fail it.
+        rng = np.random.default_rng(5)
+        n = 3000
+        model = s.linear_model(s.LinearModelParams(mu=(-1e10, -1e9, -3e7, 0.5),
+                                                   sigma=(0.3, 0.5, 0.1, 0.2)))
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 8.0, n)
+        states = rng.integers(1, 5, n)
+        h = 10.0 ** rng.uniform(-4.0, -2.5, n)
+        h[:3] = 0.0  # a step the scalar map refuses
+        dW = rng.standard_normal(n) * np.sqrt(h)
+        with np.errstate(all="ignore"):
+            y, solved = schemes._newton_values(model, x, states, h, dW)
+        relative = 0
+        for j in range(n):
+            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), model
+            assert solved[j] == _newton_returns(*args)
+            if solved[j]:
+                assert float(y[j]).hex() == s.implicit_milstein_map(*args).hex()
+                relative += abs(s.implicit_milstein_residual(
+                    float(y[j]), *args)) > schemes.NEWTON_ABS_TOL
+        assert relative > 0 and 0 < solved.sum() < n - 3
+
+    def test_a_newton_cycle_spends_the_budget(self):
+        # TestBisectionFallback's cycle 0 -> 1 -> 0 beside a lane that settles
+        seen = set()
+        model = _drift_only_model(lambda y: (-y ** 3 + 3.0 * y - 3.0) / 0.5, seen)
+        x = np.array([1.0, 0.0])
+        with np.errstate(all="ignore"):
+            y, solved = schemes._newton_values(model, x, np.ones(2, dtype=np.int64),
+                                                np.full(2, 0.5), np.zeros(2))
+        assert solved.tolist() == [False, True]
+        assert not _newton_returns(1.0, 1, 0.5, 0.0, model)
+        assert y[1].hex() == s.implicit_milstein_map(0.0, 1, 0.5, 0.0, model).hex()
+
+
 class TestSolveTrajectory:
     def test_constant_solution(self):
         g = s.validate_generator(TELOMERE_GENERATOR)

@@ -202,3 +202,43 @@ def test_landing_time_never_passes_switch_or_terminal(data, y, t_n):
     else:
         assert d.t_next == t_n + d.h
     assert d.use_backstop == (d.h <= P.h_min)
+
+
+# The lane engine takes the norm candidate's power from np.float_power, in
+# place of Python's ``v ** (1/k)`` in next_step.  They are bitwise equal
+# because this numpy build's float_power has no SIMD loop and calls the libm
+# pow that ``**`` calls; np.power is not (its AVX-512 loop differs in the last
+# ulp), so these tests guard a property of the numpy build, not of the code.
+def _lane_powers(norms, inv_k):
+    """The powers as the lane engine takes them, inf past the float range."""
+    with np.errstate(over="ignore"):
+        return np.float_power(norms, inv_k, out=np.ones(norms.size), where=norms > 1.0)
+
+
+def _python_power(v, inv_k):
+    try:
+        return v ** inv_k
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=400, deadline=None)
+@given(norms=st.lists(st.floats(1.0, 1e308, exclude_min=True), min_size=1, max_size=8),
+       k=st.one_of(st.floats(0.01, 50.0),
+                   st.sampled_from([0.1, 0.5, 1 / 3, 2.0, 10.0, 15.0])))
+def test_float_power_is_pythons_power(norms, k):
+    inv_k = 1.0 / k
+    powers = _lane_powers(np.array(norms), inv_k).tolist()
+    assert [p.hex() for p in powers] == [_python_power(v, inv_k).hex() for v in norms]
+
+
+def test_float_power_is_pythons_power_on_a_million_norms():
+    rng = np.random.default_rng(20241)
+    norms = np.concatenate([np.exp(rng.uniform(0.0, 709.0, 400_000)),
+                            1.0 + rng.uniform(0.0, 1e-6, 300_000),
+                            rng.uniform(1.0, 1e4, 299_999), [np.nextafter(1.0, 2.0)]])
+    for k in (10.0, 0.5):  # at k = 0.5 the powers of norms above 1e154 overflow
+        inv_k = 1.0 / k
+        powers = _lane_powers(norms, inv_k)
+        expected = np.array([_python_power(v, inv_k) for v in norms.tolist()])
+        assert np.array_equal(powers.view(np.uint64), expected.view(np.uint64))
