@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -209,6 +210,35 @@ def segments(path: MarkovPath, t0: float, t1: float):
         yield a, tau, state
         a, state = tau, nxt
     yield a, t1, state
+
+
+def switch_tables(paths, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of :func:`segments` ``(path, 0, t1)`` of every path as two
+    padded arrays, ``ends[j, q]`` and ``states[j, q]`` for piece q of path j:
+    piece 0 starts at 0 in the initial state, and each switch before t1 ends
+    one piece and starts the next in its post-switch state.  A row has one
+    more piece than its switches before t1; the end of a padding piece is t1
+    and its state 1."""
+    for path in paths:
+        if not 0.0 <= t1 <= path.horizon:
+            raise TimeOutOfRangeError(
+                f"need 0 <= t0=0.0 <= t1={t1} <= horizon={path.horizon}")
+    counts = np.array([path.num_switches for path in paths], dtype=np.intp)
+    n = counts.size
+    taus = np.fromiter(chain.from_iterable(path.switch_times for path in paths),
+                       dtype=float, count=int(counts.sum()))
+    after = np.fromiter(chain.from_iterable(path.states for path in paths),
+                        dtype=np.int64, count=taus.size)
+    rows = np.repeat(np.arange(n), counts)
+    cols = np.arange(taus.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    kept = taus < t1  # a switch at exactly t1 starts no piece
+    rows, cols = rows[kept], cols[kept]
+    ends = np.full((n, 1 + int(counts.max(initial=0))), t1)
+    states = np.ones(ends.shape, dtype=np.int64)
+    ends[rows, cols] = taus[kept]
+    states[:, 0] = [path.initial_state for path in paths]
+    states[rows, cols + 1] = after[kept]
+    return ends, states
 
 
 def state_at(path: MarkovPath, t: float) -> int:

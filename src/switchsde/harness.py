@@ -13,13 +13,17 @@ Three experiments are provided:
   trajectories per initial, and reports per-initial and grand mean changes
   over the horizon.
 
-The ensemble and the mean-change study are reductions over the per-index
-arrays of one engine, which walks the trajectories in lane groups through the
-batched walk :func:`switchsde.schemes.solve_terminals`.  The scalar walk stays
-the reference: it replays any index bit for bit (:func:`first_trajectory`
-replays index 0), supplies the error of each index the batched walk marks
-as failed, and serves the strong-order study, whose coupled meshes refine
-one shared Brownian path.
+All three walk their trajectories in lane groups through the batched walk
+:func:`switchsde.schemes.solve_terminals`.  The ensemble and the mean-change
+study are reductions over the per-index arrays of one engine, whose lanes
+draw fresh paths forward (:class:`switchsde.noise.ForwardNoise`).  The
+strong-order study walks each grid level of a group's samples as lanes, finest
+first, on one bridge source (:class:`switchsde.noise.BridgeNoise`) that
+continues the paths its exact oracle started.  The scalar walk stays the
+reference, and now serves only to replay: it supplies the error of each
+trajectory or sample the batched walk marks as failed, replays any index bit
+for bit for ``--dump-trajectory`` (:func:`first_trajectory` replays index 0),
+and walks the mesh audits of acceptance criteria 6 and 8.
 
 Seeding: every trajectory gets independent chain / noise / auxiliary random
 streams derived from the master seed and the trajectory index through
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, simulate_chain
+from .ctmc import GeneratorMatrix, simulate_chain, switch_tables
 from .errors import (
     AllTrajectoriesFailedError,
     DegenerateGridError,
@@ -50,7 +54,7 @@ from .errors import (
     StepBudgetExceededError,
 )
 from .models import LinearModelParams, RegimeModel, exact_linear_solution, linear_model
-from .noise import BrownianPath
+from .noise import BridgeNoise, BrownianPath, ForwardNoise
 from .schemes import Trajectory, solve_terminal, solve_terminals, solve_trajectory
 from .stepping import StepParams, build_mesh_bound
 
@@ -61,6 +65,10 @@ BACKSTOP_WARN_FRACTION = 0.05
 # derives together.  Groups bound a study's memory (each lane holds its chain,
 # its generators and a block of normals) at any study size.
 LANE_GROUP = 1024
+# Brownian points the strong-order study's lanes hold at once, about 20 bytes
+# each: a lane holds every point of its path, so a fine grid walks fewer
+# samples together.
+COUPLED_POINTS = 2 ** 22
 
 _TRAJECTORY_FAILURES = (NonfiniteResultError, RootNotFoundError, StepBudgetExceededError)
 
@@ -396,8 +404,8 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
         chains = _trajectory_chains(g, r0, T, seed, group)
         lanes = slice(group.start, group.stop)
         y[lanes], n_steps[lanes], n_backstop[lanes], failed[lanes] = solve_terminals(
-            model, chains, substream_rngs(seed, group, NOISE_STREAM), x0[lanes], T, p,
-            scheme)
+            model, chains, switch_tables(chains, T),
+            ForwardNoise(substream_rngs(seed, group, NOISE_STREAM)), x0[lanes], T, p, scheme)
         for lane in np.flatnonzero(failed[lanes]).tolist():
             idx = first + lane
             path = BrownianPath(substream_rng(seed, idx, NOISE_STREAM))
@@ -423,6 +431,52 @@ def first_trajectory(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: flo
                             _draw_initial(initial, seed, 0), T, p, scheme)
 
 
+def _replay_sample(params: LinearModelParams, model: RegimeModel, x0: float, T: float,
+                   step_params, scheme: str, chain, index: int, rng) -> None:
+    """Raise the error of sample ``index`` of the strong-order study, which
+    failed in the batched walk, from its scalar walk: the exact value first,
+    then each level from the finest, all on one fresh path."""
+    path = BrownianPath(rng)
+    exact_linear_solution(params, x0, chain, path, T)
+    for p in reversed(step_params):
+        solve_terminal(model, chain, path, x0, T, p, scheme)
+    raise RuntimeError(f"sample {index} failed in the batched walk but not in its "
+                       "scalar walk")
+
+
+def _coupled_errors(params: LinearModelParams, model: RegimeModel, x0: float, T: float,
+                    step_params, scheme: str, chains, rngs, room: int):
+    """Errors ``(level, sample)`` of the samples whose chains and noise
+    generators are ``chains`` and ``rngs``, and a mask of the samples that
+    failed.  Each error is, bit for bit, the one that the sample's scalar
+    coupled walk (the walk :func:`_replay_sample` replays) gives.
+
+    Each sample's exact value runs first, on its scalar path.  Every level,
+    finest first, then walks all the samples as lanes on one bridge source
+    that continues those paths, over switch tables built once; ``room`` is
+    the new points a path gains over the levels, as far as known.  A sample
+    fails where its exact value overflows or a level's lane fails; it walks
+    no further level, and its errors are NaN."""
+    paths = [BrownianPath(rng) for rng in rngs]
+    exact = np.empty(len(chains))
+    start = np.full(len(chains), float(x0))
+    for j, (chain, path) in enumerate(zip(chains, paths)):
+        try:
+            exact[j] = exact_linear_solution(params, x0, chain, path, T)
+        except OverflowError:  # a failed sample: NaN starts no lane
+            exact[j] = start[j] = math.nan
+    noise = BridgeNoise(paths, room)
+    tables = switch_tables(chains, T)
+    errors = np.empty((len(step_params), len(chains)))
+    for level in range(len(step_params) - 1, -1, -1):  # finest level queries first
+        y, _, _, lost = solve_terminals(model, chains, tables, noise, start, T,
+                                        step_params[level], scheme)
+        noise.merge()
+        errors[level] = y - exact
+        start[lost] = math.nan
+    return errors, np.isnan(start)
+
+
 def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
                        T: float, grid, rho: float, k: float, M: int, seed: int,
                        scheme: str = "milstein", r0: int = 1) -> ConvergenceReport:
@@ -444,17 +498,20 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
 
     model = linear_model(params)
     step_params = [StepParams(h_max=h, rho=rho, k=k) for h in grid]
+    # A level's walk takes at least T / h_max steps, nearly all new points.
+    room = sum(math.ceil(T / h) for h in grid)
+    group = min(LANE_GROUP, max(1, COUPLED_POINTS // room))
     errors = np.empty((len(grid), M))
-    for first in range(0, M, LANE_GROUP):
-        samples = range(first, min(first + LANE_GROUP, M))
+    for first in range(0, M, group):
+        samples = range(first, min(first + group, M))
         chains = _trajectory_chains(g, r0, T, seed, samples)
-        noise_rngs = substream_rngs(seed, samples, NOISE_STREAM)
-        for i, chain, noise_rng in zip(samples, chains, noise_rngs):
-            path = BrownianPath(noise_rng)
-            exact = exact_linear_solution(params, x0, chain, path, T)
-            for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
-                y, _, _ = solve_terminal(model, chain, path, x0, T, step_params[lvl], scheme)
-                errors[lvl, i] = y - exact
+        errors[:, samples.start:samples.stop], failed = _coupled_errors(
+            params, model, x0, T, step_params, scheme, chains,
+            substream_rngs(seed, samples, NOISE_STREAM), room)
+        if failed.any():  # the lowest failed sample's scalar walk says why
+            lane = int(np.argmax(failed))
+            _replay_sample(params, model, x0, T, step_params, scheme, chains[lane],
+                           first + lane, substream_rng(seed, first + lane, NOISE_STREAM))
     rms = np.sqrt(np.mean(errors * errors, axis=1))
     slope = float(np.polyfit(np.log(grid), np.log(rms), 1)[0])
     if not math.isfinite(slope):

@@ -12,6 +12,15 @@ This keeps every memoized collection of points exact in distribution, so
 solvers running at different resolutions on the same path object are coupled
 pathwise.  Reproducibility contract: identical RNG seed and identical query
 sequence give identical values.
+
+The lane engine (:func:`switchsde.schemes.solve_terminals`) reads its noise
+from a lane source, which stands in for one such path per lane and returns
+the values the paths would, bit for bit: :class:`ForwardNoise` for fresh
+paths queried forward only (the ensemble and the mean-change study), and
+:class:`BridgeNoise` for the strong-order study, whose levels refine the
+paths its exact oracle started.  The scalar path itself now serves that
+oracle, the replay of a failed trajectory or sample, ``--dump-trajectory``
+and the mesh audits of criteria 6 and 8.
 """
 
 from __future__ import annotations
@@ -22,6 +31,11 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import NegativeTimeError, ReversedIntervalError
+
+NORMAL_BLOCK = 64  # normals a lane source draws per lane at a time
+GALLOP = 8  # known times a bridge lane compares per gather
+MERGE_LANES = 16  # lanes a bridge merge moves at a time, which bounds its copies
+_AHEAD = np.arange(GALLOP)
 
 
 class BrownianPath:
@@ -80,3 +94,188 @@ class BrownianPath:
     def known_points(self) -> list[tuple[float, float]]:
         """Memoized (time, value) pairs in time order, for inspection."""
         return list(zip(self._times, self._values))
+
+
+class ForwardNoise:
+    """Lane source of fresh paths queried forward in time only: lane ``j`` is
+    ``BrownianPath(rngs[j])``, whose every query extends the path,
+    W(t_next) = W(t) + sqrt(t_next - t) z.
+
+    :meth:`advance` takes the lanes by their original indices, in increasing
+    order; lanes may leave between calls but never join.  Each call draws one
+    normal per lane, so the lanes draw their blocks of ``NORMAL_BLOCK`` (a
+    block draw equals as many single draws, bit for bit) together.
+    """
+
+    def __init__(self, rngs):
+        self._rngs = rngs
+        self._lane = None  # the lanes of the last call, one row of _z each
+        self._z = None
+        self._col = NORMAL_BLOCK
+
+    def advance(self, lane, t, w, t_next):
+        """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``."""
+        if self._col == NORMAL_BLOCK:
+            self._z = np.empty((lane.size, NORMAL_BLOCK))
+            for row, index in zip(self._z, lane.tolist()):
+                self._rngs[index].standard_normal(out=row)
+            self._col = 0
+        elif lane is not self._lane:  # lanes have left: keep the others' rows
+            self._z = self._z[np.searchsorted(self._lane, lane)]
+        self._lane = lane
+        self._col += 1
+        return w + np.sqrt(t_next - t) * self._z[:, self._col - 1]
+
+
+class BridgeNoise:
+    """Lane source that refines memoized paths: lane ``j`` continues
+    ``paths[j]`` from its known points and its generator, and each query
+    returns what ``paths[j].sample_at`` would return for the same queries.
+
+    Within one walk each lane's queries increase from t = 0, and the lane
+    keeps a cursor into its sorted known points.  A query at a known time
+    returns the memoized value and draws nothing; one past the last known
+    point draws forward from it; any other draws the bridge between its left
+    neighbour, the later of the lane's current point and the last known point
+    before the query, and the next known point, in ``sample_at``'s order of
+    operations (``np.sqrt`` is correctly rounded, like ``math.sqrt``).  Lanes
+    draw different numbers of normals, so each keeps its own column into its
+    block.  :meth:`merge` ends a walk: it moves the walk's new points in
+    among the known points and rewinds every lane to t = 0.
+
+    Lane j's points are column j of (capacity, lanes) arrays.  Rows
+    ``[0, count)`` hold its known points in time order; the next ``GALLOP``
+    rows are padding (infinite time), so that the cursor's window never
+    leaves them; the walk writes its new points after the padding.  The
+    arrays start with rows for ``room`` new points per lane, a caller's
+    estimate, and grow when a walk needs more; the merge works in place, so a
+    group holds its points about once.
+    """
+
+    def __init__(self, paths, room: int):
+        n = len(paths)
+        self._rngs = [path._rng for path in paths]
+        self._count = np.array([len(path._times) for path in paths], dtype=np.intp)
+        # Rows for about ``room`` new points per lane over all walks, so that
+        # the arrays rarely grow (each growth copies them).
+        capacity = int(self._count.max(initial=0)) + GALLOP + room + room // 8
+        self._times = np.full((capacity, n), np.inf)
+        self._values = np.zeros((capacity, n))
+        self._places = np.zeros((capacity, n), dtype=np.int32)  # of the new points
+        for j, path in enumerate(paths):
+            self._times[:self._count[j], j] = path._times
+            self._values[:self._count[j], j] = path._values
+        self._z = np.empty((n, NORMAL_BLOCK))
+        self._col = np.full(n, NORMAL_BLOCK)
+        self._rewind()
+
+    def _rewind(self):
+        self._cur = np.ones(self._count.size, dtype=np.intp)  # known points <= t
+        self._drawn = np.zeros(self._count.size, dtype=np.intp)  # new points so far
+        self._first_new = self._count + GALLOP  # the row of each lane's first new point
+        self._calls = 0
+        self._room = self._times.shape[0] - int(self._first_new.max(initial=0))
+
+    def _grow(self):
+        """Add rows for more new points; appended rows keep every element's
+        index (the arrays are C-ordered with the lanes last)."""
+        rows, n = self._times.shape
+        more = max(rows // 8, 64)
+        for name, pad in (("_times", np.inf), ("_values", 0.0), ("_places", 0)):
+            old = getattr(self, name)
+            grown = np.full((rows + more, n), pad, dtype=old.dtype)
+            grown[:rows] = old
+            setattr(self, name, grown)
+        self._room += more
+
+    def advance(self, lane, t, w, t_next):
+        """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``."""
+        if self._calls == self._room:  # a lane may draw at every call
+            self._grow()
+        self._calls += 1
+        n = self._count.size
+        known_t, known_w = self._times.ravel(), self._values.ravel()
+        cur = self._cur[lane]
+        # at: the first known point at or after t_next, searched GALLOP points
+        # a gather (a lane's padding ends every search).
+        below = known_t[(cur[:, None] + _AHEAD) * n + lane[:, None]] < t_next[:, None]
+        at = cur + below.sum(axis=1)
+        far = np.flatnonzero(below[:, -1])
+        while far.size:
+            below = (known_t[(at[far, None] + _AHEAD) * n + lane[far, None]]
+                     < t_next[far, None])
+            at[far] += below.sum(axis=1)
+            far = far[below[:, -1]]
+        k = at * n + lane
+        u, wu = known_t[k], known_w[k]
+        hit = u == t_next  # the memoized value, and no draw
+        drew = ~hit
+        self._cur[lane] = at + hit
+
+        # The left neighbour: the last known point before t_next if it is
+        # after t, else the lane's current point.
+        before = known_t[k - n]
+        later = before > t
+        s = np.where(later, before, t)
+        ws = np.where(later, known_w[k - n], w)
+        col = self._col[lane]
+        spent = np.flatnonzero(col == NORMAL_BLOCK)
+        if spent.size:  # a lane that has no draw to make may refill early
+            for row in lane[spent].tolist():
+                self._rngs[row].standard_normal(out=self._z[row])
+            col[spent] = 0
+        z = self._z.ravel()[lane * NORMAL_BLOCK + col]
+        self._col[lane] = col + drew
+
+        # Past the last known point u is inf: frac is 0, its term adds a zero
+        # to ws, and the variance is the forward one, t_next - s.  A hit lane
+        # computes a finite value that it does not use.
+        lead = t_next - s
+        span = u - s
+        frac = lead / span
+        var = np.divide(lead * (u - t_next), span, out=lead.copy(), where=u < np.inf)
+        w_new = ws + frac * (wu - ws) + np.sqrt(var) * z
+
+        # Record the new point, with its row after the merge; a hit lane
+        # writes the slot of its next new point, which that point overwrites.
+        rank = self._drawn[lane]
+        self._drawn[lane] = rank + drew
+        slot = (self._first_new[lane] + rank) * n + lane
+        known_t[slot] = t_next
+        known_w[slot] = w_new
+        self._places.ravel()[slot] = at + rank
+        return np.where(hit, wu, w_new)
+
+    def merge(self):
+        """Move the new points of the walk in among each lane's known points,
+        in time order, and rewind the lanes to t = 0 for the next walk."""
+        count = self._count + self._drawn
+        rows = np.arange(self._times.shape[0])
+        for first in range(0, count.size, MERGE_LANES):
+            lanes = slice(first, first + MERGE_LANES)
+            # Each lane's points as one row of these transposed views.
+            times, values = self._times[:, lanes].T, self._values[:, lanes].T
+            new = ((rows >= self._first_new[lanes, None])
+                   & (rows < (self._first_new + self._drawn)[lanes, None]))
+            lane, place = np.nonzero(new)[0], self._places[:, lanes].T[new]
+            new_times, new_values = times[new], values[new]
+            # The new points take their places, and the known points fill the
+            # free places of each lane in order.
+            free = rows < count[lanes, None]
+            free[lane, place] = False
+            known = rows < self._count[lanes, None]
+            times[free] = times[known]
+            values[free] = values[known]
+            times[lane, place] = new_times
+            values[lane, place] = new_values
+            padding = rows >= count[lanes, None]
+            times[padding] = np.inf
+            values[padding] = 0.0
+        self._count = count
+        self._rewind()
+
+    def known_points(self, j: int) -> list[tuple[float, float]]:
+        """Lane ``j``'s known (time, value) pairs in time order, as of the
+        last :meth:`merge`."""
+        count = self._count[j]
+        return list(zip(self._times[:count, j].tolist(), self._values[:count, j].tolist()))

@@ -18,8 +18,9 @@ Two engines walk that mesh.  The scalar walk (:func:`solve_trajectory`,
 :func:`solve_terminal`) takes one trajectory at a time and is the reference.
 The lane-batched walk (:func:`solve_terminals`) steps many independent
 trajectories together, one step of every lane per iteration, with the step
-rule, the noise and the explicit maps as array operations; it reproduces the
-scalar walk of every lane bit for bit.  It reports only *that* a lane failed:
+rule and the explicit maps as array operations and the Brownian values from a
+lane noise source (:mod:`switchsde.noise`); it reproduces the scalar walk of
+every lane bit for bit.  It reports only *that* a lane failed:
 replaying that lane's scalar walk says why.
 """
 
@@ -46,7 +47,6 @@ NEWTON_ABS_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 RESIDUAL_REL_TOL = 1e-10  # acceptance bound: |F(X)| <= tol * max(1, |X|)
 BRACKET_MAX_DOUBLINGS = 60
-NORMAL_BLOCK = 64  # normals drawn per lane at a time by the batched walk
 
 
 @dataclass(frozen=True)
@@ -310,16 +310,21 @@ def solve_terminal(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float
     return y, n_steps, backstops
 
 
-def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepParams,
+def solve_terminals(m: RegimeModel, chains, tables, noise, x0, T: float, p: StepParams,
                     main: str = "milstein"):
     """Terminal values of many trajectories, stepped together.
 
     Lane ``j`` is the trajectory that :func:`solve_terminal` computes from
-    ``chains[j]``, ``BrownianPath(noise_rngs[j])`` and ``x0[j]``, bit for bit:
-    the same mesh, the same normal draws, the same arithmetic and the same
-    model calls where the lane form is derived from the scalar callables.
-    Every iteration takes one step of each unfinished lane.  The step rule,
-    the noise and the main map run as array operations; the main map's
+    ``chains[j]``, the Brownian path that the lane source ``noise`` holds for
+    lane j (see :mod:`switchsde.noise`) and ``x0[j]``, bit for bit: the same
+    mesh, the same Brownian values, the same arithmetic and the same model
+    calls where the lane form is derived from the scalar callables.  The
+    walk asks ``noise.advance(lane, t, w, t_next)`` for W(t_next) of the
+    unfinished lanes ``lane`` (original indices, increasing) at every step.
+    ``tables`` are the chains' ``ctmc.switch_tables(chains, T)``, which a
+    caller that walks the chains more than once builds once.  Every iteration
+    takes one step of each unfinished lane.
+    The step rule and the main map run as array operations; the main map's
     coefficients come from one call of the model's lane form
     (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  The
     backstop steps run the Newton iteration of :func:`implicit_milstein_map`
@@ -349,16 +354,9 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
     steps_out = np.zeros(n, dtype=np.int64)
     backstops_out = np.zeros(n, dtype=np.int64)
 
-    # Switch tables: the end and the state of each lane's constant-state
-    # pieces of [0, T] (at most one more than its switches), padded; a lane
-    # steps inside piece[j].
-    width = 1 + max((chain.num_switches for chain in chains), default=0)
-    ends = np.full((n, width), T)
-    states = np.ones((n, width), dtype=np.int64)
-    for j, chain in enumerate(chains):
-        _, lane_ends, lane_states = zip(*segments(chain, 0.0, T))
-        ends[j, :len(lane_ends)] = lane_ends
-        states[j, :len(lane_states)] = lane_states
+    # The end and the state of each lane's constant-state pieces of [0, T];
+    # a lane steps inside piece[j].
+    ends, states = tables
 
     y = np.array(x0, dtype=float)
     failed = np.isnan(y)  # the scalar step rule refuses a NaN norm
@@ -369,17 +367,10 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
     bound = ends[lane, 0]
     state = states[lane, 0]
     backstops = np.zeros(lane.size, dtype=np.int64)
-    z = np.empty((lane.size, NORMAL_BLOCK))
-    col = NORMAL_BLOCK
     n_steps = 0
     with np.errstate(all="ignore"):  # a lane that overflows fails its finiteness check
         while lane.size:
             n_steps += 1
-            if col == NORMAL_BLOCK:
-                for j, index in enumerate(lane.tolist()):
-                    noise_rngs[index].standard_normal(out=z[j])
-                col = 0
-
             # The step rule of next_step: the norm candidate (float_power calls
             # the libm pow that ** calls, where numpy's power can differ in the
             # last ulp; a power past the float range gives h 0), the floor,
@@ -394,9 +385,8 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
             np.copyto(h, gap, where=clamp)
             np.copyto(t_next, bound, where=clamp)
             backstop = h <= h_min
-            dt = t_next - t  # the realised spacing drives the map and the noise
-            w_next = w + np.sqrt(dt) * z[:, col]
-            col += 1
+            dt = t_next - t  # the realised spacing drives the map
+            w_next = noise.advance(lane, t, w, t_next)
             dw = w_next - w
 
             some_backstop = np.count_nonzero(backstop)
@@ -439,6 +429,6 @@ def solve_terminals(m: RegimeModel, chains, noise_rngs, x0, T: float, p: StepPar
             if np.count_nonzero(leaving):
                 failed[lane[lost]] = True
                 keep = ~leaving
-                lane, t, y, w, piece, bound, state, backstops, z = (
-                    a[keep] for a in (lane, t, y, w, piece, bound, state, backstops, z))
+                lane, t, y, w, piece, bound, state, backstops = (
+                    a[keep] for a in (lane, t, y, w, piece, bound, state, backstops))
     return y_out, steps_out, backstops_out, failed

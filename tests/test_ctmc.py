@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde import errors, harness
-from switchsde.ctmc import segments
+from switchsde.ctmc import segments, switch_tables
 
 TELOMERE_GENERATOR = [
     [-0.3, 0.1, 0.1, 0.1],
@@ -279,20 +279,26 @@ CHAIN_SET_SHA256 = "b439dcbd2aee3ad89d2cf6bfdbb380235772cf47b9eb3f537e0fc7037bc9
 FAST_GENERATOR = [[-90.0 if i == j else 30.0 for j in range(4)] for i in range(4)]
 
 
-def _chain_set_digest():
-    """SHA-256 over the switch times (by ``.hex()``) and states of the chains
-    of 200 trajectory indices per seed, for the ensemble's and the
-    fast-switching workload's generators, from a fixed and a uniform r0."""
-    h = hashlib.sha256()
+def _pinned_chains():
+    """The horizon and the chains of 200 trajectory indices, per seed, for the
+    ensemble's and the fast-switching workload's generators, from a fixed
+    and a uniform r0."""
     for rates, T in ((TELOMERE_GENERATOR, 30.0), (FAST_GENERATOR, 0.25)):
         g = s.validate_generator(rates)
         for r0 in (1, "uniform"):
             for seed in (0, 7, 42, 2 ** 40 + 3):
-                for idx in range(200):
-                    path = harness.trajectory_chain(g, r0, T, seed, idx)
-                    h.update(f"{path.initial_state};".encode())
-                    h.update(",".join(t.hex() for t in path.switch_times).encode())
-                    h.update(f";{path.states};".encode())
+                yield T, [harness.trajectory_chain(g, r0, T, seed, idx) for idx in range(200)]
+
+
+def _chain_set_digest():
+    """SHA-256 over the switch times (by ``.hex()``) and states of the pinned
+    chains."""
+    h = hashlib.sha256()
+    for _, paths in _pinned_chains():
+        for path in paths:
+            h.update(f"{path.initial_state};".encode())
+            h.update(",".join(t.hex() for t in path.switch_times).encode())
+            h.update(f";{path.states};".encode())
     return h.hexdigest()
 
 
@@ -301,6 +307,44 @@ def test_chain_set_is_pinned():
     # substream derivation or to the order in which a chain reads its
     # uniforms changes the digest.
     assert _chain_set_digest() == CHAIN_SET_SHA256
+
+
+def _assert_tables_hold_the_pieces(paths, t1):
+    ends, states = switch_tables(paths, t1)
+    assert ends.shape == states.shape == (len(paths),
+                                          1 + max(p.num_switches for p in paths))
+    for path, row_ends, row_states in zip(paths, ends.tolist(), states.tolist()):
+        _, piece_ends, piece_states = zip(*segments(path, 0.0, t1))
+        pad = len(row_ends) - len(piece_ends)
+        assert row_ends == [*piece_ends, *[t1] * pad]
+        assert row_states == [*piece_states, *[1] * pad]
+
+
+def test_switch_tables_hold_the_pieces_of_segments():
+    for T, paths in _pinned_chains():
+        _assert_tables_hold_the_pieces(paths, T)
+        _assert_tables_hold_the_pieces(paths, T / 3)  # later switches start no piece
+
+
+def test_switch_tables_start_no_piece_at_a_switch_at_exactly_t1():
+    paths = [s.MarkovPath(1, (0.2, 0.5), (2, 1), 0.5), s.MarkovPath(2, (), (), 0.5),
+             s.MarkovPath(3, (0.1, 0.3, 0.4), (1, 2, 3), 0.5)]
+    ends, states = switch_tables(paths, 0.5)
+    assert ends.tolist() == [[0.2, 0.5, 0.5, 0.5], [0.5] * 4, [0.1, 0.3, 0.4, 0.5]]
+    assert states.tolist() == [[1, 2, 1, 1], [2, 1, 1, 1], [3, 1, 2, 3]]
+    _assert_tables_hold_the_pieces(paths, 0.5)
+    _assert_tables_hold_the_pieces(paths, 0.3)
+    _assert_tables_hold_the_pieces(paths, 0.0)
+
+
+@pytest.mark.parametrize("t1", [0.6, -0.1, math.nan])
+def test_switch_tables_refuse_what_segments_refuses(t1):
+    paths = [s.MarkovPath(1, (0.2,), (2,), 0.5)]
+    with pytest.raises(errors.TimeOutOfRangeError) as tables:
+        switch_tables(paths, t1)
+    with pytest.raises(errors.TimeOutOfRangeError) as pieces:
+        list(segments(paths[0], 0.0, t1))
+    assert str(tables.value) == str(pieces.value)
 
 
 class _PresetUniforms:

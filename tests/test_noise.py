@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde import errors
+from switchsde import errors, noise
 
 
 class FakeRng:
@@ -128,3 +128,54 @@ def test_same_seed_same_queries_identical():
     for t in queries:
         assert a.sample_at(t) == b.sample_at(t)
     assert a.known_points() == b.known_points()
+
+
+def _lane_walk(source, paths, queries):
+    """Walk lane j of ``source`` through ``queries[j]`` (increasing), all lanes
+    together and each leaving after its last query, and check every value
+    against ``paths[j].sample_at`` of the same query, by bits."""
+    t = np.zeros(len(queries))
+    w = np.zeros(len(queries))
+    for step in range(max(map(len, queries))):
+        lane = np.array([j for j, q in enumerate(queries) if step < len(q)])
+        t_next = np.array([queries[j][step] for j in lane])
+        w_next = source.advance(lane, t[lane], w[lane], t_next)
+        assert [v.hex() for v in w_next.tolist()] == \
+            [paths[j].sample_at(q).hex() for j, q in zip(lane.tolist(), t_next.tolist())]
+        t[lane], w[lane] = t_next, w_next
+
+
+def _increasing(rng, size, known=()):
+    """``size`` increasing times in (0, 1.5), with some of ``known`` mixed in."""
+    times = set(rng.uniform(0.0, 1.5, size).tolist())
+    times |= {t for t in known if t > 0.0 and rng.random() < 0.5}
+    return sorted(times)
+
+
+def test_forward_noise_extends_fresh_paths():
+    rng = np.random.default_rng(0)
+    queries = [_increasing(rng, n) for n in (70, 3, 150, 0, 64)]  # lanes leave early
+    source = noise.ForwardNoise([np.random.default_rng(20 + j) for j in range(5)])
+    paths = [s.BrownianPath(np.random.default_rng(20 + j)) for j in range(5)]
+    _lane_walk(source, paths, queries)
+
+
+def test_bridge_noise_refines_memoized_paths():
+    # Each path starts from a few points, as the exact oracle leaves it; each
+    # walk hits known points, bridges between them, extends past the last
+    # one, and leaves new points that the next walk finds after the merge.
+    rng = np.random.default_rng(1)
+    sizes = (0, 1, 3, 8, 2)
+    lanes = [s.BrownianPath(np.random.default_rng(40 + j)) for j in range(5)]
+    paths = [s.BrownianPath(np.random.default_rng(40 + j)) for j in range(5)]
+    for lane_path, path, n in zip(lanes, paths, sizes):
+        for t in rng.uniform(0.0, 1.0, n).tolist():
+            assert lane_path.sample_at(t) == path.sample_at(t)
+    source = noise.BridgeNoise(lanes, 0)  # no room: the arrays grow as the walks need
+    for size in (200, 40, 90, 5):
+        queries = [_increasing(rng, size + 17 * j, [t for t, _ in path.known_points()])
+                   for j, path in enumerate(paths)]
+        _lane_walk(source, paths, queries)
+        source.merge()
+        for j, path in enumerate(paths):
+            assert source.known_points(j) == path.known_points()

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde import errors, harness, schemes
+from switchsde.ctmc import switch_tables
+from switchsde.noise import ForwardNoise
 
 TRAJECTORY_FAILURES = (errors.NonfiniteResultError, errors.RootNotFoundError,
                        errors.StepBudgetExceededError)
@@ -217,7 +219,8 @@ def test_a_step_rounding_onto_a_switch_ends_its_piece():
     model = s.linear_model(s.LinearModelParams(mu=(0.0, -1.0), sigma=(0.0, 0.5)))
     chains = [s.MarkovPath(1, (tau,), (2,), 0.5), s.MarkovPath(1, (0.3,), (2,), 0.5)]
     y, n_steps, n_backstop, failed = schemes.solve_terminals(
-        model, chains, [np.random.default_rng(j) for j in range(2)], [0.5, 0.5], 0.5, p)
+        model, chains, switch_tables(chains, 0.5),
+        ForwardNoise([np.random.default_rng(j) for j in range(2)]), [0.5, 0.5], 0.5, p)
     assert not failed.any()
     for j, chain in enumerate(chains):
         path = s.BrownianPath(np.random.default_rng(j))
@@ -331,7 +334,8 @@ def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
     with pytest.raises(errors.StateIndexError) as scalar:
         s.solve_terminal(model, chain, s.BrownianPath(np.random.default_rng(1)), 1.0, 0.5, p)
     with pytest.raises(errors.StateIndexError) as lanes:
-        schemes.solve_terminals(model, chains, [np.random.default_rng(j) for j in range(2)],
+        schemes.solve_terminals(model, chains, switch_tables(chains, 0.5),
+                                ForwardNoise([np.random.default_rng(j) for j in range(2)]),
                                 [1.0, 1.0], 0.5, p)
     assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
 
@@ -370,3 +374,159 @@ def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch)
                     schemes.implicit_milstein_map(*args)
                 no_root += 1
     assert mixed > 0 and relative > 0 and no_root > 0
+
+
+# The coupled strong-order study: every level walks all samples as lanes on
+# one bridge source, against the scalar loop that it replaced.
+
+def _scalar_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0):
+    """The per-sample loop that ``strong_order_study`` ran before its levels
+    became lane walks, verbatim, except that it keeps each sample's Brownian
+    path and records the error a sample raises in place of its errors."""
+    model = s.linear_model(params)
+    step_params = [s.StepParams(h_max=h, rho=rho, k=k) for h in grid]
+    errors_ = np.empty((len(grid), M))
+    outcomes = []
+    for first in range(0, M, harness.LANE_GROUP):
+        samples = range(first, min(first + harness.LANE_GROUP, M))
+        chains = harness._trajectory_chains(g, r0, T, seed, samples)
+        noise_rngs = harness.substream_rngs(seed, samples, harness.NOISE_STREAM)
+        for i, chain, noise_rng in zip(samples, chains, noise_rngs):
+            path = s.BrownianPath(noise_rng)
+            try:
+                exact = s.exact_linear_solution(params, x0, chain, path, T)
+                for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
+                    y, _, _ = s.solve_terminal(model, chain, path, x0, T, step_params[lvl],
+                                               scheme)
+                    errors_[lvl, i] = y - exact
+            except (errors.SwitchSDEError, OverflowError) as exc:
+                outcomes.append(exc)
+            else:
+                outcomes.append(path)
+    return errors_, outcomes
+
+
+def _lane_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0, room):
+    """``harness._coupled_errors`` over samples 0..M-1, and its bridge source."""
+    sources = []
+    solve = harness.solve_terminals
+
+    def spy(*args):
+        sources.append(args[3])
+        return solve(*args)
+
+    step_params = [s.StepParams(h_max=h, rho=rho, k=k) for h in grid]
+    samples = range(M)
+    with mock.patch.object(harness, "solve_terminals", spy), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        errors_, failed = harness._coupled_errors(
+            params, s.linear_model(params), x0, T, step_params, scheme,
+            harness._trajectory_chains(g, r0, T, seed, samples),
+            harness.substream_rngs(seed, samples, harness.NOISE_STREAM), room)
+    assert len(sources) == len(grid) and all(src is sources[0] for src in sources)
+    return errors_, failed, sources[0]
+
+
+def assert_coupled_engines_agree(params, g, x0, T, grid, rho, k, M, seed, scheme, r0,
+                                 room=0):
+    expected, outcomes = _scalar_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0)
+    errors_, failed, source = _lane_coupled(params, g, x0, T, grid, rho, k, M, seed,
+                                            scheme, r0, room)
+    assert failed.tolist() == [isinstance(o, Exception) for o in outcomes]
+    for j, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            continue
+        assert [e.hex() for e in errors_[:, j].tolist()] == \
+            [e.hex() for e in expected[:, j].tolist()]
+        assert source.known_points(j) == outcome.known_points()
+    return errors_, failed
+
+
+@st.composite
+def coupled_studies(draw):
+    g = draw(generators())
+    n = g.num_states
+    params = s.LinearModelParams(
+        mu=tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))),
+        sigma=tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))))
+    x0 = draw(st.sampled_from([1.0, 0.5, 5.0, -3.0, 40.0]))
+    T = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    h0, ratio = draw(st.sampled_from([0.1, 0.0625, 0.05])), draw(st.sampled_from([2.0, 3.0]))
+    grid = [h0 / ratio ** j for j in range(draw(st.integers(3, 4)))]
+    rho, k = draw(st.sampled_from([2.0, 4.0, 15.0])), draw(st.sampled_from([1.0, 2.0, 10.0]))
+    M = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 32))
+    scheme = draw(st.sampled_from(["milstein", "em"]))
+    room = draw(st.sampled_from([0, 40, 400]))  # the bridge source grows its arrays past it
+    return params, g, x0, T, grid, rho, k, M, seed, scheme, draw(st.integers(1, n)), room
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupled_studies())
+def test_coupled_lanes_equal_the_scalar_loop(study):
+    assert_coupled_engines_agree(*study)
+
+
+def test_coupled_lanes_with_hits_bridges_and_backstops_agree():
+    # |Y| >= rho^k = 4 floors every step at h_min, and the meshes of a
+    # threefold grid share points, so lanes hit known points between bridges.
+    g = s.validate_generator([[-3.0, 3.0], [3.0, -3.0]])
+    params = s.LinearModelParams(mu=(0.2, -0.3), sigma=(0.4, 0.3))
+    errors_, failed = assert_coupled_engines_agree(
+        params, g, 5.0, 0.5, [0.09, 0.03, 0.01], 2.0, 2.0, 12, 3, "milstein", 1)
+    assert not failed.any()
+
+
+# Two samples fail: sample 9 at the third level (h_max 0.125, a backstop
+# without a root) and sample 65 at the finest (an explicit step overflows),
+# which the lanes walk first.  The scalar loop stops at sample 9.
+TWO_FAILURES = (s.LinearModelParams(mu=(0.0, -20.0, -40.0), sigma=(0.1, 0.1, 0.1)),
+                s.validate_generator([[-0.04, 0.02, 0.02], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                1e305, 1.0, [0.5, 0.25, 0.125, 0.0625], 2.0, 1e6, 100, 7, "milstein", 1)
+
+
+def test_coupled_study_raises_the_error_of_its_lowest_failed_sample():
+    _, failed = assert_coupled_engines_agree(*TWO_FAILURES)
+    assert np.flatnonzero(failed).tolist() == [9, 65]
+    _, outcomes = _scalar_coupled(*TWO_FAILURES)
+    params, g, x0, T, grid, rho, k, M, seed, scheme, r0 = TWO_FAILURES
+    with pytest.raises(errors.RootNotFoundError) as raised:
+        s.strong_order_study(params, g, x0, T, grid, rho, k, M, seed, scheme, r0)
+    assert _same_error(raised.value, outcomes[9])
+    assert isinstance(outcomes[65], errors.NonfiniteResultError)
+
+
+def test_coupled_study_raises_an_overflowing_exact_value_in_sample_order():
+    # State 2 grows like exp(800 t): a sample that reaches it early overflows
+    # its exact value, and the scalar loop raises the first such sample's error
+    # unless an earlier sample failed in a level.
+    params = s.LinearModelParams(mu=(0.0, 800.0), sigma=(0.1, 0.1))
+    g = s.validate_generator([[-0.5, 0.5], [0.0, 0.0]])
+    study = (params, g, 1.0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0, 100, 4, "em", 1)
+    _, outcomes = _scalar_coupled(*study)
+    first = next(o for o in outcomes if isinstance(o, Exception))
+    assert any(isinstance(o, OverflowError) for o in outcomes)
+    with pytest.raises(type(first)) as raised:
+        s.strong_order_study(*study)
+    assert _same_error(raised.value, first)
+
+
+def test_coupled_study_in_groups_that_a_fine_grid_makes_small(monkeypatch):
+    # About 3 samples per group: the results do not depend on the grouping.
+    g = s.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+    params = s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5))
+    study = (params, g, 1.0, 1.0, [0.0625, 0.03125, 0.015625], 15.0, 10.0, 100, 42)
+    whole = s.strong_order_study(*study)
+    groups = []
+    solve = harness.solve_terminals
+    monkeypatch.setattr(harness, "COUPLED_POINTS", 3 * (16 + 32 + 64))
+    monkeypatch.setattr(harness, "solve_terminals", lambda *args: groups.append(
+        len(args[1])) or solve(*args))
+    assert s.strong_order_study(*study) == whole
+    assert groups == [3] * 99 + [1] * 3
+
+
+def test_coupled_replay_that_succeeds_is_an_engine_disagreement(monkeypatch):
+    monkeypatch.setattr(harness, "solve_terminal", lambda *args: (0.0, 1, 0))
+    with pytest.raises(RuntimeError, match="sample 9 failed in the batched walk"):
+        s.strong_order_study(*TWO_FAILURES)

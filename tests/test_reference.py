@@ -100,3 +100,37 @@ def test_mean_change_partial_failures(caplog):
         4372.593285918647, 4932.614980240734, 5778.509493425509, 7243.938785553632,
         7740.561718214343]
     assert report.grand_mean_change == -0.7629754137834814
+
+
+GRID4 = [0.0625, 0.03125, 0.015625, 0.0078125]
+GEN2 = [[-1.0, 1.0], [1.0, -1.0]]
+LINEAR2 = s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5))
+
+
+# Coupled strong-order studies: rms errors by .hex() and the fitted order.  The
+# three-state study starts in state 2; the last one floors its steps from
+# |Y| >= rho^k = 4, so its meshes take thousands of backstop steps.
+@pytest.mark.parametrize("params, generator, x0, T, grid, rho, k, seed, scheme, r0, "
+                         "rms_hex, order", [
+    (LINEAR2, GEN2, 1.0, 1.0, GRID4, 15.0, 10.0, 42, "milstein", 1,
+     ["0x1.51442befe229ap-6", "0x1.58cd922e15a03p-7", "0x1.5af3c1eb1043cp-8",
+      "0x1.5948645eb05a6p-9"], 0.988936482919325),
+    (LINEAR2, GEN2, 1.0, 1.0, GRID4, 15.0, 10.0, 42, "em", 1,
+     ["0x1.5265e0859cf68p-5", "0x1.a894b24bd16d2p-6", "0x1.1c043d522a655p-6",
+      "0x1.79205cbaa3293p-7"], 0.6111082198660077),
+    (s.LinearModelParams(mu=(0.5, -0.5, 0.2), sigma=(0.3, 0.5, 0.8)),
+     [[-3.0, 1.5, 1.5], [1.0, -2.0, 1.0], [2.0, 2.0, -4.0]], 1.0, 1.0, GRID4, 15.0, 10.0,
+     7, "milstein", 2,
+     ["0x1.a70791d043beap-7", "0x1.abd0d158cdfcbp-8", "0x1.1b0fc24223840p-8",
+      "0x1.0cc210d034ec3p-9"], 0.8559224888508659),
+    (s.LinearModelParams(mu=(0.2, -0.3), sigma=(0.4, 0.3)), GEN2, 5.0, 0.5,
+     [0.1, 0.05, 0.025], 2.0, 2.0, 3, "milstein", 1,
+     ["0x1.cae9941d5aae9p-8", "0x1.96a1e432fb14ap-9", "0x1.b626941b4d418p-10"],
+     1.0333958427115486),
+], ids=["milstein", "em", "three-states-r0-2", "backstop"])
+def test_strong_order_study(params, generator, x0, T, grid, rho, k, seed, scheme, r0,
+                            rms_hex, order):
+    report = s.strong_order_study(params, s.validate_generator(generator), x0, T, grid,
+                                  rho, k, M=100, seed=seed, scheme=scheme, r0=r0)
+    assert [e.hex() for e in report.rms_errors] == rms_hex
+    assert report.fitted_order == order
