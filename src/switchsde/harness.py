@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, simulate_chain, switch_tables
+from .ctmc import GeneratorMatrix, simulate_chain
 from .errors import (
     AllTrajectoriesFailedError,
     DegenerateGridError,
@@ -65,9 +65,9 @@ BACKSTOP_WARN_FRACTION = 0.05
 # derives together.  Groups bound a study's memory (each lane holds its chain,
 # its generators and a block of normals) at any study size.
 LANE_GROUP = 1024
-# Brownian points the strong-order study's lanes hold at once, about 20 bytes
-# each: a lane holds every point of its path, so a fine grid walks fewer
-# samples together.
+# Brownian points the strong-order study's lanes hold at once, 16 bytes each
+# (a time and a value) and some free columns per lane: a lane holds every
+# point of its path, so a fine grid walks fewer samples together.
 COUPLED_POINTS = 2 ** 22
 
 _TRAJECTORY_FAILURES = (NonfiniteResultError, RootNotFoundError, StepBudgetExceededError)
@@ -250,22 +250,26 @@ def _histogram(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges, densities
 
 
+def _statistic(stat, values: np.ndarray) -> float:
+    """``stat(values)`` of a statistic that scales with its values, such as a
+    mean, a standard deviation or a root mean square.  Where a sum or a
+    square of finite values passes the float range, it is taken of the values
+    scaled into [-1, 1] and scaled back."""
+    with np.errstate(over="ignore"):
+        result = float(stat(values))
+    if math.isinf(result):
+        scale = float(np.max(np.abs(values)))
+        if scale < math.inf:
+            result = float(stat(values / scale)) * scale
+    return result
+
+
 def _summarize(values: np.ndarray, backstop_fraction: float,
                failed_count: int) -> EnsembleSummary:
     values = np.asarray(values, dtype=float)
-    # Where a sum or the squares pass the float range (an infinite value would
-    # give NaN), the statistic is taken of the values scaled into [-1, 1].
-    with np.errstate(over="ignore"):
-        mean = float(np.mean(values))
-    if math.isinf(mean):
-        scale = float(np.max(np.abs(values)))
-        mean = float(np.mean(values / scale)) * scale
+    mean = _statistic(np.mean, values)
     if len(values) > 1:
-        with np.errstate(over="ignore"):
-            std = float(np.std(values, ddof=1))
-        if math.isinf(std):
-            scale = float(np.max(np.abs(values)))
-            std = float(np.std(values / scale, ddof=1)) * scale
+        std = _statistic(functools.partial(np.std, ddof=1), values)
         se = std / math.sqrt(len(values))
     else:
         std = 0.0
@@ -404,8 +408,8 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
         chains = _trajectory_chains(g, r0, T, seed, group)
         lanes = slice(group.start, group.stop)
         y[lanes], n_steps[lanes], n_backstop[lanes], failed[lanes] = solve_terminals(
-            model, chains, switch_tables(chains, T),
-            ForwardNoise(substream_rngs(seed, group, NOISE_STREAM)), x0[lanes], T, p, scheme)
+            model, chains, ForwardNoise(substream_rngs(seed, group, NOISE_STREAM)),
+            x0[lanes], T, p, scheme)
         for lane in np.flatnonzero(failed[lanes]).tolist():
             idx = first + lane
             path = BrownianPath(substream_rng(seed, idx, NOISE_STREAM))
@@ -453,10 +457,10 @@ def _coupled_errors(params: LinearModelParams, model: RegimeModel, x0: float, T:
 
     Each sample's exact value runs first, on its scalar path.  Every level,
     finest first, then walks all the samples as lanes on one bridge source
-    that continues those paths, over switch tables built once; ``room`` is
-    the new points a path gains over the levels, as far as known.  A sample
-    fails where its exact value overflows or a level's lane fails; it walks
-    no further level, and its errors are NaN."""
+    that continues those paths; ``room`` is the new points a path gains over
+    the levels, as far as known.  A sample fails where its exact value
+    overflows or a level's lane fails; it walks no further level, and its
+    errors are NaN."""
     paths = [BrownianPath(rng) for rng in rngs]
     exact = np.empty(len(chains))
     start = np.full(len(chains), float(x0))
@@ -466,10 +470,9 @@ def _coupled_errors(params: LinearModelParams, model: RegimeModel, x0: float, T:
         except OverflowError:  # a failed sample: NaN starts no lane
             exact[j] = start[j] = math.nan
     noise = BridgeNoise(paths, room)
-    tables = switch_tables(chains, T)
     errors = np.empty((len(step_params), len(chains)))
     for level in range(len(step_params) - 1, -1, -1):  # finest level queries first
-        y, _, _, lost = solve_terminals(model, chains, tables, noise, start, T,
+        y, _, _, lost = solve_terminals(model, chains, noise, start, T,
                                         step_params[level], scheme)
         noise.merge()
         errors[level] = y - exact
@@ -512,10 +515,13 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
             lane = int(np.argmax(failed))
             _replay_sample(params, model, x0, T, step_params, scheme, chains[lane],
                            first + lane, substream_rng(seed, first + lane, NOISE_STREAM))
-    rms = np.sqrt(np.mean(errors * errors, axis=1))
+    rms = np.array([_statistic(lambda e: np.sqrt(np.mean(e * e)), level)
+                    for level in errors])
+    for level, (h, e) in enumerate(zip(grid, rms.tolist())):
+        if not 0.0 < e < math.inf:
+            raise InvalidParamsError(f"cannot fit an order: level {level} "
+                                     f"(h_max={h}) has rms error {e}")
     slope = float(np.polyfit(np.log(grid), np.log(rms), 1)[0])
-    if not math.isfinite(slope):
-        raise InvalidParamsError("fitted order is not finite")
     return ConvergenceReport(h_max_grid=grid, rms_errors=tuple(float(e) for e in rms),
                              fitted_order=slope, sample_count=M, scheme=scheme)
 
@@ -569,10 +575,10 @@ def mean_change_study(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: flo
     initials = x0[::runs_per_initial][kept.any(axis=1)]
     order = np.argsort(initials, kind="stable")
     initials = initials[order]
-    mean_finals = np.array([np.mean(row) for row in rows])[order]
+    mean_finals = np.array([_statistic(np.mean, row) for row in rows])[order]
     single_finals = np.array([row[0] for row in rows])[order]
     mean_changes = mean_finals - initials
-    grand = float(np.mean((y - x0)[~failed]))
+    grand = _statistic(np.mean, (y - x0)[~failed])
     n_failed = int(failed.sum())
     summary = _summarize(mean_changes, _backstop_fraction(n_steps, n_backstop), n_failed)
     return MeanChangeReport(initials=initials, mean_finals=mean_finals,

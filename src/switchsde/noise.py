@@ -18,9 +18,11 @@ from a lane source, which stands in for one such path per lane and returns
 the values the paths would, bit for bit: :class:`ForwardNoise` for fresh
 paths queried forward only (the ensemble and the mean-change study), and
 :class:`BridgeNoise` for the strong-order study, whose levels refine the
-paths its exact oracle started.  The scalar path itself now serves that
-oracle, the replay of a failed trajectory or sample, ``--dump-trajectory``
-and the mesh audits of criteria 6 and 8.
+paths its exact oracle started.  A bridge source keeps each lane's points as
+one row in time order, writes a walk's new points one column per step, and
+sorts them in among the row's points when the walk ends.  The scalar path
+itself now serves that oracle, the replay of a failed trajectory or sample,
+``--dump-trajectory`` and the mesh audits of criteria 6 and 8.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import NegativeTimeError, ReversedIntervalError
 
 NORMAL_BLOCK = 64  # normals a lane source draws per lane at a time
 GALLOP = 8  # known times a bridge lane compares per gather
-MERGE_LANES = 16  # lanes a bridge merge moves at a time, which bounds its copies
 _AHEAD = np.arange(GALLOP)
 
 
@@ -140,84 +141,69 @@ class BridgeNoise:
     before the query, and the next known point, in ``sample_at``'s order of
     operations (``np.sqrt`` is correctly rounded, like ``math.sqrt``).  Lanes
     draw different numbers of normals, so each keeps its own column into its
-    block.  :meth:`merge` ends a walk: it moves the walk's new points in
-    among the known points and rewinds every lane to t = 0.
+    block.
 
-    Lane j's points are column j of (capacity, lanes) arrays.  Rows
-    ``[0, count)`` hold its known points in time order; the next ``GALLOP``
-    rows are padding (infinite time), so that the cursor's window never
-    leaves them; the walk writes its new points after the padding.  The
-    arrays start with rows for ``room`` new points per lane, a caller's
-    estimate, and grow when a walk needs more; the merge works in place, so a
-    group holds its points about once.
+    Lane j's points are row j of (lanes, capacity) arrays.  Columns
+    ``[0, count)`` hold its known points in time order, followed by padding
+    (infinite time, zero value) at least ``GALLOP`` long, so that the
+    cursor's window never leaves the row's known points and padding.  Step s
+    of a walk writes each lane's new point to column ``base + s``, past every
+    lane's padding; a lane whose query hit a known point writes infinite time
+    there, and a lane that has left writes nothing.  :meth:`merge` ends a
+    walk: each lane's finite step columns are its new points, in time order,
+    which it sorts in among its known points; the step columns go back to
+    padding, and every lane rewinds to t = 0.  The arrays start with columns
+    for ``room`` new points per lane, a caller's estimate, and grow when a
+    walk needs more.
     """
 
     def __init__(self, paths, room: int):
-        n = len(paths)
         self._rngs = [path._rng for path in paths]
         self._count = np.array([len(path._times) for path in paths], dtype=np.intp)
-        # Rows for about ``room`` new points per lane over all walks, so that
-        # the arrays rarely grow (each growth copies them).
+        # Columns for about ``room`` new points per lane over all walks, so
+        # that the arrays rarely grow (each growth copies them).
         capacity = int(self._count.max(initial=0)) + GALLOP + room + room // 8
-        self._times = np.full((capacity, n), np.inf)
-        self._values = np.zeros((capacity, n))
-        self._places = np.zeros((capacity, n), dtype=np.int32)  # of the new points
+        self._times = np.full((len(paths), capacity), np.inf)
+        self._values = np.zeros((len(paths), capacity))
         for j, path in enumerate(paths):
-            self._times[:self._count[j], j] = path._times
-            self._values[:self._count[j], j] = path._values
-        self._z = np.empty((n, NORMAL_BLOCK))
-        self._col = np.full(n, NORMAL_BLOCK)
+            self._times[j, :self._count[j]] = path._times
+            self._values[j, :self._count[j]] = path._values
+        self._z = np.empty((len(paths), NORMAL_BLOCK))
+        self._col = np.full(len(paths), NORMAL_BLOCK)
         self._rewind()
 
     def _rewind(self):
-        self._cur = np.ones(self._count.size, dtype=np.intp)  # known points <= t
-        self._drawn = np.zeros(self._count.size, dtype=np.intp)  # new points so far
-        self._first_new = self._count + GALLOP  # the row of each lane's first new point
-        self._calls = 0
-        self._room = self._times.shape[0] - int(self._first_new.max(initial=0))
-
-    def _grow(self):
-        """Add rows for more new points; appended rows keep every element's
-        index (the arrays are C-ordered with the lanes last)."""
-        rows, n = self._times.shape
-        more = max(rows // 8, 64)
-        for name, pad in (("_times", np.inf), ("_values", 0.0), ("_places", 0)):
-            old = getattr(self, name)
-            grown = np.full((rows + more, n), pad, dtype=old.dtype)
-            grown[:rows] = old
-            setattr(self, name, grown)
-        self._room += more
+        self._cur = np.ones(self._count.size, dtype=np.intp)  # where a search starts
+        self._base = self._step = int(self._count.max(initial=0)) + GALLOP
 
     def advance(self, lane, t, w, t_next):
         """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``."""
-        if self._calls == self._room:  # a lane may draw at every call
-            self._grow()
-        self._calls += 1
-        n = self._count.size
+        rows, capacity = self._times.shape
+        if self._step == capacity:  # no column left for this step's points
+            more = max(capacity // 8, 64)
+            self._times = np.hstack((self._times, np.full((rows, more), np.inf)))
+            self._values = np.hstack((self._values, np.zeros((rows, more))))
+            capacity += more
         known_t, known_w = self._times.ravel(), self._values.ravel()
-        cur = self._cur[lane]
-        # at: the first known point at or after t_next, searched GALLOP points
-        # a gather (a lane's padding ends every search).
-        below = known_t[(cur[:, None] + _AHEAD) * n + lane[:, None]] < t_next[:, None]
-        at = cur + below.sum(axis=1)
-        far = np.flatnonzero(below[:, -1])
+        first = lane * capacity
+        # k: the first known point at or after t_next, searched GALLOP points
+        # a gather from the cursor (a lane's padding ends every search).
+        k = first + self._cur[lane]
+        far = np.arange(lane.size)
         while far.size:
-            below = (known_t[(at[far, None] + _AHEAD) * n + lane[far, None]]
-                     < t_next[far, None])
-            at[far] += below.sum(axis=1)
+            below = known_t[k[far, None] + _AHEAD] < t_next[far, None]
+            k[far] += below.sum(axis=1)
             far = far[below[:, -1]]
-        k = at * n + lane
         u, wu = known_t[k], known_w[k]
         hit = u == t_next  # the memoized value, and no draw
-        drew = ~hit
-        self._cur[lane] = at + hit
+        self._cur[lane] = k - first
 
         # The left neighbour: the last known point before t_next if it is
         # after t, else the lane's current point.
-        before = known_t[k - n]
+        before = known_t[k - 1]
         later = before > t
         s = np.where(later, before, t)
-        ws = np.where(later, known_w[k - n], w)
+        ws = np.where(later, known_w[k - 1], w)
         col = self._col[lane]
         spent = np.flatnonzero(col == NORMAL_BLOCK)
         if spent.size:  # a lane that has no draw to make may refill early
@@ -225,7 +211,7 @@ class BridgeNoise:
                 self._rngs[row].standard_normal(out=self._z[row])
             col[spent] = 0
         z = self._z.ravel()[lane * NORMAL_BLOCK + col]
-        self._col[lane] = col + drew
+        self._col[lane] = col + ~hit
 
         # Past the last known point u is inf: frac is 0, its term adds a zero
         # to ws, and the variance is the forward one, t_next - s.  A hit lane
@@ -236,46 +222,30 @@ class BridgeNoise:
         var = np.divide(lead * (u - t_next), span, out=lead.copy(), where=u < np.inf)
         w_new = ws + frac * (wu - ws) + np.sqrt(var) * z
 
-        # Record the new point, with its row after the merge; a hit lane
-        # writes the slot of its next new point, which that point overwrites.
-        rank = self._drawn[lane]
-        self._drawn[lane] = rank + drew
-        slot = (self._first_new[lane] + rank) * n + lane
-        known_t[slot] = t_next
+        slot = first + self._step
+        self._step += 1
+        known_t[slot] = np.where(hit, np.inf, t_next)
         known_w[slot] = w_new
-        self._places.ravel()[slot] = at + rank
         return np.where(hit, wu, w_new)
 
     def merge(self):
         """Move the new points of the walk in among each lane's known points,
         in time order, and rewind the lanes to t = 0 for the next walk."""
-        count = self._count + self._drawn
-        rows = np.arange(self._times.shape[0])
-        for first in range(0, count.size, MERGE_LANES):
-            lanes = slice(first, first + MERGE_LANES)
-            # Each lane's points as one row of these transposed views.
-            times, values = self._times[:, lanes].T, self._values[:, lanes].T
-            new = ((rows >= self._first_new[lanes, None])
-                   & (rows < (self._first_new + self._drawn)[lanes, None]))
-            lane, place = np.nonzero(new)[0], self._places[:, lanes].T[new]
-            new_times, new_values = times[new], values[new]
-            # The new points take their places, and the known points fill the
-            # free places of each lane in order.
-            free = rows < count[lanes, None]
-            free[lane, place] = False
-            known = rows < self._count[lanes, None]
-            times[free] = times[known]
-            values[free] = values[known]
-            times[lane, place] = new_times
-            values[lane, place] = new_values
-            padding = rows >= count[lanes, None]
-            times[padding] = np.inf
-            values[padding] = 0.0
-        self._count = count
+        steps = slice(self._base, self._step)
+        for j, (row_t, row_w) in enumerate(zip(self._times, self._values)):
+            new = row_t[steps] < np.inf
+            times = np.concatenate((row_t[:self._count[j]], row_t[steps][new]))
+            values = np.concatenate((row_w[:self._count[j]], row_w[steps][new]))
+            row_t[steps], row_w[steps] = np.inf, 0.0
+            # Two runs in time order, the known points and the new ones, which
+            # a stable sort merges.
+            order = np.argsort(times, kind="stable")
+            row_t[:times.size], row_w[:times.size] = times[order], values[order]
+            self._count[j] = times.size
         self._rewind()
 
     def known_points(self, j: int) -> list[tuple[float, float]]:
         """Lane ``j``'s known (time, value) pairs in time order, as of the
         last :meth:`merge`."""
         count = self._count[j]
-        return list(zip(self._times[:count, j].tolist(), self._values[:count, j].tolist()))
+        return list(zip(self._times[j, :count].tolist(), self._values[j, :count].tolist()))

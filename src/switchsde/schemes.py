@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import MarkovPath, segments
+from .ctmc import MarkovPath, segments, switch_tables
 from .errors import (
     InvalidParamsError,
     NonfiniteResultError,
@@ -310,7 +310,7 @@ def solve_terminal(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float
     return y, n_steps, backstops
 
 
-def solve_terminals(m: RegimeModel, chains, tables, noise, x0, T: float, p: StepParams,
+def solve_terminals(m: RegimeModel, chains, noise, x0, T: float, p: StepParams,
                     main: str = "milstein"):
     """Terminal values of many trajectories, stepped together.
 
@@ -321,9 +321,7 @@ def solve_terminals(m: RegimeModel, chains, tables, noise, x0, T: float, p: Step
     calls where the lane form is derived from the scalar callables.  The
     walk asks ``noise.advance(lane, t, w, t_next)`` for W(t_next) of the
     unfinished lanes ``lane`` (original indices, increasing) at every step.
-    ``tables`` are the chains' ``ctmc.switch_tables(chains, T)``, which a
-    caller that walks the chains more than once builds once.  Every iteration
-    takes one step of each unfinished lane.
+    Every iteration takes one step of each unfinished lane.
     The step rule and the main map run as array operations; the main map's
     coefficients come from one call of the model's lane form
     (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  The
@@ -356,7 +354,7 @@ def solve_terminals(m: RegimeModel, chains, tables, noise, x0, T: float, p: Step
 
     # The end and the state of each lane's constant-state pieces of [0, T];
     # a lane steps inside piece[j].
-    ends, states = tables
+    ends, states = switch_tables(chains, T)
 
     y = np.array(x0, dtype=float)
     failed = np.isnan(y)  # the scalar step rule refuses a NaN norm

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -261,6 +262,39 @@ class TestExitCodes:
             assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 0
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert 1e307 < summary["mean"] < math.inf and 0.0 < summary["sd"] < math.inf
+
+    def test_mean_change_of_initials_near_the_float_range_is_zero(self, tmp_path):
+        # four runs of an initial near 8e307 sum past the float range, and
+        # every final value equals its initial
+        config = write_config(tmp_path, {
+            "model": {"kind": "linear", "mu": [0.0], "sigma": [0.0]},
+            "generator": [[0.0]], "initial_range": [5e307, 8e307], "start_day": 0.0,
+            "end_day": 0.01, "initials": 5, "runs": 4})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["mean-change", "--config", config, "--out", tmp_path / "o"]) == 0
+        rows = (tmp_path / "o" / "meanchange.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        for row in rows:
+            initial, mean_final, single_final = row.split(",")
+            assert initial == mean_final == single_final
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["grand_mean_change"] == summary["mean"] == summary["sd"] == 0.0
+
+    def test_errors_whose_squares_overflow_fit_an_order(self, tmp_path, capsys):
+        # mu = 45 over T = 10 gives errors near 1e195, whose squares overflow
+        # (coarse levels and rho = 2 keep the floored steps few)
+        config = write_config(tmp_path, {
+            "model": {"kind": "linear", "mu": [45.0], "sigma": [0.1]},
+            "generator": [[0.0]], "horizon": 10.0, "step": {"rho": 2.0},
+            "grid": [0.25, 0.125, 0.0625], "trajectories": 100})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["convergence", "--config", config, "--out", tmp_path / "o"]) == 0
+        rows = (tmp_path / "o" / "convergence.csv").read_text().splitlines()[1:]
+        rms = [float(row.split(",")[1]) for row in rows]
+        assert len(rms) == 3 and all(math.sqrt(sys.float_info.max) < e < math.inf for e in rms)
+        assert "fitted order:" in capsys.readouterr().out
 
     def test_values_below_histogram_resolution_exit_3(self, tmp_path, capsys):
         # every terminal value is 1e20, a range no bin width can resolve

@@ -306,6 +306,19 @@ def test_ordinary_mean_is_numpys_mean():
     assert harness._summarize(values, 0.0, 0).mean.hex() == float(np.mean(values)).hex()
 
 
+def test_study_with_zero_errors_refuses_to_fit_an_order():
+    """Without drift or noise every level is exact: the study names the first
+    level whose error is zero, before any logarithm warns."""
+    params = s.LinearModelParams(mu=(0.0,), sigma=(0.0,))
+    g = s.validate_generator([[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.InvalidParamsError,
+                           match=r"level 0 \(h_max=0.0625\) has rms error 0.0"):
+            s.strong_order_study(params, g, 1.0, 1.0, [0.0625, 0.03125, 0.015625],
+                                 15.0, 10.0, 100, 0)
+
+
 STREAMS = (harness.CHAIN_STREAM, harness.NOISE_STREAM, harness.AUX_STREAM,
            harness.INITIAL_STREAM)
 

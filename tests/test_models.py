@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde import errors, schemes
-from switchsde.ctmc import switch_tables
 from switchsde.noise import ForwardNoise
 
 
@@ -205,8 +204,8 @@ class TestLaneForm:
                   for j in range(4)]
         x0 = [0.4, 1.0, 1.6, 2.2]
         y, _, n_backstop, failed = schemes.solve_terminals(
-            model, chains, switch_tables(chains, 0.5),
-            ForwardNoise([np.random.default_rng(10 + j) for j in range(4)]), x0, 0.5, p, main)
+            model, chains, ForwardNoise([np.random.default_rng(10 + j) for j in range(4)]),
+            x0, 0.5, p, main)
         lane_calls = dict(calls)
         calls.clear()
         for j, chain in enumerate(chains):

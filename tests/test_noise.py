@@ -161,20 +161,26 @@ def test_forward_noise_extends_fresh_paths():
 
 
 def test_bridge_noise_refines_memoized_paths():
-    # Each path starts from a few points, as the exact oracle leaves it; each
-    # walk hits known points, bridges between them, extends past the last
-    # one, and leaves new points that the next walk finds after the merge.
+    # Each path starts from a few points, as the exact oracle leaves it, or
+    # from 200 (lane 5), or from points in [0.4, 0.6] alone (lane 6, whose
+    # first walk adds points both before and after them).  Each walk hits
+    # known points, bridges between them, extends past the last one, and
+    # leaves new points that the next walk finds after the merge.  In every
+    # other walk lane 2 makes no query and lane 3 queries known times alone.
     rng = np.random.default_rng(1)
-    sizes = (0, 1, 3, 8, 2)
-    lanes = [s.BrownianPath(np.random.default_rng(40 + j)) for j in range(5)]
-    paths = [s.BrownianPath(np.random.default_rng(40 + j)) for j in range(5)]
-    for lane_path, path, n in zip(lanes, paths, sizes):
-        for t in rng.uniform(0.0, 1.0, n).tolist():
+    starts = [rng.uniform(0.0, 1.0, n).tolist() for n in (0, 1, 3, 8, 2, 200)]
+    starts.append(rng.uniform(0.4, 0.6, 5).tolist())
+    lanes = [s.BrownianPath(np.random.default_rng(40 + j)) for j in range(len(starts))]
+    paths = [s.BrownianPath(np.random.default_rng(40 + j)) for j in range(len(starts))]
+    for lane_path, path, times in zip(lanes, paths, starts):
+        for t in times:
             assert lane_path.sample_at(t) == path.sample_at(t)
     source = noise.BridgeNoise(lanes, 0)  # no room: the arrays grow as the walks need
-    for size in (200, 40, 90, 5):
-        queries = [_increasing(rng, size + 17 * j, [t for t, _ in path.known_points()])
-                   for j, path in enumerate(paths)]
+    for walk, size in enumerate((200, 40, 90, 5)):
+        known = [[t for t, _ in path.known_points()] for path in paths]
+        queries = [_increasing(rng, size + 17 * j, known[j]) for j in range(len(paths))]
+        if walk % 2:
+            queries[2], queries[3] = [], known[3][1:]
         _lane_walk(source, paths, queries)
         source.merge()
         for j, path in enumerate(paths):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde import errors, harness, schemes
-from switchsde.ctmc import switch_tables
 from switchsde.noise import ForwardNoise
 
 TRAJECTORY_FAILURES = (errors.NonfiniteResultError, errors.RootNotFoundError,
@@ -219,8 +218,8 @@ def test_a_step_rounding_onto_a_switch_ends_its_piece():
     model = s.linear_model(s.LinearModelParams(mu=(0.0, -1.0), sigma=(0.0, 0.5)))
     chains = [s.MarkovPath(1, (tau,), (2,), 0.5), s.MarkovPath(1, (0.3,), (2,), 0.5)]
     y, n_steps, n_backstop, failed = schemes.solve_terminals(
-        model, chains, switch_tables(chains, 0.5),
-        ForwardNoise([np.random.default_rng(j) for j in range(2)]), [0.5, 0.5], 0.5, p)
+        model, chains, ForwardNoise([np.random.default_rng(j) for j in range(2)]),
+        [0.5, 0.5], 0.5, p)
     assert not failed.any()
     for j, chain in enumerate(chains):
         path = s.BrownianPath(np.random.default_rng(j))
@@ -334,7 +333,7 @@ def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
     with pytest.raises(errors.StateIndexError) as scalar:
         s.solve_terminal(model, chain, s.BrownianPath(np.random.default_rng(1)), 1.0, 0.5, p)
     with pytest.raises(errors.StateIndexError) as lanes:
-        schemes.solve_terminals(model, chains, switch_tables(chains, 0.5),
+        schemes.solve_terminals(model, chains,
                                 ForwardNoise([np.random.default_rng(j) for j in range(2)]),
                                 [1.0, 1.0], 0.5, p)
     assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
@@ -412,7 +411,7 @@ def _lane_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0, room):
     solve = harness.solve_terminals
 
     def spy(*args):
-        sources.append(args[3])
+        sources.append(args[2])
         return solve(*args)
 
     step_params = [s.StepParams(h_max=h, rho=rho, k=k) for h in grid]
