@@ -2,8 +2,11 @@
 
 A model supplies per-state drift f(x, i), diffusion g(x, i) and the diffusion
 x-derivative g'(x, i) (needed by Milstein-type schemes).  States are 1-based.
-It also has a lane form, the three coefficients over arrays of values and
-states at once, which the lane-batched walk calls once per step.
+It also has a lane form in two stages, for the lane-batched walk: the rows
+stage turns the states of many lanes into their coefficient rows, and the
+walk calls it only for the lanes that enter a new constant-state piece; the
+coefficient stage takes the three coefficients over arrays of values and
+those rows at once, once per step.
 
 Two concrete families are provided:
 
@@ -29,7 +32,7 @@ from .errors import InvalidParamsError, StateIndexError
 from .noise import BrownianPath
 
 Coefficient = Callable[[float, int], float]
-# (x, states, derivative) -> (f, g, g'), with g' None unless ``derivative``.
+# (x, rows, derivative) -> (f, g, g'), with g' None unless ``derivative``.
 LaneCoefficients = Callable[[np.ndarray, np.ndarray, bool],
                             tuple[np.ndarray, np.ndarray, np.ndarray | None]]
 
@@ -46,15 +49,21 @@ class RegimeModel:
     All three callables are pure functions of (x, state); the instance is
     immutable and safe to share across threads.
 
-    ``lanes(x, states, derivative)`` is the lane form: for a float array ``x``
-    and an integer array ``states`` it returns the arrays ``(f, g, g')``, each
-    entry bitwise equal to the scalar callable at ``(x[j], states[j])``, with
-    ``g'`` left as None unless ``derivative`` is true.  It raises what the
-    scalar callables raise for the first lane that raises; floating-point
-    warnings follow numpy's error state.  Without one, a lane form is derived
-    from the scalar callables: it maps each over the lanes, drift first, and
-    calls ``diffusion_derivative`` only when asked for g'; ``lanes_from_scalars``
-    records that it was derived.
+    The lane form has two stages.  :meth:`rows` turns an integer array of
+    states into their coefficient rows, the columns ``states - 1`` of
+    ``table`` (one row of ``table`` per coefficient, one column per state),
+    an array whose last axis runs over the lanes; it raises the scalar
+    callables' :class:`StateIndexError` for the first state outside
+    1..num_states.  Without a table a lane's row is its state itself, and the
+    scalar callables check it.  ``lanes(x, rows, derivative)`` then reads
+    them: for a float array ``x`` and the rows of its lanes it returns the
+    arrays ``(f, g, g')``, each entry bitwise equal to the scalar callable at
+    ``(x[j], states[j])``, with ``g'`` left as None unless ``derivative`` is
+    true; floating-point warnings follow numpy's error state.  Without one, a
+    lane form is derived from the scalar callables: it maps each over the
+    lanes and their states, drift first, and calls ``diffusion_derivative``
+    only when asked for g'; it raises what they raise for the first lane that
+    raises, and ``lanes_from_scalars`` records that it was derived.
     """
 
     num_states: int
@@ -62,6 +71,7 @@ class RegimeModel:
     diffusion: Coefficient
     diffusion_derivative: Coefficient
     lanes: LaneCoefficients | None = field(default=None, repr=False, compare=False)
+    table: np.ndarray | None = field(default=None, repr=False, compare=False)
     lanes_from_scalars: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,10 +80,18 @@ class RegimeModel:
             object.__setattr__(self, "lanes", _mapped_lanes(
                 self.drift, self.diffusion, self.diffusion_derivative))
 
+    def rows(self, states: np.ndarray) -> np.ndarray:
+        """The coefficient rows of lanes in ``states``, one per lane along
+        the last axis."""
+        if self.table is None:
+            return states
+        return self.table[:, _check_states(states, self.num_states)]
+
 
 def _mapped_lanes(drift: Coefficient, diffusion: Coefficient,
                   diffusion_derivative: Coefficient) -> LaneCoefficients:
-    """The lane form that calls the scalar callables lane by lane."""
+    """The lane form that calls the scalar callables lane by lane; its rows
+    are the states."""
     def lanes(x, states, derivative):
         xs, ss = x.tolist(), states.tolist()
         f = np.array(list(map(drift, xs, ss)), dtype=float)
@@ -133,12 +151,12 @@ def _check_state(i: int, n: int) -> int:
 
 
 def _check_states(states: np.ndarray, n: int) -> np.ndarray:
-    """Row of each lane's state in the per-state tables; raises as
+    """Column of each lane's state in a per-state table; raises as
     :func:`_check_state` does for the first lane outside 1..n."""
-    rows = states - 1
-    if not (0 <= rows.min(initial=0) and rows.max(initial=0) < n):
-        _check_state(int(states[(rows < 0) | (rows >= n)][0]), n)
-    return rows
+    columns = states - 1
+    if not (0 <= columns.min(initial=0) and columns.max(initial=0) < n):
+        _check_state(int(states[(columns < 0) | (columns >= n)][0]), n)
+    return columns
 
 
 def telomere_regime_model(pairs) -> RegimeModel:
@@ -175,23 +193,24 @@ def telomere_regime_model(pairs) -> RegimeModel:
             return 0.0
         return 0.5 * math.sqrt(3.0 * as_[k] * x)
 
-    c_table, a_table = np.array(cs), np.array(as_)
-    a3_table = 3.0 * a_table  # the scalar 3.0 * a * x multiplies 3.0 * a first
+    # A row is (c, a, 3a): the scalar 3.0 * a * x multiplies 3.0 * a first.
+    table = np.array([cs, as_, [3.0 * a for a in as_]])
 
-    def lanes(x, states, derivative):
-        rows = _check_states(states, n)
-        ax2 = a_table[rows] * x * x
-        f = -(c_table[rows] + ax2)
-        positive = ~(x <= 0.0)  # NaN takes the square root, as in the scalars
-        g = np.sqrt(ax2 * x / 3.0, out=np.zeros(x.shape), where=positive)
+    def lanes(x, rows, derivative):
+        c, a, a3 = rows[0], rows[1], rows[2]  # faster than unpacking
+        ax2 = a * x * x
+        f = -(c + ax2)
+        nonpositive = x <= 0.0  # NaN takes the square root, as in the scalars
+        g = np.sqrt(np.where(nonpositive, 0.0, ax2 * x / 3.0))
         if not derivative:
             return f, g, None
-        dg = np.sqrt(a3_table[rows] * x, out=np.zeros(x.shape), where=positive)
+        dg = np.sqrt(np.where(nonpositive, 0.0, a3 * x))
         dg *= 0.5
         return f, g, dg
 
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
-                       diffusion_derivative=diffusion_derivative, lanes=lanes)
+                       diffusion_derivative=diffusion_derivative, lanes=lanes,
+                       table=table)
 
 
 def telomere_model(p: TelomereParams) -> RegimeModel:
@@ -214,15 +233,13 @@ def linear_model(p: LinearModelParams) -> RegimeModel:
     def diffusion_derivative(x: float, i: int) -> float:
         return sigma[_check_state(i, n)]
 
-    mu_table, sigma_table = np.array(mu), np.array(sigma)
-
-    def lanes(x, states, derivative):
-        rows = _check_states(states, n)
-        s = sigma_table[rows]
-        return mu_table[rows] * x, s * x, s if derivative else None
+    def lanes(x, rows, derivative):
+        mu_rows, sigma_rows = rows
+        return mu_rows * x, sigma_rows * x, sigma_rows if derivative else None
 
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
-                       diffusion_derivative=diffusion_derivative, lanes=lanes)
+                       diffusion_derivative=diffusion_derivative, lanes=lanes,
+                       table=np.array([mu, sigma]))
 
 
 def exact_linear_solution(p: LinearModelParams, x0: float, chain: MarkovPath,

@@ -47,6 +47,12 @@ NEWTON_ABS_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 RESIDUAL_REL_TOL = 1e-10  # acceptance bound: |F(X)| <= tol * max(1, |X|)
 BRACKET_MAX_DOUBLINGS = 60
+# Backstop lanes of one step below which the lane walk runs the scalar map on
+# each in place of the lane Newton: on the telomere and linear models one lane
+# Newton call, of any size up to about 100 lanes, costs about as much as the
+# scalar map on 30 lanes (83-150 us against 3-5 us a lane, 2-vCPU Xeon, numpy
+# 2.4).
+LANE_NEWTON_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -204,13 +210,14 @@ def _milstein_values(x, h, dW, f, g, dg):
 _LANE_MAPS = {"em": (_em_values, False), "milstein": (_milstein_values, True)}
 
 
-def _newton_values(m: RegimeModel, x, states, h, dW):
+def _newton_values(m: RegimeModel, x, rows, h, dW):
     """The Newton iteration of :func:`implicit_milstein_map` on many lanes at
-    once, in the map's order of operations.  Returns each lane's last iterate
-    and a mask of the lanes whose iterate the map returns; the map takes every
-    other lane on to its bisection.  Each round takes the drift at y and at
+    once, in the map's order of operations, from the lanes' coefficient rows
+    (:meth:`RegimeModel.rows`).  Returns each lane's last iterate and a mask
+    of the lanes whose iterate the map returns; the map takes every other
+    lane on to its bisection.  Each round takes the drift at y and at
     y +- delta from one lane-form call."""
-    f, g, dg = m.lanes(x, states, True)
+    f, g, dg = m.lanes(x, rows, True)
     const = x + g * dW + 0.5 * dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
     solved = np.zeros(x.size, dtype=bool)
@@ -225,8 +232,9 @@ def _newton_values(m: RegimeModel, x, states, h, dW):
             break
         n, y_l, h_l = live.size, y[live], h[live]
         delta = 1e-7 * np.maximum(1.0, np.abs(y_l))
+        rows_l = rows[..., live]
         f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)),
-                     np.tile(states[live], 3), False)[0]
+                     np.concatenate((rows_l, rows_l, rows_l), axis=-1), False)[0]
         r = y_l - const[live] - h_l * f3[:n]
         done = np.abs(r) <= NEWTON_ABS_TOL
         slope = 1.0 - h_l * (f3[n:2 * n] - f3[2 * n:]) / (2.0 * delta)
@@ -239,7 +247,7 @@ def _newton_values(m: RegimeModel, x, states, h, dW):
         live = live[move]
         y[live] = y_next[move]
     if live.size:  # the lanes that spent the budget: their last iterate's residual
-        f = m.lanes(y[live], states[live], False)[0]
+        f = m.lanes(y[live], rows[..., live], False)[0]
         accept(live, y[live] - const[live] - h[live] * f)
     return y, solved
 
@@ -324,12 +332,17 @@ def solve_terminals(m: RegimeModel, chains, noise, x0, T: float, p: StepParams,
     Every iteration takes one step of each unfinished lane.
     The step rule and the main map run as array operations; the main map's
     coefficients come from one call of the model's lane form
-    (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  The
-    backstop steps run the Newton iteration of :func:`implicit_milstein_map`
-    together, through the model's own lane form; a lane that Newton does not
-    settle, or any backstop lane of a model without its own lane form, runs
-    :func:`implicit_milstein_map` alone, which redoes the Newton iteration and
-    goes on to the bisection.
+    (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  Each
+    lane keeps the coefficient row of its piece (:meth:`RegimeModel.rows`),
+    gathered when the walk starts and when the lane enters its next piece,
+    so a state outside the model raises before the piece's first step.  The
+    backstop steps of an iteration, when there are at least
+    ``LANE_NEWTON_MIN`` of them, run the Newton iteration of
+    :func:`implicit_milstein_map` together, through the model's own lane
+    form; a lane that Newton does not settle, any backstop lane of a model
+    without its own lane form, and the backstop lanes of an iteration with
+    fewer of them run :func:`implicit_milstein_map` alone, which redoes the
+    Newton iteration and goes on to the bisection.
 
     Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``.  A lane
     fails where its scalar walk raises: its start is NaN, a value is not
@@ -363,7 +376,7 @@ def solve_terminals(m: RegimeModel, chains, noise, x0, T: float, p: StepParams,
     t, w = np.zeros(lane.size), np.zeros(lane.size)
     piece = np.zeros(lane.size, dtype=np.intp)
     bound = ends[lane, 0]
-    state = states[lane, 0]
+    rows = m.rows(states[lane, 0])
     backstops = np.zeros(lane.size, dtype=np.int64)
     n_steps = 0
     with np.errstate(all="ignore"):  # a lane that overflows fails its finiteness check
@@ -371,38 +384,40 @@ def solve_terminals(m: RegimeModel, chains, noise, x0, T: float, p: StepParams,
             n_steps += 1
             # The step rule of next_step: the norm candidate (float_power calls
             # the libm pow that ** calls, where numpy's power can differ in the
-            # last ulp; a power past the float range gives h 0), the floor,
-            # one clamp.
-            norms = np.abs(y)
-            h = h_max / np.float_power(norms, inv_k, out=np.ones(lane.size),
-                                       where=norms > 1.0)
+            # last ulp; a norm up to 1 gives pow(1, 1/k) = 1 exactly, and a
+            # power past the float range gives h 0), the floor, one clamp.
+            h = h_max / np.float_power(np.maximum(np.abs(y), 1.0), inv_k)
             np.maximum(h, h_min, out=h)
             gap = bound - t
             clamp = gap <= h
             t_next = t + h
-            np.copyto(h, gap, where=clamp)
-            np.copyto(t_next, bound, where=clamp)
+            if np.count_nonzero(clamp):
+                np.copyto(h, gap, where=clamp)
+                np.copyto(t_next, bound, where=clamp)
             backstop = h <= h_min
             dt = t_next - t  # the realised spacing drives the map
             w_next = noise.advance(lane, t, w, t_next)
             dw = w_next - w
 
             some_backstop = np.count_nonzero(backstop)
-            explicit = np.flatnonzero(~backstop) if some_backstop else slice(None)
-            x = y[explicit]
-            y_next = value(x, dt[explicit], dw[explicit],
-                           *m.lanes(x, state[explicit], derivative))
+            operands = y, dt, dw, rows
+            if some_backstop:  # the main map takes the lanes that step explicitly
+                explicit = np.flatnonzero(~backstop)
+                operands = (a[..., explicit] for a in operands)
+            x, dt_e, dw_e, rows_e = operands
+            y_next = value(x, dt_e, dw_e, *m.lanes(x, rows_e, derivative))
             if some_backstop:
                 y_e, y_next = y_next, np.empty_like(y)
                 y_next[explicit] = y_e
                 implicit = np.flatnonzero(backstop)
-                if newton:
+                if newton and some_backstop >= LANE_NEWTON_MIN:
                     y_next[implicit], solved = _newton_values(
-                        m, y[implicit], state[implicit], dt[implicit], dw[implicit])
+                        m, y[implicit], rows[..., implicit], dt[implicit], dw[implicit])
                     implicit = implicit[~solved]
                 for j in implicit.tolist():
+                    state = int(states[lane[j], piece[j]])
                     try:
-                        y_next[j] = implicit_milstein_map(float(y[j]), int(state[j]),
+                        y_next[j] = implicit_milstein_map(float(y[j]), state,
                                                           float(dt[j]), float(dw[j]), m)
                     except SwitchSDEError:  # the lane fails; its scalar replay says why
                         y_next[j] = np.nan
@@ -416,17 +431,20 @@ def solve_terminals(m: RegimeModel, chains, noise, x0, T: float, p: StepParams,
             arrived = t >= bound
             if np.count_nonzero(arrived):
                 done = (t >= T) & ~lost
-                y_out[lane[done]] = y[done]
-                steps_out[lane[done]] = n_steps
-                backstops_out[lane[done]] = backstops[done]
-                leaving = lost | done
-                move = arrived & (t < T)
+                if np.count_nonzero(done):
+                    y_out[lane[done]] = y[done]
+                    steps_out[lane[done]] = n_steps
+                    backstops_out[lane[done]] = backstops[done]
+                    leaving = lost | done
+                # A lost lane takes no row: it has failed.
+                move = np.flatnonzero(arrived & ~leaving)
                 piece[move] += 1
-                bound[move] = ends[lane[move], piece[move]]
-                state[move] = states[lane[move], piece[move]]
+                at = lane[move], piece[move]
+                bound[move] = ends[at]
+                rows[..., move] = m.rows(states[at])
             if np.count_nonzero(leaving):
                 failed[lane[lost]] = True
                 keep = ~leaving
-                lane, t, y, w, piece, bound, state, backstops = (
-                    a[keep] for a in (lane, t, y, w, piece, bound, state, backstops))
+                lane, t, y, w, piece, bound, rows, backstops = (
+                    a[..., keep] for a in (lane, t, y, w, piece, bound, rows, backstops))
     return y_out, steps_out, backstops_out, failed

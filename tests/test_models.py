@@ -161,9 +161,10 @@ class TestLaneForm:
         n = model.num_states
         x = np.tile(np.array(xs), n)
         states = np.repeat(np.arange(1, n + 1), len(xs))
+        rows = model.rows(states)
         with np.errstate(all="ignore"):  # the scalar forms overflow silently
-            f, g, dg = model.lanes(x, states, True)
-            f_em, g_em, none = model.lanes(x, states, False)
+            f, g, dg = model.lanes(x, rows, True)
+            f_em, g_em, none = model.lanes(x, rows, False)
         pairs = list(zip(x.tolist(), states.tolist()))
         assert _hex(f) == _hex(f_em) == [model.drift(*p).hex() for p in pairs]
         assert _hex(g) == _hex(g_em) == [model.diffusion(*p).hex() for p in pairs]
@@ -180,19 +181,34 @@ class TestLaneForm:
                 model.drift(1.0, bad)
             for states in ([1, bad, 1], [1, bad, n + 7]):  # the first lane outside
                 with pytest.raises(errors.StateIndexError) as lanes:
-                    model.lanes(np.ones(3), np.array(states), True)
+                    model.rows(np.array(states))
                 assert str(lanes.value) == str(scalar.value)
 
+    def test_rows_are_the_coefficients_of_each_state(self):
+        states = np.array([2, 1, 4, 2])
+        telomere = s.telomere_regime_model([(4.5, 1e-7), (7.5, 3e-7), (1.0, 0.0), (2.0, 5e-7)])
+        assert telomere.rows(states).tolist() == [
+            [7.5, 4.5, 2.0, 7.5], [3e-7, 1e-7, 5e-7, 3e-7],
+            [3.0 * 3e-7, 3.0 * 1e-7, 3.0 * 5e-7, 3.0 * 3e-7]]
+        linear = s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))
+        assert linear.rows(states[:2]).tolist() == [[-0.2, 0.1], [0.4, 0.3]]
+        derived = _counting_model()[0]
+        assert derived.rows(states) is states  # the scalar callables check the states
+
     def test_no_lanes(self):
-        for model in (s.telomere_model(s.TelomereParams()), _counting_model()[0]):
-            f, g, dg = model.lanes(np.empty(0), np.empty(0, dtype=np.int64), True)
-            assert f.shape == g.shape == dg.shape == (0,)
+        for model in (s.telomere_model(s.TelomereParams()),
+                      s.linear_model(s.LinearModelParams(mu=(0.1,), sigma=(0.3,))),
+                      _counting_model()[0]):
+            rows = model.rows(np.empty(0, dtype=np.int64))
+            f, g, dg = model.lanes(np.empty(0), rows, True)
+            assert rows.shape[-1] == 0 and f.shape == g.shape == dg.shape == (0,)
 
     def test_derived_form_reads_only_what_is_asked(self):
         model, calls = _counting_model()
-        model.lanes(np.array([0.5, 2.0, -1.0]), np.array([1, 2, 2]), False)
+        rows = model.rows(np.array([1, 2, 2]))
+        model.lanes(np.array([0.5, 2.0, -1.0]), rows, False)
         assert calls == {"drift": 3, "diffusion": 3}
-        model.lanes(np.array([0.5, 2.0, -1.0]), np.array([1, 2, 2]), True)
+        model.lanes(np.array([0.5, 2.0, -1.0]), rows, True)
         assert calls == {"drift": 6, "diffusion": 6, "diffusion_derivative": 3}
 
     @pytest.mark.parametrize("main", ["em", "milstein"])

@@ -186,9 +186,11 @@ def studies(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(studies())
-def test_batched_engine_equals_the_scalar_walk(study):
-    assert_engines_agree(*study)
+@given(studies(), st.sampled_from([1, schemes.LANE_NEWTON_MIN]))
+def test_batched_engine_equals_the_scalar_walk(study, newton_min):
+    # With newton_min 1 every step's backstop lanes take the lane Newton.
+    with mock.patch.object(schemes, "LANE_NEWTON_MIN", newton_min):
+        assert_engines_agree(*study)
 
 
 def test_floored_and_failing_studies_agree():
@@ -339,19 +341,77 @@ def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
     assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
 
 
+def _lanes_against_scalar_walks(model, chains, x0, T, p):
+    """Walk ``chains`` as lanes on ForwardNoise (lane j on generator 200 + j)
+    and compare each lane with its scalar walk; returns the failed mask."""
+    n = len(chains)
+    y, n_steps, n_backstop, failed = schemes.solve_terminals(
+        model, chains, ForwardNoise([np.random.default_rng(200 + j) for j in range(n)]),
+        x0, T, p)
+    for j, chain in enumerate(chains):
+        path = s.BrownianPath(np.random.default_rng(200 + j))
+        try:
+            y_ref, steps_ref, backstops_ref = s.solve_terminal(model, chain, path, x0[j], T, p)
+        except errors.SwitchSDEError:
+            assert failed[j] and math.isnan(y[j]) and n_steps[j] == n_backstop[j] == 0
+        else:
+            assert not failed[j] and float(y[j]).hex() == y_ref.hex()
+            assert (n_steps[j], n_backstop[j]) == (steps_ref, backstops_ref)
+    return failed
+
+
+def test_coefficient_rows_follow_pieces_as_lanes_leave():
+    # Break intensities 100x apart, about 15 switches per lane: a lane whose
+    # row is not gathered on entering a piece, or whose rows shift when
+    # another lane leaves, takes the other state's coefficients.  Lane 2
+    # starts NaN, lane 4 overflows on its first step, and the lanes from
+    # -6e5 down lose their backstop root at different times.
+    model = s.telomere_regime_model([(4.5, 1e-7), (7.5, 1e-5)])
+    g = s.validate_generator([[-30.0, 30.0], [30.0, -30.0]])
+    x0 = [3000.0, -4e5, math.nan, 8000.0, 1e200, -5e5, 1000.0, -6e5, 5000.0, -8e5,
+          2000.0, -1e6, 4000.0, -7e5]
+    chains = [s.simulate_chain(g, 1 + j % 2, 0.5, np.random.default_rng(100 + j))
+              for j in range(len(x0))]
+    failed = _lanes_against_scalar_walks(model, chains, x0, 0.5, s.StepParams(0.03, 15.0, 10.0))
+    assert np.flatnonzero(failed).tolist() == [2, 4, 7, 9, 11, 13]
+    assert min(chain.num_switches for chain in chains) >= 8
+
+
+@pytest.mark.parametrize("model, x_lost", [
+    (s.linear_model(s.LinearModelParams(mu=(1.0, 1.0), sigma=(0.0, 0.0))), 1.7e308),
+    (s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)]), -1e160)])
+def test_lane_lost_on_landing_in_a_state_outside_the_model_fails(model, x_lost):
+    # h_max / |x|^(1/1000) is above 0.1, so the first step is clamped onto the
+    # switch into state 3 and is explicit; its value overflows there.  The
+    # scalar walk fails on that step and never reads state 3.
+    chains = [s.MarkovPath(1, (0.1,), (3,), 0.5), s.MarkovPath(2, (0.2,), (1,), 0.5)]
+    failed = _lanes_against_scalar_walks(model, chains, [x_lost, 1.0], 0.5,
+                                         s.StepParams(0.3, 15.0, 1000.0))
+    assert failed.tolist() == [True, False]
+
+
 STIFF = (s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)]),
          s.validate_generator([[-4.0, 4.0], [4.0, -4.0]]),
          (-4e7, 1e7), "uniform", 0.5, s.StepParams(0.1, 4.0, 2.0), 8, 3, 3, "milstein")
 
 
+def _states_of(m, rows):
+    """The state of each lane from its coefficient row, for a model whose
+    states have distinct rows."""
+    table = m.rows(np.arange(1, m.num_states + 1))
+    return 1 + (rows[:, :, None] == table[:, None, :]).all(axis=0).argmax(axis=1)
+
+
 def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch):
-    # rho^k = 16, so every step from |Y| >= 16 is a backstop step.
+    # rho^k = 16, so every step from |Y| >= 16 is a backstop step; the 24
+    # lanes take the lane Newton on every step with a backstop lane.
+    monkeypatch.setattr(schemes, "LANE_NEWTON_MIN", 1)
     batches = []
     newton = schemes._newton_values
 
-    def spy(m, x, states, h, dW):
-        y, solved = newton(m, x, states, h, dW)
-        batches.append((m, x, states, h, dW, y, solved))
+    def spy(m, x, rows, h, dW):
+        y, solved = newton(m, x, rows, h, dW)
+        batches.append((m, x, _states_of(m, rows), h, dW, y, solved))
         return y, solved
 
     monkeypatch.setattr(schemes, "_newton_values", spy)

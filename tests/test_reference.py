@@ -5,6 +5,7 @@ engine that reorganises the per-trajectory loop (or replaces it with a batched
 one) must reproduce them bit for bit, including which trajectories fail.
 """
 
+import hashlib
 import logging
 import math
 import re
@@ -52,6 +53,18 @@ def test_ensemble_uniform_initial_uniform_r0(telomere):
     assert summary.backstop_fraction == 0.0030959752321981426
     assert summary.failed_count == 0
 
+
+
+def test_ensemble_at_the_benchmark_shape(telomere):
+    # The 30-day ensemble of the benchmark's telomere workload: about nine
+    # switches per lane, so a coefficient row that lags or leads its piece
+    # changes bits.
+    g = s.validate_generator(TELOMERE_GENERATOR)
+    summary = s.run_ensemble(telomere, g, 1000.0, 1, 30.0, STEP, M=40, seed=3)
+    assert hashlib.sha256(summary.terminal_values.tobytes()).hexdigest() == (
+        "94d497013db2327472801852ddd92def737165935dfcf9c3c674e767bbbfde82")
+    assert summary.backstop_fraction.hex() == "0x1.a1348edeff97bp-11"
+    assert summary.failed_count == 0
 
 def test_ensemble_partial_failures(caplog):
     g = s.validate_generator([[0.0, 0.0], [0.0, 0.0]])

@@ -162,7 +162,7 @@ class TestLaneNewton:
         h[:3] = 0.0  # a step the scalar map refuses
         dW = rng.standard_normal(n) * np.sqrt(h)
         with np.errstate(all="ignore"):
-            y, solved = schemes._newton_values(model, x, states, h, dW)
+            y, solved = schemes._newton_values(model, x, model.rows(states), h, dW)
         relative = 0
         for j in range(n):
             args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), model
@@ -179,8 +179,8 @@ class TestLaneNewton:
         model = _drift_only_model(lambda y: (-y ** 3 + 3.0 * y - 3.0) / 0.5, seen)
         x = np.array([1.0, 0.0])
         with np.errstate(all="ignore"):
-            y, solved = schemes._newton_values(model, x, np.ones(2, dtype=np.int64),
-                                                np.full(2, 0.5), np.zeros(2))
+            y, solved = schemes._newton_values(
+                model, x, model.rows(np.ones(2, dtype=np.int64)), np.full(2, 0.5), np.zeros(2))
         assert solved.tolist() == [False, True]
         assert not _newton_returns(1.0, 1, 0.5, 0.0, model)
         assert y[1].hex() == s.implicit_milstein_map(0.0, 1, 0.5, 0.0, model).hex()

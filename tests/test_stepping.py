@@ -209,13 +209,18 @@ def test_landing_time_never_passes_switch_or_terminal(data, y, t_n):
 # because this numpy build's float_power has no SIMD loop and calls the libm
 # pow that ``**`` calls; np.power is not (its AVX-512 loop differs in the last
 # ulp), so these tests guard a property of the numpy build, not of the code.
+# Norms up to 1 are raised to 1 first, and pow(1, 1/k) is 1 exactly, so their
+# candidate is h_max as in next_step.
 def _lane_powers(norms, inv_k):
     """The powers as the lane engine takes them, inf past the float range."""
     with np.errstate(over="ignore"):
-        return np.float_power(norms, inv_k, out=np.ones(norms.size), where=norms > 1.0)
+        return np.float_power(np.maximum(norms, 1.0), inv_k)
 
 
 def _python_power(v, inv_k):
+    """next_step's divisor of h_max: none (1) for norms up to 1."""
+    if v <= 1.0:
+        return 1.0
     try:
         return v ** inv_k
     except OverflowError:
@@ -223,13 +228,22 @@ def _python_power(v, inv_k):
 
 
 @settings(max_examples=400, deadline=None)
-@given(norms=st.lists(st.floats(1.0, 1e308, exclude_min=True), min_size=1, max_size=8),
+@given(norms=st.lists(st.one_of(st.floats(0.0, 1e308),
+                                st.sampled_from([0.0, 5e-324, 2.2e-308,
+                                                 math.nextafter(1.0, 0.0), 1.0])),
+                      min_size=1, max_size=8),
        k=st.one_of(st.floats(0.01, 50.0),
                    st.sampled_from([0.1, 0.5, 1 / 3, 2.0, 10.0, 15.0])))
 def test_float_power_is_pythons_power(norms, k):
     inv_k = 1.0 / k
-    powers = _lane_powers(np.array(norms), inv_k).tolist()
-    assert [p.hex() for p in powers] == [_python_power(v, inv_k).hex() for v in norms]
+    powers = _lane_powers(np.array(norms), inv_k)
+    assert [p.hex() for p in powers.tolist()] == [
+        _python_power(v, inv_k).hex() for v in norms]
+    # The lane step before its clamp, as solve_terminals takes it.
+    p = s.StepParams(0.03, 15.0, k)
+    h = np.maximum(p.h_max / powers, p.h_min)
+    assert [v.hex() for v in h.tolist()] == [
+        s.next_step(v, 0.0, None, 1e9, p).h.hex() for v in norms]
 
 
 def test_float_power_is_pythons_power_on_a_million_norms():
