@@ -9,11 +9,13 @@ Milstein variant.
 """
 
 from .ctmc import (
+    Chains,
     GeneratorMatrix,
     MarkovPath,
     holding_rate,
     read_chain_csv,
     simulate_chain,
+    simulate_chains,
     state_at,
     transition_pmf,
     validate_generator,
@@ -55,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrownianPath",
+    "Chains",
     "ConvergenceReport",
     "EnsembleSummary",
     "GeneratorMatrix",
@@ -83,6 +86,7 @@ __all__ = [
     "read_chain_csv",
     "run_ensemble",
     "simulate_chain",
+    "simulate_chains",
     "solve_terminal",
     "solve_trajectory",
     "state_at",

@@ -27,6 +27,7 @@ from .errors import (
     SwitchSDEError,
 )
 from .harness import (
+    _trajectory_chains,
     check_ensemble_args,
     check_mean_change_args,
     check_run_args,
@@ -35,7 +36,6 @@ from .harness import (
     mean_change_study,
     run_ensemble,
     strong_order_study,
-    trajectory_chain,
 )
 from .models import (
     LinearModelParams,
@@ -333,14 +333,13 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.experiment == "simulate-chain":
         n_chains = x["trajectories"]
-        total_switches = 0
+        chains = _trajectory_chains(cfg.generator, x["r0"], x["horizon"], cfg.seed,
+                                    range(n_chains))
         for idx in range(n_chains):
-            chain = trajectory_chain(cfg.generator, x["r0"], x["horizon"], cfg.seed, idx)
             name = "chain.csv" if n_chains == 1 else f"chain_{idx:03d}.csv"
-            _write(cfg, name, lambda fh: write_chain_csv(chain, fh))
-            total_switches += chain.num_switches
+            _write(cfg, name, lambda fh: write_chain_csv(chains.path(idx), fh))
         print(f"wrote {n_chains} chain file(s) to {cfg.out_dir} "
-              f"({total_switches} switches)")
+              f"({int(chains.counts.sum())} switches)")
 
     elif cfg.experiment == "convergence":
         report = strong_order_study(

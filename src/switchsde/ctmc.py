@@ -14,9 +14,9 @@ post-switch state.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -40,9 +40,14 @@ class GeneratorMatrix:
     """Validated L x L transition-rate matrix (units 1/time).
 
     Construct through :func:`validate_generator`; the rates array is frozen.
-    ``jumps[i - 1]`` is ``(lambda_i, cum, dests)`` for state i, derived from
-    the rates: its holding rate, and the states one jump reaches with their
-    cumulative probabilities (none for an absorbing state).
+    ``jumps`` is ``(lam, cum, dests)``, derived from the rates as arrays
+    indexed by the state itself (row 0 is unused): state i's holding rate
+    ``lam[i]``, the states one jump reaches, in order, from ``dests[i, 0]``,
+    and the cumulative probabilities that bound them, ``cum[i]``.  A draw u
+    goes to ``dests[i, q]`` for q the count of ``cum[i] <= u``: the bound of
+    the last destination and the padding are inf, so the last destination
+    also takes a draw above the last cumulative probability (by rounding).
+    An absorbing state reaches none.
     """
 
     rates: np.ndarray
@@ -51,14 +56,19 @@ class GeneratorMatrix:
 
     def __post_init__(self):
         self.rates.setflags(write=False)
-        jumps = []
-        for i in range(1, self.num_states + 1):
-            lam = holding_rate(self, i)
-            p = transition_pmf(self, i) if lam > 0.0 else np.zeros(0)
-            dests = np.nonzero(p > 0)[0]
-            jumps.append((lam, tuple(np.cumsum(p[dests]).tolist()),
-                          tuple((dests + 1).tolist())))
-        object.__setattr__(self, "jumps", tuple(jumps))
+        rows, width = 1 + self.num_states, max(1, self.num_states - 1)
+        lam = np.zeros(rows)
+        cum = np.full((rows, width), math.inf)
+        dests = np.ones((rows, width), dtype=np.int64)
+        for i in range(1, rows):
+            lam[i] = holding_rate(self, i)
+            if lam[i] > 0.0:
+                p = transition_pmf(self, i)
+                reached = np.flatnonzero(p > 0)
+                cum[i, :reached.size] = np.cumsum(p[reached])
+                cum[i, reached.size - 1] = math.inf  # the last destination's bound
+                dests[i, :reached.size] = reached + 1
+        object.__setattr__(self, "jumps", (lam, cum, dests))
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,48 @@ class MarkovPath:
     @property
     def num_switches(self) -> int:
         return len(self.switch_times)
+
+
+@dataclass(frozen=True)
+class Chains:
+    """The chains of a lane group on [0, horizon] as padded arrays, one row a
+    lane: lane j starts in state ``initial[j]`` and switches ``counts[j]``
+    times, at ``times[j, :counts[j]]`` into ``states[j, :counts[j]]``, as a
+    :class:`MarkovPath` would hold them.  Padding times are inf and padding
+    states 0; a row is as wide as the most switches of a lane.
+    """
+
+    initial: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
+    counts: np.ndarray
+    horizon: float
+
+    def __len__(self) -> int:
+        return self.initial.size
+
+    def path(self, j: int) -> MarkovPath:
+        """Lane j's chain as a :class:`MarkovPath`."""
+        k = int(self.counts[j])
+        return MarkovPath(initial_state=int(self.initial[j]),
+                          switch_times=tuple(self.times[j, :k].tolist()),
+                          states=tuple(self.states[j, :k].tolist()),
+                          horizon=self.horizon)
+
+    @classmethod
+    def of(cls, paths) -> Chains:
+        """The chains of ``paths``, which share one horizon, as lanes."""
+        horizons = {path.horizon for path in paths}
+        if len(horizons) != 1:
+            raise InvalidParamsError(f"need paths of one horizon, got {sorted(horizons)}")
+        counts = np.array([path.num_switches for path in paths], dtype=np.intp)
+        times = np.full((counts.size, int(counts.max())), math.inf)
+        states = np.zeros(times.shape, dtype=np.int64)
+        for row, path in enumerate(paths):
+            times[row, :path.num_switches] = path.switch_times
+            states[row, :path.num_switches] = path.states
+        return cls(initial=np.array([path.initial_state for path in paths], dtype=np.int64),
+                   times=times, states=states, counts=counts, horizon=horizons.pop())
 
 
 def validate_generator(rates) -> GeneratorMatrix:
@@ -147,52 +199,94 @@ def transition_pmf(g: GeneratorMatrix, i: int) -> np.ndarray:
     return p
 
 
-def _uniforms(rng: np.random.Generator):
-    """The generator's uniforms u in draw order, each with ``math.log1p(-u)``
-    (numpy's log1p can differ in the last ulp), drawn ``CHAIN_BLOCK`` at a time:
-    a block draw equals as many single draws, bit for bit."""
-    while True:
-        u = rng.random(CHAIN_BLOCK)
-        yield from zip(u.tolist(), map(math.log1p, (-u).tolist()))
+def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, rngs) -> Chains:
+    """Sample one chain trajectory on [0, horizon] per lane: lane j starts from
+    ``r0s[j]`` and draws its uniforms from ``rngs[j]``.
+
+    Holding times use inverse-CDF exponential sampling on uniform draws, with
+    ``math.log1p(-u)`` (numpy's log1p can differ in the last ulp); a holding
+    uniform of exactly 0 is drawn again, as it would stall the clock.
+    Destinations use inverse-CDF sampling of the transition pmf.  A lane stops
+    at its first holding time crossing the horizon, so a switch landing
+    exactly on the horizon is kept, or when it enters an absorbing state.
+
+    Each iteration takes one switch of every live lane, as array operations.
+    A lane reads its generator's uniforms in draw order, ``CHAIN_BLOCK`` at a
+    time and only when its block runs out, so each lane is the chain that it
+    would be alone, bit for bit (a block draw equals as many single draws),
+    and its generator ends up to a block past the last uniform used.
+    """
+    if not 0.0 < horizon < math.inf:
+        raise InvalidParamsError(f"horizon must be positive and finite, got {horizon}")
+    initial = np.fromiter(map(operator.index, r0s), dtype=np.int64)  # integers only
+    bad = np.flatnonzero((initial < 1) | (initial > g.num_states))
+    if bad.size:
+        raise StateIndexError(
+            f"initial state {initial[bad[0]]} outside 1..{g.num_states}")
+    lam, cum, dests = g.jumps
+    n = initial.size
+    block = np.empty((n, CHAIN_BLOCK))
+    used = np.full(n, CHAIN_BLOCK)  # each lane's next column; a spent block draws anew
+
+    def draw(lanes):
+        """The next uniform of each lane in ``lanes``."""
+        col = used[lanes]
+        spent = col == CHAIN_BLOCK
+        if spent.any():
+            for j in lanes[spent].tolist():
+                block[j] = rngs[j].random(CHAIN_BLOCK)
+            col[spent] = 0
+        used[lanes] = col + 1
+        return block[lanes, col]
+
+    def holding(lanes, rate):
+        logs = np.fromiter(map(math.log1p, (-draw(lanes)).tolist()), float, lanes.size)
+        return -logs / rate
+
+    columns = []  # switch k of every lane that makes one: (lanes, times, states)
+    stalled = np.full(n, math.nan)  # the time of a switch that left the clock still
+    live = np.flatnonzero(lam[initial] > 0.0)  # an absorbing lane never switches
+    t, s = np.zeros(live.size), initial[live]
+    with np.errstate(over="ignore"):  # a holding time past the float range ends a lane
+        while live.size:
+            rate = lam[s]
+            dt = holding(live, rate)
+            again = dt <= 0.0
+            while again.any():
+                dt[again] = holding(live[again], rate[again])
+                again = dt <= 0.0
+            t_next = t + dt
+            keep = t_next <= horizon
+            still = t_next <= t  # t is at most the horizon
+            if still.any():
+                stalled[live[still]] = t_next[still]
+                keep &= ~still
+            live, t, s = live[keep], t_next[keep], s[keep]
+            if not live.size:
+                break
+            u = draw(live)
+            s = dests[s, (cum[s] <= u[:, None]).sum(axis=1)]
+            columns.append((live, t, s))
+            keep = lam[s] > 0.0
+            live, t, s = live[keep], t[keep], s[keep]
+    first = np.flatnonzero(~np.isnan(stalled))
+    if first.size:  # the error MarkovPath raises for the lowest such lane
+        raise InvalidParamsError(
+            f"switch times not strictly increasing at {float(stalled[first[0]])}")
+    times = np.full((n, len(columns)), math.inf)
+    states = np.zeros(times.shape, dtype=np.int64)
+    counts = np.zeros(n, dtype=np.intp)
+    for k, (lanes, t, s) in enumerate(columns):
+        times[lanes, k], states[lanes, k], counts[lanes] = t, s, k + 1
+    return Chains(initial=initial, times=times, states=states, counts=counts,
+                  horizon=float(horizon))
 
 
 def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
                    rng: np.random.Generator) -> MarkovPath:
-    """Sample one chain trajectory on [0, horizon] starting from r0.
-
-    Holding times use inverse-CDF exponential sampling on uniform draws;
-    destinations use inverse-CDF sampling of the transition pmf.  Generation
-    stops at the first holding time crossing the horizon; a switch landing
-    exactly on the horizon is kept.  Deterministic given the generator state;
-    the uniforms are drawn in blocks, so the generator ends up to a block past
-    the last uniform used.
-    """
-    if not 0.0 < horizon < math.inf:
-        raise InvalidParamsError(f"horizon must be positive and finite, got {horizon}")
-    if not 1 <= r0 <= g.num_states:
-        raise StateIndexError(f"initial state {r0} outside 1..{g.num_states}")
-
-    times: list[float] = []
-    states: list[int] = []
-    t = 0.0
-    s = r0
-    draws = _uniforms(rng)
-    while True:
-        lam, cum, dests = g.jumps[s - 1]
-        if lam <= 0.0:
-            break
-        dt = -next(draws)[1] / lam
-        while dt <= 0.0:  # a uniform draw of exactly 0 would stall the clock
-            dt = -next(draws)[1] / lam
-        t = t + dt
-        if t > horizon:
-            break
-        # a draw above cum[-1] (by rounding) goes to the last destination
-        s = dests[min(bisect_right(cum, next(draws)[0]), len(dests) - 1)]
-        times.append(t)
-        states.append(s)
-    return MarkovPath(initial_state=r0, switch_times=tuple(times),
-                      states=tuple(states), horizon=horizon)
+    """Sample one chain trajectory on [0, horizon] starting from r0: the
+    one-lane case of :func:`simulate_chains`."""
+    return simulate_chains(g, [r0], horizon, [rng]).path(0)
 
 
 def segments(path: MarkovPath, t0: float, t1: float):
@@ -212,32 +306,22 @@ def segments(path: MarkovPath, t0: float, t1: float):
     yield a, t1, state
 
 
-def switch_tables(paths, t1: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces of :func:`segments` ``(path, 0, t1)`` of every path as two
-    padded arrays, ``ends[j, q]`` and ``states[j, q]`` for piece q of path j:
-    piece 0 starts at 0 in the initial state, and each switch before t1 ends
-    one piece and starts the next in its post-switch state.  A row has one
-    more piece than its switches before t1; the end of a padding piece is t1
-    and its state 1."""
-    for path in paths:
-        if not 0.0 <= t1 <= path.horizon:
-            raise TimeOutOfRangeError(
-                f"need 0 <= t0=0.0 <= t1={t1} <= horizon={path.horizon}")
-    counts = np.array([path.num_switches for path in paths], dtype=np.intp)
-    n = counts.size
-    taus = np.fromiter(chain.from_iterable(path.switch_times for path in paths),
-                       dtype=float, count=int(counts.sum()))
-    after = np.fromiter(chain.from_iterable(path.states for path in paths),
-                        dtype=np.int64, count=taus.size)
-    rows = np.repeat(np.arange(n), counts)
-    cols = np.arange(taus.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    kept = taus < t1  # a switch at exactly t1 starts no piece
-    rows, cols = rows[kept], cols[kept]
-    ends = np.full((n, 1 + int(counts.max(initial=0))), t1)
+def switch_tables(chains: Chains, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of :func:`segments` ``(chains.path(j), 0, t1)`` of every lane
+    j as two padded arrays, ``ends[j, q]`` and ``states[j, q]`` for piece q of
+    lane j: piece 0 starts at 0 in the initial state, and each switch before
+    t1 ends one piece and starts the next in its post-switch state.  A row has
+    one more piece than its switches before t1; the end of a padding piece is
+    t1 and its state 1."""
+    if not 0.0 <= t1 <= chains.horizon:
+        raise TimeOutOfRangeError(
+            f"need 0 <= t0=0.0 <= t1={t1} <= horizon={chains.horizon}")
+    kept = chains.times < t1  # a switch at exactly t1 starts no piece
+    ends = np.full((len(chains), 1 + kept.shape[1]), t1)
     states = np.ones(ends.shape, dtype=np.int64)
-    ends[rows, cols] = taus[kept]
-    states[:, 0] = [path.initial_state for path in paths]
-    states[rows, cols + 1] = after[kept]
+    np.copyto(ends[:, :-1], chains.times, where=kept)
+    states[:, 0] = chains.initial
+    np.copyto(states[:, 1:], chains.states, where=kept)
     return ends, states
 
 

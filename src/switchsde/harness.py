@@ -30,7 +30,10 @@ streams derived from the master seed and the trajectory index through
 ``numpy.random.SeedSequence`` spawn keys, so results do not depend on
 execution order and are reproducible bit for bit.  :func:`substream_rngs`
 derives one stream of many indices at once: it runs SeedSequence's hash as
-array arithmetic and gives each generator the state SeedSequence would.
+array arithmetic and gives each generator the state SeedSequence would.  A
+group's chains are sampled together as lanes
+(:func:`switchsde.ctmc.simulate_chains`), each from its own chain stream, so
+each is bit for bit the chain that it would be alone.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import GeneratorMatrix, simulate_chain
+# simulate_chain, the one-lane sampler, stays importable from here: the
+# benchmark's tracer (bench/tracing.py) wraps harness.simulate_chain.
+from .ctmc import Chains, GeneratorMatrix, simulate_chain, simulate_chains  # noqa: F401
 from .errors import (
     AllTrajectoriesFailedError,
     DegenerateGridError,
@@ -355,21 +360,22 @@ def _draw_initial(initial, seed: int, j: int) -> float:
     return float(_draw_initials(initial, seed, [j])[0])
 
 
-def _trajectory_chains(g: GeneratorMatrix, r0, T: float, seed: int, indices) -> list:
-    """Chains of the trajectories ``indices``; a ``'uniform'`` r0 is drawn from
-    each trajectory's auxiliary stream."""
+def _trajectory_chains(g: GeneratorMatrix, r0, T: float, seed: int, indices) -> Chains:
+    """Chains of the trajectories ``indices``, sampled together as one lane
+    group (:func:`switchsde.ctmc.simulate_chains`): lane j is the chain of
+    ``indices[j]``, drawn from its chain stream.  A ``'uniform'`` r0 is drawn
+    from each trajectory's auxiliary stream."""
     if r0 == "uniform":
         starts = [1 + int(rng.integers(g.num_states))
                   for rng in substream_rngs(seed, indices, AUX_STREAM)]
     else:
         starts = [int(r0)] * len(indices)
-    return [simulate_chain(g, start, T, rng)
-            for start, rng in zip(starts, substream_rngs(seed, indices, CHAIN_STREAM))]
+    return simulate_chains(g, starts, T, substream_rngs(seed, indices, CHAIN_STREAM))
 
 
 def trajectory_chain(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
-    """Chain of trajectory ``index``."""
-    return _trajectory_chains(g, r0, T, seed, [index])[0]
+    """Chain of trajectory ``index``, a one-lane group's path."""
+    return _trajectory_chains(g, r0, T, seed, [index]).path(0)
 
 
 def _backstop_fraction(n_steps: np.ndarray, n_backstop: np.ndarray) -> float:
@@ -414,7 +420,7 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
             idx = first + lane
             path = BrownianPath(substream_rng(seed, idx, NOISE_STREAM))
             try:
-                solve_terminal(model, chains[lane], path, x0[idx], T, p, scheme)
+                solve_terminal(model, chains.path(lane), path, x0[idx], T, p, scheme)
             except _TRAJECTORY_FAILURES as exc:
                 logger.warning("trajectory %d failed: %s", idx, exc)
             else:
@@ -464,9 +470,9 @@ def _coupled_errors(params: LinearModelParams, model: RegimeModel, x0: float, T:
     paths = [BrownianPath(rng) for rng in rngs]
     exact = np.empty(len(chains))
     start = np.full(len(chains), float(x0))
-    for j, (chain, path) in enumerate(zip(chains, paths)):
+    for j, path in enumerate(paths):
         try:
-            exact[j] = exact_linear_solution(params, x0, chain, path, T)
+            exact[j] = exact_linear_solution(params, x0, chains.path(j), path, T)
         except OverflowError:  # a failed sample: NaN starts no lane
             exact[j] = start[j] = math.nan
     noise = BridgeNoise(paths, room)
@@ -513,7 +519,7 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
             substream_rngs(seed, samples, NOISE_STREAM), room)
         if failed.any():  # the lowest failed sample's scalar walk says why
             lane = int(np.argmax(failed))
-            _replay_sample(params, model, x0, T, step_params, scheme, chains[lane],
+            _replay_sample(params, model, x0, T, step_params, scheme, chains.path(lane),
                            first + lane, substream_rng(seed, first + lane, NOISE_STREAM))
     rms = np.array([_statistic(lambda e: np.sqrt(np.mean(e * e)), level)
                     for level in errors])

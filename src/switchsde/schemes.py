@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import MarkovPath, segments, switch_tables
+from .ctmc import Chains, MarkovPath, segments, switch_tables
 from .errors import (
     InvalidParamsError,
     NonfiniteResultError,
@@ -318,18 +318,23 @@ def solve_terminal(m: RegimeModel, chain: MarkovPath, w: BrownianPath, x0: float
     return y, n_steps, backstops
 
 
-def solve_terminals(m: RegimeModel, chains, noise, x0, T: float, p: StepParams,
+def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: StepParams,
                     main: str = "milstein"):
     """Terminal values of many trajectories, stepped together.
 
-    Lane ``j`` is the trajectory that :func:`solve_terminal` computes from
-    ``chains[j]``, the Brownian path that the lane source ``noise`` holds for
-    lane j (see :mod:`switchsde.noise`) and ``x0[j]``, bit for bit: the same
+    ``chains`` is a lane group's chains on [0, T] (:class:`switchsde.ctmc.Chains`,
+    as :func:`switchsde.ctmc.simulate_chains` samples them).  Lane ``j`` is
+    the trajectory that :func:`solve_terminal` computes from
+    ``chains.path(j)``, the Brownian path that the lane source ``noise`` holds
+    for lane j (see :mod:`switchsde.noise`) and ``x0[j]``, bit for bit: the same
     mesh, the same Brownian values, the same arithmetic and the same model
     calls where the lane form is derived from the scalar callables.  The
     walk asks ``noise.advance(lane, t, w, t_next)`` for W(t_next) of the
     unfinished lanes ``lane`` (original indices, increasing) at every step.
-    Every iteration takes one step of each unfinished lane.
+    Every iteration takes one step of each unfinished lane.  The switch
+    tables come from the chains' arrays (:func:`switchsde.ctmc.switch_tables`),
+    and a lane's step cap from its switch count, a switch at exactly T
+    included, as ``chain.num_switches`` counts it for the scalar walk.
     The step rule and the main map run as array operations; the main map's
     coefficients come from one call of the model's lane form
     (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  Each
@@ -358,8 +363,7 @@ def solve_terminals(m: RegimeModel, chains, noise, x0, T: float, p: StepParams,
     newton = not m.lanes_from_scalars
     h_max, h_min, inv_k = p.h_max, p.h_min, 1.0 / p.k
     n = len(chains)
-    limit = build_mesh_bound(T, p, 0)[1] + np.array([c.num_switches for c in chains],
-                                                    dtype=float)
+    limit = build_mesh_bound(T, p, 0)[1] + chains.counts.astype(float)
     lowest = limit.min(initial=math.inf)
     y_out = np.full(n, np.nan)
     steps_out = np.zeros(n, dtype=np.int64)

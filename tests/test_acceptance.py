@@ -24,7 +24,7 @@ import pytest
 
 import switchsde as s
 from switchsde import cli
-from switchsde.harness import substream_rng
+from switchsde.harness import LANE_GROUP, substream_rng, substream_rngs
 from switchsde.schemes import implicit_milstein_residual
 
 SEED = cli.DEFAULT_SEED
@@ -141,8 +141,9 @@ def telomere_mesh_audit():
     worst_residual = 0.0
     backstop_steps = 0
     total_steps = 0
+    chains = s.simulate_chains(g, [1] * 1000, T, substream_rngs(SEED, range(1000), 0))
     for idx in range(1000):
-        chain = s.simulate_chain(g, 1, T, substream_rng(SEED, idx, 0))
+        chain = chains.path(idx)
         w = s.BrownianPath(substream_rng(SEED, idx, 1))
         tr = s.solve_trajectory(model, chain, w, 1000.0, T, STEP)
         mesh = {rec.t_start for rec in tr.records}
@@ -213,16 +214,17 @@ def test_criterion_7_ctmc_statistics():
     destinations = {i: {j: 0 for j in range(1, 5) if j != i} for i in range(1, 5)}
     events = 0
     n_chains = 100_000
-    for c in range(n_chains):
-        r0 = 1 + c % 4
-        path = s.simulate_chain(g, r0, 30.0, rng)
-        if path.switch_times:
-            first_holdings[r0].append(path.switch_times[0])
-        prev_s = r0
-        for state in path.states:
-            destinations[prev_s][state] += 1
-            events += 1
-            prev_s = state
+    for first in range(0, n_chains, LANE_GROUP):  # a lane group shares the generator
+        r0s = [1 + c % 4 for c in range(first, min(first + LANE_GROUP, n_chains))]
+        chains = s.simulate_chains(g, r0s, 30.0, [rng] * len(r0s))
+        for r0, path in zip(r0s, map(chains.path, range(len(r0s)))):
+            if path.switch_times:
+                first_holdings[r0].append(path.switch_times[0])
+            prev_s = r0
+            for state in path.states:
+                destinations[prev_s][state] += 1
+                events += 1
+                prev_s = state
     ok = True
     details = []
     for i in range(1, 5):

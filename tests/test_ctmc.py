@@ -122,18 +122,16 @@ class TestSimulateChain:
         g = s.validate_generator(TELOMERE_GENERATOR)
         rng = np.random.default_rng(2024)
         n = 10_000
-        total = sum(s.simulate_chain(g, 1, 30.0, rng).num_switches for _ in range(n))
+        total = s.simulate_chains(g, [1] * n, 30.0, [rng] * n).counts.sum()
         assert total / n == pytest.approx(9.0, rel=0.03)
 
     def test_first_holding_time_mean(self):
         # From state 1 of TWO_STATE the holding time is Exponential(2).
         g = s.validate_generator(TWO_STATE)
         rng = np.random.default_rng(7)
-        samples = []
-        for _ in range(20_000):
-            path = s.simulate_chain(g, 1, 6.0, rng)
-            if path.switch_times:
-                samples.append(path.switch_times[0])
+        n = 20_000
+        chains = s.simulate_chains(g, [1] * n, 6.0, [rng] * n)
+        samples = chains.times[chains.counts > 0, 0]
         assert len(samples) >= 19_990
         assert np.mean(samples) == pytest.approx(0.5, rel=0.02)
 
@@ -279,23 +277,26 @@ CHAIN_SET_SHA256 = "b439dcbd2aee3ad89d2cf6bfdbb380235772cf47b9eb3f537e0fc7037bc9
 FAST_GENERATOR = [[-90.0 if i == j else 30.0 for j in range(4)] for i in range(4)]
 
 
+PINNED_SETS = [(rates, T, r0, seed)
+               for rates, T in ((TELOMERE_GENERATOR, 30.0), (FAST_GENERATOR, 0.25))
+               for r0 in (1, "uniform") for seed in (0, 7, 42, 2 ** 40 + 3)]
+
+
 def _pinned_chains():
     """The horizon and the chains of 200 trajectory indices, per seed, for the
     ensemble's and the fast-switching workload's generators, from a fixed
-    and a uniform r0."""
-    for rates, T in ((TELOMERE_GENERATOR, 30.0), (FAST_GENERATOR, 0.25)):
-        g = s.validate_generator(rates)
-        for r0 in (1, "uniform"):
-            for seed in (0, 7, 42, 2 ** 40 + 3):
-                yield T, [harness.trajectory_chain(g, r0, T, seed, idx) for idx in range(200)]
+    and a uniform r0; each set is one lane group."""
+    for rates, T, r0, seed in PINNED_SETS:
+        yield T, harness._trajectory_chains(s.validate_generator(rates), r0, T, seed,
+                                            range(200))
 
 
 def _chain_set_digest():
     """SHA-256 over the switch times (by ``.hex()``) and states of the pinned
     chains."""
     h = hashlib.sha256()
-    for _, paths in _pinned_chains():
-        for path in paths:
+    for _, chains in _pinned_chains():
+        for path in map(chains.path, range(len(chains))):
             h.update(f"{path.initial_state};".encode())
             h.update(",".join(t.hex() for t in path.switch_times).encode())
             h.update(f";{path.states};".encode())
@@ -309,8 +310,9 @@ def test_chain_set_is_pinned():
     assert _chain_set_digest() == CHAIN_SET_SHA256
 
 
-def _assert_tables_hold_the_pieces(paths, t1):
-    ends, states = switch_tables(paths, t1)
+def _assert_tables_hold_the_pieces(chains, t1):
+    ends, states = switch_tables(chains, t1)
+    paths = [chains.path(j) for j in range(len(chains))]
     assert ends.shape == states.shape == (len(paths),
                                           1 + max(p.num_switches for p in paths))
     for path, row_ends, row_states in zip(paths, ends.tolist(), states.tolist()):
@@ -321,27 +323,29 @@ def _assert_tables_hold_the_pieces(paths, t1):
 
 
 def test_switch_tables_hold_the_pieces_of_segments():
-    for T, paths in _pinned_chains():
-        _assert_tables_hold_the_pieces(paths, T)
-        _assert_tables_hold_the_pieces(paths, T / 3)  # later switches start no piece
+    for T, chains in _pinned_chains():
+        _assert_tables_hold_the_pieces(chains, T)
+        _assert_tables_hold_the_pieces(chains, T / 3)  # later switches start no piece
 
 
 def test_switch_tables_start_no_piece_at_a_switch_at_exactly_t1():
     paths = [s.MarkovPath(1, (0.2, 0.5), (2, 1), 0.5), s.MarkovPath(2, (), (), 0.5),
              s.MarkovPath(3, (0.1, 0.3, 0.4), (1, 2, 3), 0.5)]
-    ends, states = switch_tables(paths, 0.5)
+    chains = s.Chains.of(paths)
+    assert [chains.path(j) for j in range(3)] == paths
+    ends, states = switch_tables(chains, 0.5)
     assert ends.tolist() == [[0.2, 0.5, 0.5, 0.5], [0.5] * 4, [0.1, 0.3, 0.4, 0.5]]
     assert states.tolist() == [[1, 2, 1, 1], [2, 1, 1, 1], [3, 1, 2, 3]]
-    _assert_tables_hold_the_pieces(paths, 0.5)
-    _assert_tables_hold_the_pieces(paths, 0.3)
-    _assert_tables_hold_the_pieces(paths, 0.0)
+    _assert_tables_hold_the_pieces(chains, 0.5)
+    _assert_tables_hold_the_pieces(chains, 0.3)
+    _assert_tables_hold_the_pieces(chains, 0.0)
 
 
 @pytest.mark.parametrize("t1", [0.6, -0.1, math.nan])
 def test_switch_tables_refuse_what_segments_refuses(t1):
     paths = [s.MarkovPath(1, (0.2,), (2,), 0.5)]
     with pytest.raises(errors.TimeOutOfRangeError) as tables:
-        switch_tables(paths, t1)
+        switch_tables(s.Chains.of(paths), t1)
     with pytest.raises(errors.TimeOutOfRangeError) as pieces:
         list(segments(paths[0], 0.0, t1))
     assert str(tables.value) == str(pieces.value)
@@ -368,9 +372,12 @@ def _sequential_chain(g, r0, horizon, rng):
     """The chain sampler that reads one uniform at a time."""
     times, states, t, state = [], [], 0.0, r0
     while True:
-        lam, cum, dests = g.jumps[state - 1]
+        lam = s.holding_rate(g, state)
         if lam <= 0.0:
             break
+        p = s.transition_pmf(g, state)
+        reached = np.flatnonzero(p > 0)
+        cum, dests = np.cumsum(p[reached]).tolist(), (reached + 1).tolist()
         dt = -math.log1p(-rng.random()) / lam
         while dt <= 0.0:
             dt = -math.log1p(-rng.random()) / lam
@@ -403,3 +410,84 @@ def test_a_chain_that_needs_several_blocks():
     for seed in range(20):  # a block draw is the same uniforms as single draws
         assert (s.simulate_chain(g, 1, 2.0, np.random.default_rng(seed))
                 == _sequential_chain(g, 1, 2.0, np.random.default_rng(seed)))
+
+
+def _hex(path):
+    return path.initial_state, [t.hex() for t in path.switch_times], path.states
+
+
+def _hex_rows(chains):
+    return [_hex(chains.path(j)) for j in range(len(chains))]
+
+
+def test_a_pinned_group_is_its_lanes_alone():
+    for (rates, T, r0, seed), (_, chains) in zip(PINNED_SETS, _pinned_chains()):
+        g = s.validate_generator(rates)
+        rows = _hex_rows(chains)
+        for idx in range(0, 200, 25):
+            assert rows[idx] == _hex(harness.trajectory_chain(g, r0, T, seed, idx))
+
+
+def _padded(values):
+    """Preset uniforms filled up to whole blocks with 0.999, which ends a lane."""
+    return list(values) + [0.999] * (-len(values) % s.ctmc.CHAIN_BLOCK
+                                     or s.ctmc.CHAIN_BLOCK)
+
+
+def test_stand_in_lanes_sampled_as_one_group():
+    # State 3 is absorbing; from 1 and 2 a destination uniform below 0.5 goes
+    # to the other of the two, one of 0.5 or more to state 3.
+    g = s.validate_generator([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]])
+    horizon = -math.log1p(-0.75) / 2.0
+    lanes = [
+        (1, [0.0, 0.0, 0.25, 0.3]),  # two uniforms of exactly 0 drawn again
+        (1, [0.001, 0.3] * 40),  # 40 switches: two blocks
+        (3, []),  # an absorbing start draws nothing
+        (2, [0.999]),  # the first holding time passes the horizon
+        (1, [0.75, 0.3]),  # a switch at exactly the horizon is kept
+        (2, [0.5, 0.5]),  # a draw equal to a bound goes past it, to absorbing 3
+    ]
+    rngs = [_PresetUniforms(_padded(values)) for _, values in lanes]
+    chains = s.simulate_chains(g, [r0 for r0, _ in lanes], horizon, rngs)
+    alone = [_sequential_chain(g, r0, horizon, _PresetUniforms(_padded(values)))
+             for r0, values in lanes]
+    assert _hex_rows(chains) == list(map(_hex, alone))
+    assert chains.counts.tolist() == [1, 40, 0, 0, 1, 1]
+    assert [rng.sizes for rng in rngs] == [[64], [64, 64], [], [64], [64], [64]]
+    assert chains.times[0, 0] == -math.log1p(-0.25) / 2.0
+    assert chains.times[4, 0] == horizon and chains.states[5, 0] == 3
+    ends, states = switch_tables(chains, horizon)
+    assert ends[4].tolist() == [horizon] * ends.shape[1]  # it starts no piece
+
+
+def test_a_switch_that_leaves_the_clock_still_raises_as_markov_path_does():
+    # After a first switch at log(2) / 2, a holding uniform of 5e-324 in
+    # state 2 (rate 1) adds a time that rounds away.
+    g = s.validate_generator(TWO_STATE)
+    late = _padded([0.5, 0.9, 0.5, 0.9, 0.5, 0.9, 5e-324])
+    early = _padded([0.5, 0.9, 5e-324])
+    with pytest.raises(errors.InvalidParamsError) as scalar:
+        _sequential_chain(g, 1, 3.0, _PresetUniforms(late))
+    # The lowest lane that stalls raises, as a loop over the lanes would.
+    for values in ([[0.999], late, early], [late, early]):
+        with pytest.raises(errors.InvalidParamsError) as lanes:
+            s.simulate_chains(g, [1] * len(values), 3.0, list(map(_PresetUniforms, values)))
+        assert str(lanes.value) == str(scalar.value)
+        assert str(scalar.value).startswith("switch times not strictly increasing at ")
+    with pytest.raises(errors.InvalidParamsError) as alone:
+        s.simulate_chain(g, 1, 3.0, _PresetUniforms(early))
+    first = -math.log1p(-0.5) / 2.0
+    assert str(alone.value) == f"switch times not strictly increasing at {first}"
+
+
+def test_a_draw_above_the_last_cumulative_probability_goes_to_the_last_destination():
+    # From state 1 the cumulative probabilities end at 1 - 2**-52, below the
+    # largest uniform, 1 - 2**-53.
+    g = s.validate_generator([[-(0.1 + 0.3 + 0.2), 0.1, 0.3, 0.2], [1.0, -1.0, 0.0, 0.0],
+                              [1.0, 0.0, -1.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+    assert np.cumsum(s.transition_pmf(g, 1))[-1] == 1.0 - 2.0 ** -52
+    top = 1.0 - 2.0 ** -53
+    values = _padded([0.5, top])
+    chain = s.simulate_chain(g, 1, 2.0, _PresetUniforms(values))
+    assert chain.states[0] == 4
+    assert chain == _sequential_chain(g, 1, 2.0, _PresetUniforms(values))

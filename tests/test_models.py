@@ -220,8 +220,8 @@ class TestLaneForm:
                   for j in range(4)]
         x0 = [0.4, 1.0, 1.6, 2.2]
         y, _, n_backstop, failed = schemes.solve_terminals(
-            model, chains, ForwardNoise([np.random.default_rng(10 + j) for j in range(4)]),
-            x0, 0.5, p, main)
+            model, s.Chains.of(chains),
+            ForwardNoise([np.random.default_rng(10 + j) for j in range(4)]), x0, 0.5, p, main)
         lane_calls = dict(calls)
         calls.clear()
         for j, chain in enumerate(chains):

@@ -220,7 +220,7 @@ def test_a_step_rounding_onto_a_switch_ends_its_piece():
     model = s.linear_model(s.LinearModelParams(mu=(0.0, -1.0), sigma=(0.0, 0.5)))
     chains = [s.MarkovPath(1, (tau,), (2,), 0.5), s.MarkovPath(1, (0.3,), (2,), 0.5)]
     y, n_steps, n_backstop, failed = schemes.solve_terminals(
-        model, chains, ForwardNoise([np.random.default_rng(j) for j in range(2)]),
+        model, s.Chains.of(chains), ForwardNoise([np.random.default_rng(j) for j in range(2)]),
         [0.5, 0.5], 0.5, p)
     assert not failed.any()
     for j, chain in enumerate(chains):
@@ -335,7 +335,7 @@ def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
     with pytest.raises(errors.StateIndexError) as scalar:
         s.solve_terminal(model, chain, s.BrownianPath(np.random.default_rng(1)), 1.0, 0.5, p)
     with pytest.raises(errors.StateIndexError) as lanes:
-        schemes.solve_terminals(model, chains,
+        schemes.solve_terminals(model, s.Chains.of(chains),
                                 ForwardNoise([np.random.default_rng(j) for j in range(2)]),
                                 [1.0, 1.0], 0.5, p)
     assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
@@ -346,8 +346,8 @@ def _lanes_against_scalar_walks(model, chains, x0, T, p):
     and compare each lane with its scalar walk; returns the failed mask."""
     n = len(chains)
     y, n_steps, n_backstop, failed = schemes.solve_terminals(
-        model, chains, ForwardNoise([np.random.default_rng(200 + j) for j in range(n)]),
-        x0, T, p)
+        model, s.Chains.of(chains),
+        ForwardNoise([np.random.default_rng(200 + j) for j in range(n)]), x0, T, p)
     for j, chain in enumerate(chains):
         path = s.BrownianPath(np.random.default_rng(200 + j))
         try:
@@ -450,7 +450,8 @@ def _scalar_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0):
         samples = range(first, min(first + harness.LANE_GROUP, M))
         chains = harness._trajectory_chains(g, r0, T, seed, samples)
         noise_rngs = harness.substream_rngs(seed, samples, harness.NOISE_STREAM)
-        for i, chain, noise_rng in zip(samples, chains, noise_rngs):
+        for i, chain, noise_rng in zip(samples, map(chains.path, range(len(chains))),
+                                       noise_rngs):
             path = s.BrownianPath(noise_rng)
             try:
                 exact = s.exact_linear_solution(params, x0, chain, path, T)
