@@ -71,8 +71,9 @@ BACKSTOP_WARN_FRACTION = 0.05
 # its generators and a block of normals) at any study size.
 LANE_GROUP = 1024
 # Brownian points the strong-order study's lanes hold at once, 16 bytes each
-# (a time and a value) and some free columns per lane: a lane holds every
-# point of its path, so a fine grid walks fewer samples together.
+# (a time and a value), besides each lane's free columns and its block of
+# 256 normals (2 kB): a lane holds every point of its path, so a fine grid
+# walks fewer samples together.
 COUPLED_POINTS = 2 ** 22
 
 _TRAJECTORY_FAILURES = (NonfiniteResultError, RootNotFoundError, StepBudgetExceededError)

@@ -19,8 +19,9 @@ the values the paths would, bit for bit: :class:`ForwardNoise` for fresh
 paths queried forward only (the ensemble and the mean-change study), and
 :class:`BridgeNoise` for the strong-order study, whose levels refine the
 paths its exact oracle started.  A bridge source keeps each lane's points as
-one row in time order, writes a walk's new points one column per step, and
-sorts them in among the row's points when the walk ends.  The scalar path
+one row in time order, finds each query's neighbours from a cursor per lane,
+writes a walk's new points one column per step, and sorts them in among the
+row's points when the next walk starts.  The scalar path
 itself now serves that oracle, the replay of a failed trajectory or sample,
 ``--dump-trajectory`` and the mesh audits of criteria 6 and 8.
 """
@@ -31,12 +32,13 @@ import math
 from bisect import bisect_right
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTimeError, ReversedIntervalError
 
-NORMAL_BLOCK = 64  # normals a lane source draws per lane at a time
+NORMAL_BLOCK = 64  # normals a forward source draws per lane at a time
+BRIDGE_BLOCK = 256  # normals a bridge lane holds
 GALLOP = 8  # known times a bridge lane compares per gather
-_AHEAD = np.arange(GALLOP)
 
 
 class BrownianPath:
@@ -133,28 +135,44 @@ class BridgeNoise:
     ``paths[j]`` from its known points and its generator, and each query
     returns what ``paths[j].sample_at`` would return for the same queries.
 
-    Within one walk each lane's queries increase from t = 0, and the lane
-    keeps a cursor into its sorted known points.  A query at a known time
-    returns the memoized value and draws nothing; one past the last known
-    point draws forward from it; any other draws the bridge between its left
-    neighbour, the later of the lane's current point and the last known point
-    before the query, and the next known point, in ``sample_at``'s order of
-    operations (``np.sqrt`` is correctly rounded, like ``math.sqrt``).  Lanes
-    draw different numbers of normals, so each keeps its own column into its
-    block.
-
     Lane j's points are row j of (lanes, capacity) arrays.  Columns
     ``[0, count)`` hold its known points in time order, followed by padding
-    (infinite time, zero value) at least ``GALLOP`` long, so that the
-    cursor's window never leaves the row's known points and padding.  Step s
-    of a walk writes each lane's new point to column ``base + s``, past every
-    lane's padding; a lane whose query hit a known point writes infinite time
-    there, and a lane that has left writes nothing.  :meth:`merge` ends a
-    walk: each lane's finite step columns are its new points, in time order,
-    which it sorts in among its known points; the step columns go back to
-    padding, and every lane rewinds to t = 0.  The arrays start with columns
-    for ``room`` new points per lane, a caller's estimate, and grow when a
-    walk needs more.
+    (infinite time, zero value) at least ``GALLOP`` long, so that a search's
+    window never leaves the row's known points and padding.  A walk is a run of
+    :meth:`advance` calls whose queries increase from t = 0 in every lane,
+    ended by :meth:`merge`.  Step s of a walk writes each lane's new point to
+    column ``base + s``, past every lane's padding; a lane whose query hit a
+    known point writes infinite time there, and a lane that has left writes
+    nothing.
+
+    Each walking lane keeps a flat cursor ``k`` into its row, the first known
+    point after its current time t, so that the point before it is at or
+    before t.  A step gathers each lane's point at the cursor: a lane whose
+    query is short of it draws the bridge between its own (t, w) and that
+    point, or draws forward from (t, w) when the point is padding.  Only the
+    lanes whose query reached their cursor's point search on, ``GALLOP``
+    points a gather, for the first known point at or after the query.  A hit
+    returns the memoized value, draws nothing and moves the cursor past the
+    point; any other query draws the bridge between the known point before it
+    and the one at the cursor, or forward past the last one.  Every draw
+    follows ``sample_at``'s order of operations (``np.sqrt`` is correctly
+    rounded, like ``math.sqrt``).
+
+    Each lane holds a block of ``BRIDGE_BLOCK`` normals and a flat position
+    in it; lanes draw different numbers of normals, because hits draw none.
+    A countdown, the block size less the largest position in use, falls by
+    one a step; at zero every walking lane moves its unused normals to the
+    front of its block and draws the rest together (a block draw equals as
+    many single draws, bit for bit).  The cursors and positions are kept
+    aligned with the walk's ``lane`` array, compacted when lanes leave.
+
+    :meth:`merge` ends a walk.  Its new points are sorted in among each
+    lane's known points only when the next walk starts or
+    :meth:`known_points` is called, so a study's last walk is never merged:
+    each lane's finite step columns are its new points, in time order, which
+    a stable sort merges with the known ones, and the step columns go back to
+    padding.  The arrays start with columns for ``room`` new points per
+    lane, a caller's estimate, and grow when a walk needs more.
     """
 
     def __init__(self, paths, room: int):
@@ -163,55 +181,62 @@ class BridgeNoise:
         # Columns for about ``room`` new points per lane over all walks, so
         # that the arrays rarely grow (each growth copies them).
         capacity = int(self._count.max(initial=0)) + GALLOP + room + room // 8
-        self._times = np.full((len(paths), capacity), np.inf)
-        self._values = np.zeros((len(paths), capacity))
+        self._rows(np.full((len(paths), capacity), np.inf), np.zeros((len(paths), capacity)))
         for j, path in enumerate(paths):
             self._times[j, :self._count[j]] = path._times
             self._values[j, :self._count[j]] = path._values
-        self._z = np.empty((len(paths), NORMAL_BLOCK))
-        self._col = np.full(len(paths), NORMAL_BLOCK)
-        self._rewind()
-
-    def _rewind(self):
-        self._cur = np.ones(self._count.size, dtype=np.intp)  # where a search starts
+        self._z = np.empty((len(paths), BRIDGE_BLOCK))
+        self._zs = self._z.ravel()  # indexed by flat block positions
+        self._col = np.full(len(paths), BRIDGE_BLOCK)  # each lane's next normal
         self._base = self._step = int(self._count.max(initial=0)) + GALLOP
+        self._lane = None  # the walking lanes, or None between walks
+
+    def _rows(self, times, values):
+        """Hold the points in ``times`` and ``values``, and their flat views."""
+        self._times, self._values = times, values
+        self._known_t, self._known_w = times.ravel(), values.ravel()
+        self._window = sliding_window_view(self._known_t, GALLOP)  # GALLOP times from each
 
     def advance(self, lane, t, w, t_next):
         """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``."""
-        rows, capacity = self._times.shape
-        if self._step == capacity:  # no column left for this step's points
-            more = max(capacity // 8, 64)
-            self._times = np.hstack((self._times, np.full((rows, more), np.inf)))
-            self._values = np.hstack((self._values, np.zeros((rows, more))))
-            capacity += more
-        known_t, known_w = self._times.ravel(), self._values.ravel()
-        first = lane * capacity
-        # k: the first known point at or after t_next, searched GALLOP points
-        # a gather from the cursor (a lane's padding ends every search).
-        k = first + self._cur[lane]
-        far = np.arange(lane.size)
-        while far.size:
-            below = known_t[k[far, None] + _AHEAD] < t_next[far, None]
-            k[far] += below.sum(axis=1)
-            far = far[below[:, -1]]
-        u, wu = known_t[k], known_w[k]
-        hit = u == t_next  # the memoized value, and no draw
-        self._cur[lane] = k - first
-
-        # The left neighbour: the last known point before t_next if it is
-        # after t, else the lane's current point.
-        before = known_t[k - 1]
-        later = before > t
-        s = np.where(later, before, t)
-        ws = np.where(later, known_w[k - 1], w)
-        col = self._col[lane]
-        spent = np.flatnonzero(col == NORMAL_BLOCK)
-        if spent.size:  # a lane that has no draw to make may refill early
-            for row in lane[spent].tolist():
-                self._rngs[row].standard_normal(out=self._z[row])
-            col[spent] = 0
-        z = self._z.ravel()[lane * NORMAL_BLOCK + col]
-        self._col[lane] = col + ~hit
+        if self._lane is None:
+            self._start(lane)
+        elif lane is not self._lane:  # lanes have left: keep the others' cursors
+            keep = np.searchsorted(self._lane, lane)
+            self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
+            self._k, self._zpos, self._first = (
+                a[keep] for a in (self._k, self._zpos, self._first))
+            self._lane = lane
+        if self._step == self._times.shape[1]:
+            self._grow()
+        if not self._left:
+            self._top_up()
+        known_t, known_w, k = self._known_t, self._known_w, self._k
+        u = known_t[k]
+        s, ws, hits = t, w, 0
+        passed = u <= t_next
+        if np.count_nonzero(passed):  # a lane short of its cursor's point hits nothing
+            # The first known point at or after t_next, searched GALLOP points
+            # a gather from the cursor (a lane's padding ends every search);
+            # the point before it is after t.
+            passed = passed.nonzero()[0]
+            k_p, t_p = k[passed], t_next[passed]
+            below = self._window[k_p] < t_p[:, None]  # a run of True, then False
+            k_p += below.argmin(axis=1)  # 0 where all GALLOP are before t_next
+            far = below[:, -1].nonzero()[0]
+            while far.size:
+                k_p[far] += GALLOP
+                below = self._window[k_p[far]] < t_p[far, None]
+                k_p[far] += below.argmin(axis=1)
+                far = far[below[:, -1]]
+            k[passed] = k_p
+            u[passed] = known_t[k_p]
+            s, ws = t.copy(), w.copy()
+            s[passed], ws[passed] = known_t[k_p - 1], known_w[k_p - 1]
+            hit = u == t_next  # the memoized value, and no draw
+            hits = np.count_nonzero(hit)
+        wu = known_w[k]
+        z = self._zs[self._zpos]
 
         # Past the last known point u is inf: frac is 0, its term adds a zero
         # to ws, and the variance is the forward one, t_next - s.  A hit lane
@@ -219,18 +244,64 @@ class BridgeNoise:
         lead = t_next - s
         span = u - s
         frac = lead / span
-        var = np.divide(lead * (u - t_next), span, out=lead.copy(), where=u < np.inf)
+        var = np.divide(lead * (u - t_next), span, out=lead, where=u < np.inf)
         w_new = ws + frac * (wu - ws) + np.sqrt(var) * z
 
-        slot = first + self._step
+        slot = self._first + self._step
         self._step += 1
-        known_t[slot] = np.where(hit, np.inf, t_next)
+        self._left -= 1
         known_w[slot] = w_new
+        if not hits:
+            known_t[slot] = t_next
+            self._zpos += 1
+            return w_new
+        known_t[slot] = np.where(hit, np.inf, t_next)
+        self._zpos += ~hit
+        k += hit
         return np.where(hit, wu, w_new)
 
+    def _start(self, lane):
+        """Start a walk of ``lane`` from t = 0, after merging the last one."""
+        if self._step > self._base:
+            self._merge_steps()
+        self._lane = lane
+        self._first = lane * self._times.shape[1]  # each lane's row, flat
+        self._k = self._first + 1  # the point at t = 0 is every row's first
+        col = self._col[lane]
+        self._zpos = lane * BRIDGE_BLOCK + col
+        self._left = BRIDGE_BLOCK - int(col.max(initial=0))
+
+    def _grow(self):
+        """Add columns for more steps, and move the cursors with their rows."""
+        rows, capacity = self._times.shape
+        more = max(capacity // 8, 64)
+        self._k += self._lane * more
+        self._first += self._lane * more
+        self._rows(np.hstack((self._times, np.full((rows, more), np.inf))),
+                   np.hstack((self._values, np.zeros((rows, more)))))
+
+    def _top_up(self):
+        """Refill every walking lane's block: its unused normals first, then
+        as many new ones as it has used."""
+        col = self._zpos - self._lane * BRIDGE_BLOCK
+        for j, used in zip(self._lane.tolist(), col.tolist()):
+            if used:
+                block = self._z[j]
+                block[:BRIDGE_BLOCK - used] = block[used:]
+                self._rngs[j].standard_normal(out=block[BRIDGE_BLOCK - used:])
+        self._zpos -= col
+        self._left = BRIDGE_BLOCK
+
     def merge(self):
-        """Move the new points of the walk in among each lane's known points,
-        in time order, and rewind the lanes to t = 0 for the next walk."""
+        """End the walk: its new points join each lane's known points before
+        the next walk's first step, and every lane rewinds to t = 0."""
+        if self._lane is not None:
+            self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
+            self._lane = None
+
+    def _merge_steps(self):
+        """Sort the new points of the ended walk in among each lane's known
+        points."""
         steps = slice(self._base, self._step)
         for j, (row_t, row_w) in enumerate(zip(self._times, self._values)):
             new = row_t[steps] < np.inf
@@ -242,10 +313,12 @@ class BridgeNoise:
             order = np.argsort(times, kind="stable")
             row_t[:times.size], row_w[:times.size] = times[order], values[order]
             self._count[j] = times.size
-        self._rewind()
+        self._base = self._step = int(self._count.max(initial=0)) + GALLOP
 
     def known_points(self, j: int) -> list[tuple[float, float]]:
         """Lane ``j``'s known (time, value) pairs in time order, as of the
         last :meth:`merge`."""
+        if self._lane is None and self._step > self._base:
+            self._merge_steps()
         count = self._count[j]
         return list(zip(self._times[j, :count].tolist(), self._values[j, :count].tolist()))

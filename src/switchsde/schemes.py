@@ -121,8 +121,12 @@ def implicit_milstein_map(x: float, i: int, h: float, dW: float, m: RegimeModel)
 
     Newton iterates from the explicit Milstein value with residual target
     ``NEWTON_ABS_TOL``; an iterate is also accepted if its residual meets the
-    relative bound ``RESIDUAL_REL_TOL * max(1, |X|)``.  If Newton stalls, a
-    bisection fallback searches a bracket expanded from x by doubling.
+    relative bound ``RESIDUAL_REL_TOL * max(1, |X|)``.  Iterates that fall
+    into a 2-cycle (at large values, two floats some ulps apart whose
+    residuals stay far above the target) would alternate to the last round,
+    so the iteration ends at once on the iterate that round
+    ``NEWTON_MAX_ITER`` would reach.  If Newton stalls, a bisection fallback
+    searches a bracket expanded from x by doubling.
     """
     _require_positive_step(h)
     f = m.drift
@@ -137,7 +141,8 @@ def implicit_milstein_map(x: float, i: int, h: float, dW: float, m: RegimeModel)
 
     y = const + h * f(x, i)  # explicit Milstein value
     if math.isfinite(y):
-        for _ in range(NEWTON_MAX_ITER):
+        y_prev = math.nan
+        for round_ in range(NEWTON_MAX_ITER):
             r = residual(y)
             if not math.isfinite(r):
                 break
@@ -150,7 +155,11 @@ def implicit_milstein_map(x: float, i: int, h: float, dW: float, m: RegimeModel)
             y_next = y - r / slope
             if not math.isfinite(y_next) or y_next == y:
                 break
-            y = y_next
+            if y_next == y_prev:  # a 2-cycle: the last round would end on y or y_next
+                if (NEWTON_MAX_ITER - round_) % 2:
+                    y = y_next
+                break
+            y_prev, y = y, y_next
         r = residual(y)
         if math.isfinite(r) and accept(y, r):
             return y
@@ -216,7 +225,8 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
     (:meth:`RegimeModel.rows`).  Returns each lane's last iterate and a mask
     of the lanes whose iterate the map returns; the map takes every other
     lane on to its bisection.  Each round takes the drift at y and at
-    y +- delta from one lane-form call."""
+    y +- delta from one lane-form call.  A lane in a 2-cycle leaves the
+    iteration as the map's does, at most a round later."""
     f, g, dg = m.lanes(x, rows, True)
     const = x + g * dW + 0.5 * dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
@@ -227,7 +237,8 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
         bound = RESIDUAL_REL_TOL * np.maximum(1.0, np.abs(y[lanes]))
         solved[lanes[np.abs(r) <= bound]] = True
 
-    for _ in range(NEWTON_MAX_ITER):
+    cycled = []  # lanes in a 2-cycle, which end on the last round's iterate
+    for round_ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
         n, y_l, h_l = live.size, y[live], h[live]
@@ -244,9 +255,25 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
         solved[live[done]] = True
         accept(live[stop], r[stop])
         move = ~(done | stop)
-        live = live[move]
-        y[live] = y_next[move]
-    if live.size:  # the lanes that spent the budget: their last iterate's residual
+        live, y_next = live[move], y_next[move]
+        y[live] = y_next
+        # From the second round on (a call that settles in two rounds pays
+        # nothing), a lane whose next iterate equals its iterate two rounds
+        # back is in a 2-cycle: the last round would end on y_l or y_next.
+        if round_ and live.size:
+            if round_ == 1:
+                y_prev = np.full(x.size, np.nan)  # each lane's y_l of the round before
+            y_l = y_l[move]
+            cycle = y_next == y_prev[live]
+            y_prev[live] = y_l
+            if np.count_nonzero(cycle):
+                if not (NEWTON_MAX_ITER - round_) % 2:
+                    y[live[cycle]] = y_l[cycle]
+                cycled.append(live[cycle])
+                live = live[~cycle]
+    if cycled:
+        live = np.concatenate(cycled + [live])
+    if live.size:  # the last iterate's residual, as after the last round
         f = m.lanes(y[live], rows[..., live], False)[0]
         accept(live, y[live] - const[live] - h[live] * f)
     return y, solved

@@ -1,9 +1,12 @@
 """Brownian path memoization, bridge law, and coupling across resolutions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde import errors, noise
@@ -185,3 +188,87 @@ def test_bridge_noise_refines_memoized_paths():
         source.merge()
         for j, path in enumerate(paths):
             assert source.known_points(j) == path.known_points()
+
+
+# A lane's points before its first walk: none past t = 0, a few anywhere in
+# (0, 1), or a few late ones alone, in (1, 1.4), so that its first walk
+# bridges from 0 to them.
+_STARTS = {"none": (0.0, 0.0, 0), "few": (0.0, 1.0, 3), "late": (1.0, 1.4, 4)}
+
+
+@st.composite
+def _bridge_cases(draw):
+    """Start kinds of 1-6 lanes, each walk's query count per lane, whether
+    known_points is read after each walk, a block size and a seed."""
+    lanes = draw(st.integers(1, 6))
+    starts = draw(st.lists(st.sampled_from(sorted(_STARTS)), min_size=lanes,
+                           max_size=lanes))
+    walks = draw(st.lists(st.lists(st.integers(0, 90), min_size=lanes, max_size=lanes),
+                          min_size=1, max_size=3))
+    inspect = draw(st.lists(st.booleans(), min_size=len(walks), max_size=len(walks)))
+    return starts, walks, inspect, draw(st.sampled_from((1, 2, 5, 16, 256))), \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _mixed_queries(rng, path, size):
+    """About ``size`` increasing times after 0 for ``path``: some of its known
+    times, some between them and some past the last one."""
+    known = [t for t, _ in path.known_points()]
+    last = known[-1]
+    hits = [t for t in known[1:] if rng.random() < 0.3]
+    inside = rng.uniform(0.0, last, size // 2).tolist() if last > 0.0 else []
+    past = rng.uniform(last, last + 0.5, size - len(inside)).tolist()
+    return sorted({t for t in hits + inside + past if t > 0.0})
+
+
+def _engine_walk(source, paths, queries):
+    """Walk lane j through ``queries[j]`` as the lane engine would: the lanes
+    with queries start together, each leaves after its last query, and the
+    ``lane`` array is a new object only when a lane has left (``_lane_walk``
+    passes a new one every step).  Checks every value against
+    ``paths[j].sample_at`` of the same query, by bits."""
+    t, w = np.zeros(len(queries)), np.zeros(len(queries))
+    lane = np.array([j for j, q in enumerate(queries) if q], dtype=np.intp)
+    step = 0
+    while lane.size:
+        t_next = np.array([queries[j][step] for j in lane.tolist()])
+        w_next = source.advance(lane, t[lane], w[lane], t_next)
+        assert [v.hex() for v in w_next.tolist()] == \
+            [paths[j].sample_at(q).hex() for j, q in zip(lane.tolist(), t_next.tolist())]
+        t[lane], w[lane] = t_next, w_next
+        step += 1
+        stays = np.array([len(queries[j]) > step for j in lane.tolist()])
+        if not stays.all():
+            lane = lane[stays]
+
+
+def _hex_points(points):
+    return [(t.hex(), w.hex()) for t, w in points]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bridge_cases())
+def test_bridge_noise_matches_scalar_paths_bitwise(case):
+    # Lanes leave at random steps, hits on known points leave them at
+    # different places in their normal blocks, the small blocks run out many
+    # times a walk, and with no room the rows grow in the middle of walks.
+    # The new points join the known ones when the next walk starts, or when
+    # known_points asks (``inspect``).
+    starts, walks, inspect, block, seed = case
+    rng = np.random.default_rng(seed)
+    paths = [s.BrownianPath(np.random.default_rng([seed, j])) for j in range(len(starts))]
+    copies = [s.BrownianPath(np.random.default_rng([seed, j])) for j in range(len(starts))]
+    for path, copy, kind in zip(paths, copies, starts):
+        lo, hi, n = _STARTS[kind]
+        for t in rng.uniform(lo, hi, n).tolist():
+            assert copy.sample_at(t) == path.sample_at(t)
+    with mock.patch.object(noise, "BRIDGE_BLOCK", block):
+        source = noise.BridgeNoise(copies, 0)
+        for walk, (sizes, look) in enumerate(zip(walks, inspect)):
+            _engine_walk(source, paths,
+                         [_mixed_queries(rng, path, size) for path, size in zip(paths, sizes)])
+            source.merge()
+            if look or walk == len(walks) - 1:
+                for j, path in enumerate(paths):
+                    assert _hex_points(source.known_points(j)) == \
+                        _hex_points(path.known_points())

@@ -147,3 +147,22 @@ def test_strong_order_study(params, generator, x0, T, grid, rho, k, seed, scheme
                                   rho, k, M=100, seed=seed, scheme=scheme, r0=r0)
     assert [e.hex() for e in report.rms_errors] == rms_hex
     assert report.fitted_order == order
+
+
+# Criteria 1-2's studies at their acceptance size: one lane group of 1000
+# lanes over six levels, each lane drawing about 1100 bridge normals, so the
+# lanes go through several blocks of them, out of step where steps hit.
+@pytest.mark.parametrize("scheme, rms_hex, order", [
+    ("milstein", ["0x1.3a1598edbd3cep-6", "0x1.3c7cf6ea84244p-7", "0x1.3fae767be11edp-8",
+                  "0x1.4104ba724f6c2p-9", "0x1.41993e4f32984p-10", "0x1.3fa4d3da1e197p-11"],
+     0.9942309596382937),
+    ("em", ["0x1.52ffa5580c9f9p-5", "0x1.b150c73a8c305p-6", "0x1.14d460bd5b385p-6",
+            "0x1.928d78f340d5bp-7", "0x1.0ecb2a3cae14bp-7", "0x1.778254110736fp-8"],
+     0.5644757508282091),
+])
+def test_strong_order_study_at_acceptance_size(scheme, rms_hex, order):
+    report = s.strong_order_study(LINEAR2, s.validate_generator(GEN2), 1.0, 1.0,
+                                  [2.0 ** -e for e in range(4, 10)], 15.0, 10.0,
+                                  M=1000, seed=42, scheme=scheme)
+    assert [e.hex() for e in report.rms_errors] == rms_hex
+    assert report.fitted_order == order

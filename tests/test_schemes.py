@@ -186,6 +186,105 @@ class TestLaneNewton:
         assert y[1].hex() == s.implicit_milstein_map(0.0, 1, 0.5, 0.0, model).hex()
 
 
+def _fifty_rounds(x, i, h, dW, m):
+    """The Newton iteration of implicit_milstein_map as it ran before its
+    2-cycle exit: every round up to NEWTON_MAX_ITER, then the last iterate's
+    residual check.  Returns that iterate, whether the map returns it, and
+    the first round whose next iterate equals the iterate two rounds back
+    (None if none does)."""
+    f = m.drift
+    g = m.diffusion(x, i)
+    const = x + g * dW + 0.5 * m.diffusion_derivative(x, i) * g * (dW * dW - h)
+    y, y_prev, cycle = const + h * f(x, i), math.nan, None
+    for round_ in range(schemes.NEWTON_MAX_ITER):
+        r = y - const - h * f(y, i)
+        if not math.isfinite(r):
+            break
+        if abs(r) <= schemes.NEWTON_ABS_TOL:
+            return y, True, cycle
+        delta = 1e-7 * max(1.0, abs(y))
+        slope = 1.0 - h * (f(y + delta, i) - f(y - delta, i)) / (2.0 * delta)
+        if slope == 0.0 or not math.isfinite(slope):
+            break
+        y_next = y - r / slope
+        if not math.isfinite(y_next) or y_next == y:
+            break
+        if cycle is None and y_next == y_prev:
+            cycle = round_
+        y_prev, y = y, y_next
+    r = y - const - h * f(y, i)
+    return y, math.isfinite(r) and abs(r) <= schemes.RESIDUAL_REL_TOL * max(1.0, abs(y)), cycle
+
+
+class TestNewtonTwoCycles:
+    """At large values a Newton iterate's residual stays far above
+    NEWTON_ABS_TOL, and the iteration can alternate between two floats some
+    ulps apart.  Both Newton loops leave such a cycle early, with the iterate
+    that the last round would reach: the same bits as running every round."""
+
+    @staticmethod
+    def _inputs():
+        # 3000 random backstop inputs of a stiff linear model (mu 45, as in a
+        # backstop-heavy strong-order study) at values from 1e2 to 1e250.
+        rng = np.random.default_rng(16)
+        n = 3000
+        model = s.linear_model(s.LinearModelParams(mu=(45.0, -5.0), sigma=(0.1, 0.5)))
+        h = 2.0 ** rng.uniform(-9.0, -4.0, n)
+        return (model, 10.0 ** rng.uniform(2.0, 250.0, n), rng.integers(1, 3, n), h,
+                rng.standard_normal(n) * np.sqrt(h))
+
+    def test_the_scalar_map_returns_the_last_round_s_iterate_early(self):
+        model, x, states, h, dW = self._inputs()
+        calls = [0]
+
+        def drift(y, i):
+            calls[0] += 1
+            return model.drift(y, i)
+
+        counting = s.RegimeModel(2, drift, model.diffusion, model.diffusion_derivative)
+        cycles = spent = 0
+        for args in zip(x.tolist(), states.tolist(), h.tolist(), dW.tolist()):
+            calls[0] = 0
+            y_ref, returned, cycle = _fifty_rounds(*args, counting)
+            rounds_ref = calls[0]
+            assert returned  # every input settles in Newton, none bisects
+            calls[0] = 0
+            assert s.implicit_milstein_map(*args, counting).hex() == y_ref.hex()
+            # A round takes three drifts, the start and the last check one each.
+            spent += rounds_ref == 2 + 3 * schemes.NEWTON_MAX_ITER
+            if cycle is None:
+                assert calls[0] == rounds_ref
+            else:
+                cycles += 1
+                assert calls[0] == 2 + 3 * (cycle + 1) < rounds_ref
+        assert cycles > 100 and spent > cycles  # some spend the rounds without a 2-cycle
+
+    def test_the_lane_newton_returns_the_last_round_s_iterate_early(self):
+        model, x, states, h, dW = self._inputs()
+        ref = [_fifty_rounds(*args, model) for args in
+               zip(x.tolist(), states.tolist(), h.tolist(), dW.tolist())]
+        y, solved = schemes._newton_values(model, x, model.rows(states), h, dW)
+        assert [v.hex() for v in y.tolist()] == [r[0].hex() for r in ref]
+        assert solved.all()
+
+        # The lanes in a 2-cycle alone: every lane leaves at its cycle.
+        calls = [0]
+
+        def lanes(*args):
+            calls[0] += 1
+            return model.lanes(*args)
+
+        counting = s.RegimeModel(2, model.drift, model.diffusion,
+                                 model.diffusion_derivative, lanes=lanes, table=model.table)
+        cycle = np.array([r[2] is not None for r in ref])
+        y, solved = schemes._newton_values(counting, x[cycle], counting.rows(states[cycle]),
+                                           h[cycle], dW[cycle])
+        assert [v.hex() for v in y.tolist()] == [r[0].hex() for r, c in zip(ref, cycle) if c]
+        assert solved.all()
+        # The coefficients, a call a round, and the last check.
+        assert calls[0] == 1 + max(r[2] for r in ref if r[2] is not None) + 1 + 1
+
+
 class TestSolveTrajectory:
     def test_constant_solution(self):
         g = s.validate_generator(TELOMERE_GENERATOR)
