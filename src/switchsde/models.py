@@ -5,8 +5,8 @@ x-derivative g'(x, i) (needed by Milstein-type schemes).  States are 1-based.
 It also has a lane form in two stages, for the lane-batched walk: the rows
 stage turns the states of many lanes into their coefficient rows, and the
 walk calls it only for the lanes that enter a new constant-state piece; the
-coefficient stage takes the three coefficients over arrays of values and
-those rows at once, once per step.
+coefficient stage takes the coefficients over arrays of values and those
+rows at once, once per step.
 
 Two concrete families are provided:
 
@@ -32,9 +32,10 @@ from .errors import InvalidParamsError, StateIndexError
 from .noise import BrownianPath
 
 Coefficient = Callable[[float, int], float]
-# (x, rows, derivative) -> (f, g, g'), with g' None unless ``derivative``.
-LaneCoefficients = Callable[[np.ndarray, np.ndarray, bool],
-                            tuple[np.ndarray, np.ndarray, np.ndarray | None]]
+# (x, rows, derivative) -> (f, g, g'), with g' None unless ``derivative`` is
+# true, and g None too when it is None (a drift-only request).
+LaneCoefficients = Callable[[np.ndarray, np.ndarray, bool | None],
+                            tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]
 
 # Parameter estimates for the telomere model (base pairs / day and
 # 1 / (bp^2 day)); paired in the order ((c1,a1), (c1,a2), (c2,a1), (c2,a2)).
@@ -54,16 +55,19 @@ class RegimeModel:
     ``table`` (one row of ``table`` per coefficient, one column per state),
     an array whose last axis runs over the lanes; it raises the scalar
     callables' :class:`StateIndexError` for the first state outside
-    1..num_states.  Without a table a lane's row is its state itself, and the
-    scalar callables check it.  ``lanes(x, rows, derivative)`` then reads
-    them: for a float array ``x`` and the rows of its lanes it returns the
-    arrays ``(f, g, g')``, each entry bitwise equal to the scalar callable at
-    ``(x[j], states[j])``, with ``g'`` left as None unless ``derivative`` is
-    true; floating-point warnings follow numpy's error state.  Without one, a
-    lane form is derived from the scalar callables: it maps each over the
-    lanes and their states, drift first, and calls ``diffusion_derivative``
-    only when asked for g'; it raises what they raise for the first lane that
-    raises, and ``lanes_from_scalars`` records that it was derived.
+    1..num_states.  A walk takes its rows from :meth:`row_reader`, which checks
+    the states of its switch tables once.  Without a table a lane's row is its
+    state itself, and the scalar callables check it.  ``lanes(x, rows,
+    derivative)`` then reads them: for a float array ``x`` and the rows of its
+    lanes it returns the arrays ``(f, g, g')``, each entry bitwise equal to the
+    scalar callable at ``(x[j], states[j])``, with ``g'`` left as None unless
+    ``derivative`` is true, and ``g`` left as None too when ``derivative`` is
+    None (a request for the drift alone); floating-point warnings follow
+    numpy's error state.  Without one, a lane form is derived from the scalar
+    callables: it maps each over the lanes and their states, drift first, and
+    calls ``diffusion`` and ``diffusion_derivative`` only when asked for g and
+    g'; it raises what they raise for the first lane that raises, and
+    ``lanes_from_scalars`` records that it was derived.
     """
 
     num_states: int
@@ -85,7 +89,23 @@ class RegimeModel:
         the last axis."""
         if self.table is None:
             return states
-        return self.table[:, _check_states(states, self.num_states)]
+        _check_states(states, self.num_states)
+        return self.table[:, states - 1]
+
+    def row_reader(self, states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """:meth:`rows` for a walk whose pieces take their states from
+        ``states``: when every state there lies in 1..num_states, checked here
+        once, a plain gather of ``table`` that checks nothing; otherwise
+        :meth:`rows` itself, which raises for a lane that enters a piece in a
+        state outside the model."""
+        if self.table is None:
+            return self.rows
+        try:
+            _check_states(states, self.num_states)
+        except StateIndexError:
+            return self.rows
+        table = self.table
+        return lambda piece_states: table[:, piece_states - 1]
 
 
 def _mapped_lanes(drift: Coefficient, diffusion: Coefficient,
@@ -95,6 +115,8 @@ def _mapped_lanes(drift: Coefficient, diffusion: Coefficient,
     def lanes(x, states, derivative):
         xs, ss = x.tolist(), states.tolist()
         f = np.array(list(map(drift, xs, ss)), dtype=float)
+        if derivative is None:
+            return f, None, None
         g = np.array(list(map(diffusion, xs, ss)), dtype=float)
         if not derivative:
             return f, g, None
@@ -150,13 +172,16 @@ def _check_state(i: int, n: int) -> int:
     return i - 1
 
 
-def _check_states(states: np.ndarray, n: int) -> np.ndarray:
-    """Column of each lane's state in a per-state table; raises as
-    :func:`_check_state` does for the first lane outside 1..n."""
-    columns = states - 1
-    if not (0 <= columns.min(initial=0) and columns.max(initial=0) < n):
-        _check_state(int(states[(columns < 0) | (columns >= n)][0]), n)
-    return columns
+def _check_states(states: np.ndarray, n: int) -> None:
+    """Raises as :func:`_check_state` does for the first lane outside 1..n."""
+    if not (1 <= states.min(initial=1) and states.max(initial=1) <= n):
+        _check_state(int(states[(states < 1) | (states > n)][0]), n)
+
+
+# 0-d arrays in place of Python floats in the lane forms: a ufunc converts a
+# float operand on every call, which on 40 lanes costs about as much as the
+# arithmetic, and the bits are the same.
+_ZERO, _HALF, _THREE = np.array(0.0), np.array(0.5), np.array(3.0)
 
 
 def telomere_regime_model(pairs) -> RegimeModel:
@@ -200,12 +225,17 @@ def telomere_regime_model(pairs) -> RegimeModel:
         c, a, a3 = rows[0], rows[1], rows[2]  # faster than unpacking
         ax2 = a * x * x
         f = -(c + ax2)
-        nonpositive = x <= 0.0  # NaN takes the square root, as in the scalars
-        g = np.sqrt(np.where(nonpositive, 0.0, ax2 * x / 3.0))
+        if derivative is None:
+            return f, None, None
+        nonpositive = x <= _ZERO  # NaN takes the square root, as in the scalars
+        clip = np.count_nonzero(nonpositive)  # else the zeroing changes nothing
+        g = ax2 * x / _THREE
+        g = np.sqrt(np.where(nonpositive, _ZERO, g) if clip else g)
         if not derivative:
             return f, g, None
-        dg = np.sqrt(np.where(nonpositive, 0.0, a3 * x))
-        dg *= 0.5
+        dg = a3 * x
+        dg = np.sqrt(np.where(nonpositive, _ZERO, dg) if clip else dg)
+        dg *= _HALF
         return f, g, dg
 
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
@@ -234,8 +264,11 @@ def linear_model(p: LinearModelParams) -> RegimeModel:
         return sigma[_check_state(i, n)]
 
     def lanes(x, rows, derivative):
-        mu_rows, sigma_rows = rows
-        return mu_rows * x, sigma_rows * x, sigma_rows if derivative else None
+        f = rows[0] * x  # indexing is faster than unpacking
+        if derivative is None:
+            return f, None, None
+        sigma_rows = rows[1]
+        return f, sigma_rows * x, sigma_rows if derivative else None
 
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
                        diffusion_derivative=diffusion_derivative, lanes=lanes,

@@ -50,9 +50,12 @@ BRACKET_MAX_DOUBLINGS = 60
 # Backstop lanes of one step below which the lane walk runs the scalar map on
 # each in place of the lane Newton: on the telomere and linear models one lane
 # Newton call, of any size up to about 100 lanes, costs about as much as the
-# scalar map on 30 lanes (83-150 us against 3-5 us a lane, 2-vCPU Xeon, numpy
-# 2.4).
-LANE_NEWTON_MIN = 32
+# scalar map on 20 lanes (45-65 us against 2.3-3 us a lane, 2-vCPU Xeon, numpy
+# 2.4; BENCH_17.json).
+LANE_NEWTON_MIN = 20
+# np.count_nonzero without its __array_function__ dispatch, which costs more
+# than the count on a few dozen lanes; the lane engine's masks are ndarrays.
+_count = np.count_nonzero.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -206,13 +209,19 @@ _MAIN_MAPS = {"em": em_map, "milstein": milstein_map}
 # The main maps' values over arrays of lanes, from the coefficients at (x, i).
 # Each repeats its scalar map's operations in the same order, so every lane is
 # bitwise equal to the scalar map (the scalar maps keep their own expressions:
-# a shared helper would cost the scalar walk a call per step).
+# a shared helper would cost the scalar walk a call per step).  The walk's
+# per-step constants are 0-d arrays, not Python floats: a ufunc converts a
+# float operand on every call, which on 40 lanes costs about as much as the
+# arithmetic, and the bits are the same.
+_HALF = np.array(0.5)
+
+
 def _em_values(x, h, dW, f, g, dg):
     return x + h * f + g * dW
 
 
 def _milstein_values(x, h, dW, f, g, dg):
-    return x + h * f + g * dW + 0.5 * dg * g * (dW * dW - h)
+    return x + h * f + g * dW + _HALF * dg * g * (dW * dW - h)
 
 
 # Main map -> (its lane form, whether it reads g').
@@ -225,8 +234,8 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
     (:meth:`RegimeModel.rows`).  Returns each lane's last iterate and a mask
     of the lanes whose iterate the map returns; the map takes every other
     lane on to its bisection.  Each round takes the drift at y and at
-    y +- delta from one lane-form call.  A lane in a 2-cycle leaves the
-    iteration as the map's does, at most a round later."""
+    y +- delta from one drift-only lane-form call.  A lane in a 2-cycle
+    leaves the iteration as the map's does, at most a round later."""
     f, g, dg = m.lanes(x, rows, True)
     const = x + g * dW + 0.5 * dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
@@ -245,16 +254,19 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
         delta = 1e-7 * np.maximum(1.0, np.abs(y_l))
         rows_l = rows[..., live]
         f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)),
-                     np.concatenate((rows_l, rows_l, rows_l), axis=-1), False)[0]
+                     np.concatenate((rows_l, rows_l, rows_l), axis=-1), None)[0]
         r = y_l - const[live] - h_l * f3[:n]
         done = np.abs(r) <= NEWTON_ABS_TOL
         slope = 1.0 - h_l * (f3[n:2 * n] - f3[2 * n:]) / (2.0 * delta)
         y_next = y_l - r / slope
-        stop = ~np.isfinite(r) | (~done & (
-            (slope == 0.0) | ~np.isfinite(slope) | ~np.isfinite(y_next) | (y_next == y_l)))
+        # y_l is finite, so a residual that is not finite, or a slope that is
+        # zero or not finite, leaves y_next not finite or equal to y_l: the
+        # scalar map's four stops are these two.
+        move = np.isfinite(y_next) & (y_next != y_l) & ~done
         solved[live[done]] = True
-        accept(live[stop], r[stop])
-        move = ~(done | stop)
+        stop = ~(done | move)
+        if _count(stop):
+            accept(live[stop], r[stop])
         live, y_next = live[move], y_next[move]
         y[live] = y_next
         # From the second round on (a call that settles in two rounds pays
@@ -266,7 +278,7 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
             y_l = y_l[move]
             cycle = y_next == y_prev[live]
             y_prev[live] = y_l
-            if np.count_nonzero(cycle):
+            if _count(cycle):
                 if not (NEWTON_MAX_ITER - round_) % 2:
                     y[live[cycle]] = y_l[cycle]
                 cycled.append(live[cycle])
@@ -274,7 +286,7 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
     if cycled:
         live = np.concatenate(cycled + [live])
     if live.size:  # the last iterate's residual, as after the last round
-        f = m.lanes(y[live], rows[..., live], False)[0]
+        f = m.lanes(y[live], rows[..., live], None)[0]
         accept(live, y[live] - const[live] - h[live] * f)
     return y, solved
 
@@ -365,12 +377,17 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     The step rule and the main map run as array operations; the main map's
     coefficients come from one call of the model's lane form
     (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  Each
-    lane keeps the coefficient row of its piece (:meth:`RegimeModel.rows`),
-    gathered when the walk starts and when the lane enters its next piece,
-    so a state outside the model raises before the piece's first step.  The
-    backstop steps of an iteration, when there are at least
-    ``LANE_NEWTON_MIN`` of them, run the Newton iteration of
-    :func:`implicit_milstein_map` together, through the model's own lane
+    lane keeps the coefficient row of its piece, gathered when the walk
+    starts and when the lane enters its next piece.  The states are checked
+    once, over the whole switch table (:meth:`RegimeModel.row_reader`); only
+    when the table holds a state outside the model does each entry check
+    its states (:meth:`RegimeModel.rows`), so that such a state raises
+    before the piece's first step, and a lane that has failed by then takes
+    no row.  The arithmetic takes its constants as 0-d arrays and builds the
+    masks of the rare cases (a lane lost, done or entering a piece) only
+    when a count says they occur.  The backstop steps of an iteration, when
+    there are at least ``LANE_NEWTON_MIN`` of them, run the Newton iteration
+    of :func:`implicit_milstein_map` together, through the model's own lane
     form; a lane that Newton does not settle, any backstop lane of a model
     without its own lane form, and the backstop lanes of an iteration with
     fewer of them run :func:`implicit_milstein_map` alone, which redoes the
@@ -388,26 +405,29 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     # A lane form derived from the scalar callables maps them lane by lane
     # anyway, and it would read g where the scalar Newton reads f alone.
     newton = not m.lanes_from_scalars
-    h_max, h_min, inv_k = p.h_max, p.h_min, 1.0 / p.k
     n = len(chains)
     limit = build_mesh_bound(T, p, 0)[1] + chains.counts.astype(float)
     lowest = limit.min(initial=math.inf)
     y_out = np.full(n, np.nan)
     steps_out = np.zeros(n, dtype=np.int64)
     backstops_out = np.zeros(n, dtype=np.int64)
+    # The step rule's constants as 0-d arrays, as _HALF is.
+    one, h_max, h_min, inv_k, end = (np.array(v) for v in (1.0, p.h_max, p.h_min, 1.0 / p.k, T))
 
-    # The end and the state of each lane's constant-state pieces of [0, T];
-    # a lane steps inside piece[j].
+    # The end and the state of each lane's constant-state pieces of [0, T],
+    # flattened: a lane steps inside the piece at its flat position at[j].
     ends, states = switch_tables(chains, T)
+    at = np.arange(n) * ends.shape[1]
+    ends, states = ends.ravel(), states.ravel()
+    rows_of = m.row_reader(states)
 
     y = np.array(x0, dtype=float)
     failed = np.isnan(y)  # the scalar step rule refuses a NaN norm
     lane = np.flatnonzero(~failed)  # original index of each unfinished lane
-    y = y[lane]
+    y, at = y[lane], at[lane]
     t, w = np.zeros(lane.size), np.zeros(lane.size)
-    piece = np.zeros(lane.size, dtype=np.intp)
-    bound = ends[lane, 0]
-    rows = m.rows(states[lane, 0])
+    bound = ends[at]
+    rows = rows_of(states[at])
     backstops = np.zeros(lane.size, dtype=np.int64)
     n_steps = 0
     with np.errstate(all="ignore"):  # a lane that overflows fails its finiteness check
@@ -417,12 +437,12 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             # the libm pow that ** calls, where numpy's power can differ in the
             # last ulp; a norm up to 1 gives pow(1, 1/k) = 1 exactly, and a
             # power past the float range gives h 0), the floor, one clamp.
-            h = h_max / np.float_power(np.maximum(np.abs(y), 1.0), inv_k)
+            h = h_max / np.float_power(np.maximum(np.abs(y), one), inv_k)
             np.maximum(h, h_min, out=h)
             gap = bound - t
             clamp = gap <= h
             t_next = t + h
-            if np.count_nonzero(clamp):
+            if _count(clamp):
                 np.copyto(h, gap, where=clamp)
                 np.copyto(t_next, bound, where=clamp)
             backstop = h <= h_min
@@ -430,7 +450,7 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             w_next = noise.advance(lane, t, w, t_next)
             dw = w_next - w
 
-            some_backstop = np.count_nonzero(backstop)
+            some_backstop = _count(backstop)
             operands = y, dt, dw, rows
             if some_backstop:  # the main map takes the lanes that step explicitly
                 explicit = np.flatnonzero(~backstop)
@@ -446,36 +466,38 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                         m, y[implicit], rows[..., implicit], dt[implicit], dw[implicit])
                     implicit = implicit[~solved]
                 for j in implicit.tolist():
-                    state = int(states[lane[j], piece[j]])
                     try:
-                        y_next[j] = implicit_milstein_map(float(y[j]), state,
+                        y_next[j] = implicit_milstein_map(float(y[j]), int(states[at[j]]),
                                                           float(dt[j]), float(dw[j]), m)
                     except SwitchSDEError:  # the lane fails; its scalar replay says why
                         y_next[j] = np.nan
                 backstops += backstop
 
             t, y, w = t_next, y_next, w_next
-            lost = ~np.isfinite(y)
+            stay = np.isfinite(y)  # a lane whose value is not finite fails,
             if n_steps > lowest:
-                lost |= limit[lane] < n_steps
-            leaving = lost
+                stay &= limit[lane] >= n_steps  # as does one past its step cap
+            leaving = _count(stay) < stay.size
+            if leaving:
+                failed[lane[~stay]] = True
             arrived = t >= bound
-            if np.count_nonzero(arrived):
-                done = (t >= T) & ~lost
-                if np.count_nonzero(done):
+            if _count(arrived):
+                done = t >= end
+                if leaving:
+                    done &= stay
+                if _count(done):
                     y_out[lane[done]] = y[done]
                     steps_out[lane[done]] = n_steps
                     backstops_out[lane[done]] = backstops[done]
-                    leaving = lost | done
-                # A lost lane takes no row: it has failed.
-                move = np.flatnonzero(arrived & ~leaving)
-                piece[move] += 1
-                at = lane[move], piece[move]
-                bound[move] = ends[at]
-                rows[..., move] = m.rows(states[at])
-            if np.count_nonzero(leaving):
-                failed[lane[lost]] = True
-                keep = ~leaving
-                lane, t, y, w, piece, bound, rows, backstops = (
-                    a[..., keep] for a in (lane, t, y, w, piece, bound, rows, backstops))
+                    stay[done] = False
+                    leaving = True
+                # A lane that leaves takes no row: a lost lane has failed.
+                enter = np.flatnonzero(arrived & stay if leaving else arrived)
+                at_next = at[enter] + 1
+                at[enter] = at_next
+                bound[enter] = ends[at_next]
+                rows[..., enter] = rows_of(states[at_next])
+            if leaving:
+                lane, t, y, w, at, bound, rows, backstops = (
+                    a[..., stay] for a in (lane, t, y, w, at, bound, rows, backstops))
     return y_out, steps_out, backstops_out, failed

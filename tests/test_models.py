@@ -165,11 +165,33 @@ class TestLaneForm:
         with np.errstate(all="ignore"):  # the scalar forms overflow silently
             f, g, dg = model.lanes(x, rows, True)
             f_em, g_em, none = model.lanes(x, rows, False)
+            f_only, no_g, no_dg = model.lanes(x, rows, None)
         pairs = list(zip(x.tolist(), states.tolist()))
-        assert _hex(f) == _hex(f_em) == [model.drift(*p).hex() for p in pairs]
+        assert _hex(f) == _hex(f_em) == _hex(f_only) == [model.drift(*p).hex() for p in pairs]
         assert _hex(g) == _hex(g_em) == [model.diffusion(*p).hex() for p in pairs]
         assert _hex(dg) == [model.diffusion_derivative(*p).hex() for p in pairs]
-        assert none is None
+        assert none is no_g is no_dg is None
+
+    @pytest.mark.parametrize("special", [None, 0.0, -0.0, math.nan, -math.inf])
+    def test_telomere_lanes_with_and_without_a_lane_at_or_below_zero(self, special):
+        # All positive, the lane form skips its zeroing of g and g'; one lane
+        # at or below zero (or NaN, which takes the square root) brings it back.
+        model = s.telomere_regime_model([(4.5, 1e-7), (7.5, 3e-7), (1.0, 0.0)])
+        xs = [1e-300, 0.5, 1.0, 7.25, 1234.5, 8000.0, 3e5, 1e100]
+        if special is not None:
+            xs.insert(3, special)
+        n = model.num_states
+        x = np.tile(np.array(xs), n)
+        states = np.repeat(np.arange(1, n + 1), len(xs))
+        pairs = list(zip(x.tolist(), states.tolist()))
+        for derivative in (True, False, None):
+            with np.errstate(all="ignore"):  # 0 * inf, as the scalars compute it silently
+                f, g, dg = model.lanes(x, model.rows(states), derivative)
+            assert _hex(f) == [model.drift(*p).hex() for p in pairs]
+            if derivative is not None:
+                assert _hex(g) == [model.diffusion(*p).hex() for p in pairs]
+            if derivative:
+                assert _hex(dg) == [model.diffusion_derivative(*p).hex() for p in pairs]
 
     @pytest.mark.parametrize("model", [
         s.telomere_model(s.TelomereParams()),
@@ -210,6 +232,8 @@ class TestLaneForm:
         assert calls == {"drift": 3, "diffusion": 3}
         model.lanes(np.array([0.5, 2.0, -1.0]), rows, True)
         assert calls == {"drift": 6, "diffusion": 6, "diffusion_derivative": 3}
+        assert model.lanes(np.array([0.5, 2.0, -1.0]), rows, None)[1:] == (None, None)
+        assert calls == {"drift": 9, "diffusion": 6, "diffusion_derivative": 3}
 
     @pytest.mark.parametrize("main", ["em", "milstein"])
     def test_derived_form_calls_in_the_engine_match_the_scalar_walk(self, main):

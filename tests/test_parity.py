@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import errors, harness, schemes
+from switchsde import errors, harness, models, schemes
 from switchsde.noise import ForwardNoise
 
 TRAJECTORY_FAILURES = (errors.NonfiniteResultError, errors.RootNotFoundError,
@@ -377,6 +377,32 @@ def test_coefficient_rows_follow_pieces_as_lanes_leave():
     assert min(chain.num_switches for chain in chains) >= 8
 
 
+def test_switch_tables_inside_the_model_are_checked_once_a_walk(monkeypatch):
+    # About 15 switches a lane: each piece entry took its rows through
+    # RegimeModel.rows, which checked the entering states every time.
+    checks = []
+    check = models._check_states
+
+    def counted(states, n):
+        checks.append(states.size)
+        return check(states, n)
+
+    monkeypatch.setattr(models, "_check_states", counted)
+    model = s.telomere_regime_model([(4.5, 1e-7), (7.5, 1e-5)])
+    g = s.validate_generator([[-30.0, 30.0], [30.0, -30.0]])
+    x0 = [3000.0, 8000.0, 1000.0, 5000.0, 2000.0, 4000.0]
+    chains = [s.simulate_chain(g, 1 + j % 2, 0.5, np.random.default_rng(100 + j))
+              for j in range(len(x0))]
+    assert min(chain.num_switches for chain in chains) >= 8
+    for lanes in (chains, chains[:1]):
+        checks.clear()
+        failed = _lanes_against_scalar_walks(model, lanes, x0[:len(lanes)], 0.5,
+                                             s.StepParams(0.03, 15.0, 10.0))
+        assert not failed.any()
+        # One check, of the whole switch table: a row of pieces a lane.
+        assert checks == [len(lanes) * (1 + max(c.num_switches for c in lanes))]
+
+
 @pytest.mark.parametrize("model, x_lost", [
     (s.linear_model(s.LinearModelParams(mu=(1.0, 1.0), sigma=(0.0, 0.0))), 1.7e308),
     (s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)]), -1e160)])
@@ -386,6 +412,16 @@ def test_lane_lost_on_landing_in_a_state_outside_the_model_fails(model, x_lost):
     # scalar walk fails on that step and never reads state 3.
     chains = [s.MarkovPath(1, (0.1,), (3,), 0.5), s.MarkovPath(2, (0.2,), (1,), 0.5)]
     failed = _lanes_against_scalar_walks(model, chains, [x_lost, 1.0], 0.5,
+                                         s.StepParams(0.3, 15.0, 1000.0))
+    assert failed.tolist() == [True, False]
+
+
+def test_lane_lost_on_its_step_onto_T_fails():
+    # h_max / |x|^(1/1000) is above T, so the first step is clamped onto T and
+    # is explicit; its value overflows there, and the lane fails, not ends.
+    model = s.linear_model(s.LinearModelParams(mu=(1.0,), sigma=(0.0,)))
+    chains = [s.MarkovPath(1, (), (), 0.1)] * 2
+    failed = _lanes_against_scalar_walks(model, chains, [1.7e308, 1.0], 0.1,
                                          s.StepParams(0.3, 15.0, 1000.0))
     assert failed.tolist() == [True, False]
 

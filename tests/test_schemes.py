@@ -186,6 +186,27 @@ class TestLaneNewton:
         assert y[1].hex() == s.implicit_milstein_map(0.0, 1, 0.5, 0.0, model).hex()
 
 
+@pytest.mark.parametrize("side_drift", [2.0, math.inf])
+def test_the_lane_newton_accepts_an_iterate_whose_slope_stops_it(side_drift):
+    # From x = 3 (h = 0.5, no noise) the explicit value is 4, whose residual,
+    # about 2e-10, passes the relative bound but not NEWTON_ABS_TOL.  The
+    # drift at 4 +- delta makes the slope zero (or infinite), so the scalar
+    # Newton stops at 4 and returns it; the lane Newton's next iterate is
+    # then infinite (or 4 again), and it must return 4 as settled too.
+    delta = 1e-7 * 4.0
+    drifts = {3.0: 2.0, 4.0: 2.0 - 4e-10,
+              4.0 + delta: side_drift * delta, 4.0 - delta: -side_drift * delta}
+    model = s.RegimeModel(num_states=1, drift=lambda y, i: drifts.get(y, y),
+                          diffusion=lambda x, i: 0.0, diffusion_derivative=lambda x, i: 0.0)
+    assert s.implicit_milstein_map(3.0, 1, 0.5, 0.0, model) == 4.0
+    assert _newton_returns(3.0, 1, 0.5, 0.0, model)
+    with np.errstate(all="ignore"):
+        y, solved = schemes._newton_values(model, np.full(1, 3.0),
+                                           model.rows(np.ones(1, dtype=np.int64)),
+                                           np.full(1, 0.5), np.zeros(1))
+    assert solved.tolist() == [True] and y.tolist() == [4.0]
+
+
 def _fifty_rounds(x, i, h, dW, m):
     """The Newton iteration of implicit_milstein_map as it ran before its
     2-cycle exit: every round up to NEWTON_MAX_ITER, then the last iterate's

@@ -18,6 +18,13 @@ quartiles (the inclusive method), the ratio of the medians (change over
 parent) and the number of pairs in which the change was better, in the
 direction ``BENCHMARK.json`` gives; and each side's correctness totals.
 
+Both trees run in the same bytecode state, compiling the package and the
+benchmark from source in every run: the runs are made with
+``PYTHONDONTWRITEBYTECODE=1``, and the script refuses to start while either
+tree holds a ``__pycache__`` directory under ``src/`` or ``bench/``.  An import
+from compiled bytecode is some tens of milliseconds faster, so otherwise
+``setup_s`` would compare import modes, not code.
+
 The section is rewritten after every pair, so an interrupted run keeps what
 it measured.  Other keys of an existing ``--out`` file are left as they are.
 """
@@ -26,12 +33,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SOURCE_DIRS = ("src", "bench")
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -40,9 +49,15 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, check=True, capture_output=True, text=True).stdout.splitlines()
+        cwd=tree, check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout.splitlines()
     record, result = json.loads(out[-2]), json.loads(out[-1])
     return {"result": result, "correctness": record["correctness"]}
+
+
+def bytecode_caches(tree: Path) -> list[Path]:
+    """The ``__pycache__`` directories under the tree's source directories."""
+    return sorted(cache for name in SOURCE_DIRS for cache in (tree / name).rglob("__pycache__"))
 
 
 def _summary(runs: list[float]) -> dict:
@@ -88,13 +103,18 @@ def main(argv=None) -> int:
                         help="a workload to run (repeatable; default: all)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
+    trees = {"parent": args.parent, "change": args.change}
+    caches = [cache for tree in trees.values() for cache in bytecode_caches(tree)]
+    if caches:
+        print("refusing to start: compiled bytecode would make the trees import "
+              "differently; remove " + " ".join(map(str, caches)), file=sys.stderr)
+        return 2
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
     workloads = args.workload or [w["name"] for w in declared["workloads"]]
     document = json.loads(args.out.read_text()) if args.out.exists() else {}
     section = document.setdefault("workloads", {})
-    trees = {"parent": args.parent, "change": args.change}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
         for pair in range(1, args.pairs + 1):
