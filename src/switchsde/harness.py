@@ -326,8 +326,9 @@ def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: fl
 def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
                         p: StepParams, M: int, runs_per_initial: int) -> None:
     """The argument checks of :func:`run_ensemble`, the step cap included."""
-    if isinstance(initial, (tuple, list)) and not initial[0] < initial[1]:
-        raise InvalidParamsError(f"need lo < hi, got ({initial[0]}, {initial[1]})")
+    if isinstance(initial, (tuple, list)) and not (
+            len(initial) == 2 and 0 < initial[1] - initial[0] < math.inf):
+        raise InvalidParamsError(f"need a pair lo < hi with hi - lo finite, got {initial}")
     check_run_args(model.num_states, g, r0, T, M, runs_per_initial)
     build_mesh_bound(T, p, 0)
 
@@ -336,8 +337,8 @@ def check_mean_change_args(model: RegimeModel, g: GeneratorMatrix, lo: float, hi
                            t_start_day: float, t_end_day: float, n_initials: int,
                            runs_per_initial: int, p: StepParams, r0) -> None:
     """The argument checks of :func:`mean_change_study`, the step cap included."""
-    if not 0 < lo < hi:
-        raise InvalidParamsError(f"need 0 < lo < hi, got ({lo}, {hi})")
+    if not (0 < lo and 0 < hi - lo < math.inf):
+        raise InvalidParamsError(f"need 0 < lo < hi with hi - lo finite, got ({lo}, {hi})")
     if not t_end_day > t_start_day:
         raise InvalidParamsError(
             f"need t_end_day > t_start_day, got ({t_start_day}, {t_end_day})")

@@ -55,19 +55,21 @@ class RegimeModel:
     ``table`` (one row of ``table`` per coefficient, one column per state),
     an array whose last axis runs over the lanes; it raises the scalar
     callables' :class:`StateIndexError` for the first state outside
-    1..num_states.  A walk takes its rows from :meth:`row_reader`, which checks
-    the states of its switch tables once.  Without a table a lane's row is its
-    state itself, and the scalar callables check it.  ``lanes(x, rows,
+    1..num_states.  A model given no table gets one of its state numbers, a
+    single row holding 1..num_states, so a lane's row is its state.  A walk
+    takes its rows from :meth:`row_reader`, which checks the states of its
+    switch tables once, before the first step.  ``lanes(x, rows,
     derivative)`` then reads them: for a float array ``x`` and the rows of its
     lanes it returns the arrays ``(f, g, g')``, each entry bitwise equal to the
     scalar callable at ``(x[j], states[j])``, with ``g'`` left as None unless
     ``derivative`` is true, and ``g`` left as None too when ``derivative`` is
     None (a request for the drift alone); floating-point warnings follow
     numpy's error state.  Without one, a lane form is derived from the scalar
-    callables: it maps each over the lanes and their states, drift first, and
-    calls ``diffusion`` and ``diffusion_derivative`` only when asked for g and
-    g'; it raises what they raise for the first lane that raises, and
-    ``lanes_from_scalars`` records that it was derived.
+    callables: it reads each lane's state from its row, maps the callables
+    over the lanes and their states, drift first, and calls ``diffusion`` and
+    ``diffusion_derivative`` only when asked for g and g'; it raises what
+    they raise for the first lane that raises, and ``lanes_from_scalars``
+    records that it was derived.
     """
 
     num_states: int
@@ -83,27 +85,21 @@ class RegimeModel:
         if self.lanes is None:
             object.__setattr__(self, "lanes", _mapped_lanes(
                 self.drift, self.diffusion, self.diffusion_derivative))
+        if self.table is None:
+            object.__setattr__(self, "table", np.arange(1, self.num_states + 1)[None])
 
     def rows(self, states: np.ndarray) -> np.ndarray:
         """The coefficient rows of lanes in ``states``, one per lane along
         the last axis."""
-        if self.table is None:
-            return states
         _check_states(states, self.num_states)
         return self.table[:, states - 1]
 
     def row_reader(self, states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """:meth:`rows` for a walk whose pieces take their states from
-        ``states``: when every state there lies in 1..num_states, checked here
-        once, a plain gather of ``table`` that checks nothing; otherwise
-        :meth:`rows` itself, which raises for a lane that enters a piece in a
-        state outside the model."""
-        if self.table is None:
-            return self.rows
-        try:
-            _check_states(states, self.num_states)
-        except StateIndexError:
-            return self.rows
+        ``states``: every state there is checked here, once, and raises as
+        :meth:`rows` does; the reader returned is a plain gather of ``table``
+        that checks nothing."""
+        _check_states(states, self.num_states)
         table = self.table
         return lambda piece_states: table[:, piece_states - 1]
 
@@ -111,9 +107,9 @@ class RegimeModel:
 def _mapped_lanes(drift: Coefficient, diffusion: Coefficient,
                   diffusion_derivative: Coefficient) -> LaneCoefficients:
     """The lane form that calls the scalar callables lane by lane; its rows
-    are the states."""
-    def lanes(x, states, derivative):
-        xs, ss = x.tolist(), states.tolist()
+    are the one row of a state table, the lanes' states."""
+    def lanes(x, rows, derivative):
+        xs, ss = x.tolist(), rows[0].tolist()
         f = np.array(list(map(drift, xs, ss)), dtype=float)
         if derivative is None:
             return f, None, None

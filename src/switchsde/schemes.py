@@ -377,21 +377,20 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     The step rule and the main map run as array operations; the main map's
     coefficients come from one call of the model's lane form
     (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  Each
-    lane keeps the coefficient row of its piece, gathered when the walk
-    starts and when the lane enters its next piece.  The states are checked
-    once, over the whole switch table (:meth:`RegimeModel.row_reader`); only
-    when the table holds a state outside the model does each entry check
-    its states (:meth:`RegimeModel.rows`), so that such a state raises
-    before the piece's first step, and a lane that has failed by then takes
-    no row.  The arithmetic takes its constants as 0-d arrays and builds the
-    masks of the rare cases (a lane lost, done or entering a piece) only
-    when a count says they occur.  The backstop steps of an iteration, when
-    there are at least ``LANE_NEWTON_MIN`` of them, run the Newton iteration
-    of :func:`implicit_milstein_map` together, through the model's own lane
-    form; a lane that Newton does not settle, any backstop lane of a model
-    without its own lane form, and the backstop lanes of an iteration with
-    fewer of them run :func:`implicit_milstein_map` alone, which redoes the
-    Newton iteration and goes on to the bisection.
+    lane keeps the coefficient row of its piece, gathered when the walk starts
+    and when the lane enters its next piece.  The states are checked once,
+    over the whole switch table (:meth:`RegimeModel.row_reader`), so a state
+    outside the model raises the scalar callables' :class:`StateIndexError`
+    before the first step, even where a lane would fail before it reaches that
+    state.  The arithmetic takes its constants as 0-d arrays and builds the
+    masks of the rare cases (a lane lost, done or entering a piece) only when
+    a count says they occur.  The backstop steps of an iteration, when there
+    are at least ``LANE_NEWTON_MIN`` of them, run the Newton iteration of
+    :func:`implicit_milstein_map` together, through the model's own lane form;
+    a lane that Newton does not settle, any backstop lane of a model without
+    its own lane form, and the backstop lanes of an iteration with fewer of
+    them run :func:`implicit_milstein_map` alone, which redoes the Newton
+    iteration and goes on to the bisection.
 
     Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``.  A lane
     fails where its scalar walk raises: its start is NaN, a value is not
@@ -491,7 +490,7 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                     backstops_out[lane[done]] = backstops[done]
                     stay[done] = False
                     leaving = True
-                # A lane that leaves takes no row: a lost lane has failed.
+                # A lane that leaves takes no row: it may stand in its last piece.
                 enter = np.flatnonzero(arrived & stay if leaving else arrived)
                 at_next = at[enter] + 1
                 at[enter] = at_next

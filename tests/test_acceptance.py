@@ -116,7 +116,7 @@ def test_criterion_5_mean_change_reduced_preset():
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_FULL_MEANCHANGE"),
-                    reason="full 1000x100 run takes tens of minutes; "
+                    reason="full 1000x100 run takes 31-45 s on 2 vCPUs; "
                            "set RUN_FULL_MEANCHANGE=1")
 def test_criterion_5_mean_change_full_scale():
     """Expected to fail for the same reason as the reduced preset."""

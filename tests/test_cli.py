@@ -211,6 +211,14 @@ class TestExitCodes:
         assert f"{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_uniform_range_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # Each end is a finite number, but numpy cannot draw on a range whose
+        # width overflows.
+        config = write_config(tmp_path, {"initial": {"uniform": [-1e308, 1e308]}})
+        assert run_cli(["ensemble", "--config", config, "--out", tmp_path / "o"]) == 2
+        assert "hi - lo finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("args, key", [
         (["mean-change", "--end-day", "inf"], "end_day"),
         (["ensemble", "--horizon", "nan"], "horizon"),

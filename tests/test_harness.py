@@ -98,6 +98,13 @@ class TestRunEnsemble:
         with pytest.raises(errors.InvalidParamsError):
             s.run_ensemble(_zero_model(4), g, 1.0, 1, 1.0, STEP, M=1, seed=0)
 
+    @pytest.mark.parametrize("initial", [(1000.0,), (1000.0, 2000.0, 99.0),
+                                         (2000.0, 1000.0), (-1e308, 1e308)])
+    def test_uniform_initial_that_is_not_a_finite_range_rejected(self, initial):
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        with pytest.raises(errors.InvalidParamsError, match="lo < hi"):
+            s.run_ensemble(_zero_model(), g, initial, 1, 1.0, STEP, M=1, seed=0)
+
     @pytest.mark.parametrize("r0", [2.7, True])
     def test_r0_that_is_not_a_state_number_rejected(self, r0):
         g = s.validate_generator(TELOMERE_GENERATOR)
@@ -203,6 +210,9 @@ class TestMeanChangeStudy:
                                 n_initials=2, runs_per_initial=1, seed=0, p=STEP)
         with pytest.raises(errors.InvalidParamsError):
             s.mean_change_study(_zero_model(), g, 4000.0, 8000.0, 30.0, 5.0,
+                                n_initials=2, runs_per_initial=1, seed=0, p=STEP)
+        with pytest.raises(errors.InvalidParamsError):
+            s.mean_change_study(_zero_model(), g, 4000.0, math.inf, 5.0, 30.0,
                                 n_initials=2, runs_per_initial=1, seed=0, p=STEP)
 
 

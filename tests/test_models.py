@@ -132,6 +132,12 @@ def _counting_model():
     return model, calls
 
 
+def _derived(model):
+    """``model`` with the lane form derived from its scalar callables."""
+    return s.RegimeModel(model.num_states, model.drift, model.diffusion,
+                         model.diffusion_derivative)
+
+
 @st.composite
 def regime_models(draw):
     n = draw(st.integers(1, 4))
@@ -195,7 +201,8 @@ class TestLaneForm:
 
     @pytest.mark.parametrize("model", [
         s.telomere_model(s.TelomereParams()),
-        s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))])
+        s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4))),
+        _derived(s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4))))])
     def test_state_outside_the_model_raises_as_the_scalars_do(self, model):
         n = model.num_states
         for bad in (0, -1, n + 1):
@@ -215,7 +222,7 @@ class TestLaneForm:
         linear = s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))
         assert linear.rows(states[:2]).tolist() == [[-0.2, 0.1], [0.4, 0.3]]
         derived = _counting_model()[0]
-        assert derived.rows(states) is states  # the scalar callables check the states
+        assert derived.rows(states[:2]).tolist() == [[2, 1]]  # one row, of the states
 
     def test_no_lanes(self):
         for model in (s.telomere_model(s.TelomereParams()),

@@ -409,11 +409,18 @@ def test_switch_tables_inside_the_model_are_checked_once_a_walk(monkeypatch):
 def test_lane_lost_on_landing_in_a_state_outside_the_model_fails(model, x_lost):
     # h_max / |x|^(1/1000) is above 0.1, so the first step is clamped onto the
     # switch into state 3 and is explicit; its value overflows there.  The
-    # scalar walk fails on that step and never reads state 3.
+    # scalar walk fails on that step and never reads state 3; the lanes check
+    # their switch tables before the first step, so state 3 raises there.
     chains = [s.MarkovPath(1, (0.1,), (3,), 0.5), s.MarkovPath(2, (0.2,), (1,), 0.5)]
-    failed = _lanes_against_scalar_walks(model, chains, [x_lost, 1.0], 0.5,
-                                         s.StepParams(0.3, 15.0, 1000.0))
-    assert failed.tolist() == [True, False]
+    p = s.StepParams(0.3, 15.0, 1000.0)
+    with pytest.raises(errors.SwitchSDEError) as scalar:
+        s.solve_terminal(model, chains[0], s.BrownianPath(np.random.default_rng(200)),
+                         x_lost, 0.5, p)
+    assert not isinstance(scalar.value, errors.StateIndexError)
+    noise = mock.Mock()
+    with pytest.raises(errors.StateIndexError, match=r"^state 3 outside 1\.\.2$"):
+        schemes.solve_terminals(model, s.Chains.of(chains), noise, [x_lost, 1.0], 0.5, p)
+    noise.advance.assert_not_called()
 
 
 def test_lane_lost_on_its_step_onto_T_fails():

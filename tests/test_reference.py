@@ -13,6 +13,7 @@ import re
 import pytest
 
 import switchsde as s
+from switchsde import harness
 
 TELOMERE_GENERATOR = [
     [-0.3, 0.1, 0.1, 0.1],
@@ -166,3 +167,40 @@ def test_strong_order_study_at_acceptance_size(scheme, rms_hex, order):
                                   M=1000, seed=42, scheme=scheme)
     assert [e.hex() for e in report.rms_errors] == rms_hex
     assert report.fitted_order == order
+
+
+# The paper's theorem where the backstop carries the walk: from x0 = 20 with
+# rho^k = 15, the step rule floors most steps onto the drift-implicit backstop
+# (93% of the scalar walks' steps over samples 0-19).  The hybrid keeps the
+# order of its weaker map: Milstein under criterion 1's rule, Euler-Maruyama
+# under criterion 2's.
+@pytest.mark.parametrize("scheme, rms_hex, order, bounds", [
+    ("milstein", ["0x1.f27f8f66188f7p-7", "0x1.fb0de29b9ebe3p-8", "0x1.f8af549d21d86p-9",
+                  "0x1.f839cf7f7a5e0p-10", "0x1.fb56a3fa1758cp-11", "0x1.f18ff844edb9bp-12"],
+     1.0003555221692628, (0.85, 1.15)),
+    ("em", ["0x1.40a4467b6d267p-5", "0x1.767160024da58p-6", "0x1.c93b7725622b8p-7",
+            "0x1.2ea8c7ca5efe7p-7", "0x1.18b25f47129cep-7", "0x1.96368db13a0e3p-8"],
+     0.5181731041740992, (0.4, 0.65)),
+])
+def test_strong_order_where_the_backstop_carries_the_walk(scheme, rms_hex, order, bounds):
+    g = s.validate_generator(GEN2)
+    grid = [2.0 ** -e for e in range(4, 10)]
+    report = s.strong_order_study(LINEAR2, g, 20.0, 1.0, grid, 15.0, 1.0, M=200, seed=42,
+                                  scheme=scheme)
+    assert [e.hex() for e in report.rms_errors] == rms_hex
+    assert report.fitted_order == order
+    assert bounds[0] <= report.fitted_order <= bounds[1]
+    assert all(a > b for a, b in zip(report.rms_errors, report.rms_errors[1:]))
+
+    # The scalar coupled walks of samples 0-19: the exact value first, then
+    # every level from the finest, on one path each.
+    model, steps, backstops = s.linear_model(LINEAR2), 0, 0
+    for j in range(20):
+        chain = harness.trajectory_chain(g, 1, 1.0, 42, j)
+        path = s.BrownianPath(harness.substream_rng(42, j, harness.NOISE_STREAM))
+        s.exact_linear_solution(LINEAR2, 20.0, chain, path, 1.0)
+        for h in reversed(grid):
+            _, n, b = s.solve_terminal(model, chain, path, 20.0, 1.0,
+                                       s.StepParams(h, 15.0, 1.0), scheme)
+            steps, backstops = steps + n, backstops + b
+    assert backstops / steps >= 0.5
