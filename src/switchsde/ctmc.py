@@ -41,13 +41,15 @@ class GeneratorMatrix:
 
     Construct through :func:`validate_generator`; the rates array is frozen.
     ``jumps`` is ``(lam, cum, dests)``, derived from the rates as arrays
-    indexed by the state itself (row 0 is unused): state i's holding rate
-    ``lam[i]``, the states one jump reaches, in order, from ``dests[i, 0]``,
-    and the cumulative probabilities that bound them, ``cum[i]``.  A draw u
-    goes to ``dests[i, q]`` for q the count of ``cum[i] <= u``: the bound of
-    the last destination and the padding are inf, so the last destination
-    also takes a draw above the last cumulative probability (by rounding).
-    An absorbing state reaches none.
+    indexed by the state itself (entry or column 0 is unused): state i's
+    holding rate ``lam[i]``, the states one jump reaches, in order, from
+    ``dests[0, i]``, and the cumulative probabilities that bound them,
+    ``cum[:, i]``.  A draw u goes to ``dests[q, i]`` for q the count of
+    ``cum[:, i] <= u``: the bound of the last destination and the padding are
+    inf, so the last destination also takes a draw above the last cumulative
+    probability (by rounding).  An absorbing state reaches none.  A state's
+    bounds are a column, so the bounds of a lane group's states are one
+    gather along the columns and their counts one sum down them.
     """
 
     rates: np.ndarray
@@ -58,16 +60,16 @@ class GeneratorMatrix:
         self.rates.setflags(write=False)
         rows, width = 1 + self.num_states, max(1, self.num_states - 1)
         lam = np.zeros(rows)
-        cum = np.full((rows, width), math.inf)
-        dests = np.ones((rows, width), dtype=np.int64)
+        cum = np.full((width, rows), math.inf)
+        dests = np.ones((width, rows), dtype=np.int64)
         for i in range(1, rows):
             lam[i] = holding_rate(self, i)
             if lam[i] > 0.0:
                 p = transition_pmf(self, i)
                 reached = np.flatnonzero(p > 0)
-                cum[i, :reached.size] = np.cumsum(p[reached])
-                cum[i, reached.size - 1] = math.inf  # the last destination's bound
-                dests[i, :reached.size] = reached + 1
+                cum[:reached.size, i] = np.cumsum(p[reached])
+                cum[reached.size - 1, i] = math.inf  # the last destination's bound
+                dests[:reached.size, i] = reached + 1
         object.__setattr__(self, "jumps", (lam, cum, dests))
 
 
@@ -199,9 +201,39 @@ def transition_pmf(g: GeneratorMatrix, i: int) -> np.ndarray:
     return p
 
 
-def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, rngs) -> Chains:
+class _Blocks:
+    """The uniforms of generator-like objects, one a lane, in the form
+    :func:`simulate_chains` reads them: ``random(lanes)`` is the next uniform
+    of each lane in ``lanes``.  A lane reads its generator's uniforms
+    ``CHAIN_BLOCK`` at a time and only when its block runs out, which gives
+    the uniforms of single draws (a block draw equals as many single draws);
+    its generator ends up to a block past the last uniform used."""
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+        self.block = np.empty((len(rngs), CHAIN_BLOCK))
+        self.used = np.full(len(rngs), CHAIN_BLOCK)  # each lane's next column
+
+    def random(self, lanes):
+        col = self.used[lanes]
+        spent = col == CHAIN_BLOCK
+        if spent.any():
+            for j in lanes[spent].tolist():
+                self.block[j] = self.rngs[j].random(CHAIN_BLOCK)
+            col[spent] = 0
+        self.used[lanes] = col + 1
+        return self.block[lanes, col]
+
+
+def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains:
     """Sample one chain trajectory on [0, horizon] per lane: lane j starts from
-    ``r0s[j]`` and draws its uniforms from ``rngs[j]``.
+    ``r0s[j]`` and draws lane j's uniforms of ``uniforms``.
+
+    ``uniforms`` is a lane source, a sized object without items whose
+    ``random(lanes)`` is the next uniform of each lane in ``lanes`` (a group's
+    chain streams, :class:`switchsde.harness.LaneUniforms`), or anything
+    indexable that holds generator-like objects with a ``random(size)``
+    method, one a lane (a list, a tuple or a numpy object array).
 
     Holding times use inverse-CDF exponential sampling on uniform draws, with
     ``math.log1p(-u)`` (numpy's log1p can differ in the last ulp); a holding
@@ -211,10 +243,8 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, rngs) -> Chains:
     exactly on the horizon is kept, or when it enters an absorbing state.
 
     Each iteration takes one switch of every live lane, as array operations.
-    A lane reads its generator's uniforms in draw order, ``CHAIN_BLOCK`` at a
-    time and only when its block runs out, so each lane is the chain that it
-    would be alone, bit for bit (a block draw equals as many single draws),
-    and its generator ends up to a block past the last uniform used.
+    A lane draws its uniforms in order and only those it uses, so each lane is
+    the chain that it would be alone, bit for bit.
     """
     if not 0.0 < horizon < math.inf:
         raise InvalidParamsError(f"horizon must be positive and finite, got {horizon}")
@@ -225,19 +255,8 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, rngs) -> Chains:
             f"initial state {initial[bad[0]]} outside 1..{g.num_states}")
     lam, cum, dests = g.jumps
     n = initial.size
-    block = np.empty((n, CHAIN_BLOCK))
-    used = np.full(n, CHAIN_BLOCK)  # each lane's next column; a spent block draws anew
-
-    def draw(lanes):
-        """The next uniform of each lane in ``lanes``."""
-        col = used[lanes]
-        spent = col == CHAIN_BLOCK
-        if spent.any():
-            for j in lanes[spent].tolist():
-                block[j] = rngs[j].random(CHAIN_BLOCK)
-            col[spent] = 0
-        used[lanes] = col + 1
-        return block[lanes, col]
+    lane_source = hasattr(uniforms, "__len__") and not hasattr(uniforms, "__getitem__")
+    draw = (uniforms if lane_source else _Blocks(uniforms)).random
 
     def holding(lanes, rate):
         logs = np.fromiter(map(math.log1p, (-draw(lanes)).tolist()), float, lanes.size)
@@ -265,7 +284,7 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, rngs) -> Chains:
             if not live.size:
                 break
             u = draw(live)
-            s = dests[s, (cum[s] <= u[:, None]).sum(axis=1)]
+            s = dests[(cum.take(s, axis=1) <= u).sum(axis=0), s]
             columns.append((live, t, s))
             keep = lam[s] > 0.0
             live, t, s = live[keep], t[keep], s[keep]

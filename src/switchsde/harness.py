@@ -28,12 +28,15 @@ and walks the mesh audits of acceptance criteria 6 and 8.
 Seeding: every trajectory gets independent chain / noise / auxiliary random
 streams derived from the master seed and the trajectory index through
 ``numpy.random.SeedSequence`` spawn keys, so results do not depend on
-execution order and are reproducible bit for bit.  :func:`substream_rngs`
-derives one stream of many indices at once: it runs SeedSequence's hash as
-array arithmetic and gives each generator the state SeedSequence would.  A
-group's chains are sampled together as lanes
-(:func:`switchsde.ctmc.simulate_chains`), each from its own chain stream, so
-each is bit for bit the chain that it would be alone.
+execution order and are reproducible bit for bit.  One stream of many
+indices is derived at once: SeedSequence's hash runs as array arithmetic and
+gives each index the PCG64 state SeedSequence would.  The noise stream, whose
+normals need numpy's ziggurat tables, becomes one generator an index
+(:func:`substream_rngs`); the initial, aux and chain streams of a lane group
+are drawn as lanes of one array PCG64 (:class:`LaneUniforms`), bit for bit
+the draws of those generators, and build none.  A group's chains are sampled
+together as lanes (:func:`switchsde.ctmc.simulate_chains`), each from its own
+chain stream, so each is bit for bit the chain that it would be alone.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -68,7 +72,7 @@ logger = logging.getLogger(__name__)
 BACKSTOP_WARN_FRACTION = 0.05
 # Trajectories the batched walk steps together, and whose substreams a study
 # derives together.  Groups bound a study's memory (each lane holds its chain,
-# its generators and a block of normals) at any study size.
+# its noise generator and a block of normals) at any study size.
 LANE_GROUP = 1024
 # Brownian points the strong-order study's lanes hold at once, 16 bytes each
 # (a time and a value), besides each lane's free columns and its block of
@@ -171,10 +175,10 @@ def _preset_state():
     return PresetState
 
 
-def substream_rngs(seed: int, indices, stream: int) -> list[np.random.Generator]:
-    """Generator of (trajectory index, substream) for each of ``indices``, in
-    order: the generator ``numpy.random.default_rng(numpy.random.SeedSequence(
-    seed, spawn_key=(index, stream)))``, with the same state and draws.
+def _substream_states(seed: int, indices, stream: int) -> np.ndarray:
+    """The PCG64 state words of (trajectory index, substream) for each of
+    ``indices``, one row each, in order: the words that
+    ``numpy.random.SeedSequence(seed, spawn_key=(index, stream))`` generates.
 
     The entropy is the seed's words, zero-padded to the pool size, then the
     index's and the stream's; indices are hashed together in groups of one
@@ -185,16 +189,150 @@ def substream_rngs(seed: int, indices, stream: int) -> list[np.random.Generator]
     indices = [operator.index(i) for i in indices]
     if min(indices, default=0) < 0:
         raise ValueError("expected non-negative integer")
-    counts = [max(1, -(-i.bit_length() // 32)) for i in indices]
-    rngs = [None] * len(indices)
-    preset = _preset_state()
-    for count in set(counts):
-        where = [pos for pos, c in enumerate(counts) if c == count]
-        index = [indices[pos] for pos in where]
+    counts = np.array([max(1, -(-i.bit_length() // 32)) for i in indices], dtype=np.intp)
+    states = np.empty((len(indices), _POOL), dtype=np.uint64)
+    for count in set(counts.tolist()):
+        where = np.flatnonzero(counts == count)
+        index = [indices[pos] for pos in where.tolist()]
         words = [_column([(i >> 32 * k) & _MASK32 for i in index]) for k in range(count)]
-        for pos, state in zip(where, _pcg64_states(head + words + tail, len(where))):
-            rngs[pos] = np.random.Generator(np.random.PCG64(preset(state)))
-    return rngs
+        states[where] = _pcg64_states(head + words + tail, where.size)
+    return states
+
+
+def substream_rngs(seed: int, indices, stream: int) -> list[np.random.Generator]:
+    """Generator of (trajectory index, substream) for each of ``indices``, in
+    order: the generator ``numpy.random.default_rng(numpy.random.SeedSequence(
+    seed, spawn_key=(index, stream)))``, with the same state and draws."""
+    preset = _preset_state()
+    return [np.random.Generator(np.random.PCG64(preset(state)))
+            for state in _substream_states(seed, indices, stream)]
+
+
+# PCG64's 128-bit multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128) as its high
+# and low words, the low word's 32-bit halves, and the shifts and masks of the
+# step and the output, as 0-d arrays: a ufunc takes them at the cost of an
+# array, where a Python int or a numpy scalar costs more.
+_MULT_HI, _MULT_LO, _MULT_LO1, _MULT_LO0, _LOW32, _HIGH1, _S11, _S32, _S58, _S64 = (
+    np.array(c, dtype=np.uint64) for c in (0x2360ED051FC65DA4, 0x4385DF649FCCF645,
+                                           0x4385DF64, 0x9FCCF645, _MASK32, 2 ** 32,
+                                           11, 32, 58, 64))
+_ULP53 = np.array(2.0 ** -53)
+
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """The high and low words of PCG64's next state ``state * mult + inc``
+    (mod 2**128), from the words of ``state`` and ``inc``; uint64 arrays wrap
+    modulo 2**64 silently.  The high word of ``lo * mult_lo`` comes from the
+    32-bit limbs: ``t`` stays below 2**64 and ``u`` wraps at most once, so
+    ``u < t`` is its carry.  Terms are summed in place, sparing a temporary
+    array each (a draw at a group's size took about a tenth less)."""
+    lo0, lo1 = lo & _LOW32, lo >> _S32
+    t = lo0 * _MULT_LO0
+    t >>= _S32
+    t += lo0 * _MULT_LO1
+    u = lo1 * _MULT_LO0
+    u += t
+    new_lo = lo * _MULT_LO
+    new_lo += inc_lo
+    new_hi = hi * _MULT_LO
+    new_hi += lo * _MULT_HI
+    lo1 *= _MULT_LO1
+    new_hi += lo1
+    new_hi += (u < t) * _HIGH1
+    u >>= _S32
+    new_hi += u
+    new_hi += inc_hi
+    new_hi += new_lo < inc_lo
+    return new_hi, new_lo
+
+
+class LaneUniforms:
+    """The uniform draws of a lane group's substreams, one PCG64 a lane run
+    together as uint64 array arithmetic, with no ``numpy.random`` object.
+
+    Lane j draws, bit for bit, what the generator seeded with row j of
+    ``states`` (:func:`_substream_states`) draws from ``random()``,
+    ``integers(n)`` and ``uniform(lo, hi)``: numpy seeds PCG64 with
+    ``state = w0 << 64 | w1`` and ``inc = w2 << 64 | w3`` (``pcg64_set_seed``),
+    steps before each output, and outputs the XSL-RR of the new state.  A
+    double is the output's top 53 bits times 2**-53; a bounded integer takes
+    32-bit halves by Lemire's method, each output's low half first and its
+    high half from the lane's buffer.  Each state word is an array over the
+    lanes, so a draw for a subset of lanes takes a gather and a scatter.
+    """
+
+    def __init__(self, states: np.ndarray):
+        seed_hi, seed_lo, seq_hi, seq_lo = states.T
+        self.inc_hi, self.inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+        # pcg_setseq_128_srandom_r: from state 0 one step gives inc, then
+        # state += seed and one more step.
+        lo = self.inc_lo + seed_lo
+        hi = self.inc_hi + seed_hi + (lo < self.inc_lo)
+        self.hi, self.lo = _pcg64_step(hi, lo, self.inc_hi, self.inc_lo)
+        self.half = np.zeros(states.shape[0], dtype=np.uint64)  # a buffered high half
+        self.has_half = np.zeros(states.shape[0], dtype=bool)
+
+    def __len__(self) -> int:
+        return self.half.size
+
+    def _next64(self, lanes) -> np.ndarray:
+        """The next output of each lane in ``lanes``, distinct lane numbers."""
+        hi, lo = _pcg64_step(self.hi.take(lanes), self.lo.take(lanes),
+                             self.inc_hi.take(lanes), self.inc_lo.take(lanes))
+        self.hi[lanes], self.lo[lanes] = hi, lo
+        x, rot = hi ^ lo, hi >> _S58
+        left = x << _S64 - rot  # a shift by 64 gives 0
+        x >>= rot
+        x |= left
+        return x
+
+    def random(self, lanes=None) -> np.ndarray:
+        """The next uniform on [0, 1) of each lane in ``lanes`` (every lane if
+        None), as ``Generator.random()`` draws it."""
+        bits = self._next64(np.arange(len(self)) if lanes is None else lanes)
+        bits >>= _S11
+        out = bits.astype(np.float64)
+        out *= _ULP53
+        return out
+
+    def uniform(self, lo: float, hi: float) -> np.ndarray:
+        """The next ``Generator.uniform(lo, hi)`` of every lane."""
+        return lo + (hi - lo) * self.random()
+
+    def _next32(self, lanes) -> np.ndarray:
+        """The next 32-bit output of each lane in ``lanes``: a buffered high
+        half if the lane has one, else the low half of a new output."""
+        out = self.half[lanes]
+        fresh = ~self.has_half[lanes]
+        if fresh.any():
+            drawn = self._next64(lanes[fresh])
+            out[fresh] = drawn & _LOW32
+            self.half[lanes[fresh]] = drawn >> _S32
+        self.has_half[lanes] = fresh
+        return out
+
+    def integers(self, n: int) -> np.ndarray:
+        """The next ``Generator.integers(n)`` of every lane, for 1 <= n <= 2**32
+        (n = 1 draws nothing)."""
+        if not 1 <= n <= 2 ** 32:
+            raise ValueError(f"need 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return np.zeros(len(self), dtype=np.int64)
+        bound = np.uint64(n)
+        lanes = np.arange(len(self))
+        m = self._next32(lanes) * bound
+        threshold = (2 ** 32 - n) % n
+        redraw = lanes[(m & _LOW32) < threshold]
+        while redraw.size:
+            m[redraw] = self._next32(redraw) * bound
+            redraw = redraw[(m[redraw] & _LOW32) < threshold]
+        return (m >> _S32).astype(np.int64)
+
+
+def substream_uniforms(seed: int, indices, stream: int) -> LaneUniforms:
+    """The uniform draws of substream ``stream`` of ``indices``, lane j drawing
+    those of ``substream_rngs(seed, indices, stream)[j]``."""
+    return LaneUniforms(_substream_states(seed, indices, stream))
 
 
 def substream_rng(seed: int, index: int, stream: int) -> np.random.Generator:
@@ -326,9 +464,13 @@ def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: fl
 def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
                         p: StepParams, M: int, runs_per_initial: int) -> None:
     """The argument checks of :func:`run_ensemble`, the step cap included."""
-    if isinstance(initial, (tuple, list)) and not (
-            len(initial) == 2 and 0 < initial[1] - initial[0] < math.inf):
-        raise InvalidParamsError(f"need a pair lo < hi with hi - lo finite, got {initial}")
+    if isinstance(initial, (tuple, list)):
+        if not (len(initial) == 2 and 0 < initial[1] - initial[0] < math.inf):
+            raise InvalidParamsError(f"need a pair lo < hi with hi - lo finite, got {initial}")
+    elif not (isinstance(initial, numbers.Real) or isinstance(initial, np.ndarray)
+              and initial.shape == () and initial.dtype.kind in "biuf"):
+        raise InvalidParamsError(f"initial must be a number or a (lo, hi) tuple or list, "
+                                 f"got {initial!r}")
     check_run_args(model.num_states, g, r0, T, M, runs_per_initial)
     build_mesh_bound(T, p, 0)
 
@@ -352,8 +494,7 @@ def _draw_initials(initial, seed: int, outer) -> np.ndarray:
     ``(lo, hi)`` from each outer index's initial stream."""
     if isinstance(initial, (tuple, list)):
         lo, hi = float(initial[0]), float(initial[1])
-        return np.array([rng.uniform(lo, hi)
-                         for rng in substream_rngs(seed, outer, INITIAL_STREAM)])
+        return substream_uniforms(seed, outer, INITIAL_STREAM).uniform(lo, hi)
     return np.full(len(outer), float(initial))
 
 
@@ -368,11 +509,10 @@ def _trajectory_chains(g: GeneratorMatrix, r0, T: float, seed: int, indices) -> 
     ``indices[j]``, drawn from its chain stream.  A ``'uniform'`` r0 is drawn
     from each trajectory's auxiliary stream."""
     if r0 == "uniform":
-        starts = [1 + int(rng.integers(g.num_states))
-                  for rng in substream_rngs(seed, indices, AUX_STREAM)]
+        starts = 1 + substream_uniforms(seed, indices, AUX_STREAM).integers(g.num_states)
     else:
         starts = [int(r0)] * len(indices)
-    return simulate_chains(g, starts, T, substream_rngs(seed, indices, CHAIN_STREAM))
+    return simulate_chains(g, starts, T, substream_uniforms(seed, indices, CHAIN_STREAM))
 
 
 def trajectory_chain(g: GeneratorMatrix, r0, T: float, seed: int, index: int):

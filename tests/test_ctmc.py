@@ -452,6 +452,10 @@ def test_stand_in_lanes_sampled_as_one_group():
     alone = [_sequential_chain(g, r0, horizon, _PresetUniforms(_padded(values)))
              for r0, values in lanes]
     assert _hex_rows(chains) == list(map(_hex, alone))
+    as_array = np.empty(len(lanes), dtype=object)  # any indexable holder of generators
+    as_array[:] = [_PresetUniforms(_padded(values)) for _, values in lanes]
+    assert _hex_rows(s.simulate_chains(g, [r0 for r0, _ in lanes], horizon, as_array)) == \
+        _hex_rows(chains)
     assert chains.counts.tolist() == [1, 40, 0, 0, 1, 1]
     assert [rng.sizes for rng in rngs] == [[64], [64, 64], [], [64], [64], [64]]
     assert chains.times[0, 0] == -math.log1p(-0.25) / 2.0

@@ -1,7 +1,11 @@
 """Monte Carlo engine: ensembles, convergence studies, mean-change runs."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +108,23 @@ class TestRunEnsemble:
         g = s.validate_generator(TELOMERE_GENERATOR)
         with pytest.raises(errors.InvalidParamsError, match="lo < hi"):
             s.run_ensemble(_zero_model(), g, initial, 1, 1.0, STEP, M=1, seed=0)
+
+    @pytest.mark.parametrize("initial", [np.array([1000.0, 2000.0]), np.array(["1000"]),
+                                         np.array("1000"), "1000"])
+    def test_initial_that_is_neither_a_number_nor_a_pair_rejected(self, initial):
+        # An array pair once passed the checks and failed in the draw of the
+        # initials with a bare TypeError.
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        with pytest.raises(errors.InvalidParamsError, match="a number or a"):
+            s.run_ensemble(_zero_model(), g, initial, 1, 1.0, STEP, M=1, seed=0)
+
+    @pytest.mark.parametrize("initial", [np.array(1000.0), np.array(1000), np.float32(1000.0)])
+    def test_numeric_scalar_initial_runs_as_its_float(self, initial):
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        model = s.linear_model(s.LinearModelParams(mu=(0.1,) * 4, sigma=(0.2,) * 4))
+        ref = s.run_ensemble(model, g, 1000.0, 1, 1.0, STEP, M=3, seed=3)
+        got = s.run_ensemble(model, g, initial, 1, 1.0, STEP, M=3, seed=3)
+        assert got.terminal_values.tobytes() == ref.terminal_values.tobytes()
 
     @pytest.mark.parametrize("r0", [2.7, True])
     def test_r0_that_is_not_a_state_number_rejected(self, r0):
@@ -376,3 +397,57 @@ def test_negative_seed_or_index_raises_as_seed_sequence_does(seed, index):
         with pytest.raises(ValueError) as exc:
             derive()
         assert str(exc.value) == str(ref.value)
+
+
+# Seeds and indices of one, two and three 32-bit words.
+LANE_SEEDS = (0, 42, 2 ** 40 + 3, 2 ** 64 + 5)
+LANE_INDICES = [2 ** 40, 0, 2 ** 32 - 1, 2 ** 32, 5, 2 ** 64 + 1, 1, *range(100, 130)]
+# n = 3 * 2**30 rejects a quarter of the 32-bit draws, the others none or few.
+BOUNDS = (1, 2, 3, 4, 5, 7, 16, 3 * 2 ** 30, 2 ** 32 - 1)
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS)
+@pytest.mark.parametrize("stream", STREAMS)
+def test_lane_uniforms_draw_what_the_substream_generators_draw(seed, stream):
+    lanes = harness.substream_uniforms(seed, LANE_INDICES, stream)
+    rngs = substream_rngs(seed, LANE_INDICES, stream)
+    assert len(lanes) == len(rngs)
+    for _ in range(200):
+        assert lanes.random().tolist() == [rng.random() for rng in rngs]
+    for n in BOUNDS * 3:
+        assert lanes.integers(n).tolist() == [int(rng.integers(n)) for rng in rngs]
+    # Without a rejection every lane takes one half a draw, so the lanes that
+    # hold a buffered half differ only after one.
+    assert 0 < lanes.has_half.sum() < len(lanes)
+    assert lanes.random().tolist() == [rng.random() for rng in rngs]  # past the buffer
+    assert lanes.uniform(-3.5, 1e3).tolist() == [rng.uniform(-3.5, 1e3) for rng in rngs]
+    order = np.random.default_rng(seed % 2 ** 32 + stream)
+    for _ in range(50):  # distinct lanes, any subset, in any order
+        subset = order.permutation(len(rngs))[:order.integers(1, len(rngs) + 1)]
+        assert lanes.random(subset).tolist() == [rngs[j].random() for j in subset.tolist()]
+    assert lanes.integers(3 * 2 ** 30).tolist() == [int(rng.integers(3 * 2 ** 30))
+                                                    for rng in rngs]
+
+
+def test_lane_uniforms_refuse_a_bound_past_32_bits():
+    lanes = harness.substream_uniforms(3, range(4), harness.AUX_STREAM)
+    for n in (0, 2 ** 32 + 1):
+        with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
+            lanes.integers(n)
+
+
+def test_lane_uniforms_of_no_indices():
+    lanes = harness.substream_uniforms(3, [], harness.CHAIN_STREAM)
+    assert len(lanes) == 0 and lanes.random().size == 0 and lanes.integers(4).size == 0
+
+
+def test_importing_the_package_and_its_cli_leaves_numpy_random_unimported():
+    # Startup cost: the lane streams need no numpy.random, which the noise
+    # generators import on first use.
+    src = str(Path(s.__file__).resolve().parents[1])
+    code = "import sys, switchsde, switchsde.cli; print(sorted(m for m in sys.modules " \
+           "if m.startswith('numpy.random')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -293,6 +293,37 @@ def test_each_failed_index_is_replayed_once(monkeypatch):
     assert replayed == expected
 
 
+def test_a_study_builds_generators_for_the_noise_stream_alone(monkeypatch):
+    # The initial, aux and chain streams are drawn as lanes; a group's noise
+    # stream builds one generator a lane, and each replay one more.
+    failed = [idx for idx, (_, outcome) in enumerate(_replay(*FAILING))
+              if isinstance(outcome, Exception)]
+    derived, built = [], []
+    derive = harness.substream_rngs
+
+    def derive_spy(seed, indices, stream):
+        derived.append((stream, list(indices)))
+        return derive(seed, indices, stream)
+
+    class Counted(np.random.Generator):
+        def __init__(self, bit_generator):
+            built.append(bit_generator)
+            super().__init__(bit_generator)
+
+    monkeypatch.setattr(harness, "substream_rngs", derive_spy)
+    monkeypatch.setattr(np.random, "Generator", Counted)
+    monkeypatch.setattr(harness, "LANE_GROUP", 4)
+    harness._simulate_terminals(*FAILING)
+    total = FAILING[6] * FAILING[7]
+    expected = []
+    for first in range(0, total, 4):
+        group = list(range(first, min(first + 4, total)))
+        expected += [(harness.NOISE_STREAM, group)]
+        expected += [(harness.NOISE_STREAM, [idx]) for idx in failed if idx in group]
+    assert derived == expected
+    assert len(built) == total + len(failed)
+
+
 def test_study_without_failures_replays_nothing(monkeypatch):
     g = s.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
     model = s.linear_model(s.LinearModelParams(mu=(-0.5, 0.1), sigma=(0.5, 0.2)))
