@@ -303,7 +303,7 @@ def _check_experiment(cfg: RunConfig) -> None:
         if cfg.linear_params is None:
             raise ConfigValidationError(
                 "convergence requires a linear model (it needs the exact solution)")
-        check_strong_order_args(cfg.linear_params, g, x["horizon"], x["grid"],
+        check_strong_order_args(cfg.linear_params, g, x["x0"], x["horizon"], x["grid"],
                                 cfg.step.rho, cfg.step.k, x["trajectories"], x["r0"])
     elif cfg.experiment == "ensemble":
         check_ensemble_args(cfg.model, g, x["initial"], x["r0"], x["horizon"], cfg.step,

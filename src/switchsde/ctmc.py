@@ -17,6 +17,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import IO
 
 import numpy as np
@@ -32,7 +33,6 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-12
-CHAIN_BLOCK = 64  # uniforms a chain draws at a time
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class MarkovPath:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise InvalidParamsError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidParamsError(f"horizon must be positive and finite, got {self.horizon}")
         if self.initial_state < 1:
             raise StateIndexError(f"initial state {self.initial_state} < 1")
         if len(self.switch_times) != len(self.states):
@@ -201,39 +201,13 @@ def transition_pmf(g: GeneratorMatrix, i: int) -> np.ndarray:
     return p
 
 
-class _Blocks:
-    """The uniforms of generator-like objects, one a lane, in the form
-    :func:`simulate_chains` reads them: ``random(lanes)`` is the next uniform
-    of each lane in ``lanes``.  A lane reads its generator's uniforms
-    ``CHAIN_BLOCK`` at a time and only when its block runs out, which gives
-    the uniforms of single draws (a block draw equals as many single draws);
-    its generator ends up to a block past the last uniform used."""
-
-    def __init__(self, rngs):
-        self.rngs = rngs
-        self.block = np.empty((len(rngs), CHAIN_BLOCK))
-        self.used = np.full(len(rngs), CHAIN_BLOCK)  # each lane's next column
-
-    def random(self, lanes):
-        col = self.used[lanes]
-        spent = col == CHAIN_BLOCK
-        if spent.any():
-            for j in lanes[spent].tolist():
-                self.block[j] = self.rngs[j].random(CHAIN_BLOCK)
-            col[spent] = 0
-        self.used[lanes] = col + 1
-        return self.block[lanes, col]
-
-
 def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains:
     """Sample one chain trajectory on [0, horizon] per lane: lane j starts from
     ``r0s[j]`` and draws lane j's uniforms of ``uniforms``.
 
-    ``uniforms`` is a lane source, a sized object without items whose
-    ``random(lanes)`` is the next uniform of each lane in ``lanes`` (a group's
-    chain streams, :class:`switchsde.harness.LaneUniforms`), or anything
-    indexable that holds generator-like objects with a ``random(size)``
-    method, one a lane (a list, a tuple or a numpy object array).
+    ``uniforms.random(lanes)`` is the next uniform of each lane in ``lanes``,
+    an array of distinct lane numbers (a group's chain streams,
+    :class:`switchsde.harness.LaneUniforms`).
 
     Holding times use inverse-CDF exponential sampling on uniform draws, with
     ``math.log1p(-u)`` (numpy's log1p can differ in the last ulp); a holding
@@ -255,11 +229,10 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
             f"initial state {initial[bad[0]]} outside 1..{g.num_states}")
     lam, cum, dests = g.jumps
     n = initial.size
-    lane_source = hasattr(uniforms, "__len__") and not hasattr(uniforms, "__getitem__")
-    draw = (uniforms if lane_source else _Blocks(uniforms)).random
 
     def holding(lanes, rate):
-        logs = np.fromiter(map(math.log1p, (-draw(lanes)).tolist()), float, lanes.size)
+        logs = np.fromiter(map(math.log1p, (-uniforms.random(lanes)).tolist()), float,
+                           lanes.size)
         return -logs / rate
 
     columns = []  # switch k of every lane that makes one: (lanes, times, states)
@@ -283,7 +256,7 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
             live, t, s = live[keep], t_next[keep], s[keep]
             if not live.size:
                 break
-            u = draw(live)
+            u = uniforms.random(live)
             s = dests[(cum.take(s, axis=1) <= u).sum(axis=0), s]
             columns.append((live, t, s))
             keep = lam[s] > 0.0
@@ -304,8 +277,10 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
 def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
                    rng: np.random.Generator) -> MarkovPath:
     """Sample one chain trajectory on [0, horizon] starting from r0: the
-    one-lane case of :func:`simulate_chains`."""
-    return simulate_chains(g, [r0], horizon, [rng]).path(0)
+    one-lane case of :func:`simulate_chains`, drawing ``rng.random()`` one
+    uniform at a time.  ``rng`` ends just after the last uniform used."""
+    one_lane = SimpleNamespace(random=lambda lanes: rng.random(lanes.size))
+    return simulate_chains(g, [r0], horizon, one_lane).path(0)
 
 
 def segments(path: MarkovPath, t0: float, t1: float):
@@ -359,22 +334,25 @@ def write_chain_csv(path: MarkovPath, stream: IO[str]) -> None:
 
 
 def read_chain_csv(stream: IO[str]) -> MarkovPath:
-    """Parse a path written by :func:`write_chain_csv`."""
-    meta = stream.readline().strip()
-    if not meta.startswith("# r0="):
-        raise InvalidParamsError("missing chain metadata row")
-    fields = dict(part.split("=", 1) for part in meta[2:].split())
-    header = stream.readline().strip()
-    if header != "tau,state":
-        raise InvalidParamsError(f"unexpected chain CSV header: {header}")
-    times: list[float] = []
-    states: list[int] = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        tau, s = line.split(",")
-        times.append(float(tau))
-        states.append(int(s))
-    return MarkovPath(initial_state=int(fields["r0"]), switch_times=tuple(times),
-                      states=tuple(states), horizon=float(fields["T"]))
+    """Parse a path written by :func:`write_chain_csv`.  A line that does not
+    parse raises :class:`InvalidParamsError` naming its number and text."""
+    number, line = 1, stream.readline().strip()
+    try:
+        if not line.startswith("# r0="):
+            raise ValueError("missing chain metadata row")
+        fields = dict(part.split("=", 1) for part in line[2:].split())
+        r0, horizon = int(fields["r0"]), float(fields["T"])
+        number, line = 2, stream.readline().strip()
+        if line != "tau,state":
+            raise ValueError("unexpected chain CSV header")
+        times: list[float] = []
+        states: list[int] = []
+        for number, line in enumerate(map(str.strip, stream), 3):
+            if line:
+                tau, s = line.split(",")
+                times.append(float(tau))
+                states.append(int(s))
+    except (KeyError, ValueError) as exc:
+        raise InvalidParamsError(f"chain CSV line {number} {line!r}: {exc!r}") from None
+    return MarkovPath(initial_state=r0, switch_times=tuple(times), states=tuple(states),
+                      horizon=horizon)

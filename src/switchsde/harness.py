@@ -108,12 +108,6 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _column(words: list[int]):
-    """One word position of a group's entropy: a Python int where every row
-    has the same word, else a uint32 array of the rows' words."""
-    return words[0] if len(set(words)) == 1 else np.array(words, dtype=np.uint32)
-
-
 def _pcg64_states(entropy: list, n: int) -> np.ndarray:
     """``SeedSequence.generate_state(4, uint64)`` of ``n`` entropy sequences,
     as an (n, 4) array.  ``entropy`` holds the assembled words in order: each
@@ -194,7 +188,8 @@ def _substream_states(seed: int, indices, stream: int) -> np.ndarray:
     for count in set(counts.tolist()):
         where = np.flatnonzero(counts == count)
         index = [indices[pos] for pos in where.tolist()]
-        words = [_column([(i >> 32 * k) & _MASK32 for i in index]) for k in range(count)]
+        words = [np.array([(i >> 32 * k) & _MASK32 for i in index], dtype=np.uint32)
+                 for k in range(count)]
         states[where] = _pcg64_states(head + words + tail, where.size)
     return states
 
@@ -445,10 +440,14 @@ def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
         raise InvalidParamsError(f"trajectory counts must be integers >= 1, got {counts}")
 
 
-def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: float,
-                            grid, rho: float, k: float, M: int, r0: int) -> None:
-    """The argument checks of :func:`strong_order_study`; the finest grid
-    level, which has the largest step cap, must have a finite one."""
+def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, x0: float,
+                            T: float, grid, rho: float, k: float, M: int,
+                            r0: int) -> list[StepParams]:
+    """The argument checks of :func:`strong_order_study`: every grid level's
+    step parameters must be valid, and the finest level, which has the largest
+    step cap, must have a finite one.  Returns the levels' step parameters."""
+    if not math.isfinite(x0):
+        raise InvalidParamsError(f"x0 must be finite, got {x0!r}")
     if len(grid) < 3:
         raise DegenerateGridError(f"need at least 3 grid levels, got {len(grid)}")
     if any(b >= a for a, b in zip(grid, grid[1:])):
@@ -458,7 +457,9 @@ def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, T: fl
     check_run_args(params.num_states, g, r0, T, M)
     if M < 100:
         raise InvalidParamsError(f"need M >= 100 samples, got {M}")
-    build_mesh_bound(T, StepParams(h_max=grid[-1], rho=rho, k=k), 0)
+    step_params = [StepParams(h_max=h, rho=rho, k=k) for h in grid]
+    build_mesh_bound(T, step_params[-1], 0)
+    return step_params
 
 
 def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: float,
@@ -471,6 +472,8 @@ def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
               and initial.shape == () and initial.dtype.kind in "biuf"):
         raise InvalidParamsError(f"initial must be a number or a (lo, hi) tuple or list, "
                                  f"got {initial!r}")
+    elif not math.isfinite(initial):
+        raise InvalidParamsError(f"initial must be finite, got {initial!r}")
     check_run_args(model.num_states, g, r0, T, M, runs_per_initial)
     build_mesh_bound(T, p, 0)
 
@@ -645,10 +648,8 @@ def strong_order_study(params: LinearModelParams, g: GeneratorMatrix, x0: float,
         Milstein either way.
     """
     grid = tuple(float(h) for h in grid)
-    check_strong_order_args(params, g, T, grid, rho, k, M, r0)
-
+    step_params = check_strong_order_args(params, g, x0, T, grid, rho, k, M, r0)
     model = linear_model(params)
-    step_params = [StepParams(h_max=h, rho=rho, k=k) for h in grid]
     # A level's walk takes at least T / h_max steps, nearly all new points.
     room = sum(math.ceil(T / h) for h in grid)
     group = min(LANE_GROUP, max(1, COUPLED_POINTS // room))

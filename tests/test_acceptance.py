@@ -24,7 +24,7 @@ import pytest
 
 import switchsde as s
 from switchsde import cli
-from switchsde.harness import LANE_GROUP, substream_rng, substream_rngs
+from switchsde.harness import CHAIN_STREAM, LANE_GROUP, substream_rng, substream_uniforms
 from switchsde.schemes import implicit_milstein_residual
 
 SEED = cli.DEFAULT_SEED
@@ -141,7 +141,8 @@ def telomere_mesh_audit():
     worst_residual = 0.0
     backstop_steps = 0
     total_steps = 0
-    chains = s.simulate_chains(g, [1] * 1000, T, substream_rngs(SEED, range(1000), 0))
+    chains = s.simulate_chains(g, [1] * 1000, T,
+                               substream_uniforms(SEED, range(1000), CHAIN_STREAM))
     for idx in range(1000):
         chain = chains.path(idx)
         w = s.BrownianPath(substream_rng(SEED, idx, 1))
@@ -209,14 +210,15 @@ def test_criterion_7_ctmc_statistics():
     3-standard-error band.  Destination draws carry no such bias, so every
     switch event counts toward the frequencies."""
     g = s.validate_generator(TELOMERE_GENERATOR)
-    rng = np.random.default_rng(SEED)
     first_holdings = {i: [] for i in range(1, 5)}
     destinations = {i: {j: 0 for j in range(1, 5) if j != i} for i in range(1, 5)}
     events = 0
     n_chains = 100_000
-    for first in range(0, n_chains, LANE_GROUP):  # a lane group shares the generator
-        r0s = [1 + c % 4 for c in range(first, min(first + LANE_GROUP, n_chains))]
-        chains = s.simulate_chains(g, r0s, 30.0, [rng] * len(r0s))
+    for first in range(0, n_chains, LANE_GROUP):  # each chain on its own chain stream
+        indices = range(first, min(first + LANE_GROUP, n_chains))
+        r0s = [1 + c % 4 for c in indices]
+        chains = s.simulate_chains(g, r0s, 30.0,
+                                   substream_uniforms(SEED, indices, CHAIN_STREAM))
         for r0, path in zip(r0s, map(chains.path, range(len(r0s)))):
             if path.switch_times:
                 first_holdings[r0].append(path.switch_times[0])

@@ -242,6 +242,13 @@ class TestExitCodes:
         assert "N_max" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_coarse_grid_level_out_of_range_exits_2(self, tmp_path, capsys):
+        # every grid level's step parameters are checked, not only the finest's
+        assert run_cli(["convergence", "--grid", 2, 0.5, 0.25, "--trajectories", 100,
+                        "--out", tmp_path / "o"]) == 2
+        assert "require 0 < h_max <= 1, got 2.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_step_that_can_round_to_nothing_exits_2(self, tmp_path, capsys):
         # h_min = 1e-11 is at most half an ulp of T = 1e6
         config = write_config(tmp_path, {"horizon": 1e6,

@@ -120,17 +120,17 @@ class TestSimulateChain:
         # All holding rates equal 0.3, so the switch count over [0, 30] is
         # Poisson with mean 0.3 * 30 = 9.
         g = s.validate_generator(TELOMERE_GENERATOR)
-        rng = np.random.default_rng(2024)
         n = 10_000
-        total = s.simulate_chains(g, [1] * n, 30.0, [rng] * n).counts.sum()
+        uniforms = harness.substream_uniforms(2024, range(n), harness.CHAIN_STREAM)
+        total = s.simulate_chains(g, [1] * n, 30.0, uniforms).counts.sum()
         assert total / n == pytest.approx(9.0, rel=0.03)
 
     def test_first_holding_time_mean(self):
         # From state 1 of TWO_STATE the holding time is Exponential(2).
         g = s.validate_generator(TWO_STATE)
-        rng = np.random.default_rng(7)
         n = 20_000
-        chains = s.simulate_chains(g, [1] * n, 6.0, [rng] * n)
+        uniforms = harness.substream_uniforms(7, range(n), harness.CHAIN_STREAM)
+        chains = s.simulate_chains(g, [1] * n, 6.0, uniforms)
         samples = chains.times[chains.counts > 0, 0]
         assert len(samples) >= 19_990
         assert np.mean(samples) == pytest.approx(0.5, rel=0.02)
@@ -211,6 +211,11 @@ class TestMarkovPathInvariants:
         with pytest.raises(errors.InvalidParamsError):
             s.MarkovPath(1, (5.0,), (2,), 4.0)
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, horizon):
+        with pytest.raises(errors.InvalidParamsError, match="positive and finite"):
+            s.MarkovPath(1, (), (), horizon)
+
 
 @st.composite
 def generators(draw):
@@ -271,6 +276,23 @@ def test_chain_csv_roundtrip():
     assert text.startswith("# r0=3 T=30.0\ntau,state\n")
     restored = s.read_chain_csv(io.StringIO(text))
     assert restored == path
+
+
+@pytest.mark.parametrize("text, number", [
+    pytest.param("# r0=1\ntau,state\n", 1, id="no-T"),
+    pytest.param("# r0=x T=1.0\ntau,state\n", 1, id="r0-not-an-integer"),
+    pytest.param("# r0=1 T=1.0 stray\ntau,state\n", 1, id="field-without-value"),
+    pytest.param("r0=1 T=1.0\ntau,state\n", 1, id="no-metadata-row"),
+    pytest.param("# r0=1 T=1.0\ntau\n", 2, id="bad-header"),
+    pytest.param("# r0=1 T=1.0\ntau,state\n0.5,2\n0.7\n", 4, id="no-comma"),
+    pytest.param("# r0=1 T=1.0\ntau,state\n0.5,2,1\n", 3, id="two-commas"),
+    pytest.param("# r0=1 T=1.0\ntau,state\n\n0.5,two\n", 4, id="state-not-an-integer"),
+])
+def test_chain_csv_line_that_does_not_parse_is_named(text, number):
+    line = text.splitlines()[number - 1]
+    with pytest.raises(errors.InvalidParamsError) as exc:
+        s.read_chain_csv(io.StringIO(text))
+    assert str(exc.value).startswith(f"chain CSV line {number} {line!r}: ")
 
 
 CHAIN_SET_SHA256 = "b439dcbd2aee3ad89d2cf6bfdbb380235772cf47b9eb3f537e0fc7037bc94934"
@@ -352,20 +374,28 @@ def test_switch_tables_refuse_what_segments_refuses(t1):
 
 
 class _PresetUniforms:
-    """A stand-in generator that hands out preset uniforms, in blocks or one
-    at a time, and records the block sizes asked for."""
+    """A stand-in generator that hands out preset uniforms, one at a time or
+    ``size`` at a time, and counts those drawn."""
 
     def __init__(self, values):
         self.values = list(values)
         self.drawn = 0
-        self.sizes = []
 
     def random(self, size=None):
-        self.sizes.append(size)
         n = 1 if size is None else size
         out = self.values[self.drawn:self.drawn + n]
         self.drawn += n
         return out[0] if size is None else np.array(out)
+
+
+class _PresetLanes:
+    """A stand-in lane source: lane j draws from ``_PresetUniforms(rows[j])``."""
+
+    def __init__(self, rows):
+        self.lanes = [_PresetUniforms(row) for row in rows]
+
+    def random(self, lanes):
+        return np.array([self.lanes[j].random() for j in lanes.tolist()])
 
 
 def _sequential_chain(g, r0, horizon, rng):
@@ -400,16 +430,19 @@ def test_a_uniform_of_exactly_zero_is_drawn_again():
     assert path == _sequential_chain(g, 1, 3.0, _PresetUniforms(values))
 
 
-def test_a_chain_that_needs_several_blocks():
+def test_simulate_chain_draws_what_the_sequential_sampler_draws():
+    # The same chain from the same uniforms, and no uniform more: the
+    # generator ends just after the last uniform used.
     g = s.validate_generator(FAST_GENERATOR)
     rng = _PresetUniforms(np.random.default_rng(11).random(1000))
     path = s.simulate_chain(g, 2, 2.0, rng)
-    assert path.num_switches > 2 * s.ctmc.CHAIN_BLOCK  # two uniforms per switch
-    assert set(rng.sizes) == {s.ctmc.CHAIN_BLOCK} and len(rng.sizes) >= 5
+    assert path.num_switches > 100
+    assert rng.drawn == 2 * path.num_switches + 1  # the last holding time ends it
     assert path == _sequential_chain(g, 2, 2.0, _PresetUniforms(rng.values))
-    for seed in range(20):  # a block draw is the same uniforms as single draws
-        assert (s.simulate_chain(g, 1, 2.0, np.random.default_rng(seed))
-                == _sequential_chain(g, 1, 2.0, np.random.default_rng(seed)))
+    for seed in range(20):
+        rng, alone = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert s.simulate_chain(g, 1, 2.0, rng) == _sequential_chain(g, 1, 2.0, alone)
+        assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def _hex(path):
@@ -429,9 +462,9 @@ def test_a_pinned_group_is_its_lanes_alone():
 
 
 def _padded(values):
-    """Preset uniforms filled up to whole blocks with 0.999, which ends a lane."""
-    return list(values) + [0.999] * (-len(values) % s.ctmc.CHAIN_BLOCK
-                                     or s.ctmc.CHAIN_BLOCK)
+    """Preset uniforms, then two of 0.999: one last destination draw, and a
+    holding time past the horizon, which ends a lane in these tests."""
+    return list(values) + [0.999] * 2
 
 
 def test_stand_in_lanes_sampled_as_one_group():
@@ -441,23 +474,21 @@ def test_stand_in_lanes_sampled_as_one_group():
     horizon = -math.log1p(-0.75) / 2.0
     lanes = [
         (1, [0.0, 0.0, 0.25, 0.3]),  # two uniforms of exactly 0 drawn again
-        (1, [0.001, 0.3] * 40),  # 40 switches: two blocks
+        (1, [0.001, 0.3] * 40),  # 40 switches
         (3, []),  # an absorbing start draws nothing
         (2, [0.999]),  # the first holding time passes the horizon
         (1, [0.75, 0.3]),  # a switch at exactly the horizon is kept
         (2, [0.5, 0.5]),  # a draw equal to a bound goes past it, to absorbing 3
     ]
+    uniforms = _PresetLanes(_padded(values) for _, values in lanes)
+    chains = s.simulate_chains(g, [r0 for r0, _ in lanes], horizon, uniforms)
     rngs = [_PresetUniforms(_padded(values)) for _, values in lanes]
-    chains = s.simulate_chains(g, [r0 for r0, _ in lanes], horizon, rngs)
-    alone = [_sequential_chain(g, r0, horizon, _PresetUniforms(_padded(values)))
-             for r0, values in lanes]
+    alone = [_sequential_chain(g, r0, horizon, rng) for (r0, _), rng in zip(lanes, rngs)]
     assert _hex_rows(chains) == list(map(_hex, alone))
-    as_array = np.empty(len(lanes), dtype=object)  # any indexable holder of generators
-    as_array[:] = [_PresetUniforms(_padded(values)) for _, values in lanes]
-    assert _hex_rows(s.simulate_chains(g, [r0 for r0, _ in lanes], horizon, as_array)) == \
-        _hex_rows(chains)
     assert chains.counts.tolist() == [1, 40, 0, 0, 1, 1]
-    assert [rng.sizes for rng in rngs] == [[64], [64, 64], [], [64], [64], [64]]
+    # Each lane draws what it uses and no more, as it does alone.
+    assert [lane.drawn for lane in uniforms.lanes] == [5, 81, 0, 1, 3, 2]
+    assert [rng.drawn for rng in rngs] == [5, 81, 0, 1, 3, 2]
     assert chains.times[0, 0] == -math.log1p(-0.25) / 2.0
     assert chains.times[4, 0] == horizon and chains.states[5, 0] == 3
     ends, states = switch_tables(chains, horizon)
@@ -475,7 +506,7 @@ def test_a_switch_that_leaves_the_clock_still_raises_as_markov_path_does():
     # The lowest lane that stalls raises, as a loop over the lanes would.
     for values in ([[0.999], late, early], [late, early]):
         with pytest.raises(errors.InvalidParamsError) as lanes:
-            s.simulate_chains(g, [1] * len(values), 3.0, list(map(_PresetUniforms, values)))
+            s.simulate_chains(g, [1] * len(values), 3.0, _PresetLanes(values))
         assert str(lanes.value) == str(scalar.value)
         assert str(scalar.value).startswith("switch times not strictly increasing at ")
     with pytest.raises(errors.InvalidParamsError) as alone:

@@ -118,6 +118,15 @@ class TestRunEnsemble:
         with pytest.raises(errors.InvalidParamsError, match="a number or a"):
             s.run_ensemble(_zero_model(), g, initial, 1, 1.0, STEP, M=1, seed=0)
 
+    @pytest.mark.parametrize("initial", [math.inf, -math.inf, math.nan, np.array(math.nan),
+                                         np.float32(math.inf)])
+    def test_initial_that_is_not_finite_rejected(self, initial):
+        # An infinite initial once walked every trajectory and then raised
+        # AllTrajectoriesFailedError; a NaN failed inside the replay.
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        with pytest.raises(errors.InvalidParamsError, match="initial must be finite"):
+            s.run_ensemble(_zero_model(), g, initial, 1, 1.0, STEP, M=1, seed=0)
+
     @pytest.mark.parametrize("initial", [np.array(1000.0), np.array(1000), np.float32(1000.0)])
     def test_numeric_scalar_initial_runs_as_its_float(self, initial):
         g = s.validate_generator(TELOMERE_GENERATOR)
@@ -186,6 +195,18 @@ class TestStrongOrderStudy:
         with pytest.raises(errors.InvalidParamsError):
             s.strong_order_study(params, g, 1.0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
                                  M=50, seed=0)
+        with pytest.raises(errors.InvalidParamsError, match="h_max"):  # a coarse level
+            harness.check_strong_order_args(params, g, 1.0, 1.0, [2.0, 0.5, 0.25], 15.0,
+                                            10.0, 100, 1)
+
+    @pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+    def test_x0_that_is_not_finite_rejected(self, x0):
+        # An infinite x0 once raised RootNotFoundError from the walk.
+        g = s.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        params = s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5))
+        with pytest.raises(errors.InvalidParamsError, match="x0 must be finite"):
+            s.strong_order_study(params, g, x0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
+                                 M=100, seed=0)
 
     @pytest.mark.parametrize("r0", ["uniform", 1.9, True])
     def test_r0_must_be_a_fixed_state(self, r0):
