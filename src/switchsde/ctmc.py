@@ -230,9 +230,16 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
     lam, cum, dests = g.jumps
     n = initial.size
 
+    def draw(lanes):
+        u = uniforms.random(lanes)
+        if np.shape(u) != lanes.shape:  # a numpy Generator reads lanes as a shape
+            raise TypeError(f"uniforms must draw one uniform per lane in random(lanes), as "
+                            f"harness.substream_uniforms does, not {type(uniforms).__name__}; "
+                            "simulate_chain samples one chain from a generator")
+        return u
+
     def holding(lanes, rate):
-        logs = np.fromiter(map(math.log1p, (-uniforms.random(lanes)).tolist()), float,
-                           lanes.size)
+        logs = np.fromiter(map(math.log1p, (-draw(lanes)).tolist()), float, lanes.size)
         return -logs / rate
 
     columns = []  # switch k of every lane that makes one: (lanes, times, states)
@@ -256,7 +263,7 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
             live, t, s = live[keep], t_next[keep], s[keep]
             if not live.size:
                 break
-            u = uniforms.random(live)
+            u = draw(live)
             s = dests[(cum.take(s, axis=1) <= u).sum(axis=0), s]
             columns.append((live, t, s))
             keep = lam[s] > 0.0

@@ -169,6 +169,21 @@ def _preset_state():
     return PresetState
 
 
+def _index_array(indices) -> np.ndarray:
+    """``indices`` as an integer array: int64 or uint64 where they fit, else
+    an object array of Python ints, whose build raises what
+    ``operator.index`` raises for a non-integer."""
+    if isinstance(indices, range) and -2 ** 63 <= min(indices.start, indices.stop) \
+            and max(indices.start, indices.stop) < 2 ** 63:
+        return np.arange(indices.start, indices.stop, indices.step)
+    index = np.asarray(indices)
+    if index.dtype.kind in "iu":
+        return index
+    if not index.size:
+        return np.zeros(0, dtype=np.int64)
+    return np.array([operator.index(i) for i in indices], dtype=object)
+
+
 def _substream_states(seed: int, indices, stream: int) -> np.ndarray:
     """The PCG64 state words of (trajectory index, substream) for each of
     ``indices``, one row each, in order: the words that
@@ -176,20 +191,27 @@ def _substream_states(seed: int, indices, stream: int) -> np.ndarray:
 
     The entropy is the seed's words, zero-padded to the pool size, then the
     index's and the stream's; indices are hashed together in groups of one
-    word count (an index of 2**32 or more takes more than one word)."""
+    word count (an index of 2**32 or more takes more than one word).  A
+    single index hashes its words as Python ints, which costs less than
+    1-element arrays."""
     head = _words(operator.index(seed))
     head += [0] * (_POOL - len(head))
     tail = _words(stream)
-    indices = [operator.index(i) for i in indices]
-    if min(indices, default=0) < 0:
+    index = _index_array(indices)
+    if index.size and index.min() < 0:
         raise ValueError("expected non-negative integer")
-    counts = np.array([max(1, -(-i.bit_length() // 32)) for i in indices], dtype=np.intp)
-    states = np.empty((len(indices), _POOL), dtype=np.uint64)
-    for count in set(counts.tolist()):
+    if index.size == 1:
+        return _pcg64_states(head + _words(int(index[0])) + tail, 1)
+    counts, rest = np.ones(index.size, dtype=np.intp), index >> 32
+    while rest.any():  # an index's words: 1, then one more per 32 bits left
+        counts += rest > 0
+        rest >>= 32
+    states = np.empty((index.size, _POOL), dtype=np.uint64)
+    for count in range(1, int(counts.max(initial=0)) + 1):  # np.unique imports numpy.ma
         where = np.flatnonzero(counts == count)
-        index = [indices[pos] for pos in where.tolist()]
-        words = [np.array([(i >> 32 * k) & _MASK32 for i in index], dtype=np.uint32)
-                 for k in range(count)]
+        if not where.size:
+            continue
+        words = [((index[where] >> 32 * k) & _MASK32).astype(np.uint32) for k in range(count)]
         states[where] = _pcg64_states(head + words + tail, where.size)
     return states
 

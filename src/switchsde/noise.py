@@ -18,17 +18,15 @@ from a lane source, which stands in for one such path per lane and returns
 the values the paths would, bit for bit: :class:`ForwardNoise` for fresh
 paths queried forward only (the ensemble and the mean-change study), and
 :class:`BridgeNoise` for the strong-order study, whose levels refine the
-paths its exact oracle started.  A bridge source keeps each lane's points as
-one row in time order, finds each query's neighbours from a cursor per lane,
-writes a walk's new points one column per step, and sorts them in among the
-row's points when the next walk starts.  The scalar path
-itself now serves that oracle, the replay of a failed trajectory or sample,
-``--dump-trajectory`` and the mesh audits of criteria 6 and 8.
+paths its exact oracle started.  The scalar path itself serves that oracle,
+the replay of a failed trajectory or sample, ``--dump-trajectory`` and the
+mesh audits of criteria 6 and 8.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from bisect import bisect_right
 
 import numpy as np
@@ -38,7 +36,9 @@ from .errors import NegativeTimeError, ReversedIntervalError
 
 NORMAL_BLOCK = 64  # normals a forward source draws per lane at a time
 BRIDGE_BLOCK = 256  # normals a bridge lane holds
-GALLOP = 8  # known times a bridge lane compares per gather
+_CELL = 4  # known points a bridge search cell holds, at least, as sized from the room
+_CELL_BATCH = 2 ** 12  # points or cells a merge counts at once, to bound its memory
+_count = np.count_nonzero.__wrapped__
 
 
 class BrownianPath:
@@ -130,72 +130,93 @@ class ForwardNoise:
         return w + np.sqrt(t_next - t) * self._z[:, self._col - 1]
 
 
+def _table(rows: int, columns: int) -> np.ndarray:
+    """A (rows, columns) complex array of padding, mapped outside the malloc heap:
+    glibc, freeing a block this large, would keep megabytes of heap resident."""
+    table = np.frombuffer(mmap.mmap(-1, 16 * rows * columns or 16), complex)[:rows * columns]
+    table.real = np.inf
+    return table.reshape(rows, columns)
+
+
 class BridgeNoise:
     """Lane source that refines memoized paths: lane ``j`` continues
     ``paths[j]`` from its known points and its generator, and each query
     returns what ``paths[j].sample_at`` would return for the same queries.
 
-    Lane j's points are row j of (lanes, capacity) arrays.  Columns
-    ``[0, count)`` hold its known points in time order, followed by padding
-    (infinite time, zero value) at least ``GALLOP`` long, so that a search's
-    window never leaves the row's known points and padding.  A walk is a run of
-    :meth:`advance` calls whose queries increase from t = 0 in every lane,
-    ended by :meth:`merge`.  Step s of a walk writes each lane's new point to
-    column ``base + s``, past every lane's padding; a lane whose query hit a
-    known point writes infinite time there, and a lane that has left writes
-    nothing.
-
-    Each walking lane keeps a flat cursor ``k`` into its row, the first known
-    point after its current time t, so that the point before it is at or
-    before t.  A step gathers each lane's point at the cursor: a lane whose
-    query is short of it draws the bridge between its own (t, w) and that
-    point, or draws forward from (t, w) when the point is padding.  Only the
-    lanes whose query reached their cursor's point search on, ``GALLOP``
-    points a gather, for the first known point at or after the query.  A hit
+    Lane j's points are row j of a complex array (time real, value imaginary):
+    its known points in time order, then padding (infinite time).  A walk is
+    a run of :meth:`advance` calls whose queries increase from t = 0 in every
+    lane, ended by :meth:`merge`; step s writes each lane's new point, or
+    infinite time for a hit, to column ``base + s``.  Each walking lane keeps
+    a flat cursor ``k``, its first known point after its current time t.
+    When no lane's query reaches its cursor's point, each lane bridges from
+    its own (t, w) to that point, or draws forward past the last one.
+    Otherwise every lane finds the first known point at or after its query in
+    the same few array operations, however many points the step passes:
+    cells of one power-of-two width split the time axis, a table holds each
+    row's first point in each cell, and a window as wide as the fullest cell,
+    plus one, from the start of the query's cell holds the point.  A hit
     returns the memoized value, draws nothing and moves the cursor past the
-    point; any other query draws the bridge between the known point before it
-    and the one at the cursor, or forward past the last one.  Every draw
-    follows ``sample_at``'s order of operations (``np.sqrt`` is correctly
-    rounded, like ``math.sqrt``).
+    point; any other query bridges to that point from the later of the point
+    before it and the lane's own (t, w), in ``sample_at``'s order of
+    operations (``np.sqrt`` is correctly rounded, like ``math.sqrt``).
 
-    Each lane holds a block of ``BRIDGE_BLOCK`` normals and a flat position
-    in it; lanes draw different numbers of normals, because hits draw none.
-    A countdown, the block size less the largest position in use, falls by
-    one a step; at zero every walking lane moves its unused normals to the
-    front of its block and draws the rest together (a block draw equals as
-    many single draws, bit for bit).  The cursors and positions are kept
-    aligned with the walk's ``lane`` array, compacted when lanes leave.
-
-    :meth:`merge` ends a walk.  Its new points are sorted in among each
-    lane's known points only when the next walk starts or
-    :meth:`known_points` is called, so a study's last walk is never merged:
-    each lane's finite step columns are its new points, in time order, which
-    a stable sort merges with the known ones, and the step columns go back to
-    padding.  The arrays start with columns for ``room`` new points per
-    lane, a caller's estimate, and grow when a walk needs more.
+    Each lane holds a block of ``BRIDGE_BLOCK`` normals; hits draw none; when
+    the lane furthest into its block reaches its end, every walking lane
+    keeps its unused normals and draws the rest (a block draw equals as many
+    single draws, bit for bit).  A walk's new points join the known ones when
+    the next walk starts or :meth:`known_points` asks: the cell table counts
+    them in, and a stable sort of each row merges its two runs.  ``room``, the
+    new points per lane as far as known, sizes the columns and the cells.
     """
 
     def __init__(self, paths, room: int):
         self._rngs = [path._rng for path in paths]
-        self._count = np.array([len(path._times) for path in paths], dtype=np.intp)
-        # Columns for about ``room`` new points per lane over all walks, so
-        # that the arrays rarely grow (each growth copies them).
-        capacity = int(self._count.max(initial=0)) + GALLOP + room + room // 8
-        self._rows(np.full((len(paths), capacity), np.inf), np.zeros((len(paths), capacity)))
-        for j, path in enumerate(paths):
-            self._times[j, :self._count[j]] = path._times
-            self._values[j, :self._count[j]] = path._values
+        known = max((len(path._times) for path in paths), default=0)
+        self._points = _table(len(paths), known + room + room // 8 + 1)
+        self._flat = self._points.ravel()  # times the real part, values the imaginary
+        for row, path in zip(self._points, paths):
+            row[:len(path._times)] = path._times
+            row.imag[:len(path._values)] = path._values
+        # Cells of a power-of-two width: a time's cell is exact arithmetic, or a search.
+        span = max((path._times[-1] for path in paths), default=0.0) or 1.0
+        width = math.ldexp(1.0, math.frexp(span * _CELL / max(1, known + room))[1])
+        cells = math.ceil(span / width)
+        self._edges = np.arange(1, cells + 1) * width
+        self._inv, self._top = np.array(1.0 / width), np.array(float(cells))
+        self._cells = np.zeros((len(paths), cells + 1), dtype=np.int32)
+        self._cells += np.arange(len(paths), dtype=np.int32)[:, None] * self._points.shape[1]
+        self._starts = self._cells.ravel()  # a view: the table's updates show
+        self._count = np.zeros(len(paths), dtype=np.intp)
         self._z = np.empty((len(paths), BRIDGE_BLOCK))
         self._zs = self._z.ravel()  # indexed by flat block positions
         self._col = np.full(len(paths), BRIDGE_BLOCK)  # each lane's next normal
-        self._base = self._step = int(self._count.max(initial=0)) + GALLOP
+        self._count_in(self._points[:, :known].real)
         self._lane = None  # the walking lanes, or None between walks
 
-    def _rows(self, times, values):
-        """Hold the points in ``times`` and ``values``, and their flat views."""
-        self._times, self._values = times, values
-        self._known_t, self._known_w = times.ravel(), values.ravel()
-        self._window = sliding_window_view(self._known_t, GALLOP)  # GALLOP times from each
+    def _cells_of(self, times):
+        """Each row's points of ``times`` before each cell (infinite times count nowhere)."""
+        key = np.minimum(times * self._inv, self._top).astype(np.intp)
+        cells = int(self._top) + 1
+        key += np.arange(len(times))[:, None] * cells
+        n = np.bincount(key.ravel(), minlength=len(times) * cells).astype(np.int32)
+        before = (n.cumsum(dtype=np.int32) - n).reshape(-1, cells)  # int32: no cast buffers
+        return before - before[:, :1]
+
+    def _count_in(self, times):
+        """Count ``times``, columns of every row, into the rows' counts and cells
+        (in batches of rows, to bound the temporaries); size the window to the
+        fullest cell, and start the next walk's columns a window past them all."""
+        rows, fullest = max(1, _CELL_BATCH // max(times.shape[1], self._cells.shape[1])), 0
+        for r in range(0, len(times), rows):
+            cells, count = self._cells[r:r + rows], self._count[r:r + rows]
+            cells += self._cells_of(times[r:r + rows])
+            count += np.count_nonzero(times[r:r + rows] < np.inf, axis=1)
+            ends = cells[:, :1] + count[:, None]  # the first cell starts its row
+            fullest = max(fullest, int(np.diff(cells, axis=1, append=ends).max(initial=0)))
+        self._width = fullest + 1
+        self._window = sliding_window_view(self._flat.real, self._width)
+        self._base = self._step = int(self._count.max(initial=0)) + self._width
 
     def advance(self, lane, t, w, t_next):
         """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``."""
@@ -204,39 +225,28 @@ class BridgeNoise:
         elif lane is not self._lane:  # lanes have left: keep the others' cursors
             keep = np.searchsorted(self._lane, lane)
             self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
-            self._k, self._zpos, self._first = (
-                a[keep] for a in (self._k, self._zpos, self._first))
+            self._k, self._zpos, self._first, self._cell = (
+                a[keep] for a in (self._k, self._zpos, self._first, self._cell))
             self._lane = lane
-        if self._step == self._times.shape[1]:
+        if self._step >= self._points.shape[1]:
             self._grow()
         if not self._left:
             self._top_up()
-        known_t, known_w, k = self._known_t, self._known_w, self._k
-        u = known_t[k]
+        p = self._flat.take(self._k)
+        u, wu = p.real, p.imag
         s, ws, hits = t, w, 0
-        passed = u <= t_next
-        if np.count_nonzero(passed):  # a lane short of its cursor's point hits nothing
-            # The first known point at or after t_next, searched GALLOP points
-            # a gather from the cursor (a lane's padding ends every search);
-            # the point before it is after t.
-            passed = passed.nonzero()[0]
-            k_p, t_p = k[passed], t_next[passed]
-            below = self._window[k_p] < t_p[:, None]  # a run of True, then False
-            k_p += below.argmin(axis=1)  # 0 where all GALLOP are before t_next
-            far = below[:, -1].nonzero()[0]
-            while far.size:
-                k_p[far] += GALLOP
-                below = self._window[k_p[far]] < t_p[far, None]
-                k_p[far] += below.argmin(axis=1)
-                far = far[below[:, -1]]
-            k[passed] = k_p
-            u[passed] = known_t[k_p]
-            s, ws = t.copy(), w.copy()
-            s[passed], ws[passed] = known_t[k_p - 1], known_w[k_p - 1]
+        passed = _count(u <= t_next)
+        if passed:  # every lane looks up the first known point at or after t_next
+            start = self._starts.take(self._cell + self._edges.searchsorted(t_next, "right"))
+            k = self._k = start + (self._window[start] < t_next[:, None]).argmin(axis=1)
+            before, p = self._flat.take(k - 1), self._flat.take(k)
+            s, ws, u, wu = before.real, before.imag, p.real, p.imag
+            if passed < lane.size:
+                own = s < t  # the lane's last point is the later one
+                s, ws = np.where(own, t, s), np.where(own, w, ws)
             hit = u == t_next  # the memoized value, and no draw
-            hits = np.count_nonzero(hit)
-        wu = known_w[k]
-        z = self._zs[self._zpos]
+            hits = _count(hit)
+        z = self._zs.take(self._zpos)
 
         # Past the last known point u is inf: frac is 0, its term adds a zero
         # to ws, and the variance is the forward one, t_next - s.  A hit lane
@@ -250,39 +260,41 @@ class BridgeNoise:
         slot = self._first + self._step
         self._step += 1
         self._left -= 1
-        known_w[slot] = w_new
+        self._flat.imag[slot] = w_new
         if not hits:
-            known_t[slot] = t_next
+            self._flat.real[slot] = t_next
             self._zpos += 1
             return w_new
-        known_t[slot] = np.where(hit, np.inf, t_next)
+        self._flat.real[slot] = np.where(hit, np.inf, t_next)
         self._zpos += ~hit
-        k += hit
+        self._k += hit
         return np.where(hit, wu, w_new)
 
     def _start(self, lane):
         """Start a walk of ``lane`` from t = 0, after merging the last one."""
         if self._step > self._base:
             self._merge_steps()
-        self._lane = lane
-        self._first = lane * self._times.shape[1]  # each lane's row, flat
+        self._lane, self._first = lane, lane * self._points.shape[1]  # each lane's row, flat
         self._k = self._first + 1  # the point at t = 0 is every row's first
+        self._cell = lane * self._cells.shape[1]
         col = self._col[lane]
         self._zpos = lane * BRIDGE_BLOCK + col
         self._left = BRIDGE_BLOCK - int(col.max(initial=0))
 
     def _grow(self):
-        """Add columns for more steps, and move the cursors with their rows."""
-        rows, capacity = self._times.shape
-        more = max(capacity // 8, 64)
+        """Add columns for more steps, and move the flat positions with their rows."""
+        rows, capacity = self._points.shape
+        more = max(capacity // 8, 64, self._step + 1 - capacity)
         self._k += self._lane * more
         self._first += self._lane * more
-        self._rows(np.hstack((self._times, np.full((rows, more), np.inf))),
-                   np.hstack((self._values, np.zeros((rows, more)))))
+        self._cells += np.arange(rows)[:, None] * more
+        points, self._points = self._points, _table(rows, capacity + more)
+        self._points[:, :capacity] = points
+        self._flat = self._points.ravel()
+        self._window = sliding_window_view(self._flat.real, self._width)
 
     def _top_up(self):
-        """Refill every walking lane's block: its unused normals first, then
-        as many new ones as it has used."""
+        """Refill each walking lane's block: its unused normals, then new ones."""
         col = self._zpos - self._lane * BRIDGE_BLOCK
         for j, used in zip(self._lane.tolist(), col.tolist()):
             if used:
@@ -293,32 +305,20 @@ class BridgeNoise:
         self._left = BRIDGE_BLOCK
 
     def merge(self):
-        """End the walk: its new points join each lane's known points before
-        the next walk's first step, and every lane rewinds to t = 0."""
+        """End the walk; every lane rewinds to t = 0."""
         if self._lane is not None:
             self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
             self._lane = None
 
     def _merge_steps(self):
-        """Sort the new points of the ended walk in among each lane's known
-        points."""
-        steps = slice(self._base, self._step)
-        for j, (row_t, row_w) in enumerate(zip(self._times, self._values)):
-            new = row_t[steps] < np.inf
-            times = np.concatenate((row_t[:self._count[j]], row_t[steps][new]))
-            values = np.concatenate((row_w[:self._count[j]], row_w[steps][new]))
-            row_t[steps], row_w[steps] = np.inf, 0.0
-            # Two runs in time order, the known points and the new ones, which
-            # a stable sort merges.
-            order = np.argsort(times, kind="stable")
-            row_t[:times.size], row_w[:times.size] = times[order], values[order]
-            self._count[j] = times.size
-        self._base = self._step = int(self._count.max(initial=0)) + GALLOP
+        """Count the ended walk's new points in, and sort each row's two runs."""
+        step = self._step
+        self._count_in(self._points[:, self._base:step].real)
+        self._points[:, :step].sort(kind="stable")
 
     def known_points(self, j: int) -> list[tuple[float, float]]:
-        """Lane ``j``'s known (time, value) pairs in time order, as of the
-        last :meth:`merge`."""
+        """Lane ``j``'s known (time, value) pairs in time order, as of the last merge."""
         if self._lane is None and self._step > self._base:
             self._merge_steps()
-        count = self._count[j]
-        return list(zip(self._times[j, :count].tolist(), self._values[j, :count].tolist()))
+        row = self._points[j, :self._count[j]]
+        return list(zip(row.real.tolist(), row.imag.tolist()))

@@ -125,6 +125,14 @@ class TestSimulateChain:
         total = s.simulate_chains(g, [1] * n, 30.0, uniforms).counts.sum()
         assert total / n == pytest.approx(9.0, rel=0.03)
 
+    @pytest.mark.parametrize("lanes", [1, 2, 5])
+    def test_a_generator_in_place_of_a_lane_source_is_named(self, lanes):
+        # Generator.random(lanes) reads the lane numbers as a shape.
+        g = s.validate_generator(TWO_STATE)
+        with pytest.raises(TypeError, match=r"^uniforms .*harness\.substream_uniforms.*"
+                                            r"simulate_chain"):
+            s.simulate_chains(g, [1] * lanes, 1.0, np.random.default_rng(0))
+
     def test_first_holding_time_mean(self):
         # From state 1 of TWO_STATE the holding time is Exponential(2).
         g = s.validate_generator(TWO_STATE)

@@ -272,3 +272,37 @@ def test_bridge_noise_matches_scalar_paths_bitwise(case):
                 for j, path in enumerate(paths):
                     assert _hex_points(source.known_points(j)) == \
                         _hex_points(path.known_points())
+
+
+def test_coarse_walks_over_thousands_of_known_points_match_scalar_paths():
+    # Rows of 2000-3500 known points, as a coupled study's finer levels leave
+    # them, walked by coarse queries that each pass about two hundred of them,
+    # far more than a search window holds.  Some queries hit known times and
+    # some go past the last one; lanes leave after different numbers of
+    # steps.  With no room the rows grow at the first step and again in the
+    # middle of the fine walk, and each walk's points join the known ones
+    # before the next walk.
+    rng = np.random.default_rng(7)
+    sizes = (2000, 3500, 2800, 3000)
+    paths = [s.BrownianPath(np.random.default_rng([7, j])) for j in range(len(sizes))]
+    copies = [s.BrownianPath(np.random.default_rng([7, j])) for j in range(len(sizes))]
+    for path, copy, size in zip(paths, copies, sizes):
+        for t in np.sort(rng.uniform(0.0, 1.5, size)).tolist():
+            assert copy.sample_at(t) == path.sample_at(t)
+    source = noise.BridgeNoise(copies, 0)
+
+    def coarse(path, steps):
+        known = [t for t, _ in path.known_points()[1:]]
+        hits = rng.choice(known, 4, replace=False).tolist()
+        times = sorted(set(rng.uniform(0.0, 1.6, steps).tolist() + hits))
+        return times[:steps - int(rng.integers(0, 6))]
+
+    for walk in ("coarse", "fine", "coarse"):
+        if walk == "fine":
+            queries = [np.sort(rng.uniform(0.0, 1.5, 700)).tolist() for _ in paths]
+        else:
+            queries = [coarse(path, 12) for path in paths]
+        _engine_walk(source, paths, queries)
+        source.merge()
+        for j, path in enumerate(paths):
+            assert _hex_points(source.known_points(j)) == _hex_points(path.known_points())
