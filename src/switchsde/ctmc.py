@@ -207,7 +207,7 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
 
     ``uniforms.random(lanes)`` is the next uniform of each lane in ``lanes``,
     an array of distinct lane numbers (a group's chain streams,
-    :class:`switchsde.harness.LaneUniforms`).
+    :class:`switchsde.streams.LaneUniforms`).
 
     Holding times use inverse-CDF exponential sampling on uniform draws, with
     ``math.log1p(-u)`` (numpy's log1p can differ in the last ulp); a holding
@@ -234,7 +234,7 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
         u = uniforms.random(lanes)
         if np.shape(u) != lanes.shape:  # a numpy Generator reads lanes as a shape
             raise TypeError(f"uniforms must draw one uniform per lane in random(lanes), as "
-                            f"harness.substream_uniforms does, not {type(uniforms).__name__}; "
+                            f"streams.substream_uniforms does, not {type(uniforms).__name__}; "
                             "simulate_chain samples one chain from a generator")
         return u
 

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .ctmc import MarkovPath, segments
-from .errors import InvalidParamsError, StateIndexError
+from .errors import InvalidParamsError, NonfiniteResultError, StateIndexError
 from .noise import BrownianPath
 
 Coefficient = Callable[[float, int], float]
@@ -282,14 +282,23 @@ def exact_linear_solution(p: LinearModelParams, x0: float, chain: MarkovPath,
 
     with dW_seg read from ``path`` (memoizing it for any solver coupled to the
     same path).  ``t_start`` restarts the product from a later time, with x0
-    then interpreted as the value at ``t_start``.
+    then interpreted as the value at ``t_start``.  A value past the float
+    range, of the exponential or of the product, raises
+    :class:`NonfiniteResultError`.
     """
     acc = 0.0
     for a, b, state in segments(chain, t_start, t):
         k = _check_state(state, p.num_states)
         mu, sigma = p.mu[k], p.sigma[k]
         acc += (mu - 0.5 * sigma * sigma) * (b - a) + sigma * path.increment(a, b)
-    return x0 * math.exp(acc)
+    try:
+        value = x0 * math.exp(acc)
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise NonfiniteResultError(f"exact_linear_solution at t={t} is not finite: "
+                                   f"x0={x0} times exp({acc})")
+    return value
 
 
 def check_diffusion_derivative(model: RegimeModel, xs, states=None,

@@ -387,6 +387,16 @@ class TestExitCodes:
         assert code == 3
         assert "computation failed" in capsys.readouterr().err
 
+    def test_exact_value_past_the_float_range_exits_3(self, tmp_path, capsys):
+        # State 2 grows like exp(800 t): a sample that switches early overflows
+        # its exact value
+        config = write_config(tmp_path, {
+            "model": {"kind": "linear", "mu": [0.0, 800.0], "sigma": [0.1, 0.1]},
+            "generator": [[-0.5, 0.5], [0.0, 0.0]], "grid": [0.1, 0.05, 0.025],
+            "trajectories": 100, "seed": 4, "scheme": "em"})
+        assert run_cli(["convergence", "--config", config, "--out", tmp_path / "o"]) == 3
+        assert "computation failed: exact_linear_solution" in capsys.readouterr().err
+
     def test_success_exits_0(self, tmp_path):
         assert run_cli(["simulate-chain", "--out", tmp_path / "o", "--seed", 5]) == 0
 

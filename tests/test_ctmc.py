@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import errors, harness
+from switchsde import errors, harness, streams
 from switchsde.ctmc import segments, switch_tables
 
 TELOMERE_GENERATOR = [
@@ -121,7 +121,7 @@ class TestSimulateChain:
         # Poisson with mean 0.3 * 30 = 9.
         g = s.validate_generator(TELOMERE_GENERATOR)
         n = 10_000
-        uniforms = harness.substream_uniforms(2024, range(n), harness.CHAIN_STREAM)
+        uniforms = streams.substream_uniforms(2024, range(n), streams.CHAIN_STREAM)
         total = s.simulate_chains(g, [1] * n, 30.0, uniforms).counts.sum()
         assert total / n == pytest.approx(9.0, rel=0.03)
 
@@ -129,7 +129,7 @@ class TestSimulateChain:
     def test_a_generator_in_place_of_a_lane_source_is_named(self, lanes):
         # Generator.random(lanes) reads the lane numbers as a shape.
         g = s.validate_generator(TWO_STATE)
-        with pytest.raises(TypeError, match=r"^uniforms .*harness\.substream_uniforms.*"
+        with pytest.raises(TypeError, match=r"^uniforms .*streams\.substream_uniforms.*"
                                             r"simulate_chain"):
             s.simulate_chains(g, [1] * lanes, 1.0, np.random.default_rng(0))
 
@@ -137,7 +137,7 @@ class TestSimulateChain:
         # From state 1 of TWO_STATE the holding time is Exponential(2).
         g = s.validate_generator(TWO_STATE)
         n = 20_000
-        uniforms = harness.substream_uniforms(7, range(n), harness.CHAIN_STREAM)
+        uniforms = streams.substream_uniforms(7, range(n), streams.CHAIN_STREAM)
         chains = s.simulate_chains(g, [1] * n, 6.0, uniforms)
         samples = chains.times[chains.counts > 0, 0]
         assert len(samples) >= 19_990

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde import errors, harness
+from switchsde import errors, harness, streams
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchsde.harness import substream_rng, substream_rngs
+from switchsde.streams import substream_rng, substream_rngs
 
 TELOMERE_GENERATOR = [
     [-0.3, 0.1, 0.1, 0.1],
@@ -371,8 +371,8 @@ def test_study_with_zero_errors_refuses_to_fit_an_order():
                                  15.0, 10.0, 100, 0)
 
 
-STREAMS = (harness.CHAIN_STREAM, harness.NOISE_STREAM, harness.AUX_STREAM,
-           harness.INITIAL_STREAM)
+STREAMS = (streams.CHAIN_STREAM, streams.NOISE_STREAM, streams.AUX_STREAM,
+           streams.INITIAL_STREAM)
 
 
 def _assert_seed_sequence_streams(seed, indices, stream):
@@ -406,15 +406,15 @@ def test_substream_rngs_match_seed_sequence_on_any_input(seed, stream, indices):
 
 
 def test_substream_rngs_of_no_indices():
-    assert substream_rngs(3, [], harness.NOISE_STREAM) == []
+    assert substream_rngs(3, [], streams.NOISE_STREAM) == []
 
 
 @pytest.mark.parametrize("seed, index", [(-1, 0), (3, -1)])
 def test_negative_seed_or_index_raises_as_seed_sequence_does(seed, index):
     with pytest.raises(ValueError) as ref:
-        np.random.SeedSequence(seed, spawn_key=(index, harness.NOISE_STREAM))
-    for derive in (lambda: substream_rng(seed, index, harness.NOISE_STREAM),
-                   lambda: substream_rngs(seed, [0, index], harness.NOISE_STREAM)):
+        np.random.SeedSequence(seed, spawn_key=(index, streams.NOISE_STREAM))
+    for derive in (lambda: substream_rng(seed, index, streams.NOISE_STREAM),
+                   lambda: substream_rngs(seed, [0, index], streams.NOISE_STREAM)):
         with pytest.raises(ValueError) as exc:
             derive()
         assert str(exc.value) == str(ref.value)
@@ -430,7 +430,7 @@ BOUNDS = (1, 2, 3, 4, 5, 7, 16, 3 * 2 ** 30, 2 ** 32 - 1)
 @pytest.mark.parametrize("seed", LANE_SEEDS)
 @pytest.mark.parametrize("stream", STREAMS)
 def test_lane_uniforms_draw_what_the_substream_generators_draw(seed, stream):
-    lanes = harness.substream_uniforms(seed, LANE_INDICES, stream)
+    lanes = streams.substream_uniforms(seed, LANE_INDICES, stream)
     rngs = substream_rngs(seed, LANE_INDICES, stream)
     assert len(lanes) == len(rngs)
     for _ in range(200):
@@ -451,14 +451,14 @@ def test_lane_uniforms_draw_what_the_substream_generators_draw(seed, stream):
 
 
 def test_lane_uniforms_refuse_a_bound_past_32_bits():
-    lanes = harness.substream_uniforms(3, range(4), harness.AUX_STREAM)
+    lanes = streams.substream_uniforms(3, range(4), streams.AUX_STREAM)
     for n in (0, 2 ** 32 + 1):
         with pytest.raises(ValueError, match="1 <= n <= 2\\*\\*32"):
             lanes.integers(n)
 
 
 def test_lane_uniforms_of_no_indices():
-    lanes = harness.substream_uniforms(3, [], harness.CHAIN_STREAM)
+    lanes = streams.substream_uniforms(3, [], streams.CHAIN_STREAM)
     assert len(lanes) == 0 and lanes.random().size == 0 and lanes.integers(4).size == 0
 
 

@@ -305,6 +305,26 @@ class TestExactLinearSolution:
                                                t_start=0.9)
             assert composed == pytest.approx(whole, rel=1e-12)
 
+    def test_exponential_past_the_float_range_is_a_nonfinite_result(self):
+        # math.exp(800) overflows
+        params = s.LinearModelParams(mu=(800.0,), sigma=(0.0,))
+        chain = s.MarkovPath(1, (), (), 1.0)
+        path = s.BrownianPath(np.random.default_rng(0))
+        with pytest.raises(errors.NonfiniteResultError, match="not finite"):
+            s.exact_linear_solution(params, 1.0, chain, path, 1.0)
+
+    def test_start_times_a_finite_exponential_past_the_float_range(self):
+        # exp(1) is finite, and 1e308 times it is not; exp(-1) keeps it finite,
+        # bit for bit the product
+        chain = s.MarkovPath(1, (), (), 1.0)
+        path = s.BrownianPath(np.random.default_rng(0))
+        with pytest.raises(errors.NonfiniteResultError, match="not finite"):
+            s.exact_linear_solution(s.LinearModelParams(mu=(1.0,), sigma=(0.0,)), 1e308,
+                                    chain, path, 1.0)
+        value = s.exact_linear_solution(s.LinearModelParams(mu=(-1.0,), sigma=(0.0,)),
+                                        1e308, chain, path, 1.0)
+        assert value.hex() == (1e308 * math.exp(-1.0)).hex()
+
     def test_time_out_of_range(self):
         params = s.LinearModelParams(mu=(0.1,), sigma=(0.0,))
         chain = s.MarkovPath(1, (), (), 1.0)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import errors, harness, models, schemes
+from switchsde import errors, harness, models, schemes, streams
 from switchsde.noise import ForwardNoise
 
 TRAJECTORY_FAILURES = (errors.NonfiniteResultError, errors.RootNotFoundError,
@@ -55,7 +55,7 @@ def _replay(model, g, initial, r0, T, p, n_initials, runs, seed, scheme):
     """Per index: (x0, (y, n_steps, n_backstop) or the exception raised)."""
     results = []
     for idx in range(n_initials * runs):
-        x0 = harness._draw_initial(initial, seed, idx // runs)
+        x0 = float(harness._draw_initials(initial, seed, [idx // runs])[0])
         chain = harness.trajectory_chain(g, r0, T, seed, idx)
         path = s.BrownianPath(harness.substream_rng(seed, idx, harness.NOISE_STREAM))
         try:
@@ -299,7 +299,7 @@ def test_a_study_builds_generators_for_the_noise_stream_alone(monkeypatch):
     failed = [idx for idx, (_, outcome) in enumerate(_replay(*FAILING))
               if isinstance(outcome, Exception)]
     derived, built = [], []
-    derive = harness.substream_rngs
+    derive = streams.substream_rngs
 
     def derive_spy(seed, indices, stream):
         derived.append((stream, list(indices)))
@@ -310,7 +310,10 @@ def test_a_study_builds_generators_for_the_noise_stream_alone(monkeypatch):
             built.append(bit_generator)
             super().__init__(bit_generator)
 
+    # A group's generators come through harness's binding, a replay's through
+    # the one that streams.substream_rng calls.
     monkeypatch.setattr(harness, "substream_rngs", derive_spy)
+    monkeypatch.setattr(streams, "substream_rngs", derive_spy)
     monkeypatch.setattr(np.random, "Generator", Counted)
     monkeypatch.setattr(harness, "LANE_GROUP", 4)
     harness._simulate_terminals(*FAILING)
@@ -515,10 +518,12 @@ def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch)
 def _scalar_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0):
     """The per-sample loop that ``strong_order_study`` ran before its levels
     became lane walks, verbatim, except that it keeps each sample's Brownian
-    path and records the error a sample raises in place of its errors."""
+    path and step counts and records the error a sample raises in place of
+    its errors."""
     model = s.linear_model(params)
     step_params = [s.StepParams(h_max=h, rho=rho, k=k) for h in grid]
     errors_ = np.empty((len(grid), M))
+    steps, backstops = np.zeros((2, len(grid), M), dtype=np.int64)
     outcomes = []
     for first in range(0, M, harness.LANE_GROUP):
         samples = range(first, min(first + harness.LANE_GROUP, M))
@@ -530,14 +535,14 @@ def _scalar_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0):
             try:
                 exact = s.exact_linear_solution(params, x0, chain, path, T)
                 for lvl in range(len(grid) - 1, -1, -1):  # finest level queries first
-                    y, _, _ = s.solve_terminal(model, chain, path, x0, T, step_params[lvl],
-                                               scheme)
+                    y, steps[lvl, i], backstops[lvl, i] = s.solve_terminal(
+                        model, chain, path, x0, T, step_params[lvl], scheme)
                     errors_[lvl, i] = y - exact
-            except (errors.SwitchSDEError, OverflowError) as exc:
+            except errors.SwitchSDEError as exc:
                 outcomes.append(exc)
             else:
                 outcomes.append(path)
-    return errors_, outcomes
+    return errors_, steps, backstops, outcomes
 
 
 def _lane_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0, room):
@@ -553,25 +558,28 @@ def _lane_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0, room):
     samples = range(M)
     with mock.patch.object(harness, "solve_terminals", spy), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        errors_, failed = harness._coupled_errors(
+        *result, failed = harness._coupled_errors(
             params, s.linear_model(params), x0, T, step_params, scheme,
             harness._trajectory_chains(g, r0, T, seed, samples),
             harness.substream_rngs(seed, samples, harness.NOISE_STREAM), room)
     assert len(sources) == len(grid) and all(src is sources[0] for src in sources)
-    return errors_, failed, sources[0]
+    return *result, failed, sources[0]
 
 
 def assert_coupled_engines_agree(params, g, x0, T, grid, rho, k, M, seed, scheme, r0,
                                  room=0):
-    expected, outcomes = _scalar_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0)
-    errors_, failed, source = _lane_coupled(params, g, x0, T, grid, rho, k, M, seed,
-                                            scheme, r0, room)
+    expected, steps, backstops, outcomes = _scalar_coupled(params, g, x0, T, grid, rho, k,
+                                                           M, seed, scheme, r0)
+    errors_, n_steps, n_backstop, failed, source = _lane_coupled(
+        params, g, x0, T, grid, rho, k, M, seed, scheme, r0, room)
     assert failed.tolist() == [isinstance(o, Exception) for o in outcomes]
     for j, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             continue
         assert [e.hex() for e in errors_[:, j].tolist()] == \
             [e.hex() for e in expected[:, j].tolist()]
+        assert n_steps[:, j].tolist() == steps[:, j].tolist()
+        assert n_backstop[:, j].tolist() == backstops[:, j].tolist()
         assert source.known_points(j) == outcome.known_points()
     return errors_, failed
 
@@ -611,9 +619,22 @@ def test_coupled_lanes_with_hits_bridges_and_backstops_agree():
     assert not failed.any()
 
 
+def test_coupled_study_reports_the_step_counts_of_the_scalar_loop():
+    # Each level's mean step count and backstop share, with no second walk.
+    g = s.validate_generator([[-3.0, 3.0], [3.0, -3.0]])
+    params = s.LinearModelParams(mu=(0.2, -0.3), sigma=(0.4, 0.3))
+    study = (params, g, 5.0, 0.5, [0.09, 0.03, 0.01], 2.0, 2.0, 100, 3, "milstein", 1)
+    _, steps, backstops, _ = _scalar_coupled(*study)
+    report = s.strong_order_study(*study)
+    assert report.mean_steps == tuple(steps.mean(axis=1).tolist())
+    assert report.backstop_fractions == tuple(
+        (backstops.sum(axis=1) / steps.sum(axis=1)).tolist())
+    assert 0.0 < min(report.backstop_fractions)
+
+
 # Two samples fail: sample 9 at the third level (h_max 0.125, a backstop
 # without a root) and sample 65 at the finest (an explicit step overflows),
-# which the lanes walk first.  The scalar loop stops at sample 9.
+# which the lanes walk first.  The study logs both and raises sample 9's error.
 TWO_FAILURES = (s.LinearModelParams(mu=(0.0, -20.0, -40.0), sigma=(0.1, 0.1, 0.1)),
                 s.validate_generator([[-0.04, 0.02, 0.02], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
                 1e305, 1.0, [0.5, 0.25, 0.125, 0.0625], 2.0, 1e6, 100, 7, "milstein", 1)
@@ -622,10 +643,19 @@ TWO_FAILURES = (s.LinearModelParams(mu=(0.0, -20.0, -40.0), sigma=(0.1, 0.1, 0.1
 def test_coupled_study_raises_the_error_of_its_lowest_failed_sample():
     _, failed = assert_coupled_engines_agree(*TWO_FAILURES)
     assert np.flatnonzero(failed).tolist() == [9, 65]
-    _, outcomes = _scalar_coupled(*TWO_FAILURES)
+    *_, outcomes = _scalar_coupled(*TWO_FAILURES)
     params, g, x0, T, grid, rho, k, M, seed, scheme, r0 = TWO_FAILURES
-    with pytest.raises(errors.RootNotFoundError) as raised:
-        s.strong_order_study(params, g, x0, T, grid, rho, k, M, seed, scheme, r0)
+    failures = _Failures()
+    logger = logging.getLogger("switchsde.harness")
+    logger.addHandler(failures)
+    try:
+        with pytest.raises(errors.RootNotFoundError) as raised:
+            s.strong_order_study(params, g, x0, T, grid, rho, k, M, seed, scheme, r0)
+    finally:
+        logger.removeHandler(failures)
+    # Each failed sample is logged, in sample order, before the study raises.
+    assert [m.split(":")[0] for m in failures.messages] == ["trajectory 9 failed",
+                                                            "trajectory 65 failed"]
     assert _same_error(raised.value, outcomes[9])
     assert isinstance(outcomes[65], errors.NonfiniteResultError)
 
@@ -637,9 +667,9 @@ def test_coupled_study_raises_an_overflowing_exact_value_in_sample_order():
     params = s.LinearModelParams(mu=(0.0, 800.0), sigma=(0.1, 0.1))
     g = s.validate_generator([[-0.5, 0.5], [0.0, 0.0]])
     study = (params, g, 1.0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0, 100, 4, "em", 1)
-    _, outcomes = _scalar_coupled(*study)
+    *_, outcomes = _scalar_coupled(*study)
     first = next(o for o in outcomes if isinstance(o, Exception))
-    assert any(isinstance(o, OverflowError) for o in outcomes)
+    assert any(isinstance(o, errors.NonfiniteResultError) for o in outcomes)
     with pytest.raises(type(first)) as raised:
         s.strong_order_study(*study)
     assert _same_error(raised.value, first)
@@ -662,5 +692,5 @@ def test_coupled_study_in_groups_that_a_fine_grid_makes_small(monkeypatch):
 
 def test_coupled_replay_that_succeeds_is_an_engine_disagreement(monkeypatch):
     monkeypatch.setattr(harness, "solve_terminal", lambda *args: (0.0, 1, 0))
-    with pytest.raises(RuntimeError, match="sample 9 failed in the batched walk"):
+    with pytest.raises(RuntimeError, match="trajectory 9 failed in the batched walk"):
         s.strong_order_study(*TWO_FAILURES)
