@@ -320,13 +320,14 @@ def _params_echo(cfg: RunConfig) -> dict[str, Any]:
 
 
 def _write(cfg: RunConfig, name: str, writer, *args) -> None:
+    """Write one output file, creating the output directory with the first."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     with open(cfg.out_dir / name, "w") as fh:
         writer(fh, *args)
 
 
 def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the failed-trajectory count."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     failed = 0
     x = cfg.extra

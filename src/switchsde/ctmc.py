@@ -114,28 +114,29 @@ class MarkovPath:
 
 @dataclass(frozen=True)
 class Chains:
-    """The chains of a lane group on [0, horizon] as padded arrays, one row a
-    lane: lane j starts in state ``initial[j]`` and switches ``counts[j]``
-    times, at ``times[j, :counts[j]]`` into ``states[j, :counts[j]]``, as a
-    :class:`MarkovPath` would hold them.  Padding times are inf and padding
-    states 0; a row is as wide as the most switches of a lane.
+    """The chains of a lane group on [0, horizon] as their constant-state
+    pieces, one row a lane: lane j is in state ``states[j, q]`` on piece q,
+    which ends at ``ends[j, q]``.  Piece 0 starts at 0 in the initial state;
+    switch k, of ``counts[j]``, ends piece k, and its post-switch state starts
+    piece k + 1.  Padding pieces end at the horizon in state 1; a row has one
+    more piece than the most switches of a lane.  A switch at exactly the
+    horizon starts a piece of zero length, which no walk enters.
     """
 
-    initial: np.ndarray
-    times: np.ndarray
+    ends: np.ndarray
     states: np.ndarray
     counts: np.ndarray
     horizon: float
 
     def __len__(self) -> int:
-        return self.initial.size
+        return self.counts.size
 
     def path(self, j: int) -> MarkovPath:
         """Lane j's chain as a :class:`MarkovPath`."""
         k = int(self.counts[j])
-        return MarkovPath(initial_state=int(self.initial[j]),
-                          switch_times=tuple(self.times[j, :k].tolist()),
-                          states=tuple(self.states[j, :k].tolist()),
+        return MarkovPath(initial_state=int(self.states[j, 0]),
+                          switch_times=tuple(self.ends[j, :k].tolist()),
+                          states=tuple(self.states[j, 1:k + 1].tolist()),
                           horizon=self.horizon)
 
     @classmethod
@@ -144,14 +145,14 @@ class Chains:
         horizons = {path.horizon for path in paths}
         if len(horizons) != 1:
             raise InvalidParamsError(f"need paths of one horizon, got {sorted(horizons)}")
+        horizon = horizons.pop()
         counts = np.array([path.num_switches for path in paths], dtype=np.intp)
-        times = np.full((counts.size, int(counts.max())), math.inf)
-        states = np.zeros(times.shape, dtype=np.int64)
+        ends = np.full((counts.size, 1 + int(counts.max())), horizon, dtype=float)
+        states = np.ones(ends.shape, dtype=np.int64)
         for row, path in enumerate(paths):
-            times[row, :path.num_switches] = path.switch_times
-            states[row, :path.num_switches] = path.states
-        return cls(initial=np.array([path.initial_state for path in paths], dtype=np.int64),
-                   times=times, states=states, counts=counts, horizon=horizons.pop())
+            ends[row, :path.num_switches] = path.switch_times
+            states[row, :1 + path.num_switches] = (path.initial_state, *path.states)
+        return cls(ends=ends, states=states, counts=counts, horizon=horizon)
 
 
 def validate_generator(rates) -> GeneratorMatrix:
@@ -272,13 +273,13 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
     if first.size:  # the error MarkovPath raises for the lowest such lane
         raise InvalidParamsError(
             f"switch times not strictly increasing at {float(stalled[first[0]])}")
-    times = np.full((n, len(columns)), math.inf)
-    states = np.zeros(times.shape, dtype=np.int64)
+    ends = np.full((n, 1 + len(columns)), float(horizon))
+    states = np.ones(ends.shape, dtype=np.int64)
+    states[:, 0] = initial
     counts = np.zeros(n, dtype=np.intp)
     for k, (lanes, t, s) in enumerate(columns):
-        times[lanes, k], states[lanes, k], counts[lanes] = t, s, k + 1
-    return Chains(initial=initial, times=times, states=states, counts=counts,
-                  horizon=float(horizon))
+        ends[lanes, k], states[lanes, k + 1], counts[lanes] = t, s, k + 1
+    return Chains(ends=ends, states=states, counts=counts, horizon=float(horizon))
 
 
 def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
@@ -305,25 +306,6 @@ def segments(path: MarkovPath, t0: float, t1: float):
         yield a, tau, state
         a, state = tau, nxt
     yield a, t1, state
-
-
-def switch_tables(chains: Chains, t1: float) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces of :func:`segments` ``(chains.path(j), 0, t1)`` of every lane
-    j as two padded arrays, ``ends[j, q]`` and ``states[j, q]`` for piece q of
-    lane j: piece 0 starts at 0 in the initial state, and each switch before
-    t1 ends one piece and starts the next in its post-switch state.  A row has
-    one more piece than its switches before t1; the end of a padding piece is
-    t1 and its state 1."""
-    if not 0.0 <= t1 <= chains.horizon:
-        raise TimeOutOfRangeError(
-            f"need 0 <= t0=0.0 <= t1={t1} <= horizon={chains.horizon}")
-    kept = chains.times < t1  # a switch at exactly t1 starts no piece
-    ends = np.full((len(chains), 1 + kept.shape[1]), t1)
-    states = np.ones(ends.shape, dtype=np.int64)
-    np.copyto(ends[:, :-1], chains.times, where=kept)
-    states[:, 0] = chains.initial
-    np.copyto(states[:, 1:], chains.states, where=kept)
-    return ends, states
 
 
 def state_at(path: MarkovPath, t: float) -> int:

@@ -357,9 +357,9 @@ def _coupled_errors(params: LinearModelParams, model: RegimeModel, x0: float, T:
     n_steps = np.empty(errors.shape, dtype=np.int64)
     n_backstop = np.empty_like(n_steps)
     for level in range(len(step_params) - 1, -1, -1):  # finest level queries first
+        noise.merge()  # the last level's points; before the finest, none
         y, n_steps[level], n_backstop[level], lost = solve_terminals(
             model, chains, noise, start, T, step_params[level], scheme)
-        noise.merge()
         errors[level] = y - exact
         start[lost] = math.nan
     return errors, n_steps, n_backstop, np.isnan(start)

@@ -272,7 +272,7 @@ def linear_model(p: LinearModelParams) -> RegimeModel:
 
 
 def exact_linear_solution(p: LinearModelParams, x0: float, chain: MarkovPath,
-                          path: BrownianPath, t: float, t_start: float = 0.0) -> float:
+                          path: BrownianPath, t: float) -> float:
     """Exact solution of the linear model at time t, driven by a shared path.
 
     Conditional on the chain, each inter-switch segment is geometric Brownian
@@ -281,13 +281,11 @@ def exact_linear_solution(p: LinearModelParams, x0: float, chain: MarkovPath,
         X(t) = x0 * exp( sum_seg (mu_i - sigma_i^2/2) dt_seg + sigma_i dW_seg )
 
     with dW_seg read from ``path`` (memoizing it for any solver coupled to the
-    same path).  ``t_start`` restarts the product from a later time, with x0
-    then interpreted as the value at ``t_start``.  A value past the float
-    range, of the exponential or of the product, raises
-    :class:`NonfiniteResultError`.
+    same path).  A value past the float range, of the exponential or of the
+    product, raises :class:`NonfiniteResultError`.
     """
     acc = 0.0
-    for a, b, state in segments(chain, t_start, t):
+    for a, b, state in segments(chain, 0.0, t):
         k = _check_state(state, p.num_states)
         mu, sigma = p.mu[k], p.sigma[k]
         acc += (mu - 0.5 * sigma * sigma) * (b - a) + sigma * path.increment(a, b)

@@ -164,10 +164,10 @@ class BridgeNoise:
     Each lane holds a block of ``BRIDGE_BLOCK`` normals; hits draw none; when
     the lane furthest into its block reaches its end, every walking lane
     keeps its unused normals and draws the rest (a block draw equals as many
-    single draws, bit for bit).  A walk's new points join the known ones when
-    the next walk starts or :meth:`known_points` asks: the cell table counts
-    them in, and a stable sort of each row merges its two runs.  ``room``, the
-    new points per lane as far as known, sizes the columns and the cells.
+    single draws, bit for bit).  A walk's new points join the known ones in
+    one call, :meth:`merge`, which the caller makes before the next walk and
+    before :meth:`known_points`.  ``room``, the new points per lane as far as
+    known, sizes the columns and the cells.
     """
 
     def __init__(self, paths, room: int):
@@ -271,9 +271,7 @@ class BridgeNoise:
         return np.where(hit, wu, w_new)
 
     def _start(self, lane):
-        """Start a walk of ``lane`` from t = 0, after merging the last one."""
-        if self._step > self._base:
-            self._merge_steps()
+        """Start a walk of ``lane`` from t = 0."""
         self._lane, self._first = lane, lane * self._points.shape[1]  # each lane's row, flat
         self._k = self._first + 1  # the point at t = 0 is every row's first
         self._cell = lane * self._cells.shape[1]
@@ -305,20 +303,19 @@ class BridgeNoise:
         self._left = BRIDGE_BLOCK
 
     def merge(self):
-        """End the walk; every lane rewinds to t = 0."""
+        """End the walk, and merge its new points into the known ones: the
+        cell table counts them in, and a stable sort of each row merges its
+        two runs.  Every lane rewinds to t = 0; with no new points, nothing
+        changes."""
         if self._lane is not None:
             self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
             self._lane = None
-
-    def _merge_steps(self):
-        """Count the ended walk's new points in, and sort each row's two runs."""
         step = self._step
-        self._count_in(self._points[:, self._base:step].real)
-        self._points[:, :step].sort(kind="stable")
+        if step > self._base:
+            self._count_in(self._points[:, self._base:step].real)
+            self._points[:, :step].sort(kind="stable")
 
     def known_points(self, j: int) -> list[tuple[float, float]]:
         """Lane ``j``'s known (time, value) pairs in time order, as of the last merge."""
-        if self._lane is None and self._step > self._base:
-            self._merge_steps()
         row = self._points[j, :self._count[j]]
         return list(zip(row.real.tolist(), row.imag.tolist()))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import Chains, MarkovPath, segments, switch_tables
+from .ctmc import Chains, MarkovPath, segments
 from .errors import (
     InvalidParamsError,
     NonfiniteResultError,
@@ -370,36 +370,40 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     calls where the lane form is derived from the scalar callables.  The
     walk asks ``noise.advance(lane, t, w, t_next)`` for W(t_next) of the
     unfinished lanes ``lane`` (original indices, increasing) at every step.
-    Every iteration takes one step of each unfinished lane.  The switch
-    tables come from the chains' arrays (:func:`switchsde.ctmc.switch_tables`),
-    and a lane's step cap from its switch count, a switch at exactly T
-    included, as ``chain.num_switches`` counts it for the scalar walk.
+    Every iteration takes one step of each unfinished lane, inside the piece
+    of ``chains.ends`` and ``chains.states`` where it stands; ``T`` must be
+    ``chains.horizon``.  A lane's step cap comes from its switch count, a
+    switch at exactly T included, as ``chain.num_switches`` counts it for the
+    scalar walk.
     The step rule and the main map run as array operations; the main map's
     coefficients come from one call of the model's lane form
     (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  Each
     lane keeps the coefficient row of its piece, gathered when the walk starts
-    and when the lane enters its next piece.  The states are checked once,
-    over the whole switch table (:meth:`RegimeModel.row_reader`), so a state
-    outside the model raises the scalar callables' :class:`StateIndexError`
-    before the first step, even where a lane would fail before it reaches that
-    state.  The arithmetic takes its constants as 0-d arrays and builds the
-    masks of the rare cases (a lane lost, done or entering a piece) only when
-    a count says they occur.  The backstop steps of an iteration, when there
-    are at least ``LANE_NEWTON_MIN`` of them, run the Newton iteration of
-    :func:`implicit_milstein_map` together, through the model's own lane form;
-    a lane that Newton does not settle, any backstop lane of a model without
-    its own lane form, and the backstop lanes of an iteration with fewer of
-    them run :func:`implicit_milstein_map` alone, which redoes the Newton
-    iteration and goes on to the bisection.
+    and when the lane enters its next piece.  The states of every piece that
+    starts before T are checked once (:meth:`RegimeModel.row_reader`), so a
+    state outside the model raises the scalar callables'
+    :class:`StateIndexError` before the first step, even where a lane would
+    fail before it reaches that state.  The arithmetic takes its constants as
+    0-d arrays and builds the masks of the rare cases (a lane lost, done or
+    entering a piece) only when a count says they occur.  The backstop steps
+    of an iteration, when there are at least ``LANE_NEWTON_MIN`` of them, run
+    the Newton iteration of :func:`implicit_milstein_map` together, through
+    the model's own lane form; a lane that Newton does not settle, any
+    backstop lane of a model without its own lane form, and the backstop lanes
+    of an iteration with fewer of them run :func:`implicit_milstein_map`
+    alone, which redoes the Newton iteration and goes on to the bisection.
 
-    Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``.  A lane
-    fails where its scalar walk raises: its start is NaN, a value is not
-    finite (a backstop without a root leaves NaN), or it passes its step cap.
-    It has ``y`` NaN and zero counts; its scalar walk says which error ended
+    Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``, where
+    ``failed`` is ``np.isnan(y)``: a lane leaves with a finite value only when
+    it is done.  A lane fails where its scalar walk raises: its start is NaN,
+    a value is not finite (a backstop without a root leaves NaN), or it passes
+    its step cap.  It has zero counts; its scalar walk says which error ended
     it.  An exception from the lane form, or one that is not a
     :class:`SwitchSDEError` from a backstop step, ends the whole walk.
     """
     _check_walk(main, T)
+    if T != chains.horizon:
+        raise InvalidParamsError(f"T={T} is not the chains' horizon {chains.horizon}")
     value, derivative = _LANE_MAPS[main]
     # A lane form derived from the scalar callables maps them lane by lane
     # anyway, and it would read g where the scalar Newton reads f alone.
@@ -413,16 +417,18 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     # The step rule's constants as 0-d arrays, as _HALF is.
     one, h_max, h_min, inv_k, end = (np.array(v) for v in (1.0, p.h_max, p.h_min, 1.0 / p.k, T))
 
-    # The end and the state of each lane's constant-state pieces of [0, T],
-    # flattened: a lane steps inside the piece at its flat position at[j].
-    ends, states = switch_tables(chains, T)
-    at = np.arange(n) * ends.shape[1]
-    ends, states = ends.ravel(), states.ravel()
-    rows_of = m.row_reader(states)
+    # The chains' pieces, flattened: a lane steps inside the piece at its flat
+    # position at[j].  A piece that starts at T, after a switch at exactly T,
+    # is never entered, so its state is not checked.
+    ends, states = chains.ends.ravel(), chains.states.ravel()
+    at = np.arange(n) * chains.ends.shape[1]
+    entered = chains.states.copy()
+    entered[:, 1:][chains.ends[:, :-1] >= T] = 1
+    rows_of = m.row_reader(entered)
 
     y = np.array(x0, dtype=float)
-    failed = np.isnan(y)  # the scalar step rule refuses a NaN norm
-    lane = np.flatnonzero(~failed)  # original index of each unfinished lane
+    # Each unfinished lane's original index; the scalar step rule refuses a NaN norm.
+    lane = np.flatnonzero(~np.isnan(y))
     y, at = y[lane], at[lane]
     t, w = np.zeros(lane.size), np.zeros(lane.size)
     bound = ends[at]
@@ -477,8 +483,6 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             if n_steps > lowest:
                 stay &= limit[lane] >= n_steps  # as does one past its step cap
             leaving = _count(stay) < stay.size
-            if leaving:
-                failed[lane[~stay]] = True
             arrived = t >= bound
             if _count(arrived):
                 done = t >= end
@@ -499,4 +503,4 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             if leaving:
                 lane, t, y, w, at, bound, rows, backstops = (
                     a[..., stay] for a in (lane, t, y, w, at, bound, rows, backstops))
-    return y_out, steps_out, backstops_out, failed
+    return y_out, steps_out, backstops_out, np.isnan(y_out)

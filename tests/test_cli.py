@@ -396,6 +396,14 @@ class TestExitCodes:
             "trajectories": 100, "seed": 4, "scheme": "em"})
         assert run_cli(["convergence", "--config", config, "--out", tmp_path / "o"]) == 3
         assert "computation failed: exact_linear_solution" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # no file was written
+
+    def test_all_trajectories_failed_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # A start of 1e308 overflows on the first step of every trajectory.
+        assert run_cli(["ensemble", "--trajectories", 5, "--horizon", 1, "--initial", 1e308,
+                        "--out", tmp_path / "o"]) == 3
+        assert "all 5 trajectories failed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_success_exits_0(self, tmp_path):
         assert run_cli(["simulate-chain", "--out", tmp_path / "o", "--seed", 5]) == 0

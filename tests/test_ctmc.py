@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde import errors, harness, streams
-from switchsde.ctmc import segments, switch_tables
+from switchsde.ctmc import segments
 
 TELOMERE_GENERATOR = [
     [-0.3, 0.1, 0.1, 0.1],
@@ -139,7 +139,7 @@ class TestSimulateChain:
         n = 20_000
         uniforms = streams.substream_uniforms(7, range(n), streams.CHAIN_STREAM)
         chains = s.simulate_chains(g, [1] * n, 6.0, uniforms)
-        samples = chains.times[chains.counts > 0, 0]
+        samples = chains.ends[chains.counts > 0, 0]
         assert len(samples) >= 19_990
         assert np.mean(samples) == pytest.approx(0.5, rel=0.02)
 
@@ -340,22 +340,23 @@ def test_chain_set_is_pinned():
     assert _chain_set_digest() == CHAIN_SET_SHA256
 
 
-def _assert_tables_hold_the_pieces(chains, t1):
-    ends, states = switch_tables(chains, t1)
+def _assert_tables_hold_the_pieces(chains):
+    ends, states, T = chains.ends, chains.states, chains.horizon
     paths = [chains.path(j) for j in range(len(chains))]
     assert ends.shape == states.shape == (len(paths),
                                           1 + max(p.num_switches for p in paths))
     for path, row_ends, row_states in zip(paths, ends.tolist(), states.tolist()):
-        _, piece_ends, piece_states = zip(*segments(path, 0.0, t1))
-        pad = len(row_ends) - len(piece_ends)
-        assert row_ends == [*piece_ends, *[t1] * pad]
-        assert row_states == [*piece_states, *[1] * pad]
+        _, piece_ends, piece_states = zip(*segments(path, 0.0, T))
+        # A switch at exactly T ends a piece and starts one that segments omits.
+        at_t = int(path.num_switches > 0 and path.switch_times[-1] == T)
+        pad = len(row_ends) - len(piece_ends) - at_t
+        assert row_ends == [*piece_ends, *[T] * at_t, *[T] * pad]
+        assert row_states == [*piece_states, *path.states[-1:] * at_t, *[1] * pad]
 
 
 def test_switch_tables_hold_the_pieces_of_segments():
-    for T, chains in _pinned_chains():
-        _assert_tables_hold_the_pieces(chains, T)
-        _assert_tables_hold_the_pieces(chains, T / 3)  # later switches start no piece
+    for _, chains in _pinned_chains():
+        _assert_tables_hold_the_pieces(chains)
 
 
 def test_switch_tables_start_no_piece_at_a_switch_at_exactly_t1():
@@ -363,22 +364,10 @@ def test_switch_tables_start_no_piece_at_a_switch_at_exactly_t1():
              s.MarkovPath(3, (0.1, 0.3, 0.4), (1, 2, 3), 0.5)]
     chains = s.Chains.of(paths)
     assert [chains.path(j) for j in range(3)] == paths
-    ends, states = switch_tables(chains, 0.5)
-    assert ends.tolist() == [[0.2, 0.5, 0.5, 0.5], [0.5] * 4, [0.1, 0.3, 0.4, 0.5]]
-    assert states.tolist() == [[1, 2, 1, 1], [2, 1, 1, 1], [3, 1, 2, 3]]
-    _assert_tables_hold_the_pieces(chains, 0.5)
-    _assert_tables_hold_the_pieces(chains, 0.3)
-    _assert_tables_hold_the_pieces(chains, 0.0)
-
-
-@pytest.mark.parametrize("t1", [0.6, -0.1, math.nan])
-def test_switch_tables_refuse_what_segments_refuses(t1):
-    paths = [s.MarkovPath(1, (0.2,), (2,), 0.5)]
-    with pytest.raises(errors.TimeOutOfRangeError) as tables:
-        switch_tables(s.Chains.of(paths), t1)
-    with pytest.raises(errors.TimeOutOfRangeError) as pieces:
-        list(segments(paths[0], 0.0, t1))
-    assert str(tables.value) == str(pieces.value)
+    # The switch at exactly 0.5 starts a piece of zero length, which no walk enters.
+    assert chains.ends.tolist() == [[0.2, 0.5, 0.5, 0.5], [0.5] * 4, [0.1, 0.3, 0.4, 0.5]]
+    assert chains.states.tolist() == [[1, 2, 1, 1], [2, 1, 1, 1], [3, 1, 2, 3]]
+    _assert_tables_hold_the_pieces(chains)
 
 
 class _PresetUniforms:
@@ -497,10 +486,9 @@ def test_stand_in_lanes_sampled_as_one_group():
     # Each lane draws what it uses and no more, as it does alone.
     assert [lane.drawn for lane in uniforms.lanes] == [5, 81, 0, 1, 3, 2]
     assert [rng.drawn for rng in rngs] == [5, 81, 0, 1, 3, 2]
-    assert chains.times[0, 0] == -math.log1p(-0.25) / 2.0
-    assert chains.times[4, 0] == horizon and chains.states[5, 0] == 3
-    ends, states = switch_tables(chains, horizon)
-    assert ends[4].tolist() == [horizon] * ends.shape[1]  # it starts no piece
+    assert chains.ends[0, 0] == -math.log1p(-0.25) / 2.0
+    assert chains.ends[4, 0] == horizon and chains.states[5, 1] == 3
+    assert chains.ends[4].tolist() == [horizon] * chains.ends.shape[1]  # no piece is entered
 
 
 def test_a_switch_that_leaves_the_clock_still_raises_as_markov_path_does():

@@ -293,18 +293,6 @@ class TestExactLinearSolution:
         value = s.exact_linear_solution(params, 1.0, chain, path, 2.0)
         assert value == pytest.approx(1.0, rel=1e-14)
 
-    def test_multiplicative_over_time_splitting(self):
-        params = s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5))
-        g = s.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
-        for i in range(20):
-            chain = s.simulate_chain(g, 1, 2.0, np.random.default_rng(2000 + i))
-            path = s.BrownianPath(np.random.default_rng(3000 + i))
-            whole = s.exact_linear_solution(params, 1.0, chain, path, 2.0)
-            v_mid = s.exact_linear_solution(params, 1.0, chain, path, 0.9)
-            composed = s.exact_linear_solution(params, v_mid, chain, path, 2.0,
-                                               t_start=0.9)
-            assert composed == pytest.approx(whole, rel=1e-12)
-
     def test_exponential_past_the_float_range_is_a_nonfinite_result(self):
         # math.exp(800) overflows
         params = s.LinearModelParams(mu=(800.0,), sigma=(0.0,))

@@ -252,8 +252,8 @@ def test_bridge_noise_matches_scalar_paths_bitwise(case):
     # Lanes leave at random steps, hits on known points leave them at
     # different places in their normal blocks, the small blocks run out many
     # times a walk, and with no room the rows grow in the middle of walks.
-    # The new points join the known ones when the next walk starts, or when
-    # known_points asks (``inspect``).
+    # Each walk's merge joins its new points to the known ones, which
+    # known_points reads after some walks (``inspect``).
     starts, walks, inspect, block, seed = case
     rng = np.random.default_rng(seed)
     paths = [s.BrownianPath(np.random.default_rng([seed, j])) for j in range(len(starts))]

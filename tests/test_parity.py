@@ -467,6 +467,30 @@ def test_lane_lost_on_its_step_onto_T_fails():
     assert failed.tolist() == [True, False]
 
 
+@pytest.mark.parametrize("model", [
+    s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4))),
+    s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)])])
+def test_switches_at_exactly_T_walk_as_in_the_scalar_walk(model):
+    # A switch at exactly T counts towards the step cap, and the piece it
+    # starts, of zero length, is never entered: lane 1 switches into state 3,
+    # outside the model, exactly at T.
+    chains = [s.MarkovPath(1, (0.2, 0.5), (2, 1), 0.5), s.MarkovPath(2, (0.5,), (3,), 0.5),
+              s.MarkovPath(1, (), (), 0.5), s.MarkovPath(2, (0.1, 0.3, 0.5), (1, 2, 1), 0.5)]
+    failed = _lanes_against_scalar_walks(model, chains, [1.0, 2.0, 0.5, 3.0], 0.5,
+                                         s.StepParams(0.03, 15.0, 10.0))
+    assert not failed.any()
+
+
+@pytest.mark.parametrize("T", [0.6, 0.25, math.nan])
+def test_lanes_refuse_chains_of_another_horizon(T):
+    model = s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))
+    noise = mock.Mock()
+    with pytest.raises(errors.InvalidParamsError, match=r"is not the chains' horizon 0\.5$"):
+        schemes.solve_terminals(model, s.Chains.of([s.MarkovPath(1, (0.2,), (2,), 0.5)]),
+                                noise, [1.0], T, s.StepParams(0.03, 15.0, 10.0))
+    noise.advance.assert_not_called()
+
+
 STIFF = (s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)]),
          s.validate_generator([[-4.0, 4.0], [4.0, -4.0]]),
          (-4e7, 1e7), "uniform", 0.5, s.StepParams(0.1, 4.0, 2.0), 8, 3, 3, "milstein")
@@ -573,6 +597,7 @@ def assert_coupled_engines_agree(params, g, x0, T, grid, rho, k, M, seed, scheme
     errors_, n_steps, n_backstop, failed, source = _lane_coupled(
         params, g, x0, T, grid, rho, k, M, seed, scheme, r0, room)
     assert failed.tolist() == [isinstance(o, Exception) for o in outcomes]
+    source.merge()  # the coarsest level's points
     for j, outcome in enumerate(outcomes):
         if isinstance(outcome, Exception):
             continue

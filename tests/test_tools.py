@@ -1,5 +1,6 @@
-"""``tools/bench_pairs.py`` runs both trees in the same bytecode state, and
-``tools/bridge_levels.py`` prints each level's cost and their ratio."""
+"""``tools/bench_pairs.py`` runs both trees in the same bytecode state,
+``tools/bridge_levels.py`` prints each level's cost and their ratio, and
+``tools/src_lines.py`` counts a package's lines by kind."""
 
 import importlib.util
 import math
@@ -51,3 +52,40 @@ def test_bridge_levels_prints_each_level_and_the_ratio(capsys):
     assert all(int(row[1]) > 0 and float(row[2]) > 0.0 for row in rows)
     assert len(rs) == 1 and 0.0 < rs[0] < math.inf
     assert lines[-1] == f"run 1: R = {rs[0]:.3f}"
+
+
+# Two docstring lines, a code line with a comment, a comment line, a class
+# and a function docstring (a blank line inside counts as docstring), and a
+# string over two lines that is not a docstring, which counts as code.
+MODULE = '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment leaves the line code
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring
+
+        with a blank line.
+        """
+        x = """not a
+docstring"""
+        return os.sep + x
+'''
+
+
+def test_src_lines_counts_each_kind(tmp_path, capsys):
+    (tmp_path / "b.py").write_text(MODULE)
+    (tmp_path / "a.py").write_text("# one comment\n\nX = 1\n")
+    totals = _tool("src_lines").main([str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["module", "total", "code", "docstring", "comment", "blank"]
+    assert lines[1].split() == ["a.py", "3", "1", "0", "1", "1"]
+    assert lines[2].split() == ["b.py", "19", "6", "7", "1", "5"]
+    assert lines[3].split() == ["total", "22", "7", "7", "2", "6"]
+    assert totals == {"total": 22, "code": 7, "docstring": 7, "comment": 2, "blank": 6}
