@@ -330,6 +330,7 @@ def run(cfg: RunConfig) -> int:
     """Execute a validated configuration; returns the failed-trajectory count."""
     started = time.perf_counter()
     failed = 0
+    work = {}  # the convergence study's work per grid level, for the manifest
     x = cfg.extra
 
     if cfg.experiment == "simulate-chain":
@@ -348,6 +349,8 @@ def run(cfg: RunConfig) -> int:
             cfg.step.rho, cfg.step.k, x["trajectories"], cfg.seed,
             scheme=cfg.scheme, r0=x["r0"])
         _write(cfg, "convergence.csv", write_convergence_csv, report)
+        work = {"mean_steps": list(report.mean_steps),
+                "backstop_fractions": list(report.backstop_fractions)}
         print(f"fitted order: {report.fitted_order:.4f} ({report.scheme}, "
               f"M={report.sample_count})")
         initial, horizon = x["x0"], x["horizon"]
@@ -391,6 +394,7 @@ def run(cfg: RunConfig) -> int:
         "tool_version": __version__,
         "wall_time_s": time.perf_counter() - started,
         "failed_count": failed,
+        **work,
     })
     return failed
 

@@ -59,8 +59,9 @@ BACKSTOP_WARN_FRACTION = 0.05
 # its noise generator and a block of normals) at any study size.
 LANE_GROUP = 1024
 # Brownian points the strong-order study's lanes hold at once, 16 bytes each
-# (a time and a value), besides each lane's free columns and its block of
-# 256 normals (2 kB): a lane holds every point of its path, so a fine grid
+# (a time and a value).  A lane's row holds every point its path will have
+# (the levels' steps, ``room``) and an eighth more, beside a cell table of one
+# int32 per four points and a block of 256 normals (2 kB); so a fine grid
 # walks fewer samples together.
 COUPLED_POINTS = 2 ** 22
 

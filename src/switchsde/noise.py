@@ -130,10 +130,15 @@ class ForwardNoise:
         return w + np.sqrt(t_next - t) * self._z[:, self._col - 1]
 
 
+# Anonymous private pages, faulted in by the mapping call (on Linux) rather than one by one.
+_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+
+
 def _table(rows: int, columns: int) -> np.ndarray:
     """A (rows, columns) complex array of padding, mapped outside the malloc heap:
     glibc, freeing a block this large, would keep megabytes of heap resident."""
-    table = np.frombuffer(mmap.mmap(-1, 16 * rows * columns or 16), complex)[:rows * columns]
+    table = np.frombuffer(mmap.mmap(-1, 16 * rows * columns or 16, flags=_MAP_FLAGS),
+                          complex)[:rows * columns]
     table.real = np.inf
     return table.reshape(rows, columns)
 
@@ -148,18 +153,22 @@ class BridgeNoise:
     a run of :meth:`advance` calls whose queries increase from t = 0 in every
     lane, ended by :meth:`merge`; step s writes each lane's new point, or
     infinite time for a hit, to column ``base + s``.  Each walking lane keeps
-    a flat cursor ``k``, its first known point after its current time t.
-    When no lane's query reaches its cursor's point, each lane bridges from
-    its own (t, w) to that point, or draws forward past the last one.
-    Otherwise every lane finds the first known point at or after its query in
-    the same few array operations, however many points the step passes:
-    cells of one power-of-two width split the time axis, a table holds each
-    row's first point in each cell, and a window as wide as the fullest cell,
-    plus one, from the start of the query's cell holds the point.  A hit
-    returns the memoized value, draws nothing and moves the cursor past the
-    point; any other query bridges to that point from the later of the point
-    before it and the lane's own (t, w), in ``sample_at``'s order of
-    operations (``np.sqrt`` is correctly rounded, like ``math.sqrt``).
+    a flat cursor ``k``, its first known point after its current time t, and
+    that point.  When no lane's query reaches its point, each lane bridges
+    from its own (t, w) to it, or draws forward past the last one; when the
+    queries that reach it only meet it, those lanes hit it and step the
+    cursor on.  Otherwise every lane finds the first known point after its
+    query in the same few array operations, however many points the step
+    passes: cells of one power-of-two width split the time axis, a table holds
+    each row's first point in each cell, and a window as wide as the fullest
+    cell, plus one, from the start of the query's cell holds the point.  The
+    point before it, unless the lane's own (t, w) is later, is the left
+    neighbour; at the query's time it is a hit.  Every lane then takes the
+    same arithmetic, in ``sample_at``'s order of operations (``np.sqrt`` is
+    correctly rounded, like ``math.sqrt``): a hit's left neighbour is at the
+    query, so its value comes out as the memoized one, bit for bit, and it
+    draws no normal.  Only while some lane's next known point is the padding
+    does the variance take the forward case.
 
     Each lane holds a block of ``BRIDGE_BLOCK`` normals; hits draw none; when
     the lane furthest into its block reaches its end, every walking lane
@@ -175,6 +184,7 @@ class BridgeNoise:
         known = max((len(path._times) for path in paths), default=0)
         self._points = _table(len(paths), known + room + room // 8 + 1)
         self._flat = self._points.ravel()  # times the real part, values the imaginary
+        self._times, self._values = self._flat.real, self._flat.imag
         for row, path in zip(self._points, paths):
             row[:len(path._times)] = path._times
             row.imag[:len(path._values)] = path._values
@@ -215,7 +225,7 @@ class BridgeNoise:
             ends = cells[:, :1] + count[:, None]  # the first cell starts its row
             fullest = max(fullest, int(np.diff(cells, axis=1, append=ends).max(initial=0)))
         self._width = fullest + 1
-        self._window = sliding_window_view(self._flat.real, self._width)
+        self._window = sliding_window_view(self._times, self._width)
         self._base = self._step = int(self._count.max(initial=0)) + self._width
 
     def advance(self, lane, t, w, t_next):
@@ -225,55 +235,73 @@ class BridgeNoise:
         elif lane is not self._lane:  # lanes have left: keep the others' cursors
             keep = np.searchsorted(self._lane, lane)
             self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
-            self._k, self._zpos, self._first, self._cell = (
-                a[keep] for a in (self._k, self._zpos, self._first, self._cell))
+            self._k, self._zpos, self._first, self._cell, self._u, self._wu = (
+                a[keep] for a in (self._k, self._zpos, self._first, self._cell,
+                                  self._u, self._wu))
             self._lane = lane
+            self._ahead = _count(self._u == np.inf)
         if self._step >= self._points.shape[1]:
             self._grow()
         if not self._left:
             self._top_up()
-        p = self._flat.take(self._k)
-        u, wu = p.real, p.imag
+        u, wu = self._u, self._wu  # each lane's first known point after t
         s, ws, hits = t, w, 0
-        passed = _count(u <= t_next)
-        if passed:  # every lane looks up the first known point at or after t_next
-            start = self._starts.take(self._cell + self._edges.searchsorted(t_next, "right"))
-            k = self._k = start + (self._window[start] < t_next[:, None]).argmin(axis=1)
-            before, p = self._flat.take(k - 1), self._flat.take(k)
-            s, ws, u, wu = before.real, before.imag, p.real, p.imag
-            if passed < lane.size:
-                own = s < t  # the lane's last point is the later one
-                s, ws = np.where(own, t, s), np.where(own, w, ws)
-            hit = u == t_next  # the memoized value, and no draw
-            hits = _count(hit)
+        reached = _count(u <= t_next)
+        if reached:
+            if _count(u < t_next):  # a lane passed a known point: every lane looks its query up
+                start = self._starts.take(self._cell + self._edges.searchsorted(t_next, "right"))
+                k = start + (self._window[start] <= t_next[:, None]).argmin(axis=1)
+                before = self._flat.take(k - 1)  # the last known point at or before t_next
+                s, ws = before.real, before.imag
+                if reached < lane.size:  # where it is before t, the lane's own point is later
+                    own = s < t
+                    s, ws = np.where(own, t, s), np.where(own, w, ws)
+            else:  # queries at the cursors' points alone
+                hit = u == t_next
+                k = self._k + hit
+                s, ws = np.where(hit, u, t), np.where(hit, wu, w)
+            p = self._flat.take(k)
+            self._k, self._u, self._wu = k, p.real, p.imag
+            u, wu = self._u, self._wu
+            self._ahead = _count(u == np.inf)
+            fresh = s < t_next  # a hit returns the memoized value and draws nothing
+            hits = lane.size - _count(fresh)
         z = self._zs.take(self._zpos)
 
-        # Past the last known point u is inf: frac is 0, its term adds a zero
-        # to ws, and the variance is the forward one, t_next - s.  A hit lane
-        # computes a finite value that it does not use.
+        # A hit has lead 0, so frac and var are 0 and the value is ws, bit for
+        # bit.  Past the last known point u is inf: frac is 0, its term adds a
+        # zero to ws, and the variance is the forward one, t_next - s.
         lead = t_next - s
         span = u - s
         frac = lead / span
-        var = np.divide(lead * (u - t_next), span, out=lead, where=u < np.inf)
+        if self._ahead:  # some lane's next known point is past its last one
+            bridge = u < np.inf
+            var = np.multiply(lead, u - t_next, out=lead.copy(), where=bridge)
+            np.divide(var, span, out=var, where=bridge)
+        else:
+            var = lead * (u - t_next)
+            var /= span
         w_new = ws + frac * (wu - ws) + np.sqrt(var) * z
 
         slot = self._first + self._step
         self._step += 1
         self._left -= 1
-        self._flat.imag[slot] = w_new
-        if not hits:
-            self._flat.real[slot] = t_next
+        self._values[slot] = w_new
+        if hits:
+            self._times[slot] = np.where(fresh, t_next, np.inf)
+            self._zpos += fresh
+        else:
+            self._times[slot] = t_next
             self._zpos += 1
-            return w_new
-        self._flat.real[slot] = np.where(hit, np.inf, t_next)
-        self._zpos += ~hit
-        self._k += hit
-        return np.where(hit, wu, w_new)
+        return w_new
 
     def _start(self, lane):
         """Start a walk of ``lane`` from t = 0."""
         self._lane, self._first = lane, lane * self._points.shape[1]  # each lane's row, flat
         self._k = self._first + 1  # the point at t = 0 is every row's first
+        p = self._flat.take(self._k)
+        self._u, self._wu = p.real, p.imag
+        self._ahead = _count(self._u == np.inf)
         self._cell = lane * self._cells.shape[1]
         col = self._col[lane]
         self._zpos = lane * BRIDGE_BLOCK + col
@@ -289,7 +317,8 @@ class BridgeNoise:
         points, self._points = self._points, _table(rows, capacity + more)
         self._points[:, :capacity] = points
         self._flat = self._points.ravel()
-        self._window = sliding_window_view(self._flat.real, self._width)
+        self._times, self._values = self._flat.real, self._flat.imag
+        self._window = sliding_window_view(self._times, self._width)
 
     def _top_up(self):
         """Refill each walking lane's block: its unused normals, then new ones."""

@@ -247,15 +247,19 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
         solved[lanes[np.abs(r) <= bound]] = True
 
     cycled = []  # lanes in a 2-cycle, which end on the last round's iterate
+    # The live lanes' iterates, operands and rows (tripled, for the drift at y
+    # and y +- delta), gathered again only when lanes leave.
+    y_l = y[live]
+    h_l, c_l, rows_l = ((h, const, rows) if live.size == x.size
+                        else (h[live], const[live], rows[..., live]))
+    rows3 = np.concatenate((rows_l, rows_l, rows_l), axis=-1)
     for round_ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
-        n, y_l, h_l = live.size, y[live], h[live]
+        n = live.size
         delta = 1e-7 * np.maximum(1.0, np.abs(y_l))
-        rows_l = rows[..., live]
-        f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)),
-                     np.concatenate((rows_l, rows_l, rows_l), axis=-1), None)[0]
-        r = y_l - const[live] - h_l * f3[:n]
+        f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)), rows3, None)[0]
+        r = y_l - c_l - h_l * f3[:n]
         done = np.abs(r) <= NEWTON_ABS_TOL
         slope = 1.0 - h_l * (f3[n:2 * n] - f3[2 * n:]) / (2.0 * delta)
         y_next = y_l - r / slope
@@ -267,7 +271,9 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
         stop = ~(done | move)
         if _count(stop):
             accept(live[stop], r[stop])
-        live, y_next = live[move], y_next[move]
+        keep = None if _count(move) == n else move
+        if keep is not None:
+            live, y_next, y_l = live[keep], y_next[keep], y_l[keep]
         y[live] = y_next
         # From the second round on (a call that settles in two rounds pays
         # nothing), a lane whose next iterate equals its iterate two rounds
@@ -275,14 +281,19 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
         if round_ and live.size:
             if round_ == 1:
                 y_prev = np.full(x.size, np.nan)  # each lane's y_l of the round before
-            y_l = y_l[move]
             cycle = y_next == y_prev[live]
             y_prev[live] = y_l
             if _count(cycle):
                 if not (NEWTON_MAX_ITER - round_) % 2:
                     y[live[cycle]] = y_l[cycle]
                 cycled.append(live[cycle])
-                live = live[~cycle]
+                stay = ~cycle
+                live, y_next = live[stay], y_next[stay]
+                keep = stay if keep is None else np.flatnonzero(keep)[stay]
+        if keep is not None:  # lanes left: gather the others' operands again
+            h_l, c_l, rows_l = h_l[keep], c_l[keep], rows_l[..., keep]
+            rows3 = np.concatenate((rows_l, rows_l, rows_l), axis=-1)
+        y_l = y_next
     if cycled:
         live = np.concatenate(cycled + [live])
     if live.size:  # the last iterate's residual, as after the last round

@@ -460,6 +460,19 @@ class TestConvergenceCommand:
         assert lines[0] == "h_max,rms_error"
         assert len(lines) == 1 + 6  # default grid 2^-4 .. 2^-9
 
+    def test_manifest_records_each_levels_work(self, tmp_path):
+        out = tmp_path / "conv"
+        args = ["--trajectories", 100, "--grid", 0.0625, 0.03125, 0.015625, "--seed", 3]
+        assert run_cli(["convergence", *args, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        report = s.strong_order_study(
+            s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5)),
+            s.validate_generator(cli.MODEL_PRESETS["linear2"]["generator"]), 1.0, 1.0,
+            [0.0625, 0.03125, 0.015625], 15.0, 10.0, M=100, seed=3)
+        assert manifest["mean_steps"] == list(report.mean_steps)
+        assert manifest["backstop_fractions"] == list(report.backstop_fractions)
+        assert len(manifest["mean_steps"]) == 3
+
     def test_nonlinear_model_rejected(self, tmp_path):
         config = write_config(tmp_path, {"model": {"kind": "telomere"},
                                          "generator": cli.TELOMERE_GENERATOR})

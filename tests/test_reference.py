@@ -149,6 +149,22 @@ def test_strong_order_study(params, generator, x0, T, grid, rho, k, seed, scheme
     assert report.fitted_order == order
 
 
+def test_strong_order_study_at_the_benchmark_shape():
+    # The benchmark's convergence unit: six levels over one bridge source of
+    # 100 lanes, each coarse level walking over every finer level's points.
+    report = s.strong_order_study(LINEAR2, s.validate_generator(GEN2), 1.0, 1.0,
+                                  [2.0 ** -e for e in range(4, 10)], 15.0, 10.0,
+                                  M=100, seed=5, scheme="milstein")
+    assert [e.hex() for e in report.rms_errors] == [
+        "0x1.189194be6ce02p-6", "0x1.1659bee576e11p-7", "0x1.1e77b95675e78p-8",
+        "0x1.1bd7af93d5866p-9", "0x1.203f68a6606c4p-10", "0x1.2138b5edfb19ep-11"]
+    assert report.fitted_order == 0.9897988180155474
+    assert report.mean_steps == (17.28, 33.59, 66.23, 131.26, 261.59, 522.31)
+    assert [f.hex() for f in report.backstop_fractions] == [
+        "0x1.2f684bda12f68p-7", "0x1.4badfea0cf4ccp-8", "0x1.3ca5971863e14p-9",
+        "0x1.3f8aab152e390p-11", "0x1.68c32d982ad33p-12", "0x1.695d03153a408p-13"]
+
+
 # Criteria 1-2's studies at their acceptance size: one lane group of 1000
 # lanes over six levels, each lane drawing about 1100 bridge normals, so the
 # lanes go through several blocks of them, out of step where steps hit.

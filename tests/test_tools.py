@@ -4,6 +4,7 @@
 
 import importlib.util
 import math
+import re
 import types
 from pathlib import Path
 
@@ -44,12 +45,18 @@ def test_runs_write_no_bytecode(monkeypatch, tmp_path):
 
 
 def test_bridge_levels_prints_each_level_and_the_ratio(capsys):
-    # A 3-level grid, 2^-4 .. 2^-6: the finest level first, then R.
+    # A 3-level grid, 2^-4 .. 2^-6: the finest level first, each with the
+    # merge before its walk (none before the finest), then the merges' total
+    # and the top-ups, then R.
     rs = _tool("bridge_levels").main(["--coarsest", "4", "--finest", "6"])
     lines = capsys.readouterr().out.splitlines()
-    rows = [line.split() for line in lines[1:-1]]
+    assert lines[0].split()[-2:] == ["merge", "ms"]
+    rows = [line.split() for line in lines[1:-2]]
     assert [float(row[0]) for row in rows] == [2.0 ** -6, 2.0 ** -5, 2.0 ** -4]
     assert all(int(row[1]) > 0 and float(row[2]) > 0.0 for row in rows)
+    assert float(rows[0][4]) < min(float(row[4]) for row in rows[1:])
+    merges = re.fullmatch(r"run 1: merges (\S+) ms, (\d+) top-ups (\S+) ms", lines[-2])
+    assert merges and float(merges[1]) > 0.0 and int(merges[2]) > 0 and float(merges[3]) > 0.0
     assert len(rs) == 1 and 0.0 < rs[0] < math.inf
     assert lines[-1] == f"run 1: R = {rs[0]:.3f}"
 
