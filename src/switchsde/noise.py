@@ -39,6 +39,10 @@ BRIDGE_BLOCK = 256  # normals a bridge lane holds
 _CELL = 4  # known points a bridge search cell holds, at least, as sized from the room
 _CELL_BATCH = 2 ** 12  # points or cells a merge counts at once, to bound its memory
 _count = np.count_nonzero.__wrapped__
+# The time of a bridge row's padding, whose value is 0: a power of two so far
+# past any query t below 2^458 that u - t rounds to u, so that bridging to it
+# gives the forward draw exactly (see BridgeNoise.advance).
+_PAD = 2.0 ** 512
 
 
 class BrownianPath:
@@ -130,16 +134,11 @@ class ForwardNoise:
         return w + np.sqrt(t_next - t) * self._z[:, self._col - 1]
 
 
-# Anonymous private pages, faulted in by the mapping call (on Linux) rather than one by one.
-_MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-
-
 def _table(rows: int, columns: int) -> np.ndarray:
     """A (rows, columns) complex array of padding, mapped outside the malloc heap:
     glibc, freeing a block this large, would keep megabytes of heap resident."""
-    table = np.frombuffer(mmap.mmap(-1, 16 * rows * columns or 16, flags=_MAP_FLAGS),
-                          complex)[:rows * columns]
-    table.real = np.inf
+    table = np.frombuffer(mmap.mmap(-1, 16 * rows * columns or 16), complex)[:rows * columns]
+    table.real = _PAD
     return table.reshape(rows, columns)
 
 
@@ -149,26 +148,26 @@ class BridgeNoise:
     returns what ``paths[j].sample_at`` would return for the same queries.
 
     Lane j's points are row j of a complex array (time real, value imaginary):
-    its known points in time order, then padding (infinite time).  A walk is
-    a run of :meth:`advance` calls whose queries increase from t = 0 in every
-    lane, ended by :meth:`merge`; step s writes each lane's new point, or
-    infinite time for a hit, to column ``base + s``.  Each walking lane keeps
-    a flat cursor ``k``, its first known point after its current time t, and
-    that point.  When no lane's query reaches its point, each lane bridges
-    from its own (t, w) to it, or draws forward past the last one; when the
-    queries that reach it only meet it, those lanes hit it and step the
-    cursor on.  Otherwise every lane finds the first known point after its
-    query in the same few array operations, however many points the step
-    passes: cells of one power-of-two width split the time axis, a table holds
-    each row's first point in each cell, and a window as wide as the fullest
-    cell, plus one, from the start of the query's cell holds the point.  The
-    point before it, unless the lane's own (t, w) is later, is the left
-    neighbour; at the query's time it is a hit.  Every lane then takes the
-    same arithmetic, in ``sample_at``'s order of operations (``np.sqrt`` is
-    correctly rounded, like ``math.sqrt``): a hit's left neighbour is at the
-    query, so its value comes out as the memoized one, bit for bit, and it
-    draws no normal.  Only while some lane's next known point is the padding
-    does the variance take the forward case.
+    its known points in time order, then padding (time ``_PAD``, value 0).  A
+    walk is a run of :meth:`advance` calls whose queries increase from t = 0
+    in every lane, ended by :meth:`merge`; step s writes each lane's new
+    point, or padding for a hit, to column ``base + s``.  Each walking lane
+    keeps its first known point after its current time t.  When no lane's
+    query reaches that point, each lane bridges from its own (t, w) to it;
+    past the last known point, that is the padding, and the bridge is the
+    forward draw, bit for bit.  Times stay below 2^458, so the padding
+    follows every point (a study's levels step at most 1 at a time, so its
+    horizon could never come near).  Otherwise every lane finds the first
+    known point after its query in the same few array operations, however
+    many points the step passes: cells of one power-of-two width split the
+    time axis, a table holds each row's first point in each cell, and a
+    window as wide as the fullest cell, plus one, from the start of the
+    query's cell holds the point.  The point before it, unless the lane's own
+    (t, w) is later, is the left neighbour; at the query's time it is a hit.
+    Every lane then takes the same arithmetic, in ``sample_at``'s order of
+    operations (``np.sqrt`` is correctly rounded, like ``math.sqrt``): a
+    hit's left neighbour is at the query, so its value comes out as the
+    memoized one, bit for bit, and it draws no normal.
 
     Each lane holds a block of ``BRIDGE_BLOCK`` normals; hits draw none; when
     the lane furthest into its block reaches its end, every walking lane
@@ -204,27 +203,27 @@ class BridgeNoise:
         self._count_in(self._points[:, :known].real)
         self._lane = None  # the walking lanes, or None between walks
 
-    def _cells_of(self, times):
-        """Each row's points of ``times`` before each cell (infinite times count nowhere)."""
-        key = np.minimum(times * self._inv, self._top).astype(np.intp)
-        cells = int(self._top) + 1
-        key += np.arange(len(times))[:, None] * cells
-        n = np.bincount(key.ravel(), minlength=len(times) * cells).astype(np.int32)
-        before = (n.cumsum(dtype=np.int32) - n).reshape(-1, cells)  # int32: no cast buffers
-        return before - before[:, :1]
-
     def _count_in(self, times):
-        """Count ``times``, columns of every row, into the rows' counts and cells
-        (in batches of rows, to bound the temporaries); size the window to the
-        fullest cell, and start the next walk's columns a window past them all."""
-        rows, fullest = max(1, _CELL_BATCH // max(times.shape[1], self._cells.shape[1])), 0
+        """Count ``times``, columns of every row (padding counts nowhere), into
+        the rows' counts and cells, in batches of rows to bound the
+        temporaries; size the window to the fullest cell, and start the next
+        walk's columns a window past them all."""
+        columns = self._cells.shape[1]  # one a cell, and one past the last
+        rows, fullest = max(1, _CELL_BATCH // max(times.shape[1], columns)), 0
+        offsets = np.arange(rows)[:, None] * columns
         for r in range(0, len(times), rows):
-            cells, count = self._cells[r:r + rows], self._count[r:r + rows]
-            cells += self._cells_of(times[r:r + rows])
-            count += np.count_nonzero(times[r:r + rows] < np.inf, axis=1)
-            ends = cells[:, :1] + count[:, None]  # the first cell starts its row
-            fullest = max(fullest, int(np.diff(cells, axis=1, append=ends).max(initial=0)))
-        self._width = fullest + 1
+            block, cells = times[r:r + rows], self._cells[r:r + rows]
+            count = self._count[r:r + rows]
+            key = np.minimum(block * self._inv, self._top).astype(np.intp)  # each time's cell
+            key += offsets[:len(key)]
+            n = np.bincount(key.ravel(), minlength=len(key) * columns).astype(np.int32)
+            before = (n.cumsum(dtype=np.int32) - n).reshape(-1, columns)  # int32: no cast buffers
+            cells += before - before[:, :1]
+            count += np.add.reduce(block < _PAD, axis=1)
+            last = cells[:, 0] + count - cells[:, -1]  # points past the last cell's start
+            fullest = max(fullest, np.maximum.reduce(cells[:, 1:] - cells[:, :-1], axis=None),
+                          np.maximum.reduce(last))
+        self._width = int(fullest) + 1
         self._window = sliding_window_view(self._times, self._width)
         self._base = self._step = int(self._count.max(initial=0)) + self._width
 
@@ -235,11 +234,9 @@ class BridgeNoise:
         elif lane is not self._lane:  # lanes have left: keep the others' cursors
             keep = np.searchsorted(self._lane, lane)
             self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
-            self._k, self._zpos, self._first, self._cell, self._u, self._wu = (
-                a[keep] for a in (self._k, self._zpos, self._first, self._cell,
-                                  self._u, self._wu))
+            self._zpos, self._first, self._cell, self._u, self._wu = (
+                a[keep] for a in (self._zpos, self._first, self._cell, self._u, self._wu))
             self._lane = lane
-            self._ahead = _count(self._u == np.inf)
         if self._step >= self._points.shape[1]:
             self._grow()
         if not self._left:
@@ -247,61 +244,49 @@ class BridgeNoise:
         u, wu = self._u, self._wu  # each lane's first known point after t
         s, ws, hits = t, w, 0
         reached = _count(u <= t_next)
-        if reached:
-            if _count(u < t_next):  # a lane passed a known point: every lane looks its query up
-                start = self._starts.take(self._cell + self._edges.searchsorted(t_next, "right"))
-                k = start + (self._window[start] <= t_next[:, None]).argmin(axis=1)
-                before = self._flat.take(k - 1)  # the last known point at or before t_next
-                s, ws = before.real, before.imag
-                if reached < lane.size:  # where it is before t, the lane's own point is later
-                    own = s < t
-                    s, ws = np.where(own, t, s), np.where(own, w, ws)
-            else:  # queries at the cursors' points alone
-                hit = u == t_next
-                k = self._k + hit
-                s, ws = np.where(hit, u, t), np.where(hit, wu, w)
-            p = self._flat.take(k)
-            self._k, self._u, self._wu = k, p.real, p.imag
-            u, wu = self._u, self._wu
-            self._ahead = _count(u == np.inf)
+        if reached:  # every lane looks up the first known point after t_next
+            start = self._starts.take(self._cell + self._edges.searchsorted(t_next, "right"))
+            k = start + (self._window[start] <= t_next[:, None]).argmin(axis=1)
+            before, p = self._flat.take(k - 1), self._flat.take(k)
+            s, ws = before.real, before.imag  # the last known point at or before t_next
+            if reached < lane.size:  # where it is before t, the lane's own point is later
+                own = s < t
+                s, ws = np.where(own, t, s), np.where(own, w, ws)
+            u, wu = self._u, self._wu = p.real, p.imag
             fresh = s < t_next  # a hit returns the memoized value and draws nothing
             hits = lane.size - _count(fresh)
         z = self._zs.take(self._zpos)
 
         # A hit has lead 0, so frac and var are 0 and the value is ws, bit for
-        # bit.  Past the last known point u is inf: frac is 0, its term adds a
-        # zero to ws, and the variance is the forward one, t_next - s.
+        # bit.  Past the last known point u is the padding: u - t_next and span
+        # round to u, a power of two, so var is lead, the forward variance,
+        # exactly; frac is lead / u, below 2^-54, so ws + frac * (0 - ws)
+        # rounds to ws.
         lead = t_next - s
         span = u - s
         frac = lead / span
-        if self._ahead:  # some lane's next known point is past its last one
-            bridge = u < np.inf
-            var = np.multiply(lead, u - t_next, out=lead.copy(), where=bridge)
-            np.divide(var, span, out=var, where=bridge)
-        else:
-            var = lead * (u - t_next)
-            var /= span
+        var = lead * (u - t_next)
+        var /= span
         w_new = ws + frac * (wu - ws) + np.sqrt(var) * z
 
         slot = self._first + self._step
         self._step += 1
         self._left -= 1
-        self._values[slot] = w_new
-        if hits:
-            self._times[slot] = np.where(fresh, t_next, np.inf)
+        if hits:  # a hit's slot is padding, its value 0
+            self._times[slot] = np.where(fresh, t_next, _PAD)
+            self._values[slot] = w_new * fresh
             self._zpos += fresh
         else:
             self._times[slot] = t_next
+            self._values[slot] = w_new
             self._zpos += 1
         return w_new
 
     def _start(self, lane):
         """Start a walk of ``lane`` from t = 0."""
         self._lane, self._first = lane, lane * self._points.shape[1]  # each lane's row, flat
-        self._k = self._first + 1  # the point at t = 0 is every row's first
-        p = self._flat.take(self._k)
+        p = self._flat.take(self._first + 1)  # the first after t = 0, each row's first point
         self._u, self._wu = p.real, p.imag
-        self._ahead = _count(self._u == np.inf)
         self._cell = lane * self._cells.shape[1]
         col = self._col[lane]
         self._zpos = lane * BRIDGE_BLOCK + col
@@ -311,7 +296,6 @@ class BridgeNoise:
         """Add columns for more steps, and move the flat positions with their rows."""
         rows, capacity = self._points.shape
         more = max(capacity // 8, 64, self._step + 1 - capacity)
-        self._k += self._lane * more
         self._first += self._lane * more
         self._cells += np.arange(rows)[:, None] * more
         points, self._points = self._points, _table(rows, capacity + more)
