@@ -160,6 +160,11 @@ def _is_integer(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
+def _is_boolean(v) -> bool:
+    """A ``bool``, a numpy bool or a boolean array, which no start value may be."""
+    return isinstance(v, (bool, np.bool_)) or isinstance(v, np.ndarray) and v.dtype.kind == "b"
+
+
 def check_run_args(num_states: int, g: GeneratorMatrix, r0, T: float,
                    *counts: int) -> None:
     """Checks shared by every study: the generator matches the model's state
@@ -182,7 +187,7 @@ def check_strong_order_args(params: LinearModelParams, g: GeneratorMatrix, x0: f
     """The argument checks of :func:`strong_order_study`: every grid level's
     step parameters must be valid, and the finest level, which has the largest
     step cap, must have a finite one.  Returns the levels' step parameters."""
-    if not math.isfinite(x0):
+    if _is_boolean(x0) or not math.isfinite(x0):
         raise InvalidParamsError(f"x0 must be finite, got {x0!r}")
     if len(grid) < 3:
         raise DegenerateGridError(f"need at least 3 grid levels, got {len(grid)}")
@@ -202,10 +207,11 @@ def check_ensemble_args(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
                         p: StepParams, M: int, runs_per_initial: int) -> None:
     """The argument checks of :func:`run_ensemble`, the step cap included."""
     if isinstance(initial, (tuple, list)):
-        if not (len(initial) == 2 and 0 < initial[1] - initial[0] < math.inf):
+        if not (len(initial) == 2 and not any(map(_is_boolean, initial))
+                and 0 < initial[1] - initial[0] < math.inf):
             raise InvalidParamsError(f"need a pair lo < hi with hi - lo finite, got {initial}")
-    elif not (isinstance(initial, numbers.Real) or isinstance(initial, np.ndarray)
-              and initial.shape == () and initial.dtype.kind in "biuf"):
+    elif _is_boolean(initial) or not (isinstance(initial, numbers.Real) or isinstance(
+            initial, np.ndarray) and initial.shape == () and initial.dtype.kind in "iuf"):
         raise InvalidParamsError(f"initial must be a number or a (lo, hi) tuple or list, "
                                  f"got {initial!r}")
     elif not math.isfinite(initial):
@@ -218,7 +224,7 @@ def check_mean_change_args(model: RegimeModel, g: GeneratorMatrix, lo: float, hi
                            t_start_day: float, t_end_day: float, n_initials: int,
                            runs_per_initial: int, p: StepParams, r0) -> None:
     """The argument checks of :func:`mean_change_study`, the step cap included."""
-    if not (0 < lo and 0 < hi - lo < math.inf):
+    if _is_boolean(lo) or _is_boolean(hi) or not (0 < lo and 0 < hi - lo < math.inf):
         raise InvalidParamsError(f"need 0 < lo < hi with hi - lo finite, got ({lo}, {hi})")
     if not t_end_day > t_start_day:
         raise InvalidParamsError(

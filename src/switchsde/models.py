@@ -29,7 +29,7 @@ import numpy as np
 
 from .ctmc import MarkovPath, segments
 from .errors import InvalidParamsError, NonfiniteResultError, StateIndexError
-from .noise import BrownianPath
+from .noise import BrownianPath, _count
 
 Coefficient = Callable[[float, int], float]
 # (x, rows, derivative) -> (f, g, g'), with g' None unless ``derivative`` is
@@ -224,7 +224,7 @@ def telomere_regime_model(pairs) -> RegimeModel:
         if derivative is None:
             return f, None, None
         nonpositive = x <= _ZERO  # NaN takes the square root, as in the scalars
-        clip = np.count_nonzero(nonpositive)  # else the zeroing changes nothing
+        clip = _count(nonpositive)  # else the zeroing changes nothing
         g = ax2 * x / _THREE
         g = np.sqrt(np.where(nonpositive, _ZERO, g) if clip else g)
         if not derivative:

@@ -38,6 +38,8 @@ NORMAL_BLOCK = 64  # normals a forward source draws per lane at a time
 BRIDGE_BLOCK = 256  # normals a bridge lane holds
 _CELL = 4  # known points a bridge search cell holds, at least, as sized from the room
 _CELL_BATCH = 2 ** 12  # points or cells a merge counts at once, to bound its memory
+# np.count_nonzero without its __array_function__ dispatch, which costs more
+# than the count on a few dozen lanes; the lane engine's masks are ndarrays.
 _count = np.count_nonzero.__wrapped__
 # The time of a bridge row's padding, whose value is 0: a power of two so far
 # past any query t below 2^458 that u - t rounds to u, so that bridging to it
@@ -111,27 +113,34 @@ class ForwardNoise:
     :meth:`advance` takes the lanes by their original indices, in increasing
     order; lanes may leave between calls but never join.  Each call draws one
     normal per lane, so the lanes draw their blocks of ``NORMAL_BLOCK`` (a
-    block draw equals as many single draws, bit for bit) together.
+    block draw equals as many single draws, bit for bit) together, a row of
+    one array a lane.  A step reads its normals as a column of that block;
+    once lanes have left, it takes the column's entries in the rows of the
+    lanes still walking, so the block is never copied.  ``dt``, the walk's
+    ``t_next - t``, saves computing it again.
     """
 
     def __init__(self, rngs):
         self._rngs = rngs
-        self._lane = None  # the lanes of the last call, one row of _z each
-        self._z = None
+        # The block _z holds a row for each lane of the call that drew it
+        # (_drawn); _rows, once lanes have left, the rows of the last call's.
+        self._lane = self._drawn = self._rows = self._z = None
         self._col = NORMAL_BLOCK
 
-    def advance(self, lane, t, w, t_next):
-        """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``."""
+    def advance(self, lane, t, w, t_next, dt=None):
+        """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``;
+        ``dt``, if given, is ``t_next - t``."""
         if self._col == NORMAL_BLOCK:
             self._z = np.empty((lane.size, NORMAL_BLOCK))
             for row, index in zip(self._z, lane.tolist()):
                 self._rngs[index].standard_normal(out=row)
-            self._col = 0
-        elif lane is not self._lane:  # lanes have left: keep the others' rows
-            self._z = self._z[np.searchsorted(self._lane, lane)]
-        self._lane = lane
+            self._col, self._drawn, self._rows = 0, lane, None
+        elif lane is not self._lane:  # lanes have left: the others' rows
+            self._rows = np.searchsorted(self._drawn, lane)
+        self._lane, z = lane, self._z[:, self._col]
         self._col += 1
-        return w + np.sqrt(t_next - t) * self._z[:, self._col - 1]
+        z = z if self._rows is None else z.take(self._rows)
+        return w + np.sqrt(t_next - t if dt is None else dt) * z
 
 
 def _table(rows: int, columns: int) -> np.ndarray:
@@ -227,8 +236,9 @@ class BridgeNoise:
         self._window = sliding_window_view(self._times, self._width)
         self._base = self._step = int(self._count.max(initial=0)) + self._width
 
-    def advance(self, lane, t, w, t_next):
-        """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``."""
+    def advance(self, lane, t, w, t_next, dt=None):
+        """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``
+        (``dt``, ``t_next - t``, is not needed here)."""
         if self._lane is None:
             self._start(lane)
         elif lane is not self._lane:  # lanes have left: keep the others' cursors

@@ -40,7 +40,7 @@ from .errors import (
     SwitchSDEError,
 )
 from .models import RegimeModel
-from .noise import BrownianPath
+from .noise import BrownianPath, _count
 from .stepping import StepParams, build_mesh_bound, next_step
 
 NEWTON_ABS_TOL = 1e-12
@@ -53,9 +53,6 @@ BRACKET_MAX_DOUBLINGS = 60
 # scalar map on 20 lanes (45-65 us against 2.3-3 us a lane, 2-vCPU Xeon, numpy
 # 2.4; BENCH_17.json).
 LANE_NEWTON_MIN = 20
-# np.count_nonzero without its __array_function__ dispatch, which costs more
-# than the count on a few dozen lanes; the lane engine's masks are ndarrays.
-_count = np.count_nonzero.__wrapped__
 
 
 @dataclass(frozen=True)
@@ -379,24 +376,29 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     for lane j (see :mod:`switchsde.noise`) and ``x0[j]``, bit for bit: the same
     mesh, the same Brownian values, the same arithmetic and the same model
     calls where the lane form is derived from the scalar callables.  The
-    walk asks ``noise.advance(lane, t, w, t_next)`` for W(t_next) of the
-    unfinished lanes ``lane`` (original indices, increasing) at every step.
+    walk asks ``noise.advance(lane, t, w, t_next, dt)`` for W(t_next) of the
+    unfinished lanes ``lane`` (original indices, increasing) at every step,
+    with ``dt`` the step's ``t_next - t``.
     Every iteration takes one step of each unfinished lane, inside the piece
     of ``chains.ends`` and ``chains.states`` where it stands; ``T`` must be
     ``chains.horizon``.  A lane's step cap comes from its switch count, a
     switch at exactly T included, as ``chain.num_switches`` counts it for the
     scalar walk.
-    The step rule and the main map run as array operations; the main map's
-    coefficients come from one call of the model's lane form
-    (:attr:`RegimeModel.lanes`) over the lanes that step explicitly.  Each
-    lane keeps the coefficient row of its piece, gathered when the walk starts
-    and when the lane enters its next piece.  The states of every piece that
+    The step rule and the main map run as array operations over every
+    walking lane, the main map's coefficients from one call of the model's
+    lane form (:attr:`RegimeModel.lanes`); the backstop lanes' values then
+    replace the main map's.  Where the lane form is derived from the scalar
+    callables, which could raise on a backstop lane's value, the main map
+    takes only the lanes that step explicitly.  Each lane keeps the
+    coefficient row of its piece: when lanes reach their pieces' ends, every
+    staying lane's piece position advances by whether it arrived, and the
+    rows are gathered again for all of them.  The states of every piece that
     starts before T are checked once (:meth:`RegimeModel.row_reader`), so a
     state outside the model raises the scalar callables'
     :class:`StateIndexError` before the first step, even where a lane would
     fail before it reaches that state.  The arithmetic takes its constants as
-    0-d arrays and builds the masks of the rare cases (a lane lost, done or
-    entering a piece) only when a count says they occur.  The backstop steps
+    0-d arrays and builds the masks of the rarer cases (a lane done, lanes
+    leaving) only when a count says they occur.  The backstop steps
     of an iteration, when there are at least ``LANE_NEWTON_MIN`` of them, run
     the Newton iteration of :func:`implicit_milstein_map` together, through
     the model's own lane form; a lane that Newton does not settle, any
@@ -429,10 +431,9 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     one, h_max, h_min, inv_k, end = (np.array(v) for v in (1.0, p.h_max, p.h_min, 1.0 / p.k, T))
 
     # The chains' pieces, flattened: a lane steps inside the piece at its flat
-    # position at[j].  A piece that starts at T, after a switch at exactly T,
-    # is never entered, so its state is not checked.
+    # position at, from the first of its row.  A piece that starts at T, after
+    # a switch at exactly T, is never entered, so its state is not checked.
     ends, states = chains.ends.ravel(), chains.states.ravel()
-    at = np.arange(n) * chains.ends.shape[1]
     entered = chains.states.copy()
     entered[:, 1:][chains.ends[:, :-1] >= T] = 1
     rows_of = m.row_reader(entered)
@@ -440,10 +441,9 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     y = np.array(x0, dtype=float)
     # Each unfinished lane's original index; the scalar step rule refuses a NaN norm.
     lane = np.flatnonzero(~np.isnan(y))
-    y, at = y[lane], at[lane]
+    y, at = y[lane], lane * chains.ends.shape[1]
     t, w = np.zeros(lane.size), np.zeros(lane.size)
-    bound = ends[at]
-    rows = rows_of(states[at])
+    bound, rows = ends.take(at), rows_of(states.take(at))
     backstops = np.zeros(lane.size, dtype=np.int64)
     n_steps = 0
     with np.errstate(all="ignore"):  # a lane that overflows fails its finiteness check
@@ -463,19 +463,20 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                 np.copyto(t_next, bound, where=clamp)
             backstop = h <= h_min
             dt = t_next - t  # the realised spacing drives the map
-            w_next = noise.advance(lane, t, w, t_next)
+            w_next = noise.advance(lane, t, w, t_next, dt)
             dw = w_next - w
 
             some_backstop = _count(backstop)
-            operands = y, dt, dw, rows
-            if some_backstop:  # the main map takes the lanes that step explicitly
+            if some_backstop and not newton:
+                # The scalar callables could raise on a backstop lane's value:
+                # the main map takes the lanes that step explicitly.
                 explicit = np.flatnonzero(~backstop)
-                operands = (a[..., explicit] for a in operands)
-            x, dt_e, dw_e, rows_e = operands
-            y_next = value(x, dt_e, dw_e, *m.lanes(x, rows_e, derivative))
+                x, y_next = y[explicit], np.empty_like(y)
+                y_next[explicit] = value(x, dt[explicit], dw[explicit],
+                                         *m.lanes(x, rows[..., explicit], derivative))
+            else:  # every lane; the backstop lanes' values are replaced below
+                y_next = value(y, dt, dw, *m.lanes(y, rows, derivative))
             if some_backstop:
-                y_e, y_next = y_next, np.empty_like(y)
-                y_next[explicit] = y_e
                 implicit = np.flatnonzero(backstop)
                 if newton and some_backstop >= LANE_NEWTON_MIN:
                     y_next[implicit], solved = _newton_values(
@@ -495,7 +496,8 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                 stay &= limit[lane] >= n_steps  # as does one past its step cap
             leaving = _count(stay) < stay.size
             arrived = t >= bound
-            if _count(arrived):
+            entering = _count(arrived)
+            if entering:
                 done = t >= end
                 if leaving:
                     done &= stay
@@ -505,13 +507,11 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                     backstops_out[lane[done]] = backstops[done]
                     stay[done] = False
                     leaving = True
-                # A lane that leaves takes no row: it may stand in its last piece.
-                enter = np.flatnonzero(arrived & stay if leaving else arrived)
-                at_next = at[enter] + 1
-                at[enter] = at_next
-                bound[enter] = ends[at_next]
-                rows[..., enter] = rows_of(states[at_next])
             if leaving:
-                lane, t, y, w, at, bound, rows, backstops = (
-                    a[..., stay] for a in (lane, t, y, w, at, bound, rows, backstops))
+                lane, t, y, w, at, bound, rows, backstops, arrived = (
+                    a[..., stay] for a in (lane, t, y, w, at, bound, rows, backstops, arrived))
+            if entering:  # a lane that stays after reaching its piece's end enters the next
+                at += arrived
+                bound = ends.take(at)
+                rows = rows_of(states.take(at))
     return y_out, steps_out, backstops_out, np.isnan(y_out)

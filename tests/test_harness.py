@@ -118,6 +118,14 @@ class TestRunEnsemble:
         with pytest.raises(errors.InvalidParamsError, match="a number or a"):
             s.run_ensemble(_zero_model(), g, initial, 1, 1.0, STEP, M=1, seed=0)
 
+    @pytest.mark.parametrize("initial", [True, np.True_, np.array(True), (True, 5.0),
+                                         [np.True_, 5.0]])
+    def test_boolean_initial_rejected(self, initial):
+        # Each once ran as if given 1.0.
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        with pytest.raises(errors.InvalidParamsError, match="initial|lo < hi"):
+            s.run_ensemble(_zero_model(), g, initial, 1, 1.0, STEP, M=1, seed=0)
+
     @pytest.mark.parametrize("initial", [math.inf, -math.inf, math.nan, np.array(math.nan),
                                          np.float32(math.inf)])
     def test_initial_that_is_not_finite_rejected(self, initial):
@@ -208,6 +216,15 @@ class TestStrongOrderStudy:
             s.strong_order_study(params, g, x0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
                                  M=100, seed=0)
 
+    @pytest.mark.parametrize("x0", [True, np.True_, np.array(True)])
+    def test_boolean_x0_rejected(self, x0):
+        # Each once ran as if given 1.0.
+        g = s.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        params = s.LinearModelParams(mu=(0.5, -0.5), sigma=(0.3, 0.5))
+        with pytest.raises(errors.InvalidParamsError, match="x0 must be finite"):
+            s.strong_order_study(params, g, x0, 1.0, [0.1, 0.05, 0.025], 15.0, 10.0,
+                                 M=100, seed=0)
+
     @pytest.mark.parametrize("r0", ["uniform", 1.9, True])
     def test_r0_must_be_a_fixed_state(self, r0):
         g = s.validate_generator([[-1.0, 1.0], [1.0, -1.0]])
@@ -255,6 +272,14 @@ class TestMeanChangeStudy:
                                 n_initials=2, runs_per_initial=1, seed=0, p=STEP)
         with pytest.raises(errors.InvalidParamsError):
             s.mean_change_study(_zero_model(), g, 4000.0, math.inf, 5.0, 30.0,
+                                n_initials=2, runs_per_initial=1, seed=0, p=STEP)
+
+    @pytest.mark.parametrize("lo, hi", [(True, 5.0), (np.True_, 5.0), (0.5, np.array(True))])
+    def test_boolean_range_rejected(self, lo, hi):
+        # lo=True once ran as if given 1.0.
+        g = s.validate_generator(TELOMERE_GENERATOR)
+        with pytest.raises(errors.InvalidParamsError, match="lo < hi"):
+            s.mean_change_study(_zero_model(), g, lo, hi, 5.0, 30.0,
                                 n_initials=2, runs_per_initial=1, seed=0, p=STEP)
 
 

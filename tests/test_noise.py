@@ -163,6 +163,28 @@ def test_forward_noise_extends_fresh_paths():
     _lane_walk(source, paths, queries)
 
 
+def test_forward_noise_given_the_walks_dt_matches_the_four_argument_form():
+    # The queries above, with the lane array kept while no lane leaves, as
+    # the walk keeps it: lanes leave mid-block and at a block's end.
+    rng = np.random.default_rng(0)
+    queries = [_increasing(rng, n) for n in (70, 3, 150, 0, 64)]
+    given, recomputed = (noise.ForwardNoise([np.random.default_rng(20 + j) for j in range(5)])
+                         for _ in range(2))
+    paths = [s.BrownianPath(np.random.default_rng(20 + j)) for j in range(5)]
+    t, w, lane = np.zeros(5), np.zeros(5), None
+    for step in range(max(map(len, queries))):
+        walking = [j for j, q in enumerate(queries) if step < len(q)]
+        if lane is None or lane.tolist() != walking:
+            lane = np.array(walking)
+        t_next = np.array([queries[j][step] for j in walking])
+        dt = t_next - t[lane]
+        w_next = given.advance(lane, t[lane], w[lane], t_next, dt)
+        w_ref = recomputed.advance(lane, t[lane], w[lane], t_next)
+        assert [v.hex() for v in w_next.tolist()] == [v.hex() for v in w_ref.tolist()] == \
+            [paths[j].sample_at(q).hex() for j, q in zip(walking, t_next.tolist())]
+        t[lane], w[lane] = t_next, w_next
+
+
 def test_bridge_noise_refines_memoized_paths():
     # Each path starts from a few points, as the exact oracle leaves it, or
     # from 200 (lane 5), or from points in [0.4, 0.6] alone (lane 6, whose

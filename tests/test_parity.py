@@ -467,6 +467,26 @@ def test_lane_lost_on_its_step_onto_T_fails():
     assert failed.tolist() == [True, False]
 
 
+def test_a_scalar_drift_that_raises_on_backstop_lanes_fails_only_them():
+    # A model with no lane form of its own, whose drift raises past a norm of
+    # 1000.  Its steps are floored from a norm of rho^k = 100, so only the
+    # backstop lanes reach that norm: their scalar walks fail there, and the
+    # lanes that step explicitly beside them in the same iterations finish.
+    def drift(x, i):
+        if abs(x) > 1000.0:
+            raise errors.NonfiniteResultError(f"drift refuses {x}")
+        return -i * x
+
+    model = s.RegimeModel(2, drift, lambda x, i: 0.1 * x, lambda x, i: 0.1)
+    assert model.lanes_from_scalars
+    g = s.validate_generator([[-8.0, 8.0], [8.0, -8.0]])
+    x0 = [5.0, 5000.0, 20.0, -3000.0, 1.0, 2e4, 50.0]
+    chains = [s.simulate_chain(g, 1 + j % 2, 0.5, np.random.default_rng(100 + j))
+              for j in range(len(x0))]
+    failed = _lanes_against_scalar_walks(model, chains, x0, 0.5, s.StepParams(0.03, 10.0, 2.0))
+    assert failed.tolist() == [abs(x) > 1000.0 for x in x0]
+
+
 @pytest.mark.parametrize("model", [
     s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4))),
     s.telomere_regime_model([(4.5, 0.22e-6), (7.5, 0.41e-6)])])

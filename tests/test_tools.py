@@ -1,8 +1,10 @@
-"""``tools/bench_pairs.py`` runs both trees in the same bytecode state,
+"""``tools/bench_pairs.py`` runs both trees in the same bytecode state and
+closes with a table of the medians,
 ``tools/bridge_levels.py`` prints each level's cost and their ratio, and
 ``tools/src_lines.py`` counts a package's lines by kind."""
 
 import importlib.util
+import json
 import math
 import re
 import types
@@ -42,6 +44,41 @@ def test_runs_write_no_bytecode(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     bench_pairs.run_bench(tmp_path, "telomere-ensemble", 1, 1.0)
     assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1"]
+
+
+def test_closing_table_gives_each_workload_and_metric(monkeypatch, tmp_path, capsys):
+    # Two workloads over three pairs; the change is faster in pairs 1 and 3
+    # of "a" and its first run of "b" is not correct.
+    bench_pairs = _tool("bench_pairs")
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "a"}, {"name": "b"}],
+        "end_to_end": [{"name": "traj_per_s", "better": "higher"},
+                       {"name": "setup_s", "better": "lower"}]}))
+    speeds = {("parent", "a"): [10.0, 12.0, 11.0], ("change", "a"): [11.0, 11.5, 13.0],
+              ("parent", "b"): [5.0, 5.0, 5.0], ("change", "b"): [4.0, 6.0, 5.0]}
+
+    def run_bench(tree, workload, seed, seconds):
+        traj = speeds[tree.name, workload][seed - 1]
+        correct = not (tree.name == "change" and workload == "b" and seed == 1)
+        return {"result": {"correct": correct, "failed": 0, "metrics": {
+                    "traj_per_s": {"value": traj}, "setup_s": {"value": 0.5}}},
+                "correctness": {"units": 2, "statistic_mismatches": 0,
+                                "digest_mismatches": 0 if correct else 1}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--pairs", "3",
+                             "--out", str(tmp_path / "BENCH.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and lines[0].split()[:6] == [
+        "workload", "metric", "parent", "change", "ratio", "better"]
+    assert [line.split() for line in lines[1:]] == [
+        ["a", "traj_per_s", "11.0", "11.5", "1.045", "2/3", "yes,", "yes"],
+        ["a", "setup_s", "0.5", "0.5", "1.0", "0/3", "yes,", "yes"],
+        ["b", "traj_per_s", "5.0", "5.0", "1.0", "1/3", "yes,", "NO"],
+        ["b", "setup_s", "0.5", "0.5", "1.0", "0/3", "yes,", "NO"]]
 
 
 def test_bridge_levels_prints_each_level_and_the_ratio(capsys):

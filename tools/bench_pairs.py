@@ -16,7 +16,10 @@ each run's result line it keeps the end-to-end metrics and the correctness
 counts.  Per workload and metric it writes both sides' runs, median and
 quartiles (the inclusive method), the ratio of the medians (change over
 parent) and the number of pairs in which the change was better, in the
-direction ``BENCHMARK.json`` gives; and each side's correctness totals.
+direction ``BENCHMARK.json`` gives; and each side's correctness totals.  At
+the end it prints a table to stdout, one line per workload and metric: both
+medians, their ratio, the pairs in which the change was better, and whether
+every unit on each side was correct.
 
 Both trees run in the same bytecode state, compiling the package and the
 benchmark from source in every run: the runs are made with
@@ -93,6 +96,21 @@ def summarise(runs: dict, better: dict) -> dict:
     return entry
 
 
+def closing_table(section: dict, metrics) -> list[str]:
+    """The lines of the closing table over the workloads of ``section``."""
+    lines = [f"{'workload':<18} {'metric':<12} {'parent':>11} {'change':>11} {'ratio':>6} "
+             f"{'better':>7}  all correct (parent, change)"]
+    for workload, entry in section.items():
+        correct = ", ".join("yes" if entry["correctness"][side]["all_correct"] else "NO"
+                            for side in SIDES)
+        for metric in metrics:
+            m = entry[metric]
+            lines.append(f"{workload:<18} {metric:<12} {m['parent']['median']:>11} "
+                         f"{m['change']['median']:>11} {m['ratio_of_medians']:>6} "
+                         f"{m['change_better_pairs']:>3}/{entry['pairs']:<3}  {correct}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -126,6 +144,7 @@ def main(argv=None) -> int:
             print(f"{workload} pair {pair}: traj_per_s parent "
                   f"{traj['parent']['runs'][-1]} change {traj['change']['runs'][-1]}",
                   file=sys.stderr)
+    print("\n".join(closing_table({w: section[w] for w in workloads if w in section}, better)))
     return 0
 
 
