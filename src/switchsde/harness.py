@@ -359,7 +359,7 @@ def _coupled_errors(params: LinearModelParams, model: RegimeModel, x0: float, T:
             exact[j] = exact_linear_solution(params, x0, chains.path(j), path, T)
         except NonfiniteResultError:  # a failed sample: NaN starts no lane
             exact[j] = start[j] = math.nan
-    noise = BridgeNoise(paths, room)
+    noise = BridgeNoise(paths, room, T)
     errors = np.empty((len(step_params), len(chains)))
     n_steps = np.empty(errors.shape, dtype=np.int64)
     n_backstop = np.empty_like(n_steps)

@@ -2,7 +2,7 @@
 
 A model supplies per-state drift f(x, i), diffusion g(x, i) and the diffusion
 x-derivative g'(x, i) (needed by Milstein-type schemes).  States are 1-based.
-It also has a lane form in two stages, for the lane-batched walk: the rows
+It may also have a lane form in two stages, for the lane-batched walk: the rows
 stage turns the states of many lanes into their coefficient rows, and the
 walk calls it only for the lanes that enter a new constant-state piece; the
 coefficient stage takes the coefficients over arrays of values and those
@@ -64,12 +64,9 @@ class RegimeModel:
     scalar callable at ``(x[j], states[j])``, with ``g'`` left as None unless
     ``derivative`` is true, and ``g`` left as None too when ``derivative`` is
     None (a request for the drift alone); floating-point warnings follow
-    numpy's error state.  Without one, a lane form is derived from the scalar
-    callables: it reads each lane's state from its row, maps the callables
-    over the lanes and their states, drift first, and calls ``diffusion`` and
-    ``diffusion_derivative`` only when asked for g and g'; it raises what
-    they raise for the first lane that raises, and ``lanes_from_scalars``
-    records that it was derived.
+    numpy's error state.  A model without a lane form (``lanes`` None) has
+    only its scalar callables, and a lane walk steps each of its lanes
+    through the scalar maps.
     """
 
     num_states: int
@@ -78,13 +75,8 @@ class RegimeModel:
     diffusion_derivative: Coefficient
     lanes: LaneCoefficients | None = field(default=None, repr=False, compare=False)
     table: np.ndarray | None = field(default=None, repr=False, compare=False)
-    lanes_from_scalars: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lanes_from_scalars", self.lanes is None)
-        if self.lanes is None:
-            object.__setattr__(self, "lanes", _mapped_lanes(
-                self.drift, self.diffusion, self.diffusion_derivative))
         if self.table is None:
             object.__setattr__(self, "table", np.arange(1, self.num_states + 1)[None])
 
@@ -102,23 +94,6 @@ class RegimeModel:
         _check_states(states, self.num_states)
         table = self.table
         return lambda piece_states: table[:, piece_states - 1]
-
-
-def _mapped_lanes(drift: Coefficient, diffusion: Coefficient,
-                  diffusion_derivative: Coefficient) -> LaneCoefficients:
-    """The lane form that calls the scalar callables lane by lane; its rows
-    are the one row of a state table, the lanes' states."""
-    def lanes(x, rows, derivative):
-        xs, ss = x.tolist(), rows[0].tolist()
-        f = np.array(list(map(drift, xs, ss)), dtype=float)
-        if derivative is None:
-            return f, None, None
-        g = np.array(list(map(diffusion, xs, ss)), dtype=float)
-        if not derivative:
-            return f, g, None
-        return f, g, np.array(list(map(diffusion_derivative, xs, ss)), dtype=float)
-
-    return lanes
 
 
 @dataclass(frozen=True)

@@ -184,10 +184,11 @@ class BridgeNoise:
     single draws, bit for bit).  A walk's new points join the known ones in
     one call, :meth:`merge`, which the caller makes before the next walk and
     before :meth:`known_points`.  ``room``, the new points per lane as far as
-    known, sizes the columns and the cells.
+    known, sizes the columns and the cells, and the cells span [0, ``horizon``],
+    the walks' last query time.
     """
 
-    def __init__(self, paths, room: int):
+    def __init__(self, paths, room: int, horizon: float):
         self._rngs = [path._rng for path in paths]
         known = max((len(path._times) for path in paths), default=0)
         self._points = _table(len(paths), known + room + room // 8 + 1)
@@ -197,9 +198,8 @@ class BridgeNoise:
             row[:len(path._times)] = path._times
             row.imag[:len(path._values)] = path._values
         # Cells of a power-of-two width: a time's cell is exact arithmetic, or a search.
-        span = max((path._times[-1] for path in paths), default=0.0) or 1.0
-        width = math.ldexp(1.0, math.frexp(span * _CELL / max(1, known + room))[1])
-        cells = math.ceil(span / width)
+        width = math.ldexp(1.0, math.frexp(horizon * _CELL / max(1, known + room))[1])
+        cells = math.ceil(horizon / width)
         self._edges = np.arange(1, cells + 1) * width
         self._inv, self._top = np.array(1.0 / width), np.array(float(cells))
         self._cells = np.zeros((len(paths), cells + 1), dtype=np.int32)

@@ -18,10 +18,10 @@ Two engines walk that mesh.  The scalar walk (:func:`solve_trajectory`,
 :func:`solve_terminal`) takes one trajectory at a time and is the reference.
 The lane-batched walk (:func:`solve_terminals`) steps many independent
 trajectories together, one step of every lane per iteration, with the step
-rule and the explicit maps as array operations and the Brownian values from a
-lane noise source (:mod:`switchsde.noise`); it reproduces the scalar walk of
-every lane bit for bit.  It reports only *that* a lane failed:
-replaying that lane's scalar walk says why.
+rule and, for a model with a lane form, the explicit maps as array operations
+and the Brownian values from a lane noise source (:mod:`switchsde.noise`); it
+reproduces the scalar walk of every lane bit for bit.  It reports only *that*
+a lane failed: replaying that lane's scalar walk says why.
 """
 
 from __future__ import annotations
@@ -203,13 +203,14 @@ def implicit_milstein_map(x: float, i: int, h: float, dW: float, m: RegimeModel)
 _MAIN_MAPS = {"em": em_map, "milstein": milstein_map}
 
 
-# The main maps' values over arrays of lanes, from the coefficients at (x, i).
-# Each repeats its scalar map's operations in the same order, so every lane is
-# bitwise equal to the scalar map (the scalar maps keep their own expressions:
-# a shared helper would cost the scalar walk a call per step).  The walk's
-# per-step constants are 0-d arrays, not Python floats: a ufunc converts a
-# float operand on every call, which on 40 lanes costs about as much as the
-# arithmetic, and the bits are the same.
+# The main maps' values over arrays of lanes, from the coefficients at (x, i)
+# that a model's lane form gives; a model without one steps through the scalar
+# maps above.  Each repeats its scalar map's operations in the same order, so
+# every lane is bitwise equal to the scalar map (the scalar maps keep their own
+# expressions: a shared helper would cost the scalar walk a call per step).
+# The walk's per-step constants are 0-d arrays, not Python floats: a ufunc
+# converts a float operand on every call, which on 40 lanes costs about as
+# much as the arithmetic, and the bits are the same.
 _HALF = np.array(0.5)
 
 
@@ -374,22 +375,22 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     the trajectory that :func:`solve_terminal` computes from
     ``chains.path(j)``, the Brownian path that the lane source ``noise`` holds
     for lane j (see :mod:`switchsde.noise`) and ``x0[j]``, bit for bit: the same
-    mesh, the same Brownian values, the same arithmetic and the same model
-    calls where the lane form is derived from the scalar callables.  The
-    walk asks ``noise.advance(lane, t, w, t_next, dt)`` for W(t_next) of the
-    unfinished lanes ``lane`` (original indices, increasing) at every step,
-    with ``dt`` the step's ``t_next - t``.
+    mesh, the same Brownian values, the same arithmetic and, for a model
+    without a lane form, the same model calls.  The walk asks
+    ``noise.advance(lane, t, w, t_next, dt)`` for W(t_next) of the unfinished
+    lanes ``lane`` (original indices, increasing) at every step, with ``dt``
+    the step's ``t_next - t``.
     Every iteration takes one step of each unfinished lane, inside the piece
     of ``chains.ends`` and ``chains.states`` where it stands; ``T`` must be
     ``chains.horizon``.  A lane's step cap comes from its switch count, a
     switch at exactly T included, as ``chain.num_switches`` counts it for the
     scalar walk.
-    The step rule and the main map run as array operations over every
-    walking lane, the main map's coefficients from one call of the model's
-    lane form (:attr:`RegimeModel.lanes`); the backstop lanes' values then
-    replace the main map's.  Where the lane form is derived from the scalar
-    callables, which could raise on a backstop lane's value, the main map
-    takes only the lanes that step explicitly.  Each lane keeps the
+    The step rule runs as array operations over every walking lane.  So
+    does the main map, its coefficients from one call of the model's lane
+    form (:attr:`RegimeModel.lanes`); the backstop lanes' values then replace
+    the main map's.  A model without a lane form steps each lane through its
+    scalar map instead, the main map or :func:`implicit_milstein_map` as the
+    step rule chose, one lane at a time.  Each lane keeps the
     coefficient row of its piece: when lanes reach their pieces' ends, every
     staying lane's piece position advances by whether it arrived, and the
     rows are gathered again for all of them.  The states of every piece that
@@ -401,10 +402,10 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     leaving) only when a count says they occur.  The backstop steps
     of an iteration, when there are at least ``LANE_NEWTON_MIN`` of them, run
     the Newton iteration of :func:`implicit_milstein_map` together, through
-    the model's own lane form; a lane that Newton does not settle, any
-    backstop lane of a model without its own lane form, and the backstop lanes
-    of an iteration with fewer of them run :func:`implicit_milstein_map`
-    alone, which redoes the Newton iteration and goes on to the bisection.
+    the model's lane form; a lane that Newton does not settle, and the
+    backstop lanes of an iteration with fewer of them, run
+    :func:`implicit_milstein_map` alone, which redoes the Newton iteration
+    and goes on to the bisection.
 
     Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``, where
     ``failed`` is ``np.isnan(y)``: a lane leaves with a finite value only when
@@ -412,15 +413,12 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     a value is not finite (a backstop without a root leaves NaN), or it passes
     its step cap.  It has zero counts; its scalar walk says which error ended
     it.  An exception from the lane form, or one that is not a
-    :class:`SwitchSDEError` from a backstop step, ends the whole walk.
+    :class:`SwitchSDEError` from a scalar map, ends the whole walk.
     """
     _check_walk(main, T)
     if T != chains.horizon:
         raise InvalidParamsError(f"T={T} is not the chains' horizon {chains.horizon}")
-    value, derivative = _LANE_MAPS[main]
-    # A lane form derived from the scalar callables maps them lane by lane
-    # anyway, and it would read g where the scalar Newton reads f alone.
-    newton = not m.lanes_from_scalars
+    lane_form, main_map, (value, derivative) = m.lanes, _MAIN_MAPS[main], _LANE_MAPS[main]
     n = len(chains)
     limit = build_mesh_bound(T, p, 0)[1] + chains.counts.astype(float)
     lowest = limit.min(initial=math.inf)
@@ -467,27 +465,25 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             dw = w_next - w
 
             some_backstop = _count(backstop)
-            if some_backstop and not newton:
-                # The scalar callables could raise on a backstop lane's value:
-                # the main map takes the lanes that step explicitly.
-                explicit = np.flatnonzero(~backstop)
-                x, y_next = y[explicit], np.empty_like(y)
-                y_next[explicit] = value(x, dt[explicit], dw[explicit],
-                                         *m.lanes(x, rows[..., explicit], derivative))
+            if lane_form is None:  # every lane takes its scalar map
+                y_next, scalar = np.empty_like(y), range(y.size)
             else:  # every lane; the backstop lanes' values are replaced below
-                y_next = value(y, dt, dw, *m.lanes(y, rows, derivative))
+                y_next = value(y, dt, dw, *lane_form(y, rows, derivative))
+                scalar = ()
+                if some_backstop:
+                    scalar = np.flatnonzero(backstop)
+                    if some_backstop >= LANE_NEWTON_MIN:
+                        y_next[scalar], solved = _newton_values(
+                            m, y[scalar], rows[..., scalar], dt[scalar], dw[scalar])
+                        scalar = scalar[~solved]
+                    scalar = scalar.tolist()
+            for j in scalar:
+                try:
+                    y_next[j] = (implicit_milstein_map if backstop[j] else main_map)(
+                        float(y[j]), int(states[at[j]]), float(dt[j]), float(dw[j]), m)
+                except SwitchSDEError:  # the lane fails; its scalar replay says why
+                    y_next[j] = np.nan
             if some_backstop:
-                implicit = np.flatnonzero(backstop)
-                if newton and some_backstop >= LANE_NEWTON_MIN:
-                    y_next[implicit], solved = _newton_values(
-                        m, y[implicit], rows[..., implicit], dt[implicit], dw[implicit])
-                    implicit = implicit[~solved]
-                for j in implicit.tolist():
-                    try:
-                        y_next[j] = implicit_milstein_map(float(y[j]), int(states[at[j]]),
-                                                          float(dt[j]), float(dw[j]), m)
-                    except SwitchSDEError:  # the lane fails; its scalar replay says why
-                        y_next[j] = np.nan
                 backstops += backstop
 
             t, y, w = t_next, y_next, w_next

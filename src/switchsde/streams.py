@@ -126,17 +126,13 @@ def _substream_states(seed: int, indices, stream: int) -> np.ndarray:
 
     The entropy is the seed's words, zero-padded to the pool size, then the
     index's and the stream's; indices are hashed together in groups of one
-    word count (an index of 2**32 or more takes more than one word).  A
-    single index hashes its words as Python ints, which costs less than
-    1-element arrays."""
+    word count (an index of 2**32 or more takes more than one word)."""
     head = _words(operator.index(seed))
     head += [0] * (_POOL - len(head))
     tail = _words(stream)
     index = _index_array(indices)
     if index.size and index.min() < 0:
         raise ValueError("expected non-negative integer")
-    if index.size == 1:
-        return _pcg64_states(head + _words(int(index[0])) + tail, 1)
     counts, rest = np.ones(index.size, dtype=np.intp), index >> 32
     while rest.any():  # an index's words: 1, then one more per 32 bits left
         counts += rest > 0

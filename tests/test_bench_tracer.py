@@ -31,7 +31,7 @@ def test_tracer_counts_a_table_less_model_and_restores_every_patch():
     with tracer:
         patched = list(tracer._undo)  # (owner, key, original) of every patch
         model = tracer.instrument_model(s.linear_model(params))
-        assert model.lanes_from_scalars  # its rows come from its table of states
+        assert model.lanes is None  # every lane takes the scalar maps
         traced = harness.run_ensemble(model, g, 1.0, 1, 0.5, p, M=8, seed=3)
     assert tracer.layer_metrics()["models.coef_calls"] > 0
     assert patched

@@ -115,12 +115,13 @@ SPECIAL_X = [0.0, -0.0, -1.0, -3.5e3, 5e-324, -5e-324, 1e-310, 1e200, -1e200,
 
 
 def _counting_model():
-    """A model outside the two families, with per-coefficient call counts."""
+    """A model outside the two families, with no lane form, that counts its
+    calls by (coefficient, x, state)."""
     calls = Counter()
 
     def counted(name, fn):
         def coefficient(x, i):
-            calls[name] += 1
+            calls[name, x.hex(), i] += 1
             return fn(x, i)
         return coefficient
 
@@ -132,26 +133,18 @@ def _counting_model():
     return model, calls
 
 
-def _derived(model):
-    """``model`` with the lane form derived from its scalar callables."""
-    return s.RegimeModel(model.num_states, model.drift, model.diffusion,
-                         model.diffusion_derivative)
-
-
 @st.composite
 def regime_models(draw):
     n = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["telomere", "linear", "custom"]))
+    kind = draw(st.sampled_from(["telomere", "linear"]))
     if kind == "telomere":
         pairs = draw(st.lists(st.tuples(st.floats(1e-3, 1e3),
                                         st.one_of(st.just(0.0), st.floats(0.0, 1e-3))),
                               min_size=n, max_size=n))
         return s.telomere_regime_model(pairs)
-    if kind == "linear":
-        coefficients = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
-        return s.linear_model(s.LinearModelParams(mu=tuple(draw(coefficients)),
-                                                  sigma=tuple(draw(coefficients))))
-    return _counting_model()[0]
+    coefficients = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+    return s.linear_model(s.LinearModelParams(mu=tuple(draw(coefficients)),
+                                              sigma=tuple(draw(coefficients))))
 
 
 def _hex(values):
@@ -201,8 +194,7 @@ class TestLaneForm:
 
     @pytest.mark.parametrize("model", [
         s.telomere_model(s.TelomereParams()),
-        s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4))),
-        _derived(s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4))))])
+        s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))])
     def test_state_outside_the_model_raises_as_the_scalars_do(self, model):
         n = model.num_states
         for bad in (0, -1, n + 1):
@@ -221,29 +213,42 @@ class TestLaneForm:
             [3.0 * 3e-7, 3.0 * 1e-7, 3.0 * 5e-7, 3.0 * 3e-7]]
         linear = s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))
         assert linear.rows(states[:2]).tolist() == [[-0.2, 0.1], [0.4, 0.3]]
-        derived = _counting_model()[0]
-        assert derived.rows(states[:2]).tolist() == [[2, 1]]  # one row, of the states
 
     def test_no_lanes(self):
         for model in (s.telomere_model(s.TelomereParams()),
-                      s.linear_model(s.LinearModelParams(mu=(0.1,), sigma=(0.3,))),
-                      _counting_model()[0]):
+                      s.linear_model(s.LinearModelParams(mu=(0.1,), sigma=(0.3,)))):
             rows = model.rows(np.empty(0, dtype=np.int64))
             f, g, dg = model.lanes(np.empty(0), rows, True)
             assert rows.shape[-1] == 0 and f.shape == g.shape == dg.shape == (0,)
 
-    def test_derived_form_reads_only_what_is_asked(self):
-        model, calls = _counting_model()
-        rows = model.rows(np.array([1, 2, 2]))
-        model.lanes(np.array([0.5, 2.0, -1.0]), rows, False)
-        assert calls == {"drift": 3, "diffusion": 3}
-        model.lanes(np.array([0.5, 2.0, -1.0]), rows, True)
-        assert calls == {"drift": 6, "diffusion": 6, "diffusion_derivative": 3}
-        assert model.lanes(np.array([0.5, 2.0, -1.0]), rows, None)[1:] == (None, None)
-        assert calls == {"drift": 9, "diffusion": 6, "diffusion_derivative": 3}
+    def test_equality_ignores_the_lane_form(self):
+        m = s.linear_model(s.LinearModelParams(mu=(0.1,), sigma=(0.3,)))
+        table_less = s.RegimeModel(m.num_states, m.drift, m.diffusion, m.diffusion_derivative)
+        assert table_less == m and table_less.lanes is None
+
+
+class TestTableLessModel:
+    """A model with only its scalar callables: its table holds its states,
+    and the lane walk steps each lane through the scalar maps."""
+
+    def test_rows_are_the_states_and_a_state_outside_raises_as_the_scalars_do(self):
+        linear = s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))
+        model = s.RegimeModel(2, linear.drift, linear.diffusion, linear.diffusion_derivative)
+        assert model.lanes is None
+        assert model.rows(np.array([2, 1])).tolist() == [[2, 1]]  # one row, of the states
+        for bad in (0, -1, 3):
+            with pytest.raises(errors.StateIndexError) as scalar:
+                model.drift(1.0, bad)
+            for states in ([1, bad, 1], [1, bad, 9]):  # the first lane outside
+                with pytest.raises(errors.StateIndexError) as lanes:
+                    model.rows(np.array(states))
+                assert str(lanes.value) == str(scalar.value)
 
     @pytest.mark.parametrize("main", ["em", "milstein"])
-    def test_derived_form_calls_in_the_engine_match_the_scalar_walk(self, main):
+    def test_lane_walk_makes_the_scalar_walks_calls(self, main):
+        # The same (coefficient, x, state) calls, as many times each, as the
+        # scalar walks of the lanes make between them; one clamped step of
+        # lane 3 takes the backstop, which alone reads g' under EM.
         model, calls = _counting_model()
         g = s.validate_generator([[-3.0, 3.0], [3.0, -3.0]])
         p = s.StepParams(0.03, 15.0, 10.0)
@@ -253,19 +258,16 @@ class TestLaneForm:
         y, _, n_backstop, failed = schemes.solve_terminals(
             model, s.Chains.of(chains),
             ForwardNoise([np.random.default_rng(10 + j) for j in range(4)]), x0, 0.5, p, main)
-        lane_calls = dict(calls)
+        lane_calls = +calls
         calls.clear()
         for j, chain in enumerate(chains):
             path = s.BrownianPath(np.random.default_rng(10 + j))
             assert s.solve_terminal(model, chain, path, x0[j], 0.5, p, main)[0] == y[j]
         assert not failed.any() and lane_calls == calls
-        if main == "em":  # g' is read by the backstop steps alone, once each
-            assert calls["diffusion_derivative"] == n_backstop.sum() == 1
-
-    def test_equality_ignores_the_lane_form(self):
-        m = s.linear_model(s.LinearModelParams(mu=(0.1,), sigma=(0.3,)))
-        derived = s.RegimeModel(m.num_states, m.drift, m.diffusion, m.diffusion_derivative)
-        assert derived == m and derived.lanes is not m.lanes
+        assert n_backstop.tolist() == [0, 0, 0, 1]
+        derivative = sum(n for (name, _, _), n in calls.items() if name == "diffusion_derivative")
+        if main == "em":
+            assert derivative == 1
 
 
 class TestExactLinearSolution:

@@ -200,7 +200,7 @@ def test_bridge_noise_refines_memoized_paths():
     for lane_path, path, times in zip(lanes, paths, starts):
         for t in times:
             assert lane_path.sample_at(t) == path.sample_at(t)
-    source = noise.BridgeNoise(lanes, 0)  # no room: the arrays grow as the walks need
+    source = noise.BridgeNoise(lanes, 0, 1.5)  # no room: the arrays grow as the walks need
     for walk, size in enumerate((200, 40, 90, 5)):
         known = [[t for t, _ in path.known_points()] for path in paths]
         queries = [_increasing(rng, size + 17 * j, known[j]) for j in range(len(paths))]
@@ -285,7 +285,7 @@ def test_bridge_noise_matches_scalar_paths_bitwise(case):
         for t in rng.uniform(lo, hi, n).tolist():
             assert copy.sample_at(t) == path.sample_at(t)
     with mock.patch.object(noise, "BRIDGE_BLOCK", block):
-        source = noise.BridgeNoise(copies, 0)
+        source = noise.BridgeNoise(copies, 0, 1.5)  # later queries fall in the last cell
         for walk, (sizes, look) in enumerate(zip(walks, inspect)):
             _engine_walk(source, paths,
                          [_mixed_queries(rng, path, size) for path, size in zip(paths, sizes)])
@@ -311,7 +311,7 @@ def test_coarse_walks_over_thousands_of_known_points_match_scalar_paths():
     for path, copy, size in zip(paths, copies, sizes):
         for t in np.sort(rng.uniform(0.0, 1.5, size)).tolist():
             assert copy.sample_at(t) == path.sample_at(t)
-    source = noise.BridgeNoise(copies, 0)
+    source = noise.BridgeNoise(copies, 0, 1.6)
 
     def coarse(path, steps):
         known = [t for t, _ in path.known_points()[1:]]
@@ -328,3 +328,22 @@ def test_coarse_walks_over_thousands_of_known_points_match_scalar_paths():
         source.merge()
         for j, path in enumerate(paths):
             assert _hex_points(source.known_points(j)) == _hex_points(path.known_points())
+
+
+def test_bridge_cells_span_the_horizon_on_fresh_paths():
+    # Fresh paths over T = 30 know only t = 0.  The cells lie over [0, T], so
+    # after a first walk of 500 points a lane the window stays a few points
+    # wide; cells laid over [0, 1] would put every time past 1 in the last
+    # cell, and the window would span nearly the whole row.
+    T, size = 30.0, 500
+    rng = np.random.default_rng(3)
+    paths = [s.BrownianPath(np.random.default_rng([3, j])) for j in range(4)]
+    copies = [s.BrownianPath(np.random.default_rng([3, j])) for j in range(4)]
+    source = noise.BridgeNoise(copies, size, T)
+    for walk in (size, 60):  # a fine walk that draws forward, then a coarse one
+        _engine_walk(source, paths, [np.sort(rng.uniform(0.0, T, walk)).tolist()
+                                     for _ in paths])
+        source.merge()
+        assert source._width <= 4 * noise._CELL
+    for j, path in enumerate(paths):
+        assert _hex_points(source.known_points(j)) == _hex_points(path.known_points())

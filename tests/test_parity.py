@@ -478,13 +478,32 @@ def test_a_scalar_drift_that_raises_on_backstop_lanes_fails_only_them():
         return -i * x
 
     model = s.RegimeModel(2, drift, lambda x, i: 0.1 * x, lambda x, i: 0.1)
-    assert model.lanes_from_scalars
+    assert model.lanes is None
     g = s.validate_generator([[-8.0, 8.0], [8.0, -8.0]])
     x0 = [5.0, 5000.0, 20.0, -3000.0, 1.0, 2e4, 50.0]
     chains = [s.simulate_chain(g, 1 + j % 2, 0.5, np.random.default_rng(100 + j))
               for j in range(len(x0))]
     failed = _lanes_against_scalar_walks(model, chains, x0, 0.5, s.StepParams(0.03, 10.0, 2.0))
     assert failed.tolist() == [abs(x) > 1000.0 for x in x0]
+
+
+def test_a_table_less_drift_that_raises_fails_only_its_trajectories():
+    # A model with no lane form whose drift raises past |x| = 50: with
+    # initials drawn from (1, 60), the trajectories that reach it fail on that
+    # step, explicit or not, as their scalar walks do.  The ensemble counts
+    # them, and no error escapes.
+    def drift(x, i):
+        if abs(x) > 50.0:
+            raise errors.NonfiniteResultError(f"drift refuses {x}")
+        return -0.5 * i * x
+
+    model = s.RegimeModel(2, drift, lambda x, i: 0.3 * x, lambda x, i: 0.3)
+    g = s.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
+    p = s.StepParams(0.03, 15.0, 10.0)
+    replays = _replay(model, g, (1.0, 60.0), 1, 0.5, p, 20, 1, 1, "milstein")
+    raised = sum(isinstance(outcome, Exception) for _, outcome in replays)
+    summary = harness.run_ensemble(model, g, (1.0, 60.0), 1, 0.5, p, M=20, seed=1)
+    assert summary.failed_count == raised and 0 < raised < 20
 
 
 @pytest.mark.parametrize("model", [

@@ -10,9 +10,11 @@ import logging
 import math
 import re
 
+import numpy as np
 import pytest
 
 import switchsde as s
+from switchsde import schemes, streams
 
 TELOMERE_GENERATOR = [
     [-0.3, 0.1, 0.1, 0.1],
@@ -209,3 +211,87 @@ def test_strong_order_where_the_backstop_carries_the_walk(scheme, rms_hex, order
     # The backstop carries every level's walk (the scalar walk's step counts,
     # as test_coupled_study_reports_the_step_counts_of_the_scalar_loop checks).
     assert min(report.backstop_fractions) >= 0.5
+
+
+# The theorem's hypothesis: each map is mean-square consistent with order
+# delta in the absence of switching, its one-step mean error of order h^(delta
+# + 1) and its rms error of order h^(delta + 1/2).  One step from x = 1 of the
+# linear model in one state, at h = 2^-2..2^-8, against the exact value
+# x exp((mu - sigma^2/2) h + sigma dW), on the same 400k normals of one
+# package substream at every h.  The errors are pinned by .hex().
+CONSISTENCY_H = [2.0 ** -e for e in range(2, 9)]
+CONSISTENCY_PINS = {  # map: (delta, mean errors, rms errors)
+    "em": (0.5,
+          ["-0x1.0e4187c5bd65fp-7", "-0x1.0a8eee28c924bp-9", "-0x1.0b3b7e8aef515p-11",
+           "-0x1.101c42a00af63p-13", "-0x1.1b0bdc3bc8452p-15", "-0x1.30b5a84b65588p-17",
+           "-0x1.5acebead0f5a4p-19"],
+          ["0x1.ced21ee8db016p-6", "0x1.6c13fc77bee6ap-7", "0x1.398a9a75088c5p-8",
+           "0x1.1f98300e81e31p-9", "0x1.125b63d04da27p-10", "0x1.0ba5856a6706dp-11",
+           "0x1.0841f6ff7923bp-12"]),
+    "milstein": (1.0,
+                ["-0x1.0d10fdd824dc0p-7", "-0x1.082dda4d9810bp-9",
+                 "-0x1.067956d48d29ap-11", "-0x1.0697f33346a63p-13",
+                 "-0x1.08033d623fa4cp-15", "-0x1.0aa46a9854141p-17",
+                 "-0x1.0eac4346ece2bp-19"],
+                ["0x1.64fa9910593e4p-6", "0x1.d68ed5b8aabcdp-8", "0x1.40ab177418149p-9",
+                 "0x1.bcf40bc9756a1p-11", "0x1.379938d25db7ap-12", "0x1.b682980efa156p-14",
+                 "0x1.354dcfda01e4fp-15"]),
+    "implicit_milstein": (1.0,
+                         ["0x1.3e5939ab98cafp-7", "0x1.1ce331b4f2f07p-9",
+                          "0x1.0dfe3576a5552p-11", "0x1.06f832ab2a0dep-13",
+                          "0x1.039582b1cd224p-15", "0x1.01f5e90b73b0ep-17",
+                          "0x1.0138bb224b097p-19"],
+                         ["0x1.45fa958cbd159p-7", "0x1.2663c16e959a1p-9",
+                          "0x1.1e315de8b5023p-11", "0x1.254187e258983p-13",
+                          "0x1.3c9dfd9abcea7p-15", "0x1.6ac291fc14e35p-17",
+                          "0x1.ba56a431672b9p-19"]),
+}
+
+
+def _one_step_errors(n):
+    """Per map: the mean and the rms error of one step at each h, and its
+    values on the first 300 inputs at each h with those inputs."""
+    mu, sigma = 0.5, 0.3
+    model = s.linear_model(s.LinearModelParams(mu=(mu,), sigma=(sigma,)))
+    z = streams.substream_rng(42, 0, streams.NOISE_STREAM).standard_normal(n)
+    x, rows = np.ones(n), model.rows(np.ones(n, dtype=np.int64))
+    f, g, dg = model.lanes(x, rows, True)
+    errors = {name: ([], []) for name in CONSISTENCY_PINS}
+    ties = []
+    for h in CONSISTENCY_H:
+        dW, step = math.sqrt(h) * z, np.full(n, h)
+        # math.exp, as exact_linear_solution takes it: numpy's exp can differ
+        # in the last ulp between its SIMD loops.
+        exact = np.array(list(map(math.exp,
+                                  ((mu - 0.5 * sigma * sigma) * h + sigma * dW).tolist())))
+        implicit, solved = schemes._newton_values(model, x, rows, step, dW)
+        assert solved.all()
+        values = {"em": schemes._em_values(x, step, dW, f, g, dg),
+                  "milstein": schemes._milstein_values(x, step, dW, f, g, dg),
+                  "implicit_milstein": implicit}
+        for name, y in values.items():
+            e = y - exact
+            errors[name][0].append(float(np.mean(e)))
+            errors[name][1].append(float(np.sqrt(np.mean(e * e))))
+            ties.append((name, h, dW[:300].tolist(), y[:300].tolist(), model))
+    return errors, ties
+
+
+def test_each_map_is_consistent_with_its_order():
+    errors, ties = _one_step_errors(400_000)
+    scalar = {"em": s.em_map, "milstein": s.milstein_map,
+              "implicit_milstein": s.implicit_milstein_map}
+    for name, h, dWs, ys, model in ties:  # the scalar maps give the lane maps' bits
+        assert [scalar[name](1.0, 1, h, dW, model).hex() for dW in dWs] == \
+            [y.hex() for y in ys], (name, h)
+    log_h = np.log(CONSISTENCY_H)
+    for name, (delta, mean_hex, rms_hex) in CONSISTENCY_PINS.items():
+        mean, rms = errors[name]
+        assert [e.hex() for e in mean] == mean_hex, name
+        assert [e.hex() for e in rms] == rms_hex, name
+        mean_slope = np.polyfit(log_h, np.log(np.abs(mean)), 1)[0]
+        rms_slope = np.polyfit(log_h, np.log(rms), 1)[0]
+        assert mean_slope >= delta + 1.0 - 0.1, (name, mean_slope)
+        assert rms_slope >= delta + 0.5 - 0.1, (name, rms_slope)
+        if name == "em":  # not the order of a Milstein map
+            assert rms_slope < 1.4

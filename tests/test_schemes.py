@@ -131,6 +131,23 @@ class TestBisectionFallback:
             s.implicit_milstein_map(1.0, 1, self.H, 0.0, model)
 
 
+def _mapped(model):
+    """``model`` with a lane form that maps its scalar callables over the
+    lanes and their states, which its rows hold, for the lane Newton."""
+    def over(fn, x, rows):
+        return np.array(list(map(fn, x.tolist(), rows[0].tolist())), dtype=float)
+
+    def lanes(x, rows, derivative):
+        f = over(model.drift, x, rows)
+        if derivative is None:
+            return f, None, None
+        return (f, over(model.diffusion, x, rows),
+                over(model.diffusion_derivative, x, rows) if derivative else None)
+
+    return s.RegimeModel(model.num_states, model.drift, model.diffusion,
+                         model.diffusion_derivative, lanes=lanes)
+
+
 def _newton_returns(x, i, h, dW, m):
     """Whether implicit_milstein_map returns from its Newton iteration: it
     neither raises nor reaches the first bisection bracket's end x - max(1, |x|)."""
@@ -175,8 +192,7 @@ class TestLaneNewton:
 
     def test_a_newton_cycle_spends_the_budget(self):
         # TestBisectionFallback's cycle 0 -> 1 -> 0 beside a lane that settles
-        seen = set()
-        model = _drift_only_model(lambda y: (-y ** 3 + 3.0 * y - 3.0) / 0.5, seen)
+        model = _mapped(_drift_only_model(lambda y: (-y ** 3 + 3.0 * y - 3.0) / 0.5, set()))
         x = np.array([1.0, 0.0])
         with np.errstate(all="ignore"):
             y, solved = schemes._newton_values(
@@ -196,8 +212,9 @@ def test_the_lane_newton_accepts_an_iterate_whose_slope_stops_it(side_drift):
     delta = 1e-7 * 4.0
     drifts = {3.0: 2.0, 4.0: 2.0 - 4e-10,
               4.0 + delta: side_drift * delta, 4.0 - delta: -side_drift * delta}
-    model = s.RegimeModel(num_states=1, drift=lambda y, i: drifts.get(y, y),
-                          diffusion=lambda x, i: 0.0, diffusion_derivative=lambda x, i: 0.0)
+    model = _mapped(s.RegimeModel(num_states=1, drift=lambda y, i: drifts.get(y, y),
+                                  diffusion=lambda x, i: 0.0,
+                                  diffusion_derivative=lambda x, i: 0.0))
     assert s.implicit_milstein_map(3.0, 1, 0.5, 0.0, model) == 4.0
     assert _newton_returns(3.0, 1, 0.5, 0.0, model)
     with np.errstate(all="ignore"):
