@@ -229,6 +229,8 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
         raise StateIndexError(
             f"initial state {initial[bad[0]]} outside 1..{g.num_states}")
     lam, cum, dests = g.jumps
+    dests, width = dests.ravel(), dests.shape[1]  # dests[q, s] is dests[q * width + s]
+    absorbing = not lam[1:].all()
     n = initial.size
 
     def draw(lanes):
@@ -265,10 +267,11 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
             if not live.size:
                 break
             u = draw(live)
-            s = dests[(cum.take(s, axis=1) <= u).sum(axis=0), s]
+            s = dests.take((cum.take(s, axis=1) <= u).sum(axis=0) * width + s)
             columns.append((live, t, s))
-            keep = lam[s] > 0.0
-            live, t, s = live[keep], t[keep], s[keep]
+            if absorbing:
+                keep = lam[s] > 0.0
+                live, t, s = live[keep], t[keep], s[keep]
     first = np.flatnonzero(~np.isnan(stalled))
     if first.size:  # the error MarkovPath raises for the lowest such lane
         raise InvalidParamsError(

@@ -139,6 +139,18 @@ def _statistic(stat, values: np.ndarray) -> float:
     return result
 
 
+def _row_means(finals: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``_statistic(np.mean, ...)`` of the kept entries of each row of
+    ``finals`` that keeps any, bit for bit.  With every entry kept, one
+    reduction along the rows gives them, unless a mean is not finite."""
+    if kept.all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = finals.mean(axis=1)
+        if np.isfinite(means).all():
+            return means
+    return np.array([_statistic(np.mean, row[k]) for row, k in zip(finals, kept) if k.any()])
+
+
 def _summarize(values: np.ndarray, backstop_fraction: float,
                failed_count: int) -> EnsembleSummary:
     values = np.asarray(values, dtype=float)
@@ -465,13 +477,14 @@ def mean_change_study(model: RegimeModel, g: GeneratorMatrix, lo: float, hi: flo
         runs_per_initial, seed, scheme)
 
     # The successful runs' finals of each outer index that has any.
-    kept = ~failed.reshape(n_initials, runs_per_initial)
-    rows = [finals[k] for finals, k in zip(y.reshape(kept.shape), kept) if k.any()]
-    initials = x0[::runs_per_initial][kept.any(axis=1)]
+    finals = y.reshape(n_initials, runs_per_initial)
+    kept = ~failed.reshape(finals.shape)
+    some = kept.any(axis=1)
+    initials = x0[::runs_per_initial][some]
     order = np.argsort(initials, kind="stable")
     initials = initials[order]
-    mean_finals = np.array([_statistic(np.mean, row) for row in rows])[order]
-    single_finals = np.array([row[0] for row in rows])[order]
+    mean_finals = _row_means(finals, kept)[order]
+    single_finals = finals[some, kept[some].argmax(axis=1)][order]  # each first kept run
     mean_changes = mean_finals - initials
     grand = _statistic(np.mean, (y - x0)[~failed])
     n_failed = int(failed.sum())

@@ -84,7 +84,7 @@ class RegimeModel:
         """The coefficient rows of lanes in ``states``, one per lane along
         the last axis."""
         _check_states(states, self.num_states)
-        return self.table[:, states - 1]
+        return self.table.take(states - 1, axis=1)
 
     def row_reader(self, states: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """:meth:`rows` for a walk whose pieces take their states from
@@ -93,7 +93,7 @@ class RegimeModel:
         that checks nothing."""
         _check_states(states, self.num_states)
         table = self.table
-        return lambda piece_states: table[:, piece_states - 1]
+        return lambda piece_states: table.take(piece_states - 1, axis=1)
 
 
 @dataclass(frozen=True)

@@ -211,7 +211,9 @@ _MAIN_MAPS = {"em": em_map, "milstein": milstein_map}
 # The walk's per-step constants are 0-d arrays, not Python floats: a ufunc
 # converts a float operand on every call, which on 40 lanes costs about as
 # much as the arithmetic, and the bits are the same.
-_HALF = np.array(0.5)
+_ZERO, _HALF, _ONE, _TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0))
+_NEWTON_ABS_TOL, _RESIDUAL_REL_TOL, _DELTA = (
+    np.array(v) for v in (NEWTON_ABS_TOL, RESIDUAL_REL_TOL, 1e-7))
 
 
 def _em_values(x, h, dW, f, g, dg):
@@ -226,40 +228,43 @@ def _milstein_values(x, h, dW, f, g, dg):
 _LANE_MAPS = {"em": (_em_values, False), "milstein": (_milstein_values, True)}
 
 
-def _newton_values(m: RegimeModel, x, rows, h, dW):
+def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
     """The Newton iteration of :func:`implicit_milstein_map` on many lanes at
     once, in the map's order of operations, from the lanes' coefficient rows
-    (:meth:`RegimeModel.rows`).  Returns each lane's last iterate and a mask
-    of the lanes whose iterate the map returns; the map takes every other
-    lane on to its bisection.  Each round takes the drift at y and at
-    y +- delta from one drift-only lane-form call.  A lane in a 2-cycle
-    leaves the iteration as the map's does, at most a round later."""
-    f, g, dg = m.lanes(x, rows, True)
-    const = x + g * dW + 0.5 * dg * g * (dW * dW - h)
+    (:meth:`RegimeModel.rows`) and, if given, their coefficients ``coef``,
+    the lane form's ``(f, g, g')`` at ``x`` (else they come from one call of
+    it).  Returns each lane's last iterate and a mask of the lanes whose
+    iterate the map returns; the map takes every other lane on to its
+    bisection.  Each round takes the drift at y and at y +- delta from one
+    drift-only lane-form call.  A lane in a 2-cycle leaves the iteration as
+    the map's does, at most a round later."""
+    f, g, dg = m.lanes(x, rows, True) if coef is None else coef
+    const = x + g * dW + _HALF * dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
     solved = np.zeros(x.size, dtype=bool)
-    live = np.flatnonzero(np.isfinite(y) & (h > 0.0))
+    live = np.flatnonzero(np.isfinite(y) & (h > _ZERO))
 
     def accept(lanes, r):  # NaN and inf residuals compare false
-        bound = RESIDUAL_REL_TOL * np.maximum(1.0, np.abs(y[lanes]))
+        bound = _RESIDUAL_REL_TOL * np.maximum(_ONE, np.abs(y[lanes]))
         solved[lanes[np.abs(r) <= bound]] = True
 
     cycled = []  # lanes in a 2-cycle, which end on the last round's iterate
-    # The live lanes' iterates, operands and rows (tripled, for the drift at y
-    # and y +- delta), gathered again only when lanes leave.
+    # The live lanes' iterates and operands, and their rows tripled (for the
+    # drift at y and y +- delta), gathered again only when lanes leave.
     y_l = y[live]
-    h_l, c_l, rows_l = ((h, const, rows) if live.size == x.size
-                        else (h[live], const[live], rows[..., live]))
-    rows3 = np.concatenate((rows_l, rows_l, rows_l), axis=-1)
+    gather = True
     for round_ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
+        if gather:
+            h_l, c_l = h[live], const[live]
+            rows3 = rows.take(np.concatenate((live, live, live)), axis=-1)
         n = live.size
-        delta = 1e-7 * np.maximum(1.0, np.abs(y_l))
+        delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
         f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)), rows3, None)[0]
         r = y_l - c_l - h_l * f3[:n]
-        done = np.abs(r) <= NEWTON_ABS_TOL
-        slope = 1.0 - h_l * (f3[n:2 * n] - f3[2 * n:]) / (2.0 * delta)
+        done = np.abs(r) <= _NEWTON_ABS_TOL
+        slope = _ONE - h_l * (f3[n:2 * n] - f3[2 * n:]) / (_TWO * delta)
         y_next = y_l - r / slope
         # y_l is finite, so a residual that is not finite, or a slope that is
         # zero or not finite, leaves y_next not finite or equal to y_l: the
@@ -269,14 +274,16 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
         stop = ~(done | move)
         if _count(stop):
             accept(live[stop], r[stop])
-        keep = None if _count(move) == n else move
-        if keep is not None:
-            live, y_next, y_l = live[keep], y_next[keep], y_l[keep]
+        gather = _count(move) < n
+        if gather:
+            live, y_next, y_l = live[move], y_next[move], y_l[move]
+            if not live.size:
+                break
         y[live] = y_next
         # From the second round on (a call that settles in two rounds pays
         # nothing), a lane whose next iterate equals its iterate two rounds
         # back is in a 2-cycle: the last round would end on y_l or y_next.
-        if round_ and live.size:
+        if round_:
             if round_ == 1:
                 y_prev = np.full(x.size, np.nan)  # each lane's y_l of the round before
             cycle = y_next == y_prev[live]
@@ -287,15 +294,12 @@ def _newton_values(m: RegimeModel, x, rows, h, dW):
                 cycled.append(live[cycle])
                 stay = ~cycle
                 live, y_next = live[stay], y_next[stay]
-                keep = stay if keep is None else np.flatnonzero(keep)[stay]
-        if keep is not None:  # lanes left: gather the others' operands again
-            h_l, c_l, rows_l = h_l[keep], c_l[keep], rows_l[..., keep]
-            rows3 = np.concatenate((rows_l, rows_l, rows_l), axis=-1)
+                gather = True
         y_l = y_next
     if cycled:
         live = np.concatenate(cycled + [live])
     if live.size:  # the last iterate's residual, as after the last round
-        f = m.lanes(y[live], rows[..., live], None)[0]
+        f = m.lanes(y[live], rows.take(live, axis=-1), None)[0]
         accept(live, y[live] - const[live] - h[live] * f)
     return y, solved
 
@@ -402,7 +406,8 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     leaving) only when a count says they occur.  The backstop steps
     of an iteration, when there are at least ``LANE_NEWTON_MIN`` of them, run
     the Newton iteration of :func:`implicit_milstein_map` together, through
-    the model's lane form; a lane that Newton does not settle, and the
+    the model's lane form, from the main map's ``(f, g, g')`` where the main
+    map reads g' (Milstein); a lane that Newton does not settle, and the
     backstop lanes of an iteration with fewer of them, run
     :func:`implicit_milstein_map` alone, which redoes the Newton iteration
     and goes on to the bisection.
@@ -426,7 +431,7 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     steps_out = np.zeros(n, dtype=np.int64)
     backstops_out = np.zeros(n, dtype=np.int64)
     # The step rule's constants as 0-d arrays, as _HALF is.
-    one, h_max, h_min, inv_k, end = (np.array(v) for v in (1.0, p.h_max, p.h_min, 1.0 / p.k, T))
+    h_max, h_min, inv_k, end = (np.array(v) for v in (p.h_max, p.h_min, 1.0 / p.k, T))
 
     # The chains' pieces, flattened: a lane steps inside the piece at its flat
     # position at, from the first of its row.  A piece that starts at T, after
@@ -451,7 +456,7 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             # the libm pow that ** calls, where numpy's power can differ in the
             # last ulp; a norm up to 1 gives pow(1, 1/k) = 1 exactly, and a
             # power past the float range gives h 0), the floor, one clamp.
-            h = h_max / np.float_power(np.maximum(np.abs(y), one), inv_k)
+            h = h_max / np.float_power(np.maximum(np.abs(y), _ONE), inv_k)
             np.maximum(h, h_min, out=h)
             gap = bound - t
             clamp = gap <= h
@@ -468,13 +473,15 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             if lane_form is None:  # every lane takes its scalar map
                 y_next, scalar = np.empty_like(y), range(y.size)
             else:  # every lane; the backstop lanes' values are replaced below
-                y_next = value(y, dt, dw, *lane_form(y, rows, derivative))
+                coef = lane_form(y, rows, derivative)
+                y_next = value(y, dt, dw, *coef)
                 scalar = ()
                 if some_backstop:
                     scalar = np.flatnonzero(backstop)
-                    if some_backstop >= LANE_NEWTON_MIN:
+                    if some_backstop >= LANE_NEWTON_MIN:  # with the main map's (f, g, g')
                         y_next[scalar], solved = _newton_values(
-                            m, y[scalar], rows[..., scalar], dt[scalar], dw[scalar])
+                            m, y[scalar], rows.take(scalar, axis=-1), dt[scalar], dw[scalar],
+                            [c[scalar] for c in coef] if derivative else None)
                         scalar = scalar[~solved]
                     scalar = scalar.tolist()
             for j in scalar:
@@ -504,8 +511,9 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                     stay[done] = False
                     leaving = True
             if leaving:
-                lane, t, y, w, at, bound, rows, backstops, arrived = (
-                    a[..., stay] for a in (lane, t, y, w, at, bound, rows, backstops, arrived))
+                lane, t, y, w, at, bound, backstops, arrived = (
+                    a[stay] for a in (lane, t, y, w, at, bound, backstops, arrived))
+                rows = rows.compress(stay, axis=-1)
             if entering:  # a lane that stays after reaching its piece's end enters the next
                 at += arrived
                 bound = ends.take(at)

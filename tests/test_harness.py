@@ -283,6 +283,56 @@ class TestMeanChangeStudy:
                                 n_initials=2, runs_per_initial=1, seed=0, p=STEP)
 
 
+# The per-initial means of a study with no failed run come from one reduction
+# along the rows; each equals the per-row statistic bitwise.
+ROW_SHAPES = [(48, 20), (100, 20), (1000, 100), (7, 1), (3, 9), (5, 129), (4, 1000),
+              (2, 8), (2, 17)]
+
+
+def _per_row(finals, kept):
+    return [harness._statistic(np.mean, row[k]).hex()
+            for row, k in zip(finals, kept) if k.any()]
+
+
+@pytest.mark.parametrize("scale", [1.0, 6000.0, 1e300])
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_row_means_equal_the_per_row_statistic(shape, scale):
+    finals = scale * np.random.default_rng(shape[0] * shape[1]).uniform(0.5, 1.5, shape)
+    kept = np.ones(shape, dtype=bool)
+    assert [v.hex() for v in harness._row_means(finals, kept).tolist()] == _per_row(finals,
+                                                                                    kept)
+
+
+def test_row_means_scale_a_row_whose_sum_overflows_and_drop_failed_runs():
+    finals = np.random.default_rng(7).uniform(4000.0, 8000.0, (3, 20))
+    finals[1] = 1.5e308  # its sum passes the float range; its mean does not
+    kept = np.ones(finals.shape, dtype=bool)
+    means = harness._row_means(finals, kept)
+    assert means[1] == 1.5e308 and [v.hex() for v in means.tolist()] == _per_row(finals, kept)
+    kept[0, 0] = kept[2] = False  # row 0 keeps 19 runs, row 2 none
+    means = harness._row_means(finals, kept)
+    assert [v.hex() for v in means.tolist()] == _per_row(finals, kept) and means.size == 2
+
+
+def test_mean_change_with_a_failed_run_takes_each_row_s_kept_runs():
+    # A frozen chain and an infinite drift in state 4: exactly the runs that
+    # start there fail.  With seed 8 that is run 0 of one initial, which
+    # keeps runs 1 and 2, and its single final is run 1's.
+    model = s.RegimeModel(num_states=4, drift=lambda x, i: math.inf if i == 4 else -0.5,
+                          diffusion=lambda x, i: 1.0, diffusion_derivative=lambda x, i: 0.0)
+    g = s.validate_generator([[0.0] * 4] * 4)
+    x0, y, _, _, failed = harness._simulate_terminals(model, g, (4000.0, 8000.0), "uniform",
+                                                      1.0, STEP, 4, 3, 8, "milstein")
+    assert np.flatnonzero(failed).tolist() == [0]
+    report = s.mean_change_study(model, g, 4000.0, 8000.0, 5.0, 6.0, n_initials=4,
+                                 runs_per_initial=3, seed=8, p=STEP, r0="uniform")
+    finals, kept = y.reshape(4, 3), ~failed.reshape(4, 3)
+    order = np.argsort(x0[::3], kind="stable")
+    assert [v.hex() for v in report.mean_finals.tolist()] == _per_row(finals[order],
+                                                                      kept[order])
+    assert report.single_finals.tolist() == [finals[j][kept[j]][0] for j in order]
+
+
 @pytest.mark.parametrize("study", [
     lambda g: s.run_ensemble(_zero_model(), g, 1.0, 1, 1.0, STEP, M=True, seed=0),
     lambda g: s.run_ensemble(_zero_model(), g, 1.0, 1, 1.0, STEP, M=2.0, seed=0),

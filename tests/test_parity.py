@@ -549,8 +549,8 @@ def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch)
     batches = []
     newton = schemes._newton_values
 
-    def spy(m, x, rows, h, dW):
-        y, solved = newton(m, x, rows, h, dW)
+    def spy(m, x, rows, h, dW, coef=None):
+        y, solved = newton(m, x, rows, h, dW, coef)
         batches.append((m, x, _states_of(m, rows), h, dW, y, solved))
         return y, solved
 
@@ -573,6 +573,34 @@ def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch)
                     schemes.implicit_milstein_map(*args)
                 no_root += 1
     assert mixed > 0 and relative > 0 and no_root > 0
+
+
+@pytest.mark.parametrize("scheme", ["milstein", "em"])
+def test_lane_newton_on_the_main_map_s_coefficients_equals_its_own_call(monkeypatch, scheme):
+    # The walk hands the lane Newton the main map's (f, g, g') where the main
+    # map reads g' (Milstein) and nothing under EM.  The coefficients it hands
+    # over are the lane form's at the Newton's lanes, and the Newton's
+    # iterates and mask from them are those of its own lane-form call.
+    monkeypatch.setattr(schemes, "LANE_NEWTON_MIN", 1)
+    batches = []
+    newton = schemes._newton_values
+
+    def spy(m, x, rows, h, dW, coef=None):
+        batches.append((m, x, rows, h, dW, coef))
+        return newton(m, x, rows, h, dW, coef)
+
+    monkeypatch.setattr(schemes, "_newton_values", spy)
+    assert_engines_agree(*STIFF[:-1], scheme, harness.LANE_GROUP)
+    assert batches
+    for m, x, rows, h, dW, coef in batches:
+        own = m.lanes(x, rows, True)
+        if scheme == "em":
+            assert coef is None
+            coef = own
+        assert [c.tobytes() for c in coef] == [c.tobytes() for c in own]
+        (y, solved), (y_own, solved_own) = (newton(m, x, rows, h, dW, coef),
+                                            newton(m, x, rows, h, dW))
+        assert y.tobytes() == y_own.tobytes() and solved.tolist() == solved_own.tolist()
 
 
 # The coupled strong-order study: every level walks all samples as lanes on

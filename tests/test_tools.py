@@ -1,5 +1,6 @@
-"""``tools/bench_pairs.py`` runs both trees in the same bytecode state and
-closes with a table of the medians,
+"""``tools/ab_trees.py`` times two trees in one process and refuses outputs
+that differ, ``tools/bench_pairs.py`` runs both trees in the same bytecode
+state and closes with a table of the medians,
 ``tools/bridge_levels.py`` prints each level's cost and their ratio, and
 ``tools/src_lines.py`` counts a package's lines by kind."""
 
@@ -7,6 +8,7 @@ import importlib.util
 import json
 import math
 import re
+import shutil
 import types
 from pathlib import Path
 
@@ -133,3 +135,26 @@ def test_src_lines_counts_each_kind(tmp_path, capsys):
     assert lines[2].split() == ["b.py", "19", "6", "7", "1", "5"]
     assert lines[3].split() == ["total", "22", "7", "7", "2", "6"]
     assert totals == {"total": 22, "code": 7, "docstring": 7, "comment": 2, "blank": 6}
+
+
+def test_ab_trees_passes_a_tree_against_itself_and_exits_1_on_differing_outputs(
+        tmp_path, capsys):
+    ab_trees, root = _tool("ab_trees"), TOOLS.parent
+    assert ab_trees.main(["--parent", str(root), "--change", str(root), "--units", "2",
+                          "--stages"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fast-switching: 2 units, outputs equal"
+    assert re.fullmatch(r"ratio parent/change: median \S+, quartiles \S+ \.\. \S+; "
+                        r"the change won [012] of 2 units", lines[3])
+    assert lines[4].split()[-4:] == ["chains", "walk", "newton", "rest"]
+    assert [line.split()[0] for line in lines[5:]] == ["parent", "change"]
+
+    # A Milstein correction of half its size changes every unit's outputs.
+    changed = tmp_path / "change" / "src" / "switchsde"
+    shutil.copytree(root / "src" / "switchsde", changed,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "schemes.py", "a") as fh:
+        fh.write("\n_HALF = np.array(0.25)\n")
+    assert ab_trees.main(["--parent", str(root), "--change", str(tmp_path / "change"),
+                          "--units", "2"]) == 1
+    assert capsys.readouterr().err == "unit 0 (study seed 0): the trees' outputs differ\n"
