@@ -31,6 +31,7 @@ from .errors import (
     StateIndexError,
     TimeOutOfRangeError,
 )
+from .noise import _count
 
 ROW_SUM_TOL = 1e-12
 
@@ -206,16 +207,22 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
     """Sample one chain trajectory on [0, horizon] per lane: lane j starts from
     ``r0s[j]`` and draws lane j's uniforms of ``uniforms``.
 
-    ``uniforms.random(lanes)`` is the next uniform of each lane in ``lanes``,
-    an array of distinct lane numbers (a group's chain streams,
-    :class:`switchsde.streams.LaneUniforms`).
+    ``uniforms`` starts with every lane and carries the lanes still sampled
+    (a group's chain streams, :class:`switchsde.streams.LaneUniforms`):
+    ``random()`` is the next uniform of each lane it carries, in order,
+    ``random(lanes)`` that of the lanes at the distinct positions ``lanes``
+    alone, and ``keep(stay)`` drops the lanes where the boolean mask
+    ``stay`` is false.  The sampler drops each lane once it leaves, so a
+    draw takes every lane the source carries.
 
     Holding times use inverse-CDF exponential sampling on uniform draws, with
-    ``math.log1p(-u)`` (numpy's log1p can differ in the last ulp); a holding
-    uniform of exactly 0 is drawn again, as it would stall the clock.
-    Destinations use inverse-CDF sampling of the transition pmf.  A lane stops
-    at its first holding time crossing the horizon, so a switch landing
-    exactly on the horizon is kept, or when it enters an absorbing state.
+    ``math.log1p(-u)`` (numpy's log1p can differ in the last ulp), taken as
+    ``log1p(-u) / (-rate)``, bitwise ``-log1p(-u) / rate``; a holding time of
+    0 (from a uniform of exactly 0) is drawn again, as it would stall the
+    clock.  Destinations use inverse-CDF sampling of the transition pmf.  A
+    lane stops at its first holding time crossing the horizon, so a switch
+    landing exactly on the horizon is kept, or when it enters an absorbing
+    state.
 
     Each iteration takes one switch of every live lane, as array operations.
     A lane draws its uniforms in order and only those it uses, so each lane is
@@ -228,50 +235,59 @@ def simulate_chains(g: GeneratorMatrix, r0s, horizon: float, uniforms) -> Chains
     if bad.size:
         raise StateIndexError(
             f"initial state {initial[bad[0]]} outside 1..{g.num_states}")
+    if not callable(getattr(uniforms, "keep", None)):  # a numpy Generator has no keep
+        raise TypeError("uniforms must draw one uniform per lane in random() and drop "
+                        "lanes in keep(stay), as streams.substream_uniforms does, not "
+                        f"{type(uniforms).__name__}; simulate_chain samples one chain "
+                        "from a generator")
     lam, cum, dests = g.jumps
     dests, width = dests.ravel(), dests.shape[1]  # dests[q, s] is dests[q * width + s]
+    negated = -lam
     absorbing = not lam[1:].all()
     n = initial.size
 
-    def draw(lanes):
-        u = uniforms.random(lanes)
-        if np.shape(u) != lanes.shape:  # a numpy Generator reads lanes as a shape
-            raise TypeError(f"uniforms must draw one uniform per lane in random(lanes), as "
-                            f"streams.substream_uniforms does, not {type(uniforms).__name__}; "
-                            "simulate_chain samples one chain from a generator")
-        return u
-
-    def holding(lanes, rate):
-        logs = np.fromiter(map(math.log1p, (-draw(lanes)).tolist()), float, lanes.size)
-        return -logs / rate
+    def holding(u, rate):  # rate is the lanes' negated holding rates
+        np.negative(u, out=u)
+        logs = np.fromiter(map(math.log1p, u.tolist()), float, u.size)
+        logs /= rate
+        return logs
 
     columns = []  # switch k of every lane that makes one: (lanes, times, states)
     stalled = np.full(n, math.nan)  # the time of a switch that left the clock still
-    live = np.flatnonzero(lam[initial] > 0.0)  # an absorbing lane never switches
+    moving = lam[initial] > 0.0  # an absorbing lane never switches
+    live = np.flatnonzero(moving)
+    if live.size < n:
+        uniforms.keep(moving)
     t, s = np.zeros(live.size), initial[live]
     with np.errstate(over="ignore"):  # a holding time past the float range ends a lane
         while live.size:
-            rate = lam[s]
-            dt = holding(live, rate)
+            rate = negated.take(s)
+            dt = holding(uniforms.random(), rate)
             again = dt <= 0.0
-            while again.any():
-                dt[again] = holding(live[again], rate[again])
+            while _count(again):
+                redraw = np.flatnonzero(again)
+                dt[redraw] = holding(uniforms.random(redraw), rate[redraw])
                 again = dt <= 0.0
             t_next = t + dt
             keep = t_next <= horizon
             still = t_next <= t  # t is at most the horizon
-            if still.any():
+            if _count(still):
                 stalled[live[still]] = t_next[still]
                 keep &= ~still
-            live, t, s = live[keep], t_next[keep], s[keep]
-            if not live.size:
-                break
-            u = draw(live)
+            if _count(keep) < live.size:
+                live, t_next, s = live[keep], t_next[keep], s[keep]
+                if not live.size:
+                    break
+                uniforms.keep(keep)
+            t = t_next
+            u = uniforms.random()
             s = dests.take((cum.take(s, axis=1) <= u).sum(axis=0) * width + s)
             columns.append((live, t, s))
             if absorbing:
                 keep = lam[s] > 0.0
-                live, t, s = live[keep], t[keep], s[keep]
+                if _count(keep) < live.size:
+                    live, t, s = live[keep], t[keep], s[keep]
+                    uniforms.keep(keep)
     first = np.flatnonzero(~np.isnan(stalled))
     if first.size:  # the error MarkovPath raises for the lowest such lane
         raise InvalidParamsError(
@@ -290,7 +306,8 @@ def simulate_chain(g: GeneratorMatrix, r0: int, horizon: float,
     """Sample one chain trajectory on [0, horizon] starting from r0: the
     one-lane case of :func:`simulate_chains`, drawing ``rng.random()`` one
     uniform at a time.  ``rng`` ends just after the last uniform used."""
-    one_lane = SimpleNamespace(random=lambda lanes: rng.random(lanes.size))
+    # The one lane is dropped only when it leaves, and then draws no more.
+    one_lane = SimpleNamespace(random=lambda lanes=None: rng.random(1), keep=lambda stay: None)
     return simulate_chains(g, [r0], horizon, one_lane).path(0)
 
 

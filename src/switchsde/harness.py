@@ -48,8 +48,8 @@ from .models import LinearModelParams, RegimeModel, exact_linear_solution, linea
 from .noise import BridgeNoise, BrownianPath, ForwardNoise
 from .schemes import Trajectory, solve_terminal, solve_terminals, solve_trajectory
 from .stepping import StepParams, build_mesh_bound
-from .streams import (AUX_STREAM, CHAIN_STREAM, INITIAL_STREAM, NOISE_STREAM, substream_rng,
-                      substream_rngs, substream_uniforms)
+from .streams import (AUX_STREAM, CHAIN_STREAM, INITIAL_STREAM, NOISE_STREAM, LaneUniforms,
+                      seeded_generators, substream_rng, substream_states, substream_uniforms)
 
 logger = logging.getLogger(__name__)
 
@@ -255,16 +255,26 @@ def _draw_initials(initial, seed: int, outer) -> np.ndarray:
     return np.full(len(outer), float(initial))
 
 
-def _trajectory_chains(g: GeneratorMatrix, r0, T: float, seed: int, indices) -> Chains:
+def _group_streams(g: GeneratorMatrix, r0, T: float, seed: int, indices, *streams):
     """Chains of the trajectories ``indices``, sampled together as one lane
-    group (:func:`switchsde.ctmc.simulate_chains`): lane j is the chain of
-    ``indices[j]``, drawn from its chain stream.  A ``'uniform'`` r0 is drawn
-    from each trajectory's auxiliary stream."""
+    group (:func:`switchsde.ctmc.simulate_chains`), and the state words of
+    their substreams ``streams``: lane j is the chain of ``indices[j]``,
+    drawn from its chain stream, and a ``'uniform'`` r0 is drawn from each
+    trajectory's auxiliary stream.  Every stream's words come from one pass
+    over the indices' words (:func:`switchsde.streams.substream_states`)."""
+    tags = (CHAIN_STREAM, AUX_STREAM) if r0 == "uniform" else (CHAIN_STREAM,)
+    states = substream_states(seed, indices, tags + streams)
     if r0 == "uniform":
-        starts = 1 + substream_uniforms(seed, indices, AUX_STREAM).integers(g.num_states)
+        starts = 1 + LaneUniforms(states[1]).integers(g.num_states)
     else:
         starts = [int(r0)] * len(indices)
-    return simulate_chains(g, starts, T, substream_uniforms(seed, indices, CHAIN_STREAM))
+    return simulate_chains(g, starts, T, LaneUniforms(states[0])), states[len(tags):]
+
+
+def _trajectory_chains(g: GeneratorMatrix, r0, T: float, seed: int, indices) -> Chains:
+    """Chains of the trajectories ``indices``, one lane group's
+    (:func:`_group_streams`)."""
+    return _group_streams(g, r0, T, seed, indices)[0]
 
 
 def trajectory_chain(g: GeneratorMatrix, r0, T: float, seed: int, index: int):
@@ -296,8 +306,8 @@ def _walk_groups(g: GeneratorMatrix, r0, T: float, seed: int, total: int, size: 
     results, failures = None, []
     for first in range(0, total, size):
         group = range(first, min(first + size, total))
-        chains = _trajectory_chains(g, r0, T, seed, group)
-        arrays = walk(group, chains, substream_rngs(seed, group, NOISE_STREAM))
+        chains, (noise,) = _group_streams(g, r0, T, seed, group, NOISE_STREAM)
+        arrays = walk(group, chains, seeded_generators(noise))
         if results is None:
             results = [np.empty(a.shape[:-1] + (total,), a.dtype) for a in arrays]
         for stored, a in zip(results, arrays):

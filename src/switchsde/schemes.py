@@ -49,10 +49,10 @@ RESIDUAL_REL_TOL = 1e-10  # acceptance bound: |F(X)| <= tol * max(1, |X|)
 BRACKET_MAX_DOUBLINGS = 60
 # Backstop lanes of one step below which the lane walk runs the scalar map on
 # each in place of the lane Newton: on the telomere and linear models one lane
-# Newton call, of any size up to about 100 lanes, costs about as much as the
-# scalar map on 20 lanes (45-65 us against 2.3-3 us a lane, 2-vCPU Xeon, numpy
-# 2.4; BENCH_17.json).
-LANE_NEWTON_MIN = 20
+# Newton call of 1 to 128 lanes that settle in two rounds costs about as much
+# as the scalar map on 11 to 16 lanes (24-38 us against 1.9-2.4 us a lane,
+# 2-vCPU Xeon, numpy 2.4; BENCH_28.json, which moved it from BENCH_17's 20).
+LANE_NEWTON_MIN = 13
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,11 @@ def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
     the lane form's ``(f, g, g')`` at ``x`` (else they come from one call of
     it).  Returns each lane's last iterate and a mask of the lanes whose
     iterate the map returns; the map takes every other lane on to its
-    bisection.  Each round takes the drift at y and at y +- delta from one
-    drift-only lane-form call.  A lane in a 2-cycle leaves the iteration as
-    the map's does, at most a round later."""
+    bisection.  A round takes the drift at y and at y +- delta from one
+    drift-only lane-form call, except the second: nearly every lane settles
+    there on its residual, so it takes the drift at y first and at y +- delta
+    only for the lanes left unsettled.  A lane in a 2-cycle leaves the
+    iteration as the map's does, at most a round later."""
     f, g, dg = m.lanes(x, rows, True) if coef is None else coef
     const = x + g * dW + _HALF * dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
@@ -249,22 +251,44 @@ def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
         solved[lanes[np.abs(r) <= bound]] = True
 
     cycled = []  # lanes in a 2-cycle, which end on the last round's iterate
-    # The live lanes' iterates and operands, and their rows tripled (for the
-    # drift at y and y +- delta), gathered again only when lanes leave.
+    # The live lanes' iterates and operands, gathered again only when lanes
+    # leave, and their rows tripled (for the drift at y and y +- delta),
+    # gathered when a round needs them.
     y_l = y[live]
     gather = True
     for round_ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
         if gather:
-            h_l, c_l = h[live], const[live]
-            rows3 = rows.take(np.concatenate((live, live, live)), axis=-1)
+            h_l, c_l, rows3 = h[live], const[live], None
         n = live.size
-        delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
-        f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)), rows3, None)[0]
-        r = y_l - c_l - h_l * f3[:n]
-        done = np.abs(r) <= _NEWTON_ABS_TOL
-        slope = _ONE - h_l * (f3[n:2 * n] - f3[2 * n:]) / (_TWO * delta)
+        if round_ == 1:
+            f = m.lanes(y_l, rows.take(live, axis=-1) if rows3 is None else rows3[..., :n],
+                        None)[0]
+            r = y_l - c_l - h_l * f
+            done = np.abs(r) <= _NEWTON_ABS_TOL
+            settled = _count(done)
+            if settled:
+                solved[live[done]] = True
+                if settled == n:
+                    live = live[:0]
+                    break
+                rest = ~done
+                live, y_l, r, h_l, c_l = (a[rest] for a in (live, y_l, r, h_l, c_l))
+                done, n = done[rest], live.size
+            delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
+            sides = m.lanes(np.concatenate((y_l + delta, y_l - delta)),
+                            rows.take(np.concatenate((live, live)), axis=-1), None)[0]
+            rows3 = None  # the next round gathers its rows
+        else:
+            if rows3 is None:
+                rows3 = rows.take(np.concatenate((live, live, live)), axis=-1)
+            delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
+            f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)), rows3, None)[0]
+            r = y_l - c_l - h_l * f3[:n]
+            done = np.abs(r) <= _NEWTON_ABS_TOL
+            sides = f3[n:]
+        slope = _ONE - h_l * (sides[:n] - sides[n:]) / (_TWO * delta)
         y_next = y_l - r / slope
         # y_l is finite, so a residual that is not finite, or a slope that is
         # zero or not finite, leaves y_next not finite or equal to y_l: the

@@ -3,11 +3,13 @@
 Substream ``stream`` of trajectory ``index`` is the generator that
 ``numpy.random.SeedSequence(seed, spawn_key=(index, stream))`` seeds, so
 results do not depend on execution order and are reproducible bit for bit.
-A stream of many indices is derived at once: SeedSequence's hash runs as
-array arithmetic.  The noise stream, whose normals need numpy's ziggurat
-tables, becomes one generator an index (:func:`substream_rngs`); the other
-streams of a lane group are lanes of one array PCG64
-(:func:`substream_uniforms`, a :class:`LaneUniforms`) and build none.
+The streams of many indices are derived at once (:func:`substream_states`):
+SeedSequence's hash runs as array arithmetic, and hashes the indices' words
+once for every stream.  The noise stream, whose normals need numpy's
+ziggurat tables, becomes one generator an index (:func:`seeded_generators`,
+:func:`substream_rngs`); the other streams of a lane group are lanes of one
+array PCG64 (:class:`LaneUniforms`, :func:`substream_uniforms`) and build
+none.
 """
 
 from __future__ import annotations
@@ -43,10 +45,13 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _pcg64_states(entropy: list, n: int) -> np.ndarray:
-    """``SeedSequence.generate_state(4, uint64)`` of ``n`` entropy sequences,
-    as an (n, 4) array.  ``entropy`` holds the assembled words in order: each
-    a Python int that all n share, or a uint32 array with one word per row.
+def _pcg64_states(entropy: list, tails: list, n: int) -> np.ndarray:
+    """``SeedSequence.generate_state(4, uint64)`` of the ``n`` entropy
+    sequences ``entropy + tail`` for each of ``tails``, as a
+    (len(tails), n, 4) array.  ``entropy`` holds the assembled words in
+    order: each a Python int that all n share, or a uint32 array with one
+    word per row; a tail holds Python ints.  ``entropy`` is hashed once for
+    every tail.
 
     The hash constant advances with each hash, not with the data, so the rows
     share its sequence and each word position is one array operation (a
@@ -66,42 +71,50 @@ def _pcg64_states(entropy: list, n: int) -> np.ndarray:
         result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
         return result ^ (result >> 16)
 
+    def absorb(pool, words):
+        for word in words:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        return pool
+
     pool = [hashmix(word) for word in entropy[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
+    absorb(pool, entropy[_POOL:])
 
-    const = _INIT_B
-    state = np.empty((n, 2 * _POOL), dtype=np.uint32)
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const & _MASK32
-        state[:, i] = value ^ (value >> 16)
+    state = np.empty((len(tails), n, 2 * _POOL), dtype=np.uint32)
+    shared = const
+    for k, tail in enumerate(tails):
+        const = shared
+        mixed = absorb(list(pool), tail)
+        const = _INIT_B
+        for i in range(2 * _POOL):
+            value = mixed[i % _POOL] ^ const
+            const = const * _MULT_B & _MASK32
+            value = value * const & _MASK32
+            state[k, :, i] = value ^ (value >> 16)
     return state.view("<u8").astype(np.uint64)  # little-endian word pairs
 
 
 @functools.cache
-def _preset_state():
-    """The seed sequence that hands a bit generator the state words computed
-    for it.  Made on first use: importing the package does not import
-    ``numpy.random``."""
+def _preset_states():
+    """The seed sequence that hands bit generators the state words computed
+    for them, one row of its array to each in turn.  Made on first use:
+    importing the package does not import ``numpy.random``."""
     from numpy.random.bit_generator import ISeedSequence
 
-    class PresetState(ISeedSequence):
-        __slots__ = ("state",)
+    class PresetStates(ISeedSequence):
+        __slots__ = ("rows",)
 
-        def __init__(self, state: np.ndarray):
-            self.state = state
+        def __init__(self, states: np.ndarray):
+            self.rows = iter(states)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
+            return next(self.rows)
 
-    return PresetState
+    return PresetStates
 
 
 def _index_array(indices) -> np.ndarray:
@@ -119,17 +132,21 @@ def _index_array(indices) -> np.ndarray:
     return np.array([operator.index(i) for i in indices], dtype=object)
 
 
-def _substream_states(seed: int, indices, stream: int) -> np.ndarray:
+def substream_states(seed: int, indices, streams) -> np.ndarray:
     """The PCG64 state words of (trajectory index, substream) for each of
-    ``indices``, one row each, in order: the words that
-    ``numpy.random.SeedSequence(seed, spawn_key=(index, stream))`` generates.
+    ``indices`` and each of ``streams``, as a (len(streams), len(indices), 4)
+    array: row j of entry k holds the words that
+    ``numpy.random.SeedSequence(seed, spawn_key=(indices[j], streams[k]))
+    .generate_state(4, numpy.uint64)`` gives.
 
     The entropy is the seed's words, zero-padded to the pool size, then the
-    index's and the stream's; indices are hashed together in groups of one
-    word count (an index of 2**32 or more takes more than one word)."""
+    index's and the stream's.  The streams share the hash of everything
+    before their own words, so the indices' words are hashed once for all of
+    them; indices are hashed together in groups of one word count (an index
+    of 2**32 or more takes more than one word)."""
     head = _words(operator.index(seed))
     head += [0] * (_POOL - len(head))
-    tail = _words(stream)
+    tails = [_words(stream) for stream in streams]
     index = _index_array(indices)
     if index.size and index.min() < 0:
         raise ValueError("expected non-negative integer")
@@ -137,23 +154,30 @@ def _substream_states(seed: int, indices, stream: int) -> np.ndarray:
     while rest.any():  # an index's words: 1, then one more per 32 bits left
         counts += rest > 0
         rest >>= 32
-    states = np.empty((index.size, _POOL), dtype=np.uint64)
+    states = np.empty((len(tails), index.size, _POOL), dtype=np.uint64)
     for count in range(1, int(counts.max(initial=0)) + 1):  # np.unique imports numpy.ma
         where = np.flatnonzero(counts == count)
         if not where.size:
             continue
         words = [((index[where] >> 32 * k) & _MASK32).astype(np.uint32) for k in range(count)]
-        states[where] = _pcg64_states(head + words + tail, where.size)
+        states[:, where] = _pcg64_states(head + words, tails, where.size)
     return states
+
+
+def seeded_generators(states: np.ndarray) -> list[np.random.Generator]:
+    """One ``numpy.random.Generator(PCG64)`` per row of ``states`` (rows of
+    :func:`substream_states`), seeded with that row's words: one seed holder,
+    made per call, hands each bit generator its row in turn."""
+    holder = _preset_states()(states)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(holder)) for _ in range(len(states))]
 
 
 def substream_rngs(seed: int, indices, stream: int) -> list[np.random.Generator]:
     """Generator of (trajectory index, substream) for each of ``indices``, in
     order: the generator ``numpy.random.default_rng(numpy.random.SeedSequence(
     seed, spawn_key=(index, stream)))``, with the same state and draws."""
-    preset = _preset_state()
-    return [np.random.Generator(np.random.PCG64(preset(state)))
-            for state in _substream_states(seed, indices, stream)]
+    return seeded_generators(substream_states(seed, indices, (stream,))[0])
 
 
 # PCG64's 128-bit multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128) as its high
@@ -199,14 +223,16 @@ class LaneUniforms:
     together as uint64 array arithmetic, with no ``numpy.random`` object.
 
     Lane j draws, bit for bit, what the generator seeded with row j of
-    ``states`` (:func:`_substream_states`) draws from ``random()``,
+    ``states`` (:func:`substream_states`) draws from ``random()``,
     ``integers(n)`` and ``uniform(lo, hi)``: numpy seeds PCG64 with
     ``state = w0 << 64 | w1`` and ``inc = w2 << 64 | w3`` (``pcg64_set_seed``),
     steps before each output, and outputs the XSL-RR of the new state.  A
     double is the output's top 53 bits times 2**-53; a bounded integer takes
     32-bit halves by Lemire's method, each output's low half first and its
     high half from the lane's buffer.  Each state word is an array over the
-    lanes, so a draw for a subset of lanes takes a gather and a scatter.
+    lanes the source carries: a draw for all of them steps the arrays as
+    they are, one for some lanes takes a gather and a scatter, and
+    :meth:`keep` drops lanes that draw no more.
     """
 
     def __init__(self, states: np.ndarray):
@@ -221,13 +247,24 @@ class LaneUniforms:
         self.has_half = np.zeros(states.shape[0], dtype=bool)
 
     def __len__(self) -> int:
-        return self.half.size
+        return self.hi.size
+
+    def keep(self, stay: np.ndarray) -> None:
+        """Drops the lanes where the boolean mask ``stay`` is false; lane
+        positions then count the lanes kept, in order."""
+        self.hi, self.lo, self.inc_hi, self.inc_lo, self.half, self.has_half = (
+            a.compress(stay) for a in (self.hi, self.lo, self.inc_hi, self.inc_lo, self.half,
+                                       self.has_half))
 
     def _next64(self, lanes) -> np.ndarray:
-        """The next output of each lane in ``lanes``, distinct lane numbers."""
-        hi, lo = _pcg64_step(self.hi.take(lanes), self.lo.take(lanes),
-                             self.inc_hi.take(lanes), self.inc_lo.take(lanes))
-        self.hi[lanes], self.lo[lanes] = hi, lo
+        """The next output of each lane in ``lanes``, distinct lane positions,
+        or of every lane if None."""
+        if lanes is None:
+            self.hi, self.lo = hi, lo = _pcg64_step(self.hi, self.lo, self.inc_hi, self.inc_lo)
+        else:
+            hi, lo = _pcg64_step(self.hi.take(lanes), self.lo.take(lanes),
+                                 self.inc_hi.take(lanes), self.inc_lo.take(lanes))
+            self.hi[lanes], self.lo[lanes] = hi, lo
         x, rot = hi ^ lo, hi >> _S58
         left = x << _S64 - rot  # a shift by 64 gives 0
         x >>= rot
@@ -237,7 +274,7 @@ class LaneUniforms:
     def random(self, lanes=None) -> np.ndarray:
         """The next uniform on [0, 1) of each lane in ``lanes`` (every lane if
         None), as ``Generator.random()`` draws it."""
-        bits = self._next64(np.arange(len(self)) if lanes is None else lanes)
+        bits = self._next64(lanes)
         bits >>= _S11
         out = bits.astype(np.float64)
         out *= _ULP53
@@ -280,7 +317,7 @@ class LaneUniforms:
 def substream_uniforms(seed: int, indices, stream: int) -> LaneUniforms:
     """The uniform draws of substream ``stream`` of ``indices``, lane j drawing
     those of ``substream_rngs(seed, indices, stream)[j]``."""
-    return LaneUniforms(_substream_states(seed, indices, stream))
+    return LaneUniforms(substream_states(seed, indices, (stream,))[0])
 
 
 def substream_rng(seed: int, index: int, stream: int) -> np.random.Generator:

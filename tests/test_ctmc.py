@@ -386,13 +386,19 @@ class _PresetUniforms:
 
 
 class _PresetLanes:
-    """A stand-in lane source: lane j draws from ``_PresetUniforms(rows[j])``."""
+    """A stand-in lane source: lane j draws from ``_PresetUniforms(rows[j])``,
+    and the source carries the lanes that ``keep`` has not dropped."""
 
     def __init__(self, rows):
         self.lanes = [_PresetUniforms(row) for row in rows]
+        self.carried = list(self.lanes)
 
-    def random(self, lanes):
-        return np.array([self.lanes[j].random() for j in lanes.tolist()])
+    def random(self, lanes=None):
+        carried = self.carried if lanes is None else [self.carried[j] for j in lanes.tolist()]
+        return np.array([lane.random() for lane in carried])
+
+    def keep(self, stay):
+        self.carried = [lane for lane, kept in zip(self.carried, stay.tolist()) if kept]
 
 
 def _sequential_chain(g, r0, horizon, rng):
@@ -440,6 +446,27 @@ def test_simulate_chain_draws_what_the_sequential_sampler_draws():
         rng, alone = np.random.default_rng(seed), np.random.default_rng(seed)
         assert s.simulate_chain(g, 1, 2.0, rng) == _sequential_chain(g, 1, 2.0, alone)
         assert rng.bit_generator.state == alone.bit_generator.state
+
+
+@pytest.mark.parametrize("rates, horizon", [
+    ([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [0.0, 0.0, 0.0]], 3.0),  # state 3 absorbs
+    ([[-0.5, 0.5, 0.0], [3.0, -9.0, 6.0], [0.0, 40.0, -40.0]], 2.0),  # rates by state
+    (FAST_GENERATOR, 0.25),
+])
+@pytest.mark.parametrize("seed", [3, 11, 2 ** 40 + 3])
+def test_a_group_s_lanes_are_their_one_lane_chains(rates, horizon, seed):
+    # The lane source drops each lane as it leaves; every lane must still be
+    # the chain that simulate_chain samples from its own generator.
+    g = s.validate_generator(rates)
+    n = 300
+    r0s = (1 + np.arange(n) % g.num_states).tolist()
+    chains = s.simulate_chains(g, r0s, horizon,
+                               streams.substream_uniforms(seed, range(n), streams.CHAIN_STREAM))
+    # Lanes leave at many iterations, so the source drops them many times.
+    assert len(set(chains.counts.tolist())) > 3
+    for j in range(n):
+        rng = streams.substream_rng(seed, j, streams.CHAIN_STREAM)
+        assert _hex(chains.path(j)) == _hex(s.simulate_chain(g, r0s[j], horizon, rng))
 
 
 def _hex(path):

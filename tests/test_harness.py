@@ -480,6 +480,35 @@ def test_substream_rngs_match_seed_sequence_on_any_input(seed, stream, indices):
     _assert_seed_sequence_streams(seed, indices, stream)
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2 ** 64 + 5, 2 ** 130 + 9])
+def test_substream_states_derive_every_stream_in_one_pass(seed):
+    # Indices of one, two and three words, among them one that numpy reads as
+    # uint64 alone and as float64 beside a small index.
+    indices = [0, 5, 2 ** 32, 2 ** 63 + 5, 2 ** 70]
+    states = streams.substream_states(seed, indices, STREAMS)
+    assert states.shape == (len(STREAMS), len(indices), 4) and states.dtype == np.uint64
+    for k, stream in enumerate(STREAMS):
+        for j, index in enumerate(indices):
+            ref = np.random.SeedSequence(seed, spawn_key=(index, stream))
+            assert states[k, j].tolist() == ref.generate_state(4, np.uint64).tolist()
+        # One stream alone, and each index alone, derive the same words.
+        alone = streams.substream_states(seed, indices, (stream,))[0]
+        assert alone.tolist() == states[k].tolist()
+        for j, index in enumerate(indices):
+            assert streams.substream_states(seed, [index], (stream,))[0, 0].tolist() == \
+                states[k, j].tolist()
+
+
+def test_seeded_generators_share_one_seed_holder():
+    states = streams.substream_states(9, range(5), (streams.NOISE_STREAM,))[0]
+    rngs = streams.seeded_generators(states)
+    assert len({id(rng.bit_generator.seed_seq) for rng in rngs}) == 1
+    for index, rng in enumerate(rngs):
+        ref = np.random.default_rng(
+            np.random.SeedSequence(9, spawn_key=(index, streams.NOISE_STREAM)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_substream_rngs_of_no_indices():
     assert substream_rngs(3, [], streams.NOISE_STREAM) == []
 
@@ -523,6 +552,24 @@ def test_lane_uniforms_draw_what_the_substream_generators_draw(seed, stream):
         assert lanes.random(subset).tolist() == [rngs[j].random() for j in subset.tolist()]
     assert lanes.integers(3 * 2 ** 30).tolist() == [int(rng.integers(3 * 2 ** 30))
                                                     for rng in rngs]
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS)
+def test_lane_uniforms_that_drop_lanes_draw_what_the_kept_generators_draw(seed):
+    lanes = streams.substream_uniforms(seed, LANE_INDICES, streams.CHAIN_STREAM)
+    rngs = substream_rngs(seed, LANE_INDICES, streams.CHAIN_STREAM)
+    order = np.random.default_rng(seed % 2 ** 32)
+    assert lanes.integers(5).tolist() == [int(rng.integers(5)) for rng in rngs]
+    while rngs:
+        assert lanes.random().tolist() == [rng.random() for rng in rngs]
+        some = order.permutation(len(rngs))[:order.integers(1, len(rngs) + 1)]
+        assert lanes.random(some).tolist() == [rngs[j].random() for j in some.tolist()]
+        stay = order.random(len(rngs)) < 0.8
+        lanes.keep(stay)
+        rngs = [rng for rng, kept in zip(rngs, stay.tolist()) if kept]
+        assert len(lanes) == len(rngs)
+        assert lanes.integers(3 * 2 ** 30).tolist() == [int(rng.integers(3 * 2 ** 30))
+                                                        for rng in rngs]
 
 
 def test_lane_uniforms_refuse_a_bound_past_32_bits():

@@ -295,24 +295,30 @@ def test_each_failed_index_is_replayed_once(monkeypatch):
 
 def test_a_study_builds_generators_for_the_noise_stream_alone(monkeypatch):
     # The initial, aux and chain streams are drawn as lanes; a group's noise
-    # stream builds one generator a lane, and each replay one more.
+    # stream builds one generator a lane, and each replay one more.  A group
+    # derives its chain, aux and noise streams in one pass.
     failed = [idx for idx, (_, outcome) in enumerate(_replay(*FAILING))
               if isinstance(outcome, Exception)]
     derived, built = [], []
-    derive = streams.substream_rngs
+    derive, derive_states = streams.substream_rngs, streams.substream_states
 
     def derive_spy(seed, indices, stream):
-        derived.append((stream, list(indices)))
+        derived.append(((stream,), list(indices)))
         return derive(seed, indices, stream)
+
+    def states_spy(seed, indices, tags):
+        derived.append((tuple(tags), list(indices)))
+        return derive_states(seed, indices, tags)
 
     class Counted(np.random.Generator):
         def __init__(self, bit_generator):
             built.append(bit_generator)
             super().__init__(bit_generator)
 
-    # A group's generators come through harness's binding, a replay's through
-    # the one that streams.substream_rng calls.
-    monkeypatch.setattr(harness, "substream_rngs", derive_spy)
+    # A group's streams come through harness's binding of substream_states, a
+    # replay's generator through the substream_rngs that streams.substream_rng
+    # calls.
+    monkeypatch.setattr(harness, "substream_states", states_spy)
     monkeypatch.setattr(streams, "substream_rngs", derive_spy)
     monkeypatch.setattr(np.random, "Generator", Counted)
     monkeypatch.setattr(harness, "LANE_GROUP", 4)
@@ -321,8 +327,8 @@ def test_a_study_builds_generators_for_the_noise_stream_alone(monkeypatch):
     expected = []
     for first in range(0, total, 4):
         group = list(range(first, min(first + 4, total)))
-        expected += [(harness.NOISE_STREAM, group)]
-        expected += [(harness.NOISE_STREAM, [idx]) for idx in failed if idx in group]
+        expected += [((harness.CHAIN_STREAM, harness.AUX_STREAM, harness.NOISE_STREAM), group)]
+        expected += [((harness.NOISE_STREAM,), [idx]) for idx in failed if idx in group]
     assert derived == expected
     assert len(built) == total + len(failed)
 
@@ -575,6 +581,36 @@ def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch)
     assert mixed > 0 and relative > 0 and no_root > 0
 
 
+def test_lane_newton_batches_that_split_their_second_round_agree(monkeypatch):
+    # The lane Newton's second round takes the drift at y +- delta only for
+    # the lanes its residual leaves unsettled.  From STIFF's model at starts
+    # a tenth as large, most batches settle part of their lanes there and
+    # send the rest on, and the walk still equals every lane's scalar walk.
+    monkeypatch.setattr(schemes, "LANE_NEWTON_MIN", 1)
+    rounds = []
+    newton = schemes._newton_values
+
+    def spy(m, x, rows, h, dW, coef=None):
+        sizes = []
+
+        def lanes(v, r, derivative):
+            sizes.append(v.size)
+            return m.lanes(v, r, derivative)
+
+        counting = s.RegimeModel(m.num_states, m.drift, m.diffusion, m.diffusion_derivative,
+                                 lanes=lanes, table=m.table)
+        result = newton(counting, x, rows, h, dW, coef)
+        rounds.append(sizes)
+        return result
+
+    monkeypatch.setattr(schemes, "_newton_values", spy)
+    assert_engines_agree(*STIFF[:2], (-4e5, 1e5), *STIFF[3:], harness.LANE_GROUP)
+    # Under Milstein a call's third lane-form call, if any, is the second
+    # round's at y +- delta.
+    split = sum(len(sizes) > 2 and 0 < sizes[2] < 2 * sizes[1] for sizes in rounds)
+    assert split > len(rounds) / 2
+
+
 @pytest.mark.parametrize("scheme", ["milstein", "em"])
 def test_lane_newton_on_the_main_map_s_coefficients_equals_its_own_call(monkeypatch, scheme):
     # The walk hands the lane Newton the main map's (f, g, g') where the main
@@ -619,7 +655,7 @@ def _scalar_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0):
     for first in range(0, M, harness.LANE_GROUP):
         samples = range(first, min(first + harness.LANE_GROUP, M))
         chains = harness._trajectory_chains(g, r0, T, seed, samples)
-        noise_rngs = harness.substream_rngs(seed, samples, harness.NOISE_STREAM)
+        noise_rngs = streams.substream_rngs(seed, samples, harness.NOISE_STREAM)
         for i, chain, noise_rng in zip(samples, map(chains.path, range(len(chains))),
                                        noise_rngs):
             path = s.BrownianPath(noise_rng)
@@ -652,7 +688,7 @@ def _lane_coupled(params, g, x0, T, grid, rho, k, M, seed, scheme, r0, room):
         *result, failed = harness._coupled_errors(
             params, s.linear_model(params), x0, T, step_params, scheme,
             harness._trajectory_chains(g, r0, T, seed, samples),
-            harness.substream_rngs(seed, samples, harness.NOISE_STREAM), room)
+            streams.substream_rngs(seed, samples, harness.NOISE_STREAM), room)
     assert len(sources) == len(grid) and all(src is sources[0] for src in sources)
     return *result, failed, sources[0]
 

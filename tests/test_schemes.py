@@ -202,6 +202,63 @@ class TestLaneNewton:
         assert y[1].hex() == s.implicit_milstein_map(0.0, 1, 0.5, 0.0, model).hex()
 
 
+def _counting_lanes(model):
+    """``model`` with a lane form that records the lane count of each call."""
+    sizes = []
+
+    def lanes(x, rows, derivative):
+        sizes.append(x.size)
+        return model.lanes(x, rows, derivative)
+
+    return sizes, s.RegimeModel(model.num_states, model.drift, model.diffusion,
+                                model.diffusion_derivative, lanes=lanes, table=model.table)
+
+
+class TestLaneNewtonRounds:
+    """The lane Newton's second round takes the drift at y for every lane
+    and at y +- delta only for the lanes its residual leaves unsettled."""
+
+    def test_a_batch_that_settles_in_the_second_round_makes_two_calls(self, telomere):
+        rng = np.random.default_rng(28)
+        n = 60
+        x = rng.uniform(4000.0, 8000.0, n)
+        states = rng.integers(1, telomere.num_states + 1, n)
+        h = rng.uniform(1e-4, 2e-3, n)
+        dW = rng.standard_normal(n) * np.sqrt(h)
+        rows = telomere.rows(states)
+        sizes, counting = _counting_lanes(telomere)
+        y, solved = schemes._newton_values(counting, x, rows, h, dW,
+                                           telomere.lanes(x, rows, True))
+        assert sizes == [3 * n, n]  # y and y +- delta, then y alone
+        assert solved.all()
+        for j in range(n):
+            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), telomere
+            assert float(y[j]).hex() == s.implicit_milstein_map(*args).hex()
+
+    def test_a_second_round_that_settles_some_lanes_sends_the_rest_on(self):
+        # Lanes at moderate values settle in the second round; lanes at large
+        # values (TestNewtonTwoCycles' inputs) stall or cycle in later rounds.
+        rng = np.random.default_rng(16)
+        n = 400
+        model = s.linear_model(s.LinearModelParams(mu=(45.0, -5.0), sigma=(0.1, 0.5)))
+        large = rng.random(n) < 0.3
+        x = np.where(large, 10.0 ** rng.uniform(2.0, 250.0, n), rng.uniform(0.5, 2.0, n))
+        states = rng.integers(1, 3, n)
+        h = 2.0 ** rng.uniform(-9.0, -4.0, n)
+        dW = rng.standard_normal(n) * np.sqrt(h)
+        rows = model.rows(states)
+        sizes, counting = _counting_lanes(model)
+        y, solved = schemes._newton_values(counting, x, rows, h, dW, model.lanes(x, rows, True))
+        assert sizes[0] == 3 * n
+        assert 0 < sizes[2] < 2 * sizes[1]  # y +- delta for some of round two's lanes
+        assert len(sizes) > 3  # and rounds after it
+        for j in range(n):
+            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), model
+            assert solved[j] == _newton_returns(*args)
+            if solved[j]:
+                assert float(y[j]).hex() == s.implicit_milstein_map(*args).hex()
+
+
 @pytest.mark.parametrize("side_drift", [2.0, math.inf])
 def test_the_lane_newton_accepts_an_iterate_whose_slope_stops_it(side_drift):
     # From x = 3 (h = 0.5, no noise) the explicit value is 4, whose residual,
@@ -319,8 +376,9 @@ class TestNewtonTwoCycles:
                                            h[cycle], dW[cycle])
         assert [v.hex() for v in y.tolist()] == [r[0].hex() for r, c in zip(ref, cycle) if c]
         assert solved.all()
-        # The coefficients, a call a round, and the last check.
-        assert calls[0] == 1 + max(r[2] for r in ref if r[2] is not None) + 1 + 1
+        # The coefficients, a call a round and one more in the second (whose
+        # cycling lanes its residuals leave unsettled), and the last check.
+        assert calls[0] == 1 + max(r[2] for r in ref if r[2] is not None) + 1 + 1 + 1
 
 
 class TestSolveTrajectory:

@@ -14,10 +14,13 @@ arrays are bitwise equal.  It writes no output files.
 
 It prints the median over the units of the per-unit ratio parent seconds /
 change seconds (above 1: the change is faster), its quartiles, and the units
-the change won.  ``--stages`` wraps ``harness.simulate_chains``,
+the change won.  ``--stages`` wraps ``harness.simulate_chains``, the stream
+setup that the harness calls (whichever of ``STREAM_CALLS`` it binds:
+substream derivation, lane uniform sources and noise generators),
 ``harness.solve_terminals`` and ``schemes._newton_values`` in both trees and
-prints each tree's median milliseconds per unit in the chains, the walk
-(``solve_terminals`` less the Newton), the Newton and the rest of the study.
+prints each tree's median milliseconds per unit in the chains, the streams,
+the walk (``solve_terminals`` less the Newton), the Newton and the rest of
+the study.
 
 Runs of two subprocesses minutes apart feel the host's swings of speed; units
 interleaved in one process feel them alike.  Exits 1 at the first unit whose
@@ -45,7 +48,10 @@ import numpy as np
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "bench" / "configs"
 SIDES = ("parent", "change")
-STAGES = ("chains", "walk", "newton", "rest")
+STAGES = ("chains", "streams", "walk", "newton", "rest")
+# The stream setup a harness may call, none of them through another.
+STREAM_CALLS = ("substream_states", "seeded_generators", "LaneUniforms", "substream_uniforms",
+                "substream_rngs")
 
 
 def load_tree(tree: Path, name: str):
@@ -94,12 +100,13 @@ def study(package, workload: str):
 
 
 def wrap_stages(package, totals: dict) -> None:
-    """Adds each call's seconds of the three staged functions to ``totals``."""
+    """Adds each call's seconds of the staged functions to ``totals``."""
     harness, schemes = (importlib.import_module(f"{package.__name__}.{m}")
                         for m in ("harness", "schemes"))
-    for owner, name, stage in ((harness, "simulate_chains", "chains"),
-                               (harness, "solve_terminals", "walk"),
-                               (schemes, "_newton_values", "newton")):
+    staged = [(harness, "simulate_chains", "chains"), (harness, "solve_terminals", "walk"),
+              (schemes, "_newton_values", "newton")]
+    staged += [(harness, name, "streams") for name in STREAM_CALLS if hasattr(harness, name)]
+    for owner, name, stage in staged:
         def timed(*args, _inner=getattr(owner, name), _stage=stage, **kwargs):
             t0 = time.perf_counter()
             try:
@@ -121,7 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="fast-switching")
     parser.add_argument("--units", type=int, default=100)
     parser.add_argument("--stages", action="store_true",
-                        help="time the chains, the walk and the Newton in each tree")
+                        help="time the chains, the streams, the walk and the Newton in each tree")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
     runs, totals, stages = {}, {}, {side: {stage: [] for stage in STAGES} for side in SIDES}
@@ -141,9 +148,10 @@ def main(argv=None) -> int:
             outputs[side] = runs[side](unit)
             seconds[side].append(time.perf_counter() - t0)
             spent = totals[side]
-            for stage, value in zip(STAGES, (spent["chains"], spent["walk"] - spent["newton"],
-                                             spent["newton"],
-                                             seconds[side][-1] - spent["chains"] - spent["walk"])):
+            rest = seconds[side][-1] - spent["chains"] - spent["streams"] - spent["walk"]
+            for stage, value in zip(STAGES, (spent["chains"], spent["streams"],
+                                             spent["walk"] - spent["newton"], spent["newton"],
+                                             rest)):
                 stages[side][stage].append(value)
         if not all(a.tobytes() == b.tobytes() for a, b in zip(*outputs.values())):
             print(f"unit {unit} (study seed {unit}): the trees' outputs differ", file=sys.stderr)
