@@ -47,7 +47,7 @@ from .errors import (AllTrajectoriesFailedError, DegenerateGridError, HistogramR
 from .models import LinearModelParams, RegimeModel, exact_linear_solution, linear_model
 from .noise import BridgeNoise, BrownianPath, ForwardNoise
 from .schemes import Trajectory, solve_terminal, solve_terminals, solve_trajectory
-from .stepping import StepParams, build_mesh_bound
+from .stepping import StepParams, build_mesh_bound, expected_mesh_sizes
 from .streams import (AUX_STREAM, CHAIN_STREAM, INITIAL_STREAM, NOISE_STREAM, LaneUniforms,
                       seeded_generators, substream_rng, substream_states, substream_uniforms)
 
@@ -337,7 +337,9 @@ def _simulate_terminals(model: RegimeModel, g: GeneratorMatrix, initial, r0, T: 
     x0 = np.repeat(_draw_initials(initial, seed, range(n_initials)), runs_per_initial)
 
     def walk(group, chains, rngs):
-        return solve_terminals(model, chains, ForwardNoise(rngs), x0[group], T, p, scheme)
+        start = x0[group.start:group.stop]  # a slice: indexing by a range takes it apart
+        noise = ForwardNoise(rngs, expected_mesh_sizes(T, p, start, chains.counts))
+        return solve_terminals(model, chains, noise, start, T, p, scheme)
 
     def replay(index, chain, path):
         solve_terminal(model, chain, path, x0[index], T, p, scheme)

@@ -34,7 +34,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NegativeTimeError, ReversedIntervalError
 
-NORMAL_BLOCK = 64  # normals a forward source draws per lane at a time
+# The most normals a forward lane draws at a time: a 1024-lane ring holds 4 MB.
+MAX_BLOCK = 512
+_NEVER = 2 ** 62  # a call count no walk reaches
 BRIDGE_BLOCK = 256  # normals a bridge lane holds
 _CELL = 4  # known points a bridge search cell holds, at least, as sized from the room
 _CELL_BATCH = 2 ** 12  # points or cells a merge counts at once, to bound its memory
@@ -111,36 +113,76 @@ class ForwardNoise:
     W(t_next) = W(t) + sqrt(t_next - t) z.
 
     :meth:`advance` takes the lanes by their original indices, in increasing
-    order; lanes may leave between calls but never join.  Each call draws one
-    normal per lane, so the lanes draw their blocks of ``NORMAL_BLOCK`` (a
-    block draw equals as many single draws, bit for bit) together, a row of
-    one array a lane.  A step reads its normals as a column of that block;
-    once lanes have left, it takes the column's entries in the rows of the
-    lanes still walking, so the block is never copied.  ``dt``, the walk's
-    ``t_next - t``, saves computing it again.
+    order; lanes may leave between calls but never join.  Each call reads one
+    normal per lane, so lane j keeps its normals in row j of one ring of
+    columns, and a call reads a column of it.  Lane j's first block holds
+    ``steps[j]`` normals (an integer), its expected step count
+    (:func:`switchsde.stepping.expected_mesh_sizes`), and at most
+    ``MAX_BLOCK``.  A lane that has read its block to the end, and it alone,
+    draws the next, twice as large up to ``MAX_BLOCK``, into the columns from
+    the current one on; the ring widens when a block outgrows it.  A block
+    draw equals as many single draws, bit for bit, so blocks of any size give
+    the path's values.  Once lanes have left, a call takes the column's
+    entries in the rows of the lanes still walking, so the ring is never
+    copied.  ``dt``, the walk's ``t_next - t``, saves computing it again.
     """
 
-    def __init__(self, rngs):
+    def __init__(self, rngs, steps):
         self._rngs = rngs
-        # The block _z holds a row for each lane of the call that drew it
-        # (_drawn); _rows, once lanes have left, the rows of the last call's.
-        self._lane = self._drawn = self._rows = self._z = None
-        self._col = NORMAL_BLOCK
+        self._size = np.maximum(np.minimum(steps, MAX_BLOCK), 1)
+        # Row j of the ring _z holds lane j's unread normals, its next
+        # _end[j] - _call, from column _col on, wrapping at the ring's width;
+        # _size[j] is its last block.  The walking lanes' first end is call _refill.
+        self._z = None
+        self._col = self._call = 0
 
     def advance(self, lane, t, w, t_next, dt=None):
         """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``;
         ``dt``, if given, is ``t_next - t``."""
-        if self._col == NORMAL_BLOCK:
-            self._z = np.empty((lane.size, NORMAL_BLOCK))
-            for row, index in zip(self._z, lane.tolist()):
-                self._rngs[index].standard_normal(out=row)
-            self._col, self._drawn, self._rows = 0, lane, None
-        elif lane is not self._lane:  # lanes have left: the others' rows
-            self._rows = np.searchsorted(self._drawn, lane)
-        self._lane, z = lane, self._z[:, self._col]
-        self._col += 1
-        z = z if self._rows is None else z.take(self._rows)
+        if self._z is None:
+            self._start(lane)
+        if self._call == self._refill:
+            self._top_up(lane)
+        col, z = self._col, self._z
+        self._call += 1
+        self._col = col + 1 if col + 1 < z.shape[1] else 0
+        z = z[:, col]
+        if lane.size < z.size:  # lanes have left: the others' rows
+            z = z.take(lane)
         return w + np.sqrt(t_next - t if dt is None else dt) * z
+
+    def _start(self, lane):
+        """Draw each lane's first block into a ring as wide as the largest."""
+        size = self._size.take(lane)
+        self._z = np.empty((self._size.size, int(size.max(initial=1))))
+        for index, n in zip(lane.tolist(), size.tolist()):
+            self._rngs[index].standard_normal(out=self._z[index, :n])
+        self._end = self._size.copy()
+        self._refill = int(size.min(initial=_NEVER))
+
+    def _top_up(self, lane):
+        """Draw the next block of each lane in ``lane`` whose block ends at this
+        call, after widening the ring if a block outgrows it."""
+        short = lane[self._end.take(lane) == self._call]
+        if short.size:
+            size = np.minimum(2 * self._size.take(short), MAX_BLOCK)
+            col, width = self._col, self._z.shape[1]
+            if size.max() > width:  # a wider ring, rotated to start at the current column
+                z = self._z
+                self._z = np.empty((len(z), min(max(int(size.max()), 2 * width), MAX_BLOCK)))
+                self._z[:, :width - col], self._z[:, width - col:width] = z[:, col:], z[:, :col]
+                col = self._col = 0
+            for j, n in zip(short.tolist(), size.tolist()):
+                row, draw = self._z[j], self._rngs[j].standard_normal
+                wrap = col + n - len(row)
+                if wrap > 0:
+                    draw(out=row[col:])
+                    draw(out=row[:wrap])
+                else:
+                    draw(out=row[col:col + n])
+            self._size[short] = size
+            self._end[short] += size
+        self._refill = int(self._end.take(lane).min())
 
 
 def _table(rows: int, columns: int) -> np.ndarray:

@@ -49,10 +49,11 @@ RESIDUAL_REL_TOL = 1e-10  # acceptance bound: |F(X)| <= tol * max(1, |X|)
 BRACKET_MAX_DOUBLINGS = 60
 # Backstop lanes of one step below which the lane walk runs the scalar map on
 # each in place of the lane Newton: on the telomere and linear models one lane
-# Newton call of 1 to 128 lanes that settle in two rounds costs about as much
-# as the scalar map on 11 to 16 lanes (24-38 us against 1.9-2.4 us a lane,
-# 2-vCPU Xeon, numpy 2.4; BENCH_28.json, which moved it from BENCH_17's 20).
-LANE_NEWTON_MIN = 13
+# Newton call of 1 to 128 lanes that settle in two rounds, from the main map's
+# coefficients, costs about as much as the scalar map on 9 to 13 lanes, 11 in
+# the median (2-vCPU Xeon, numpy 2.4; BENCH_29.json, which moved it from
+# BENCH_28's 13).
+LANE_NEWTON_MIN = 11
 
 
 @dataclass(frozen=True)
@@ -235,52 +236,85 @@ def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
     the lane form's ``(f, g, g')`` at ``x`` (else they come from one call of
     it).  Returns each lane's last iterate and a mask of the lanes whose
     iterate the map returns; the map takes every other lane on to its
-    bisection.  A round takes the drift at y and at y +- delta from one
-    drift-only lane-form call, except the second: nearly every lane settles
-    there on its residual, so it takes the drift at y first and at y +- delta
-    only for the lanes left unsettled.  A lane in a 2-cycle leaves the
-    iteration as the map's does, at most a round later."""
+    bisection.  Nearly every lane settles on its residual in the second
+    round, so the first two rounds are straight-line code over the live
+    lanes: the drift at y and y +- delta from one drift-only lane-form call,
+    then the drift at the next iterate alone.  Only the lanes that the second
+    residual leaves unsettled take the drift at y +- delta and go on to the
+    later rounds, each one call on y and y +- delta.  A lane in a 2-cycle
+    leaves the iteration as the map's does, at most a round later."""
     f, g, dg = m.lanes(x, rows, True) if coef is None else coef
     const = x + g * dW + _HALF * dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
     solved = np.zeros(x.size, dtype=bool)
-    live = np.flatnonzero(np.isfinite(y) & (h > _ZERO))
+    live = (np.isfinite(y) & (h > _ZERO)).nonzero()[0]
+    n = live.size
 
     def accept(lanes, r):  # NaN and inf residuals compare false
         bound = _RESIDUAL_REL_TOL * np.maximum(_ONE, np.abs(y[lanes]))
         solved[lanes[np.abs(r) <= bound]] = True
 
+    # The first round.  The live lanes' operands, gathered only if some lane
+    # is not live; each later gather keeps the lanes that go on.
+    if not n:
+        return y, solved
+    if n == x.size:
+        y_l, h_l, c_l, rows_l = y, h, const, rows
+    else:
+        y_l, h_l, c_l, rows_l = y[live], h[live], const[live], rows.take(live, axis=-1)
+    delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
+    f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)),
+                 np.concatenate((rows_l, rows_l, rows_l), axis=-1), None)[0]
+    r = y_l - c_l - h_l * f3[:n]
+    slope = _ONE - h_l * (f3[n:2 * n] - f3[2 * n:]) / (_TWO * delta)
+    y_next = y_l - r / slope
+    done = np.abs(r) <= _NEWTON_ABS_TOL
+    # y_l is finite, so a residual that is not finite, or a slope that is
+    # zero or not finite, leaves y_next not finite or equal to y_l: the
+    # scalar map's four stops are these two.
+    move = np.isfinite(y_next) & (y_next != y_l)
+    if _count(done):
+        move &= ~done
+    if _count(move) < n:
+        solved[live[done]] = True
+        stop = ~(done | move)
+        if _count(stop):
+            accept(live[stop], r[stop])
+        live, y_next, h_l, c_l = live[move], y_next[move], h_l[move], c_l[move]
+        rows_l, n = rows_l.compress(move, axis=-1), live.size
+        if not n:
+            return y, solved
+
+    # The second round: the drift at the next iterate alone settles nearly every lane.
+    y_l = y_next
+    r = y_l - c_l - h_l * m.lanes(y_l, rows_l, None)[0]
+    done = np.abs(r) <= _NEWTON_ABS_TOL
+    settled = _count(done)
+    if settled == x.size:  # every lane, on the first two rounds' iterates
+        return y_l, ~solved
+    y[live] = y_l
+    if settled == n:
+        solved[live] = True
+        return y, solved
+    solved[live[done]] = True
+    rest = ~done
+    live, y_l, r, h_l, c_l = live[rest], y_l[rest], r[rest], h_l[rest], c_l[rest]
+    n = live.size
+    delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
+    sides = m.lanes(np.concatenate((y_l + delta, y_l - delta)),
+                    rows.take(np.concatenate((live, live)), axis=-1), None)[0]
+    done = np.zeros(n, dtype=bool)  # the second round's other lanes are not settled
+    y_prev = np.full(x.size, np.nan)  # each lane's y_l of the round before
+
     cycled = []  # lanes in a 2-cycle, which end on the last round's iterate
-    # The live lanes' iterates and operands, gathered again only when lanes
-    # leave, and their rows tripled (for the drift at y and y +- delta),
-    # gathered when a round needs them.
-    y_l = y[live]
-    gather = True
-    for round_ in range(NEWTON_MAX_ITER):
-        if not live.size:
-            break
-        if gather:
-            h_l, c_l, rows3 = h[live], const[live], None
-        n = live.size
-        if round_ == 1:
-            f = m.lanes(y_l, rows.take(live, axis=-1) if rows3 is None else rows3[..., :n],
-                        None)[0]
-            r = y_l - c_l - h_l * f
-            done = np.abs(r) <= _NEWTON_ABS_TOL
-            settled = _count(done)
-            if settled:
-                solved[live[done]] = True
-                if settled == n:
-                    live = live[:0]
-                    break
-                rest = ~done
-                live, y_l, r, h_l, c_l = (a[rest] for a in (live, y_l, r, h_l, c_l))
-                done, n = done[rest], live.size
-            delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
-            sides = m.lanes(np.concatenate((y_l + delta, y_l - delta)),
-                            rows.take(np.concatenate((live, live)), axis=-1), None)[0]
-            rows3 = None  # the next round gathers its rows
-        else:
+    rows3 = None  # the live lanes' rows tripled, gathered when a round needs them
+    for round_ in range(1, NEWTON_MAX_ITER):
+        if round_ > 1:
+            if not live.size:
+                break
+            if gather:
+                h_l, c_l, rows3 = h[live], const[live], None
+            n = live.size
             if rows3 is None:
                 rows3 = rows.take(np.concatenate((live, live, live)), axis=-1)
             delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
@@ -290,9 +324,6 @@ def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
             sides = f3[n:]
         slope = _ONE - h_l * (sides[:n] - sides[n:]) / (_TWO * delta)
         y_next = y_l - r / slope
-        # y_l is finite, so a residual that is not finite, or a slope that is
-        # zero or not finite, leaves y_next not finite or equal to y_l: the
-        # scalar map's four stops are these two.
         move = np.isfinite(y_next) & (y_next != y_l) & ~done
         solved[live[done]] = True
         stop = ~(done | move)
@@ -304,21 +335,18 @@ def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
             if not live.size:
                 break
         y[live] = y_next
-        # From the second round on (a call that settles in two rounds pays
-        # nothing), a lane whose next iterate equals its iterate two rounds
-        # back is in a 2-cycle: the last round would end on y_l or y_next.
-        if round_:
-            if round_ == 1:
-                y_prev = np.full(x.size, np.nan)  # each lane's y_l of the round before
-            cycle = y_next == y_prev[live]
-            y_prev[live] = y_l
-            if _count(cycle):
-                if not (NEWTON_MAX_ITER - round_) % 2:
-                    y[live[cycle]] = y_l[cycle]
-                cycled.append(live[cycle])
-                stay = ~cycle
-                live, y_next = live[stay], y_next[stay]
-                gather = True
+        # From the second round on, a lane whose next iterate equals its
+        # iterate two rounds back is in a 2-cycle: the last round would end
+        # on y_l or y_next.
+        cycle = y_next == y_prev[live]
+        y_prev[live] = y_l
+        if _count(cycle):
+            if not (NEWTON_MAX_ITER - round_) % 2:
+                y[live[cycle]] = y_l[cycle]
+            cycled.append(live[cycle])
+            stay = ~cycle
+            live, y_next = live[stay], y_next[stay]
+            gather = True
         y_l = y_next
     if cycled:
         live = np.concatenate(cycled + [live])

@@ -23,6 +23,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParamsError, NonpositiveRemainingTimeError
 
 
@@ -127,3 +129,16 @@ def build_mesh_bound(t: float, p: StepParams, n_switches: int) -> tuple[int, int
     if slowest <= 0:
         raise InvalidParamsError(f"h_min = {p.h_min} is at most half an ulp of t = {t}")
     return math.floor(t / p.h_max), -(-2 * a * d * f // (b * slowest)) + n_switches
+
+
+def expected_mesh_sizes(t: float, p: StepParams, y0, n_switches) -> np.ndarray:
+    """Each lane's expected mesh size over horizon t, as an integer array:
+    ceil(t / h) + n_switches, with h the step rule's candidate at the lane's
+    start y0, floored at h_min, as if its norm stayed there (a NaN start
+    counts as norm 1).  An estimate that sizes work, not a bound: a norm that
+    grows takes more steps.  Its power is ``np.power``, which need not match
+    the step rule's ``pow`` to the last ulp.  ``y0`` and ``n_switches``
+    broadcast."""
+    with np.errstate(over="ignore"):  # a power past the float range: h_min
+        steps = np.power(np.fmax(np.abs(y0), 1.0), 1.0 / p.k) * (t / p.h_max)
+    return np.ceil(np.fmin(steps, t / p.h_min)).astype(np.intp) + n_switches

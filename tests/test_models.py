@@ -257,7 +257,8 @@ class TestTableLessModel:
         x0 = [0.4, 1.0, 1.6, 2.2]
         y, _, n_backstop, failed = schemes.solve_terminals(
             model, s.Chains.of(chains),
-            ForwardNoise([np.random.default_rng(10 + j) for j in range(4)]), x0, 0.5, p, main)
+            ForwardNoise([np.random.default_rng(10 + j) for j in range(4)], [8] * 4), x0, 0.5, p,
+            main)
         lane_calls = +calls
         calls.clear()
         for j, chain in enumerate(chains):

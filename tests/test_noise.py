@@ -158,7 +158,7 @@ def _increasing(rng, size, known=()):
 def test_forward_noise_extends_fresh_paths():
     rng = np.random.default_rng(0)
     queries = [_increasing(rng, n) for n in (70, 3, 150, 0, 64)]  # lanes leave early
-    source = noise.ForwardNoise([np.random.default_rng(20 + j) for j in range(5)])
+    source = noise.ForwardNoise([np.random.default_rng(20 + j) for j in range(5)], [64] * 5)
     paths = [s.BrownianPath(np.random.default_rng(20 + j)) for j in range(5)]
     _lane_walk(source, paths, queries)
 
@@ -168,8 +168,8 @@ def test_forward_noise_given_the_walks_dt_matches_the_four_argument_form():
     # the walk keeps it: lanes leave mid-block and at a block's end.
     rng = np.random.default_rng(0)
     queries = [_increasing(rng, n) for n in (70, 3, 150, 0, 64)]
-    given, recomputed = (noise.ForwardNoise([np.random.default_rng(20 + j) for j in range(5)])
-                         for _ in range(2))
+    given, recomputed = (noise.ForwardNoise([np.random.default_rng(20 + j) for j in range(5)],
+                                            [64] * 5) for _ in range(2))
     paths = [s.BrownianPath(np.random.default_rng(20 + j)) for j in range(5)]
     t, w, lane = np.zeros(5), np.zeros(5), None
     for step in range(max(map(len, queries))):
@@ -183,6 +183,65 @@ def test_forward_noise_given_the_walks_dt_matches_the_four_argument_form():
         assert [v.hex() for v in w_next.tolist()] == [v.hex() for v in w_ref.tolist()] == \
             [paths[j].sample_at(q).hex() for j, q in zip(walking, t_next.tolist())]
         t[lane], w[lane] = t_next, w_next
+
+
+class _CountingRng:
+    """A generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, seed):
+        self._rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_forward_noise_blocks_sized_to_each_lane_match_scalar_paths():
+    # Lane 0's estimate is too low: it refills alone, its blocks doubling, and
+    # its last two blocks wrap round the end of the ring.  Lane 1's is too high; lane
+    # 2 leaves in the middle of its block; lane 3's estimate is past the cap,
+    # and it walks through several capped blocks.
+    rng = np.random.default_rng(1)
+    queries = [_increasing(rng, n) for n in (800, 10, 5, 1300)]
+    rngs = [_CountingRng(30 + j) for j in range(4)]
+    source = noise.ForwardNoise(rngs, [3, 100, 40, 5000])
+    _lane_walk(source, [s.BrownianPath(np.random.default_rng(30 + j)) for j in range(4)],
+               queries)
+    # Blocks of 3, 6, 12, ..., 192, then 384 and 512 in two draws each; 1; 1;
+    # 512, 512, 512.
+    assert [r.calls for r in rngs] == [11, 1, 1, 3]
+
+
+def test_forward_noise_widens_its_ring_for_a_block_that_outgrows_it():
+    # A ring 7 wide: lane 0's third block (8 normals, at call 6) widens it to
+    # 14, rotating the normal lane 1 has still to read, and lane 1's second
+    # block (14 normals, from the ring's second column) wraps; lane 0's fourth
+    # widens it to 28, and lane 1's third wraps too.
+    rng = np.random.default_rng(2)
+    queries = [_increasing(rng, n) for n in (40, 40, 4)]
+    rngs = [_CountingRng(40 + j) for j in range(3)]
+    source = noise.ForwardNoise(rngs, [2, 7, 5])
+    _lane_walk(source, [s.BrownianPath(np.random.default_rng(40 + j)) for j in range(3)],
+               queries)
+    assert [r.calls for r in rngs] == [5, 5, 1]  # 2, 4, 8, 16, 32; 7, 14 and 28 in two
+
+
+def test_a_thirty_day_ensemble_lane_draws_its_normals_in_at_most_five_calls():
+    # The ensemble preset's lane: the telomere model from x0 = 1000 over 30
+    # days, about 2000 steps, so blocks of 512 normals.
+    model, p, T = s.telomere_model(s.TelomereParams()), s.StepParams(0.03, 15.0, 10.0), 30.0
+    g = s.validate_generator([[-0.3, 0.1, 0.1, 0.1], [0.1, -0.3, 0.1, 0.1],
+                              [0.1, 0.1, -0.3, 0.1], [0.1, 0.1, 0.1, -0.3]])
+    chain = s.harness.trajectory_chain(g, 1, T, 42, 0)
+    rng = _CountingRng(7)
+    source = noise.ForwardNoise([rng], s.stepping.expected_mesh_sizes(T, p, [1000.0],
+                                                                      [chain.num_switches]))
+    y, n_steps, _, failed = s.schemes.solve_terminals(model, s.Chains.of([chain]), source,
+                                                      [1000.0], T, p)
+    y_ref, steps_ref, _ = s.solve_terminal(model, chain, s.BrownianPath(np.random.default_rng(7)),
+                                           1000.0, T, p)
+    assert not failed[0] and y[0].hex() == y_ref.hex() and n_steps[0] == steps_ref > 1500
+    assert rng.calls <= 5
 
 
 def test_bridge_noise_refines_memoized_paths():

@@ -220,8 +220,8 @@ def test_a_step_rounding_onto_a_switch_ends_its_piece():
     model = s.linear_model(s.LinearModelParams(mu=(0.0, -1.0), sigma=(0.0, 0.5)))
     chains = [s.MarkovPath(1, (tau,), (2,), 0.5), s.MarkovPath(1, (0.3,), (2,), 0.5)]
     y, n_steps, n_backstop, failed = schemes.solve_terminals(
-        model, s.Chains.of(chains), ForwardNoise([np.random.default_rng(j) for j in range(2)]),
-        [0.5, 0.5], 0.5, p)
+        model, s.Chains.of(chains),
+        ForwardNoise([np.random.default_rng(j) for j in range(2)], [8, 8]), [0.5, 0.5], 0.5, p)
     assert not failed.any()
     for j, chain in enumerate(chains):
         path = s.BrownianPath(np.random.default_rng(j))
@@ -376,18 +376,21 @@ def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
         s.solve_terminal(model, chain, s.BrownianPath(np.random.default_rng(1)), 1.0, 0.5, p)
     with pytest.raises(errors.StateIndexError) as lanes:
         schemes.solve_terminals(model, s.Chains.of(chains),
-                                ForwardNoise([np.random.default_rng(j) for j in range(2)]),
+                                ForwardNoise([np.random.default_rng(j) for j in range(2)],
+                                             [8, 8]),
                                 [1.0, 1.0], 0.5, p)
     assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
 
 
 def _lanes_against_scalar_walks(model, chains, x0, T, p):
-    """Walk ``chains`` as lanes on ForwardNoise (lane j on generator 200 + j)
-    and compare each lane with its scalar walk; returns the failed mask."""
+    """Walk ``chains`` as lanes on ForwardNoise (lane j on generator 200 + j,
+    its blocks sized as a study sizes them) and compare each lane with its
+    scalar walk; returns the failed mask."""
     n = len(chains)
+    steps = s.stepping.expected_mesh_sizes(T, p, x0, [c.num_switches for c in chains])
     y, n_steps, n_backstop, failed = schemes.solve_terminals(
         model, s.Chains.of(chains),
-        ForwardNoise([np.random.default_rng(200 + j) for j in range(n)]), x0, T, p)
+        ForwardNoise([np.random.default_rng(200 + j) for j in range(n)], steps), x0, T, p)
     for j, chain in enumerate(chains):
         path = s.BrownianPath(np.random.default_rng(200 + j))
         try:

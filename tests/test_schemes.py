@@ -215,8 +215,10 @@ def _counting_lanes(model):
 
 
 class TestLaneNewtonRounds:
-    """The lane Newton's second round takes the drift at y for every lane
-    and at y +- delta only for the lanes its residual leaves unsettled."""
+    """The lane Newton's first two rounds are straight-line code: the drift
+    at y and y +- delta for every live lane, then at the next iterate alone,
+    and at y +- delta only for the lanes its residual leaves unsettled, which
+    go on to the later rounds."""
 
     def test_a_batch_that_settles_in_the_second_round_makes_two_calls(self, telomere):
         rng = np.random.default_rng(28)
@@ -234,6 +236,68 @@ class TestLaneNewtonRounds:
         for j in range(n):
             args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), telomere
             assert float(y[j]).hex() == s.implicit_milstein_map(*args).hex()
+
+    def test_a_mixed_batch_settles_each_lane_as_the_scalar_map_does(self):
+        # Shuffled together: lanes that settle in the first round (a state
+        # whose drift is too weak to move the explicit value past the residual
+        # target) or the second (moderate values), stiff lanes that take
+        # three rounds or more, lanes at large values that fall into a 2-cycle,
+        # and lanes whose iteration never starts (a start that is not finite,
+        # or h = 0).
+        rng = np.random.default_rng(29)
+        model = s.linear_model(s.LinearModelParams(mu=(1e-9, 0.5, -3e7, 45.0),
+                                                   sigma=(0.3, 0.5, 0.1, 0.1)))
+        k = 80
+        x = np.concatenate((rng.uniform(0.5, 2.0, 2 * k),
+                            rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3.0, 8.0, k),
+                            10.0 ** rng.uniform(2.0, 250.0, k),
+                            [math.inf, -math.inf, math.nan, 1.0, 2.0]))
+        states = np.concatenate((np.repeat([1, 2, 3, 4], k), [2, 2, 2, 2, 3]))
+        h = np.concatenate((rng.uniform(1e-4, 2e-3, 2 * k), 10.0 ** rng.uniform(-4.0, -2.5, k),
+                            2.0 ** rng.uniform(-9.0, -4.0, k), [1e-3, 1e-3, 1e-3, 0.0, 0.0]))
+        dW = rng.standard_normal(x.size) * np.sqrt(h)
+        order = rng.permutation(x.size)
+        x, states, h, dW = x[order], states[order], h[order], dW[order]
+        rows = model.rows(states)
+        sizes, counting = _counting_lanes(model)
+        with np.errstate(all="ignore"):
+            y, solved = schemes._newton_values(counting, x, rows, h, dW,
+                                               model.lanes(x, rows, True))
+        calls = [0]
+
+        def drift(v, i):
+            calls[0] += 1
+            return model.drift(v, i)
+
+        scalar = s.RegimeModel(model.num_states, drift, model.diffusion,
+                               model.diffusion_derivative)
+        spent, cycles = set(), 0
+        for j in range(x.size):
+            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j])
+            assert solved[j] == _newton_returns(*args, model)
+            if solved[j]:
+                calls[0] = 0
+                assert float(y[j]).hex() == s.implicit_milstein_map(*args, scalar).hex()
+                spent.add(calls[0])
+                cycles += _fifty_rounds(*args, model)[2] is not None
+        # A lane settled in round r on its residual takes 3r + 2 drifts.
+        assert {2, 5} <= spent and max(spent) >= 8 and cycles > 0
+        started = np.isfinite(x) & (h > 0.0)
+        assert not solved[~started].any()
+        assert sizes[0] == 3 * started.sum() and sizes[1] < started.sum() - k // 2
+
+        # Without the stiff and the cycling lanes, every lane that goes on
+        # settles in the second round: two lane-form calls, the same lanes.
+        easy = (states <= 2) | ~started
+        sizes.clear()
+        with np.errstate(all="ignore"):
+            y_easy, solved_easy = schemes._newton_values(
+                counting, x[easy], model.rows(states[easy]), h[easy], dW[easy],
+                model.lanes(x[easy], model.rows(states[easy]), True))
+        assert len(sizes) == 2 and sizes[0] == 3 * started[easy].sum()
+        assert solved_easy.tolist() == solved[easy].tolist()
+        assert [v.hex() for v in y_easy[solved_easy].tolist()] == \
+            [v.hex() for v in y[easy][solved_easy].tolist()]
 
     def test_a_second_round_that_settles_some_lanes_sends_the_rest_on(self):
         # Lanes at moderate values settle in the second round; lanes at large

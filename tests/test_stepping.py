@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import errors
+from switchsde import errors, stepping
 from switchsde.stepping import StepReason
 
 P = s.StepParams(h_max=0.03, rho=15.0, k=10.0)
@@ -126,6 +126,18 @@ def test_step_monotone_in_norm(y1, y2):
     d_lo = s.next_step(lo, 0.0, None, 1e9, P)
     d_hi = s.next_step(hi, 0.0, None, 1e9, P)
     assert d_lo.h >= d_hi.h
+
+
+def test_expected_mesh_sizes_count_the_steps_at_the_start_s_norm_and_the_switches():
+    # 0.25 / 0.03 * 4000^0.1 = 19.1, plus 22 switches; a norm up to 1 (or a
+    # NaN start) steps h_max; a norm past rho^k = 15^10 floors at h_min, and
+    # an infinite one too; the ensemble preset's lane, 1996 steps and 9 switches.
+    got = stepping.expected_mesh_sizes(0.25, P, [4000.0, -0.5, math.nan, 1e12, math.inf],
+                                       [22, 0, 1, 0, 2])
+    assert got.tolist() == [42, 9, 10, 125, 127]
+    assert stepping.expected_mesh_sizes(30.0, P, [1000.0], 9).tolist() == [2005]
+    # A power past the float range floors the step, without a warning.
+    assert stepping.expected_mesh_sizes(0.5, s.StepParams(0.1, 15.0, 0.5), [1e200], 0) == [75]
 
 
 class TestBuildMeshBound:

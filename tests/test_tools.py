@@ -146,9 +146,10 @@ def test_ab_trees_passes_a_tree_against_itself_and_exits_1_on_differing_outputs(
     assert lines[0] == "fast-switching: 2 units, outputs equal"
     assert re.fullmatch(r"ratio parent/change: median \S+, quartiles \S+ \.\. \S+; "
                         r"the change won [012] of 2 units", lines[3])
-    assert lines[4].split()[-5:] == ["chains", "streams", "walk", "newton", "rest"]
+    assert lines[4].split()[-6:] == ["chains", "streams", "walk", "noise", "newton", "rest"]
     assert [line.split()[0] for line in lines[5:]] == ["parent", "change"]
-    assert all(float(line.split()[2]) > 0 for line in lines[5:])  # the streams stage
+    # The streams and the noise stages hold time of their own.
+    assert all(float(line.split()[2]) > 0 and float(line.split()[4]) > 0 for line in lines[5:])
 
     # A Milstein correction of half its size changes every unit's outputs.
     changed = tmp_path / "change" / "src" / "switchsde"

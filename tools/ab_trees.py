@@ -17,10 +17,11 @@ change seconds (above 1: the change is faster), its quartiles, and the units
 the change won.  ``--stages`` wraps ``harness.simulate_chains``, the stream
 setup that the harness calls (whichever of ``STREAM_CALLS`` it binds:
 substream derivation, lane uniform sources and noise generators),
-``harness.solve_terminals`` and ``schemes._newton_values`` in both trees and
-prints each tree's median milliseconds per unit in the chains, the streams,
-the walk (``solve_terminals`` less the Newton), the Newton and the rest of
-the study.
+``harness.solve_terminals``, the noise sources' ``advance`` (each of
+``NOISE_SOURCES``, its block draws included) and ``schemes._newton_values``
+in both trees and prints each tree's median milliseconds per unit in the
+chains, the streams, the walk (``solve_terminals`` less the noise and the
+Newton), the noise, the Newton and the rest of the study.
 
 Runs of two subprocesses minutes apart feel the host's swings of speed; units
 interleaved in one process feel them alike.  Exits 1 at the first unit whose
@@ -48,10 +49,11 @@ import numpy as np
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "bench" / "configs"
 SIDES = ("parent", "change")
-STAGES = ("chains", "streams", "walk", "newton", "rest")
+STAGES = ("chains", "streams", "walk", "noise", "newton", "rest")
 # The stream setup a harness may call, none of them through another.
 STREAM_CALLS = ("substream_states", "seeded_generators", "LaneUniforms", "substream_uniforms",
                 "substream_rngs")
+NOISE_SOURCES = ("ForwardNoise", "BridgeNoise")  # the lane noise sources
 
 
 def load_tree(tree: Path, name: str):
@@ -101,11 +103,12 @@ def study(package, workload: str):
 
 def wrap_stages(package, totals: dict) -> None:
     """Adds each call's seconds of the staged functions to ``totals``."""
-    harness, schemes = (importlib.import_module(f"{package.__name__}.{m}")
-                        for m in ("harness", "schemes"))
+    harness, noise, schemes = (importlib.import_module(f"{package.__name__}.{m}")
+                               for m in ("harness", "noise", "schemes"))
     staged = [(harness, "simulate_chains", "chains"), (harness, "solve_terminals", "walk"),
               (schemes, "_newton_values", "newton")]
     staged += [(harness, name, "streams") for name in STREAM_CALLS if hasattr(harness, name)]
+    staged += [(getattr(noise, name), "advance", "noise") for name in NOISE_SOURCES]
     for owner, name, stage in staged:
         def timed(*args, _inner=getattr(owner, name), _stage=stage, **kwargs):
             t0 = time.perf_counter()
@@ -128,7 +131,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="fast-switching")
     parser.add_argument("--units", type=int, default=100)
     parser.add_argument("--stages", action="store_true",
-                        help="time the chains, the streams, the walk and the Newton in each tree")
+                        help="time the chains, the streams, the walk, the noise and the Newton "
+                             "in each tree")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
     runs, totals, stages = {}, {}, {side: {stage: [] for stage in STAGES} for side in SIDES}
@@ -149,9 +153,9 @@ def main(argv=None) -> int:
             seconds[side].append(time.perf_counter() - t0)
             spent = totals[side]
             rest = seconds[side][-1] - spent["chains"] - spent["streams"] - spent["walk"]
-            for stage, value in zip(STAGES, (spent["chains"], spent["streams"],
-                                             spent["walk"] - spent["newton"], spent["newton"],
-                                             rest)):
+            walk = spent["walk"] - spent["noise"] - spent["newton"]
+            for stage, value in zip(STAGES, (spent["chains"], spent["streams"], walk,
+                                             spent["noise"], spent["newton"], rest)):
                 stages[side][stage].append(value)
         if not all(a.tobytes() == b.tobytes() for a, b in zip(*outputs.values())):
             print(f"unit {unit} (study seed {unit}): the trees' outputs differ", file=sys.stderr)
