@@ -32,8 +32,8 @@ from .errors import InvalidParamsError, NonfiniteResultError, StateIndexError
 from .noise import BrownianPath, _count
 
 Coefficient = Callable[[float, int], float]
-# (x, rows, derivative) -> (f, g, g'), with g' None unless ``derivative`` is
-# true, and g None too when it is None (a drift-only request).
+# (x, rows, derivative) -> (f, g, g'/2), with g'/2 None unless ``derivative``
+# is true, and g None too when it is None (a drift-only request).
 LaneCoefficients = Callable[[np.ndarray, np.ndarray, bool | None],
                             tuple[np.ndarray, np.ndarray | None, np.ndarray | None]]
 
@@ -60,13 +60,15 @@ class RegimeModel:
     takes its rows from :meth:`row_reader`, which checks the states of its
     switch tables once, before the first step.  ``lanes(x, rows,
     derivative)`` then reads them: for a float array ``x`` and the rows of its
-    lanes it returns the arrays ``(f, g, g')``, each entry bitwise equal to the
-    scalar callable at ``(x[j], states[j])``, with ``g'`` left as None unless
-    ``derivative`` is true, and ``g`` left as None too when ``derivative`` is
-    None (a request for the drift alone); floating-point warnings follow
-    numpy's error state.  A model without a lane form (``lanes`` None) has
-    only its scalar callables, and a lane walk steps each of its lanes
-    through the scalar maps.
+    lanes it returns the arrays ``(f, g, g'/2)``, each entry bitwise equal to
+    the scalar callable at ``(x[j], states[j])`` (the third to ``0.5 *`` it),
+    with ``g'/2`` left as None unless ``derivative`` is true, and ``g`` left
+    as None too when ``derivative`` is None (a request for the drift alone);
+    floating-point warnings follow numpy's error state.  The Milstein
+    correction reads g'/2, so returning it spares the maps a product.  A
+    model without a lane form (``lanes`` None) has only its scalar
+    callables, and a lane walk steps each of its lanes through the scalar
+    maps.
     """
 
     num_states: int
@@ -152,7 +154,7 @@ def _check_states(states: np.ndarray, n: int) -> None:
 # 0-d arrays in place of Python floats in the lane forms: a ufunc converts a
 # float operand on every call, which on 40 lanes costs about as much as the
 # arithmetic, and the bits are the same.
-_ZERO, _HALF, _THREE = np.array(0.0), np.array(0.5), np.array(3.0)
+_ZERO, _QUARTER, _THREE = np.array(0.0), np.array(0.25), np.array(3.0)
 
 
 def telomere_regime_model(pairs) -> RegimeModel:
@@ -189,13 +191,14 @@ def telomere_regime_model(pairs) -> RegimeModel:
             return 0.0
         return 0.5 * math.sqrt(3.0 * as_[k] * x)
 
-    # A row is (c, a, 3a): the scalar 3.0 * a * x multiplies 3.0 * a first.
-    table = np.array([cs, as_, [3.0 * a for a in as_]])
+    # A row is (-c, a, 3a): -c - a*x*x is -(c + a*x*x) bitwise, one operation
+    # fewer, and the scalar 3.0 * a * x multiplies 3.0 * a first.
+    table = np.array([[-c for c in cs], as_, [3.0 * a for a in as_]])
 
     def lanes(x, rows, derivative):
-        c, a, a3 = rows[0], rows[1], rows[2]  # faster than unpacking
+        nc, a, a3 = rows[0], rows[1], rows[2]  # faster than unpacking
         ax2 = a * x * x
-        f = -(c + ax2)
+        f = nc - ax2
         if derivative is None:
             return f, None, None
         nonpositive = x <= _ZERO  # NaN takes the square root, as in the scalars
@@ -204,10 +207,12 @@ def telomere_regime_model(pairs) -> RegimeModel:
         g = np.sqrt(np.where(nonpositive, _ZERO, g) if clip else g)
         if not derivative:
             return f, g, None
-        dg = a3 * x
-        dg = np.sqrt(np.where(nonpositive, _ZERO, dg) if clip else dg)
-        dg *= _HALF
-        return f, g, dg
+        # g'/2 = sqrt(3a x) / 4: 0.5 * (0.5 * root) in one exact product,
+        # since a square root of a positive double is never subnormal.
+        half_dg = a3 * x
+        half_dg = np.sqrt(np.where(nonpositive, _ZERO, half_dg) if clip else half_dg)
+        half_dg *= _QUARTER
+        return f, g, half_dg
 
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
                        diffusion_derivative=diffusion_derivative, lanes=lanes,
@@ -238,12 +243,12 @@ def linear_model(p: LinearModelParams) -> RegimeModel:
         f = rows[0] * x  # indexing is faster than unpacking
         if derivative is None:
             return f, None, None
-        sigma_rows = rows[1]
-        return f, sigma_rows * x, sigma_rows if derivative else None
+        return f, rows[1] * x, rows[2] if derivative else None
 
+    # A row is (mu, sigma, sigma/2), the last g'/2.
     return RegimeModel(num_states=n, drift=drift, diffusion=diffusion,
                        diffusion_derivative=diffusion_derivative, lanes=lanes,
-                       table=np.array([mu, sigma]))
+                       table=np.array([mu, sigma, [v / 2.0 for v in sigma]]))
 
 
 def exact_linear_solution(p: LinearModelParams, x0: float, chain: MarkovPath,

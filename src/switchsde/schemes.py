@@ -205,27 +205,28 @@ _MAIN_MAPS = {"em": em_map, "milstein": milstein_map}
 
 
 # The main maps' values over arrays of lanes, from the coefficients at (x, i)
-# that a model's lane form gives; a model without one steps through the scalar
-# maps above.  Each repeats its scalar map's operations in the same order, so
-# every lane is bitwise equal to the scalar map (the scalar maps keep their own
-# expressions: a shared helper would cost the scalar walk a call per step).
+# that a model's lane form gives, g' already halved; a model without one steps
+# through the scalar maps above.  Each repeats its scalar map's operations in
+# the same order, the product 0.5 * g' taken, so every lane is bitwise equal to
+# the scalar map (the scalar maps keep their own expressions: a shared helper
+# would cost the scalar walk a call per step).
 # The walk's per-step constants are 0-d arrays, not Python floats: a ufunc
 # converts a float operand on every call, which on 40 lanes costs about as
 # much as the arithmetic, and the bits are the same.
-_ZERO, _HALF, _ONE, _TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0))
+_ZERO, _ONE, _TWO = (np.array(v) for v in (0.0, 1.0, 2.0))
 _NEWTON_ABS_TOL, _RESIDUAL_REL_TOL, _DELTA = (
     np.array(v) for v in (NEWTON_ABS_TOL, RESIDUAL_REL_TOL, 1e-7))
 
 
-def _em_values(x, h, dW, f, g, dg):
+def _em_values(x, h, dW, f, g, half_dg):
     return x + h * f + g * dW
 
 
-def _milstein_values(x, h, dW, f, g, dg):
-    return x + h * f + g * dW + _HALF * dg * g * (dW * dW - h)
+def _milstein_values(x, h, dW, f, g, half_dg):
+    return x + h * f + g * dW + half_dg * g * (dW * dW - h)
 
 
-# Main map -> (its lane form, whether it reads g').
+# Main map -> (its lane form, whether it reads g'/2).
 _LANE_MAPS = {"em": (_em_values, False), "milstein": (_milstein_values, True)}
 
 
@@ -233,7 +234,7 @@ def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
     """The Newton iteration of :func:`implicit_milstein_map` on many lanes at
     once, in the map's order of operations, from the lanes' coefficient rows
     (:meth:`RegimeModel.rows`) and, if given, their coefficients ``coef``,
-    the lane form's ``(f, g, g')`` at ``x`` (else they come from one call of
+    the lane form's ``(f, g, g'/2)`` at ``x`` (else they come from one call of
     it).  Returns each lane's last iterate and a mask of the lanes whose
     iterate the map returns; the map takes every other lane on to its
     bisection.  Nearly every lane settles on its residual in the second
@@ -243,8 +244,8 @@ def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
     residual leaves unsettled take the drift at y +- delta and go on to the
     later rounds, each one call on y and y +- delta.  A lane in a 2-cycle
     leaves the iteration as the map's does, at most a round later."""
-    f, g, dg = m.lanes(x, rows, True) if coef is None else coef
-    const = x + g * dW + _HALF * dg * g * (dW * dW - h)
+    f, g, half_dg = m.lanes(x, rows, True) if coef is None else coef
+    const = x + g * dW + half_dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
     solved = np.zeros(x.size, dtype=bool)
     live = (np.isfinite(y) & (h > _ZERO)).nonzero()[0]
@@ -454,8 +455,12 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     state outside the model raises the scalar callables'
     :class:`StateIndexError` before the first step, even where a lane would
     fail before it reaches that state.  The arithmetic takes its constants as
-    0-d arrays and builds the masks of the rarer cases (a lane done, lanes
-    leaving) only when a count says they occur.  The backstop steps
+    0-d arrays and builds the masks of the rarer cases only when a count says
+    they occur.  The step rule's one test ``h > h_min`` over every lane finds
+    both the floored lanes and those that failed on the step before (their
+    ``h`` is NaN or 0), so the floor, the backstop mask and the finiteness
+    check run only in an iteration where some lane is floored, failed,
+    clamped, arriving or past the lowest step cap.  The backstop steps
     of an iteration, when there are at least ``LANE_NEWTON_MIN`` of them, run
     the Newton iteration of :func:`implicit_milstein_map` together, through
     the model's lane form, from the main map's ``(f, g, g')`` where the main
@@ -468,7 +473,10 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     ``failed`` is ``np.isnan(y)``: a lane leaves with a finite value only when
     it is done.  A lane fails where its scalar walk raises: its start is NaN,
     a value is not finite (a backstop without a root leaves NaN), or it passes
-    its step cap.  It has zero counts; its scalar walk says which error ended
+    its step cap.  It leaves before its next draw, as its scalar walk stops:
+    at the iteration's end if it arrives or passes its cap, else at the next
+    step rule; an infinite start takes its first step, floored, as its scalar
+    walk does.  It has zero counts; its scalar walk says which error ended
     it.  An exception from the lane form, or one that is not a
     :class:`SwitchSDEError` from a scalar map, ends the whole walk.
     """
@@ -482,7 +490,7 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     y_out = np.full(n, np.nan)
     steps_out = np.zeros(n, dtype=np.int64)
     backstops_out = np.zeros(n, dtype=np.int64)
-    # The step rule's constants as 0-d arrays, as _HALF is.
+    # The step rule's constants as 0-d arrays, as _ONE is.
     h_max, h_min, inv_k, end = (np.array(v) for v in (p.h_max, p.h_min, 1.0 / p.k, T))
 
     # The chains' pieces, flattened: a lane steps inside the piece at its flat
@@ -509,19 +517,35 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
             # last ulp; a norm up to 1 gives pow(1, 1/k) = 1 exactly, and a
             # power past the float range gives h 0), the floor, one clamp.
             h = h_max / np.float_power(np.maximum(np.abs(y), _ONE), inv_k)
-            np.maximum(h, h_min, out=h)
+            above = h > h_min
+            # rare: a lane is floored or clamped, so a step may be a backstop
+            # step; or a lane's last step left it not finite (h NaN or 0).
+            rare = _count(above) < above.size
+            if rare:
+                if n_steps > 1:  # an infinite start takes its first step, as its scalar walk
+                    stay = np.isfinite(y)  # the lanes that failed leave before their next draw
+                    if _count(stay) < stay.size:
+                        lane, t, y, w, at, bound, backstops, h = (
+                            a[stay] for a in (lane, t, y, w, at, bound, backstops, h))
+                        rows = rows.compress(stay, axis=-1)
+                        if not lane.size:
+                            break
+                np.maximum(h, h_min, out=h)
             gap = bound - t
             clamp = gap <= h
             t_next = t + h
             if _count(clamp):
                 np.copyto(h, gap, where=clamp)
                 np.copyto(t_next, bound, where=clamp)
-            backstop = h <= h_min
+                rare = True
+            some_backstop = 0  # a step above h_min and unclamped is explicit
+            if rare:
+                backstop = h <= h_min
+                some_backstop = _count(backstop)
             dt = t_next - t  # the realised spacing drives the map
             w_next = noise.advance(lane, t, w, t_next, dt)
             dw = w_next - w
 
-            some_backstop = _count(backstop)
             if lane_form is None:  # every lane takes its scalar map
                 y_next, scalar = np.empty_like(y), range(y.size)
             else:  # every lane; the backstop lanes' values are replaced below
@@ -530,7 +554,7 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                 scalar = ()
                 if some_backstop:
                     scalar = np.flatnonzero(backstop)
-                    if some_backstop >= LANE_NEWTON_MIN:  # with the main map's (f, g, g')
+                    if some_backstop >= LANE_NEWTON_MIN:  # with the main map's (f, g, g'/2)
                         y_next[scalar], solved = _newton_values(
                             m, y[scalar], rows.take(scalar, axis=-1), dt[scalar], dw[scalar],
                             [c[scalar] for c in coef] if derivative else None)
@@ -538,7 +562,8 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                     scalar = scalar.tolist()
             for j in scalar:
                 try:
-                    y_next[j] = (implicit_milstein_map if backstop[j] else main_map)(
+                    y_next[j] = (implicit_milstein_map if some_backstop and backstop[j]
+                                 else main_map)(
                         float(y[j]), int(states[at[j]]), float(dt[j]), float(dw[j]), m)
                 except SwitchSDEError:  # the lane fails; its scalar replay says why
                     y_next[j] = np.nan
@@ -546,28 +571,31 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
                 backstops += backstop
 
             t, y, w = t_next, y_next, w_next
-            stay = np.isfinite(y)  # a lane whose value is not finite fails,
-            if n_steps > lowest:
-                stay &= limit[lane] >= n_steps  # as does one past its step cap
-            leaving = _count(stay) < stay.size
             arrived = t >= bound
             entering = _count(arrived)
-            if entering:
-                done = t >= end
+            # A lane whose value is not finite fails: here if it arrived or
+            # passed lowest, else at the next iteration's floor test.
+            if entering or n_steps > lowest:
+                stay = np.isfinite(y)
+                if n_steps > lowest:
+                    stay &= limit[lane] >= n_steps  # a lane past its step cap fails
+                leaving = _count(stay) < stay.size
+                if entering:
+                    done = t >= end
+                    if leaving:
+                        done &= stay
+                    if _count(done):
+                        y_out[lane[done]] = y[done]
+                        steps_out[lane[done]] = n_steps
+                        backstops_out[lane[done]] = backstops[done]
+                        stay[done] = False
+                        leaving = True
                 if leaving:
-                    done &= stay
-                if _count(done):
-                    y_out[lane[done]] = y[done]
-                    steps_out[lane[done]] = n_steps
-                    backstops_out[lane[done]] = backstops[done]
-                    stay[done] = False
-                    leaving = True
-            if leaving:
-                lane, t, y, w, at, bound, backstops, arrived = (
-                    a[stay] for a in (lane, t, y, w, at, bound, backstops, arrived))
-                rows = rows.compress(stay, axis=-1)
-            if entering:  # a lane that stays after reaching its piece's end enters the next
-                at += arrived
-                bound = ends.take(at)
-                rows = rows_of(states.take(at))
+                    lane, t, y, w, at, bound, backstops, arrived = (
+                        a[stay] for a in (lane, t, y, w, at, bound, backstops, arrived))
+                    rows = rows.compress(stay, axis=-1)
+                if entering:  # a lane that stays after reaching its piece's end enters the next
+                    at += arrived
+                    bound = ends.take(at)
+                    rows = rows_of(states.take(at))
     return y_out, steps_out, backstops_out, np.isnan(y_out)

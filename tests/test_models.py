@@ -162,13 +162,13 @@ class TestLaneForm:
         states = np.repeat(np.arange(1, n + 1), len(xs))
         rows = model.rows(states)
         with np.errstate(all="ignore"):  # the scalar forms overflow silently
-            f, g, dg = model.lanes(x, rows, True)
+            f, g, half_dg = model.lanes(x, rows, True)
             f_em, g_em, none = model.lanes(x, rows, False)
             f_only, no_g, no_dg = model.lanes(x, rows, None)
         pairs = list(zip(x.tolist(), states.tolist()))
         assert _hex(f) == _hex(f_em) == _hex(f_only) == [model.drift(*p).hex() for p in pairs]
         assert _hex(g) == _hex(g_em) == [model.diffusion(*p).hex() for p in pairs]
-        assert _hex(dg) == [model.diffusion_derivative(*p).hex() for p in pairs]
+        assert _hex(half_dg) == [(0.5 * model.diffusion_derivative(*p)).hex() for p in pairs]
         assert none is no_g is no_dg is None
 
     @pytest.mark.parametrize("special", [None, 0.0, -0.0, math.nan, -math.inf])
@@ -185,12 +185,13 @@ class TestLaneForm:
         pairs = list(zip(x.tolist(), states.tolist()))
         for derivative in (True, False, None):
             with np.errstate(all="ignore"):  # 0 * inf, as the scalars compute it silently
-                f, g, dg = model.lanes(x, model.rows(states), derivative)
+                f, g, half_dg = model.lanes(x, model.rows(states), derivative)
             assert _hex(f) == [model.drift(*p).hex() for p in pairs]
             if derivative is not None:
                 assert _hex(g) == [model.diffusion(*p).hex() for p in pairs]
             if derivative:
-                assert _hex(dg) == [model.diffusion_derivative(*p).hex() for p in pairs]
+                assert _hex(half_dg) == [(0.5 * model.diffusion_derivative(*p)).hex()
+                                         for p in pairs]
 
     @pytest.mark.parametrize("model", [
         s.telomere_model(s.TelomereParams()),
@@ -208,11 +209,12 @@ class TestLaneForm:
     def test_rows_are_the_coefficients_of_each_state(self):
         states = np.array([2, 1, 4, 2])
         telomere = s.telomere_regime_model([(4.5, 1e-7), (7.5, 3e-7), (1.0, 0.0), (2.0, 5e-7)])
+        # (-c, a, 3a) and (mu, sigma, sigma/2): the lane form returns g'/2.
         assert telomere.rows(states).tolist() == [
-            [7.5, 4.5, 2.0, 7.5], [3e-7, 1e-7, 5e-7, 3e-7],
+            [-7.5, -4.5, -2.0, -7.5], [3e-7, 1e-7, 5e-7, 3e-7],
             [3.0 * 3e-7, 3.0 * 1e-7, 3.0 * 5e-7, 3.0 * 3e-7]]
         linear = s.linear_model(s.LinearModelParams(mu=(0.1, -0.2), sigma=(0.3, 0.4)))
-        assert linear.rows(states[:2]).tolist() == [[-0.2, 0.1], [0.4, 0.3]]
+        assert linear.rows(states[:2]).tolist() == [[-0.2, 0.1], [0.4, 0.3], [0.2, 0.15]]
 
     def test_no_lanes(self):
         for model in (s.telomere_model(s.TelomereParams()),

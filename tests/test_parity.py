@@ -11,6 +11,7 @@ is what the harness's own replay of that index raises.
 import logging
 import math
 import warnings
+from collections import defaultdict
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import errors, harness, models, schemes, streams
+from switchsde import errors, harness, models, noise, schemes, streams
 from switchsde.noise import ForwardNoise
 
 TRAJECTORY_FAILURES = (errors.NonfiniteResultError, errors.RootNotFoundError,
@@ -351,6 +352,82 @@ def test_replay_that_succeeds_is_an_engine_disagreement(monkeypatch):
     assert not isinstance(exc.value, errors.SwitchSDEError)
 
 
+def _scalar_queries(model, g, initial, r0, T, p, n_initials, runs, seed, scheme):
+    """Per index, the end times of the increments its scalar walk asks for,
+    up to the step it raises on, and whether it raised."""
+    queries = []
+    for idx in range(n_initials * runs):
+        x0 = float(harness._draw_initials(initial, seed, [idx // runs])[0])
+        chain = harness.trajectory_chain(g, r0, T, seed, idx)
+        path = _RecordedPath(s.BrownianPath(harness.substream_rng(seed, idx,
+                                                                  harness.NOISE_STREAM)))
+        try:
+            s.solve_terminal(model, chain, path, x0, T, p, scheme)
+        except errors.SwitchSDEError:
+            queries.append((path.queries, chain, True))
+        else:
+            queries.append((path.queries, chain, False))
+    return queries
+
+
+@pytest.mark.parametrize("initial", [FAILING[2], math.inf, -math.inf])
+def test_each_lane_asks_w_where_its_scalar_walk_does(monkeypatch, initial):
+    # The failing study's lanes fail mid-piece, on explicit overflows and on
+    # backstops without a root; an infinite start fails on its first step.
+    # Each lane's draws stop where its scalar walk raises.
+    study = FAILING[:2] + (initial,) + FAILING[3:]
+    infinite = initial in (math.inf, -math.inf)
+    logs = []
+    monkeypatch.setattr(harness, "ForwardNoise", _recording(ForwardNoise, logs))
+    monkeypatch.setattr(harness, "LANE_GROUP", 4)
+    try:
+        harness._simulate_terminals(*study)
+    except errors.AllTrajectoriesFailedError:
+        assert infinite
+    expected = _scalar_queries(*study)
+    lanes = [log[j] for log in logs for j in range(4)][:len(expected)]
+    assert lanes == [queries for queries, _, _ in expected]
+    T = FAILING[4]
+    failures = [(queries, chain) for queries, chain, raised in expected if raised]
+    if infinite:
+        assert len(failures) == len(expected) and all(len(q) == 1 for q, _ in failures)
+    else:  # some lane fails on a step that ends inside its piece
+        assert any(q[-1] not in chain.switch_times + (T,) for q, chain in failures)
+
+
+def test_each_coupled_lane_asks_w_where_its_scalar_walk_does(monkeypatch):
+    # TWO_FAILURES: sample 9 fails at h_max 0.125 and walks no coarser
+    # one; sample 65 fails at the finest.  Level by level, finest first,
+    # each lane asks the bridge source for W where its scalar walk asks it
+    # of the path its exact value started.
+    params, g, x0, T, grid, rho, k, M, seed, scheme, r0 = TWO_FAILURES
+    model = s.linear_model(params)
+    step_params = [s.StepParams(h_max=h, rho=rho, k=k) for h in grid]
+    chains = harness._trajectory_chains(g, r0, T, seed, range(M))
+    logs = []
+    monkeypatch.setattr(harness, "BridgeNoise", _recording(noise.BridgeNoise, logs))
+    *_, failed = harness._coupled_errors(
+        params, model, x0, T, step_params, scheme, chains,
+        streams.substream_rngs(seed, range(M), harness.NOISE_STREAM),
+        sum(math.ceil(T / h) for h in grid))
+    assert np.flatnonzero(failed).tolist() == [9, 65]
+    assert len(logs) == 1 + len(grid) and not logs[0]  # a log per level, after its merge
+    walked = []
+    for j, rng in enumerate(streams.substream_rngs(seed, range(M), harness.NOISE_STREAM)):
+        path, expected = s.BrownianPath(rng), []
+        try:
+            s.exact_linear_solution(params, x0, chains.path(j), path, T)
+            for p in reversed(step_params):
+                expected.append(_RecordedPath(path))
+                s.solve_terminal(model, chains.path(j), expected[-1], x0, T, p, scheme)
+        except errors.SwitchSDEError:
+            pass
+        expected = [level.queries for level in expected]
+        walked.append(len(expected))
+        assert [level[j] for level in logs[1:]] == expected + [[]] * (len(grid) - len(expected))
+    assert walked[9] == 2 and walked[65] == 1  # h_max 0.125 is the second level walked
+
+
 @pytest.mark.parametrize("scheme", ["milstein", "em"])
 def test_telomere_lanes_that_cross_zero_agree(scheme):
     # A drift of about -5 bp/day takes initials below 2.5 bp under zero within
@@ -382,17 +459,51 @@ def test_state_outside_the_model_raises_as_in_the_scalar_walk(model, chain):
     assert str(lanes.value) == str(scalar.value) == "state 3 outside 1..2"
 
 
+class _RecordedPath:
+    """A scalar path that logs the end time of each increment asked of it."""
+
+    def __init__(self, path):
+        self.path, self.queries = path, []
+
+    def increment(self, t, t_next):
+        self.queries.append(t_next)
+        return self.path.increment(t, t_next)
+
+
+def _recording(source, logs):
+    """The lane noise class ``source``, logging the ``t_next`` that each lane
+    asks for: ``logs`` gains a log ``{lane: [t_next, ...]}`` for each source
+    made and for each ``merge`` (a coupled level)."""
+    class Recording(source):
+        def __init__(self, *args):
+            super().__init__(*args)
+            logs.append(defaultdict(list))
+
+        def merge(self):
+            logs.append(defaultdict(list))
+            super().merge()
+
+        def advance(self, lane, t, w, t_next, dt=None):
+            for j, t_j in zip(lane.tolist(), t_next.tolist()):
+                logs[-1][j].append(t_j)
+            return super().advance(lane, t, w, t_next, dt)
+
+    return Recording
+
+
 def _lanes_against_scalar_walks(model, chains, x0, T, p):
     """Walk ``chains`` as lanes on ForwardNoise (lane j on generator 200 + j,
     its blocks sized as a study sizes them) and compare each lane with its
-    scalar walk; returns the failed mask."""
-    n = len(chains)
+    scalar walk, the times it asks W at included, so a failed lane stops
+    where its scalar walk raises; returns the failed mask."""
+    n, logs = len(chains), []
     steps = s.stepping.expected_mesh_sizes(T, p, x0, [c.num_switches for c in chains])
     y, n_steps, n_backstop, failed = schemes.solve_terminals(
         model, s.Chains.of(chains),
-        ForwardNoise([np.random.default_rng(200 + j) for j in range(n)], steps), x0, T, p)
+        _recording(ForwardNoise, logs)([np.random.default_rng(200 + j) for j in range(n)],
+                                       steps), x0, T, p)
     for j, chain in enumerate(chains):
-        path = s.BrownianPath(np.random.default_rng(200 + j))
+        path = _RecordedPath(s.BrownianPath(np.random.default_rng(200 + j)))
         try:
             y_ref, steps_ref, backstops_ref = s.solve_terminal(model, chain, path, x0[j], T, p)
         except errors.SwitchSDEError:
@@ -400,6 +511,7 @@ def _lanes_against_scalar_walks(model, chains, x0, T, p):
         else:
             assert not failed[j] and float(y[j]).hex() == y_ref.hex()
             assert (n_steps[j], n_backstop[j]) == (steps_ref, backstops_ref)
+        assert logs[0][j] == path.queries
     return failed
 
 
@@ -474,6 +586,22 @@ def test_lane_lost_on_its_step_onto_T_fails():
     failed = _lanes_against_scalar_walks(model, chains, [1.7e308, 1.0], 0.1,
                                          s.StepParams(0.3, 15.0, 1000.0))
     assert failed.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("newton_min", [1, schemes.LANE_NEWTON_MIN])
+def test_infinite_starts_take_their_first_step_and_leave(newton_min):
+    # An infinite start floors its first step at h_min, as its scalar walk's
+    # does, and fails there on a backstop without a root; each lane asks W
+    # only at that step's end, whatever the lanes beside it do.  With
+    # newton_min 1 the infinite lanes go through the lane Newton first.
+    model = s.linear_model(s.LinearModelParams(mu=(-0.5, 0.2), sigma=(0.3, 0.4)))
+    chains = [s.MarkovPath(1 + j % 2, (0.1 * (1 + j % 3),), (2 - j % 2,), 0.5)
+              for j in range(6)]
+    x0 = [math.inf, 1.0, -math.inf, 3.0, math.inf, -2.0]
+    with mock.patch.object(schemes, "LANE_NEWTON_MIN", newton_min):
+        failed = _lanes_against_scalar_walks(model, chains, x0, 0.5,
+                                             s.StepParams(0.03, 15.0, 10.0))
+    assert failed.tolist() == [math.isinf(x) for x in x0]
 
 
 def test_a_scalar_drift_that_raises_on_backstop_lanes_fails_only_them():

@@ -142,7 +142,7 @@ def _mapped(model):
         if derivative is None:
             return f, None, None
         return (f, over(model.diffusion, x, rows),
-                over(model.diffusion_derivative, x, rows) if derivative else None)
+                0.5 * over(model.diffusion_derivative, x, rows) if derivative else None)
 
     return s.RegimeModel(model.num_states, model.drift, model.diffusion,
                          model.diffusion_derivative, lanes=lanes)

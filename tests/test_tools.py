@@ -12,6 +12,8 @@ import shutil
 import types
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -151,12 +153,35 @@ def test_ab_trees_passes_a_tree_against_itself_and_exits_1_on_differing_outputs(
     # The streams and the noise stages hold time of their own.
     assert all(float(line.split()[2]) > 0 and float(line.split()[4]) > 0 for line in lines[5:])
 
-    # A Milstein correction of half its size changes every unit's outputs.
+    # A Milstein correction of half its size (the telomere lane form's g'/2
+    # is sqrt(3a x) times _QUARTER) changes every unit's outputs; the message
+    # names the unit's study seed.
     changed = tmp_path / "change" / "src" / "switchsde"
     shutil.copytree(root / "src" / "switchsde", changed,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    with open(changed / "schemes.py", "a") as fh:
-        fh.write("\n_HALF = np.array(0.25)\n")
+    with open(changed / "models.py", "a") as fh:
+        fh.write("\n_QUARTER = np.array(0.125)\n")
     assert ab_trees.main(["--parent", str(root), "--change", str(tmp_path / "change"),
                           "--units", "2"]) == 1
     assert capsys.readouterr().err == "unit 0 (study seed 0): the trees' outputs differ\n"
+    assert ab_trees.main(["--parent", str(root), "--change", str(tmp_path / "change"),
+                          "--units", "1", "--first-seed", "5"]) == 1
+    assert capsys.readouterr().err == "unit 0 (study seed 5): the trees' outputs differ\n"
+
+
+def test_ab_trees_unit_i_runs_study_seed_first_plus_i(monkeypatch, capsys):
+    # Each tree's study is called with the seeds first, first + 1, ...
+    ab_trees, root = _tool("ab_trees"), TOOLS.parent
+    seeds = []
+
+    def study(package, workload):
+        def run(seed):
+            seeds.append(seed)
+            return (np.array([float(seed)]),)
+        return run
+
+    monkeypatch.setattr(ab_trees, "study", study)
+    assert ab_trees.main(["--parent", str(root), "--change", str(root), "--units", "3",
+                          "--first-seed", "90"]) == 0
+    assert seeds == [90, 90, 91, 91, 92, 92]
+    assert capsys.readouterr().out.splitlines()[0] == "fast-switching: 3 units, outputs equal"
