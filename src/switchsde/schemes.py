@@ -48,11 +48,11 @@ NEWTON_MAX_ITER = 50
 RESIDUAL_REL_TOL = 1e-10  # acceptance bound: |F(X)| <= tol * max(1, |X|)
 BRACKET_MAX_DOUBLINGS = 60
 # Backstop lanes of one step below which the lane walk runs the scalar map on
-# each in place of the lane Newton: on the telomere and linear models one lane
-# Newton call of 1 to 128 lanes that settle in two rounds, from the main map's
-# coefficients, costs about as much as the scalar map on 9 to 13 lanes, 11 in
-# the median (2-vCPU Xeon, numpy 2.4; BENCH_29.json, which moved it from
-# BENCH_28's 13).
+# each in place of the lane Newton, whose two rounds take two lane-form calls
+# whatever the lane count: on the telomere and linear models one lane Newton
+# call of 1 to 128 lanes, from the main map's coefficients, costs about as
+# much as the scalar map on 9 to 13 lanes, 11 in the median (2-vCPU Xeon,
+# numpy 2.4; BENCH_29.json, which moved it from BENCH_28's 13).
 LANE_NEWTON_MIN = 11
 
 
@@ -214,8 +214,7 @@ _MAIN_MAPS = {"em": em_map, "milstein": milstein_map}
 # converts a float operand on every call, which on 40 lanes costs about as
 # much as the arithmetic, and the bits are the same.
 _ZERO, _ONE, _TWO = (np.array(v) for v in (0.0, 1.0, 2.0))
-_NEWTON_ABS_TOL, _RESIDUAL_REL_TOL, _DELTA = (
-    np.array(v) for v in (NEWTON_ABS_TOL, RESIDUAL_REL_TOL, 1e-7))
+_NEWTON_ABS_TOL, _DELTA = (np.array(v) for v in (NEWTON_ABS_TOL, 1e-7))
 
 
 def _em_values(x, h, dW, f, g, half_dg):
@@ -231,130 +230,47 @@ _LANE_MAPS = {"em": (_em_values, False), "milstein": (_milstein_values, True)}
 
 
 def _newton_values(m: RegimeModel, x, rows, h, dW, coef=None):
-    """The Newton iteration of :func:`implicit_milstein_map` on many lanes at
-    once, in the map's order of operations, from the lanes' coefficient rows
-    (:meth:`RegimeModel.rows`) and, if given, their coefficients ``coef``,
-    the lane form's ``(f, g, g'/2)`` at ``x`` (else they come from one call of
-    it).  Returns each lane's last iterate and a mask of the lanes whose
-    iterate the map returns; the map takes every other lane on to its
-    bisection.  Nearly every lane settles on its residual in the second
-    round, so the first two rounds are straight-line code over the live
-    lanes: the drift at y and y +- delta from one drift-only lane-form call,
-    then the drift at the next iterate alone.  Only the lanes that the second
-    residual leaves unsettled take the drift at y +- delta and go on to the
-    later rounds, each one call on y and y +- delta.  A lane in a 2-cycle
-    leaves the iteration as the map's does, at most a round later."""
+    """The first two Newton rounds of :func:`implicit_milstein_map` on many
+    lanes at once, in the map's order of operations, from the lanes'
+    coefficient rows (:meth:`RegimeModel.rows`) and, if given, their
+    coefficients ``coef``, the lane form's ``(f, g, g'/2)`` at ``x`` (else
+    they come from one call of it).  Round one takes the drift at y and
+    y +- delta from one drift-only lane-form call, round two the drift at the
+    next iterate alone.  Returns each lane's value and a mask of the lanes
+    that settle on their residual (``NEWTON_ABS_TOL``) at y or at the next
+    iterate: there the map returns the same bits.  The value of any other
+    lane is not the map's, and the caller runs the scalar map on it, which
+    starts the iteration again: a lane that stalls, cycles, would be
+    accepted on the relative bound or needs a third round.  Only the lanes
+    with a finite explicit value and ``h > 0`` take the lane-form calls."""
     f, g, half_dg = m.lanes(x, rows, True) if coef is None else coef
     const = x + g * dW + half_dg * g * (dW * dW - h)
     y = const + h * f  # explicit Milstein value
-    solved = np.zeros(x.size, dtype=bool)
-    live = (np.isfinite(y) & (h > _ZERO)).nonzero()[0]
-    n = live.size
-
-    def accept(lanes, r):  # NaN and inf residuals compare false
-        bound = _RESIDUAL_REL_TOL * np.maximum(_ONE, np.abs(y[lanes]))
-        solved[lanes[np.abs(r) <= bound]] = True
-
-    # The first round.  The live lanes' operands, gathered only if some lane
-    # is not live; each later gather keeps the lanes that go on.
+    live = np.isfinite(y) & (h > _ZERO)
+    n = _count(live)
     if not n:
-        return y, solved
-    if n == x.size:
-        y_l, h_l, c_l, rows_l = y, h, const, rows
-    else:
-        y_l, h_l, c_l, rows_l = y[live], h[live], const[live], rows.take(live, axis=-1)
+        return y, live
+    y_l, h_l, c_l, rows_l = y, h, const, rows
+    if n < x.size:  # the live lanes' operands alone
+        y_l, h_l, c_l, rows_l = y[live], h[live], const[live], rows.compress(live, axis=-1)
     delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
     f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)),
                  np.concatenate((rows_l, rows_l, rows_l), axis=-1), None)[0]
     r = y_l - c_l - h_l * f3[:n]
     slope = _ONE - h_l * (f3[n:2 * n] - f3[2 * n:]) / (_TWO * delta)
     y_next = y_l - r / slope
-    done = np.abs(r) <= _NEWTON_ABS_TOL
-    # y_l is finite, so a residual that is not finite, or a slope that is
-    # zero or not finite, leaves y_next not finite or equal to y_l: the
-    # scalar map's four stops are these two.
-    move = np.isfinite(y_next) & (y_next != y_l)
-    if _count(done):
-        move &= ~done
-    if _count(move) < n:
-        solved[live[done]] = True
-        stop = ~(done | move)
-        if _count(stop):
-            accept(live[stop], r[stop])
-        live, y_next, h_l, c_l = live[move], y_next[move], h_l[move], c_l[move]
-        rows_l, n = rows_l.compress(move, axis=-1), live.size
-        if not n:
-            return y, solved
-
-    # The second round: the drift at the next iterate alone settles nearly every lane.
-    y_l = y_next
-    r = y_l - c_l - h_l * m.lanes(y_l, rows_l, None)[0]
-    done = np.abs(r) <= _NEWTON_ABS_TOL
-    settled = _count(done)
-    if settled == x.size:  # every lane, on the first two rounds' iterates
-        return y_l, ~solved
-    y[live] = y_l
-    if settled == n:
-        solved[live] = True
-        return y, solved
-    solved[live[done]] = True
-    rest = ~done
-    live, y_l, r, h_l, c_l = live[rest], y_l[rest], r[rest], h_l[rest], c_l[rest]
-    n = live.size
-    delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
-    sides = m.lanes(np.concatenate((y_l + delta, y_l - delta)),
-                    rows.take(np.concatenate((live, live)), axis=-1), None)[0]
-    done = np.zeros(n, dtype=bool)  # the second round's other lanes are not settled
-    y_prev = np.full(x.size, np.nan)  # each lane's y_l of the round before
-
-    cycled = []  # lanes in a 2-cycle, which end on the last round's iterate
-    rows3 = None  # the live lanes' rows tripled, gathered when a round needs them
-    for round_ in range(1, NEWTON_MAX_ITER):
-        if round_ > 1:
-            if not live.size:
-                break
-            if gather:
-                h_l, c_l, rows3 = h[live], const[live], None
-            n = live.size
-            if rows3 is None:
-                rows3 = rows.take(np.concatenate((live, live, live)), axis=-1)
-            delta = _DELTA * np.maximum(_ONE, np.abs(y_l))
-            f3 = m.lanes(np.concatenate((y_l, y_l + delta, y_l - delta)), rows3, None)[0]
-            r = y_l - c_l - h_l * f3[:n]
-            done = np.abs(r) <= _NEWTON_ABS_TOL
-            sides = f3[n:]
-        slope = _ONE - h_l * (sides[:n] - sides[n:]) / (_TWO * delta)
-        y_next = y_l - r / slope
-        move = np.isfinite(y_next) & (y_next != y_l) & ~done
-        solved[live[done]] = True
-        stop = ~(done | move)
-        if _count(stop):
-            accept(live[stop], r[stop])
-        gather = _count(move) < n
-        if gather:
-            live, y_next, y_l = live[move], y_next[move], y_l[move]
-            if not live.size:
-                break
-        y[live] = y_next
-        # From the second round on, a lane whose next iterate equals its
-        # iterate two rounds back is in a 2-cycle: the last round would end
-        # on y_l or y_next.
-        cycle = y_next == y_prev[live]
-        y_prev[live] = y_l
-        if _count(cycle):
-            if not (NEWTON_MAX_ITER - round_) % 2:
-                y[live[cycle]] = y_l[cycle]
-            cycled.append(live[cycle])
-            stay = ~cycle
-            live, y_next = live[stay], y_next[stay]
-            gather = True
-        y_l = y_next
-    if cycled:
-        live = np.concatenate(cycled + [live])
-    if live.size:  # the last iterate's residual, as after the last round
-        f = m.lanes(y[live], rows.take(live, axis=-1), None)[0]
-        accept(live, y[live] - const[live] - h[live] * f)
-    return y, solved
+    # A residual, slope or iterate at which the map stops leaves the next
+    # residual not finite, or equal to this one, so never settled.
+    done = np.abs(y_next - c_l - h_l * m.lanes(y_next, rows_l, None)[0]) <= _NEWTON_ABS_TOL
+    first = np.abs(r) <= _NEWTON_ABS_TOL
+    if _count(first):
+        np.copyto(y_next, y_l, where=first)
+        done |= first
+    if n == x.size:
+        return y_next, done
+    y[live] = y_next
+    live[live] = done
+    return y, live
 
 
 def _check_walk(main: str, T: float) -> None:
@@ -462,12 +378,13 @@ def solve_terminals(m: RegimeModel, chains: Chains, noise, x0, T: float, p: Step
     check run only in an iteration where some lane is floored, failed,
     clamped, arriving or past the lowest step cap.  The backstop steps
     of an iteration, when there are at least ``LANE_NEWTON_MIN`` of them, run
-    the Newton iteration of :func:`implicit_milstein_map` together, through
-    the model's lane form, from the main map's ``(f, g, g')`` where the main
-    map reads g' (Milstein); a lane that Newton does not settle, and the
-    backstop lanes of an iteration with fewer of them, run
-    :func:`implicit_milstein_map` alone, which redoes the Newton iteration
-    and goes on to the bisection.
+    the first two Newton rounds of :func:`implicit_milstein_map` together
+    (:func:`_newton_values`), through the model's lane form, from the main
+    map's ``(f, g, g')`` where the main map reads g' (Milstein).  A lane
+    that those rounds leave unsettled, and the backstop lanes of an
+    iteration with fewer of them, run :func:`implicit_milstein_map` alone,
+    which starts the Newton iteration again and goes on to its later rounds,
+    its 2-cycle exit, its relative bound and its bisection.
 
     Returns per-lane arrays ``(y, n_steps, n_backstop, failed)``, where
     ``failed`` is ``np.isnan(y)``: a lane leaves with a finite value only when

@@ -681,7 +681,9 @@ def _states_of(m, rows):
 
 def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch):
     # rho^k = 16, so every step from |Y| >= 16 is a backstop step; the 24
-    # lanes take the lane Newton on every step with a backstop lane.
+    # lanes take the lane Newton on every step with a backstop lane.  At
+    # |Y| ~ 1e7 it leaves the scalar map the lanes that stall, which the map
+    # accepts on its relative bound, and those without a root.
     monkeypatch.setattr(schemes, "LANE_NEWTON_MIN", 1)
     batches = []
     newton = schemes._newton_values
@@ -695,30 +697,30 @@ def test_lane_newton_batches_with_stalled_and_bisection_lanes_agree(monkeypatch)
     failed = assert_engines_agree(*STIFF, harness.LANE_GROUP)[4]
     assert 0 < failed.sum() < failed.size
 
-    mixed = relative = no_root = 0
+    relative = no_root = 0
     for m, x, states, h, dW, y, solved in batches:
-        mixed += bool(solved.any() and not solved.all())
         for j in range(x.size):
             args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), m
             if solved[j]:  # a settled lane is what the scalar map returns
                 assert float(y[j]).hex() == schemes.implicit_milstein_map(*args).hex()
-                # settled by the relative bound after a stall, not by |r| <= 1e-12
-                relative += abs(schemes.implicit_milstein_residual(
-                    float(y[j]), *args)) > schemes.NEWTON_ABS_TOL
-            else:
-                with pytest.raises(errors.RootNotFoundError):
-                    schemes.implicit_milstein_map(*args)
+                continue
+            try:  # an unsettled lane is the scalar map's, whatever it ends in
+                value = schemes.implicit_milstein_map(*args)
+            except errors.RootNotFoundError:
                 no_root += 1
-    assert mixed > 0 and relative > 0 and no_root > 0
+                continue
+            # accepted on the relative bound after a stall, not by |r| <= 1e-12
+            relative += abs(schemes.implicit_milstein_residual(
+                value, *args)) > schemes.NEWTON_ABS_TOL
+    assert relative > 0 and no_root > 0
 
 
 def test_lane_newton_batches_that_split_their_second_round_agree(monkeypatch):
-    # The lane Newton's second round takes the drift at y +- delta only for
-    # the lanes its residual leaves unsettled.  From STIFF's model at starts
-    # a tenth as large, most batches settle part of their lanes there and
-    # send the rest on, and the walk still equals every lane's scalar walk.
+    # From STIFF's model at starts a tenth as large, the lane Newton's second
+    # round settles part of most batches' lanes and leaves the rest to the
+    # scalar map, and the walk still equals every lane's scalar walk.
     monkeypatch.setattr(schemes, "LANE_NEWTON_MIN", 1)
-    rounds = []
+    batches = []
     newton = schemes._newton_values
 
     def spy(m, x, rows, h, dW, coef=None):
@@ -730,16 +732,40 @@ def test_lane_newton_batches_that_split_their_second_round_agree(monkeypatch):
 
         counting = s.RegimeModel(m.num_states, m.drift, m.diffusion, m.diffusion_derivative,
                                  lanes=lanes, table=m.table)
-        result = newton(counting, x, rows, h, dW, coef)
-        rounds.append(sizes)
-        return result
+        y, solved = newton(counting, x, rows, h, dW, coef)
+        batches.append((sizes, solved))
+        return y, solved
 
     monkeypatch.setattr(schemes, "_newton_values", spy)
     assert_engines_agree(*STIFF[:2], (-4e5, 1e5), *STIFF[3:], harness.LANE_GROUP)
-    # Under Milstein a call's third lane-form call, if any, is the second
-    # round's at y +- delta.
-    split = sum(len(sizes) > 2 and 0 < sizes[2] < 2 * sizes[1] for sizes in rounds)
-    assert split > len(rounds) / 2
+    # Under Milstein the lane Newton makes two lane-form calls, whatever its
+    # lanes do: the drift at y and y +- delta, then at the next iterate.
+    assert all(sizes == [3 * solved.size, solved.size] for sizes, solved in batches)
+    split = sum(bool(solved.any() and not solved.all()) for _, solved in batches)
+    assert split > len(batches) / 2
+
+
+@pytest.mark.parametrize("newton_min", [1, schemes.LANE_NEWTON_MIN])
+def test_backstop_steps_past_the_lane_newton_s_two_rounds_agree(newton_min):
+    # With h_max 1 and rho 2 every floored step is a backstop step of h 0.5,
+    # long enough that Newton on the linear model needs a third round for
+    # some lanes: those come back unsolved and the scalar map takes them.
+    unsolved = []
+    newton = schemes._newton_values
+
+    def spy(m, x, rows, h, dW, coef=None):
+        y, solved = newton(m, x, rows, h, dW, coef)
+        unsolved.append(int(solved.size - solved.sum()))
+        return y, solved
+
+    with mock.patch.object(schemes, "LANE_NEWTON_MIN", newton_min), \
+            mock.patch.object(schemes, "_newton_values", spy):
+        assert_engines_agree(s.linear_model(s.LinearModelParams(mu=(0.5, -0.5),
+                                                                sigma=(0.3, 0.5))),
+                             s.validate_generator([[-1.0, 1.0], [1.0, -1.0]]), 1.0, 1, 4.0,
+                             s.StepParams(1.0, 2.0, 10.0), 1, 200, 7, "milstein",
+                             harness.LANE_GROUP)
+    assert sum(unsolved) > 0
 
 
 @pytest.mark.parametrize("scheme", ["milstein", "em"])

@@ -148,23 +148,44 @@ def _mapped(model):
                          model.diffusion_derivative, lanes=lanes)
 
 
-def _newton_returns(x, i, h, dW, m):
-    """Whether implicit_milstein_map returns from its Newton iteration: it
-    neither raises nor reaches the first bisection bracket's end x - max(1, |x|)."""
-    seen = set()
-    probe = s.RegimeModel(m.num_states, lambda y, j: (seen.add(y), m.drift(y, j))[1],
+def _newton_calls(x, i, h, dW, m):
+    """The drift calls after which implicit_milstein_map returns from its
+    Newton iteration, or None if it raises or reaches the first bisection
+    bracket's end x - max(1, |x|)."""
+    seen = []
+    probe = s.RegimeModel(m.num_states, lambda y, j: (seen.append(y), m.drift(y, j))[1],
                           m.diffusion, m.diffusion_derivative)
     try:
         s.implicit_milstein_map(x, i, h, dW, probe)
     except errors.SwitchSDEError:
-        return False
-    return x - max(1.0, abs(x)) not in seen
+        return None
+    return None if x - max(1.0, abs(x)) in seen else len(seen)
+
+
+def _check_two_rounds(m, x, states, h, dW, y, solved):
+    """The lane Newton's contract on every lane: ``solved[j]`` holds iff
+    implicit_milstein_map returns on its residual target within its first
+    two Newton rounds, after 2 drift calls (the explicit value's and its
+    residual's) or 5 (y +- delta and the next iterate's residual), and then
+    ``y[j]`` has the map's bits.  Returns each lane's count from
+    :func:`_newton_calls`."""
+    calls = []
+    for j in range(x.size):
+        args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), m
+        calls.append(_newton_calls(*args))
+        settles = calls[-1] in (2, 5) and abs(s.implicit_milstein_residual(
+            s.implicit_milstein_map(*args), *args)) <= schemes.NEWTON_ABS_TOL
+        assert solved[j] == settles, j
+        if settles:
+            assert float(y[j]).hex() == s.implicit_milstein_map(*args).hex()
+    return calls
 
 
 class TestLaneNewton:
-    """``schemes._newton_values`` runs the backstop's Newton iteration on many
-    lanes at once; a lane it settles must be one the scalar Newton returns,
-    with the same bits, and every other lane one the scalar map bisects."""
+    """``schemes._newton_values`` runs the first two rounds of the backstop's
+    Newton iteration on many lanes at once; a lane it settles must be one the
+    scalar Newton returns on its residual in those rounds, with the same bits,
+    and every other lane comes back unsolved, for the scalar map."""
 
     def test_settles_exactly_the_lanes_the_scalar_newton_returns(self):
         # Stiff states (h * mu down to -1e8) leave residuals near the relative
@@ -180,26 +201,23 @@ class TestLaneNewton:
         dW = rng.standard_normal(n) * np.sqrt(h)
         with np.errstate(all="ignore"):
             y, solved = schemes._newton_values(model, x, model.rows(states), h, dW)
-        relative = 0
-        for j in range(n):
-            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), model
-            assert solved[j] == _newton_returns(*args)
-            if solved[j]:
-                assert float(y[j]).hex() == s.implicit_milstein_map(*args).hex()
-                relative += abs(s.implicit_milstein_residual(
-                    float(y[j]), *args)) > schemes.NEWTON_ABS_TOL
-        assert relative > 0 and 0 < solved.sum() < n - 3
+        calls = _check_two_rounds(model, x, states, h, dW, y, solved)
+        # Unsolved lanes the scalar Newton returns: on the relative bound after
+        # a stall, or in a later round.
+        returned = np.array([c is not None for c in calls])
+        assert (returned & ~solved).sum() > 0 and 0 < solved.sum() < n - 3
 
     def test_a_newton_cycle_spends_the_budget(self):
-        # TestBisectionFallback's cycle 0 -> 1 -> 0 beside a lane that settles
+        # TestBisectionFallback's cycle 0 -> 1 -> 0 beside a lane from 0,
+        # which the scalar Newton settles after its second round
         model = _mapped(_drift_only_model(lambda y: (-y ** 3 + 3.0 * y - 3.0) / 0.5, set()))
         x = np.array([1.0, 0.0])
         with np.errstate(all="ignore"):
             y, solved = schemes._newton_values(
                 model, x, model.rows(np.ones(2, dtype=np.int64)), np.full(2, 0.5), np.zeros(2))
-        assert solved.tolist() == [False, True]
-        assert not _newton_returns(1.0, 1, 0.5, 0.0, model)
-        assert y[1].hex() == s.implicit_milstein_map(0.0, 1, 0.5, 0.0, model).hex()
+        assert solved.tolist() == [False, False]
+        assert _newton_calls(1.0, 1, 0.5, 0.0, model) is None
+        assert _newton_calls(0.0, 1, 0.5, 0.0, model) > 5
 
 
 def _counting_lanes(model):
@@ -215,10 +233,9 @@ def _counting_lanes(model):
 
 
 class TestLaneNewtonRounds:
-    """The lane Newton's first two rounds are straight-line code: the drift
-    at y and y +- delta for every live lane, then at the next iterate alone,
-    and at y +- delta only for the lanes its residual leaves unsettled, which
-    go on to the later rounds."""
+    """The lane Newton is two rounds of straight-line code: the drift at y
+    and y +- delta for every live lane, then at the next iterate alone.
+    Every lane that they leave unsettled comes back unsolved."""
 
     def test_a_batch_that_settles_in_the_second_round_makes_two_calls(self, telomere):
         rng = np.random.default_rng(28)
@@ -263,43 +280,30 @@ class TestLaneNewtonRounds:
         with np.errstate(all="ignore"):
             y, solved = schemes._newton_values(counting, x, rows, h, dW,
                                                model.lanes(x, rows, True))
-        calls = [0]
-
-        def drift(v, i):
-            calls[0] += 1
-            return model.drift(v, i)
-
-        scalar = s.RegimeModel(model.num_states, drift, model.diffusion,
-                               model.diffusion_derivative)
-        spent, cycles = set(), 0
-        for j in range(x.size):
-            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j])
-            assert solved[j] == _newton_returns(*args, model)
-            if solved[j]:
-                calls[0] = 0
-                assert float(y[j]).hex() == s.implicit_milstein_map(*args, scalar).hex()
-                spent.add(calls[0])
-                cycles += _fifty_rounds(*args, model)[2] is not None
-        # A lane settled in round r on its residual takes 3r + 2 drifts.
-        assert {2, 5} <= spent and max(spent) >= 8 and cycles > 0
+        calls = _check_two_rounds(model, x, states, h, dW, y, solved)
+        spent = {c for c, settled in zip(calls, solved) if settled}
+        later = sum(c is not None and c >= 8 for c in calls)  # round 3 or later
+        cycles = sum(_fifty_rounds(float(x[j]), int(states[j]), float(h[j]), float(dW[j]),
+                                   model)[2] is not None for j in range(x.size))
+        # A lane settled in round r on its residual takes 3r - 1 drifts.
+        assert spent == {2, 5} and later > 0 and cycles > 0
         started = np.isfinite(x) & (h > 0.0)
-        assert not solved[~started].any()
-        assert sizes[0] == 3 * started.sum() and sizes[1] < started.sum() - k // 2
+        assert not solved[~started].any() and not solved[states >= 3].any()
+        assert sizes == [3 * started.sum(), started.sum()]
 
-        # Without the stiff and the cycling lanes, every lane that goes on
-        # settles in the second round: two lane-form calls, the same lanes.
+        # The lanes that settle do so whatever lanes are beside them.
         easy = (states <= 2) | ~started
         sizes.clear()
         with np.errstate(all="ignore"):
             y_easy, solved_easy = schemes._newton_values(
                 counting, x[easy], model.rows(states[easy]), h[easy], dW[easy],
                 model.lanes(x[easy], model.rows(states[easy]), True))
-        assert len(sizes) == 2 and sizes[0] == 3 * started[easy].sum()
+        assert sizes == [3 * started[easy].sum(), started[easy].sum()]
         assert solved_easy.tolist() == solved[easy].tolist()
         assert [v.hex() for v in y_easy[solved_easy].tolist()] == \
             [v.hex() for v in y[easy][solved_easy].tolist()]
 
-    def test_a_second_round_that_settles_some_lanes_sends_the_rest_on(self):
+    def test_returns_the_rest_unsolved_after_exactly_two_lane_form_calls(self):
         # Lanes at moderate values settle in the second round; lanes at large
         # values (TestNewtonTwoCycles' inputs) stall or cycle in later rounds.
         rng = np.random.default_rng(16)
@@ -313,23 +317,19 @@ class TestLaneNewtonRounds:
         rows = model.rows(states)
         sizes, counting = _counting_lanes(model)
         y, solved = schemes._newton_values(counting, x, rows, h, dW, model.lanes(x, rows, True))
-        assert sizes[0] == 3 * n
-        assert 0 < sizes[2] < 2 * sizes[1]  # y +- delta for some of round two's lanes
-        assert len(sizes) > 3  # and rounds after it
-        for j in range(n):
-            args = float(x[j]), int(states[j]), float(h[j]), float(dW[j]), model
-            assert solved[j] == _newton_returns(*args)
-            if solved[j]:
-                assert float(y[j]).hex() == s.implicit_milstein_map(*args).hex()
+        assert sizes == [3 * n, n]
+        _check_two_rounds(model, x, states, h, dW, y, solved)
+        assert 0 < solved.sum() < n
 
 
 @pytest.mark.parametrize("side_drift", [2.0, math.inf])
-def test_the_lane_newton_accepts_an_iterate_whose_slope_stops_it(side_drift):
+def test_the_lane_newton_leaves_an_iterate_whose_slope_stops_it_unsolved(side_drift):
     # From x = 3 (h = 0.5, no noise) the explicit value is 4, whose residual,
     # about 2e-10, passes the relative bound but not NEWTON_ABS_TOL.  The
     # drift at 4 +- delta makes the slope zero (or infinite), so the scalar
-    # Newton stops at 4 and returns it; the lane Newton's next iterate is
-    # then infinite (or 4 again), and it must return 4 as settled too.
+    # Newton stops at 4 and returns it on the relative bound; the lane
+    # Newton's next iterate is then infinite (or 4 again), never settled, so
+    # the lane comes back unsolved and the walk runs the scalar map on it.
     delta = 1e-7 * 4.0
     drifts = {3.0: 2.0, 4.0: 2.0 - 4e-10,
               4.0 + delta: side_drift * delta, 4.0 - delta: -side_drift * delta}
@@ -337,12 +337,12 @@ def test_the_lane_newton_accepts_an_iterate_whose_slope_stops_it(side_drift):
                                   diffusion=lambda x, i: 0.0,
                                   diffusion_derivative=lambda x, i: 0.0))
     assert s.implicit_milstein_map(3.0, 1, 0.5, 0.0, model) == 4.0
-    assert _newton_returns(3.0, 1, 0.5, 0.0, model)
+    assert _newton_calls(3.0, 1, 0.5, 0.0, model) == 5
     with np.errstate(all="ignore"):
         y, solved = schemes._newton_values(model, np.full(1, 3.0),
                                            model.rows(np.ones(1, dtype=np.int64)),
                                            np.full(1, 0.5), np.zeros(1))
-    assert solved.tolist() == [True] and y.tolist() == [4.0]
+    assert solved.tolist() == [False]
 
 
 def _fifty_rounds(x, i, h, dW, m):
@@ -378,8 +378,9 @@ def _fifty_rounds(x, i, h, dW, m):
 class TestNewtonTwoCycles:
     """At large values a Newton iterate's residual stays far above
     NEWTON_ABS_TOL, and the iteration can alternate between two floats some
-    ulps apart.  Both Newton loops leave such a cycle early, with the iterate
-    that the last round would reach: the same bits as running every round."""
+    ulps apart.  The scalar map leaves such a cycle early, with the iterate
+    that the last round would reach: the same bits as running every round.
+    The lane Newton leaves every such lane unsolved, for the scalar map."""
 
     @staticmethod
     def _inputs():
@@ -418,31 +419,13 @@ class TestNewtonTwoCycles:
                 assert calls[0] == 2 + 3 * (cycle + 1) < rounds_ref
         assert cycles > 100 and spent > cycles  # some spend the rounds without a 2-cycle
 
-    def test_the_lane_newton_returns_the_last_round_s_iterate_early(self):
+    def test_the_lane_newton_leaves_cycling_lanes_unsolved(self):
         model, x, states, h, dW = self._inputs()
-        ref = [_fifty_rounds(*args, model) for args in
-               zip(x.tolist(), states.tolist(), h.tolist(), dW.tolist())]
         y, solved = schemes._newton_values(model, x, model.rows(states), h, dW)
-        assert [v.hex() for v in y.tolist()] == [r[0].hex() for r in ref]
-        assert solved.all()
-
-        # The lanes in a 2-cycle alone: every lane leaves at its cycle.
-        calls = [0]
-
-        def lanes(*args):
-            calls[0] += 1
-            return model.lanes(*args)
-
-        counting = s.RegimeModel(2, model.drift, model.diffusion,
-                                 model.diffusion_derivative, lanes=lanes, table=model.table)
-        cycle = np.array([r[2] is not None for r in ref])
-        y, solved = schemes._newton_values(counting, x[cycle], counting.rows(states[cycle]),
-                                           h[cycle], dW[cycle])
-        assert [v.hex() for v in y.tolist()] == [r[0].hex() for r, c in zip(ref, cycle) if c]
-        assert solved.all()
-        # The coefficients, a call a round and one more in the second (whose
-        # cycling lanes its residuals leave unsettled), and the last check.
-        assert calls[0] == 1 + max(r[2] for r in ref if r[2] is not None) + 1 + 1 + 1
+        _check_two_rounds(model, x, states, h, dW, y, solved)
+        cycle = np.array([_fifty_rounds(*args, model)[2] is not None for args in
+                          zip(x.tolist(), states.tolist(), h.tolist(), dW.tolist())])
+        assert cycle.sum() > 100 and not solved[cycle].any()
 
 
 class TestSolveTrajectory:

@@ -185,3 +185,16 @@ def test_ab_trees_unit_i_runs_study_seed_first_plus_i(monkeypatch, capsys):
                           "--first-seed", "90"]) == 0
     assert seeds == [90, 90, 91, 91, 92, 92]
     assert capsys.readouterr().out.splitlines()[0] == "fast-switching: 3 units, outputs equal"
+
+
+def test_ab_trees_times_any_cli_config(tmp_path, capsys):
+    # A config outside bench/configs, with a uniform initial range that only
+    # the CLI's typed value carries: it runs in both trees, named by its file.
+    ab_trees, root = _tool("ab_trees"), TOOLS.parent
+    config = tmp_path / "tiny-ensemble.json"
+    config.write_text(json.dumps({"experiment": "ensemble", "horizon": 1.0,
+                                  "initial": {"uniform": [1000.0, 2000.0]},
+                                  "trajectories": 3, "runs_per_initial": 2}))
+    assert ab_trees.main(["--parent", str(root), "--change", str(root), "--units", "2",
+                          "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "tiny-ensemble: 2 units, outputs equal"

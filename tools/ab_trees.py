@@ -3,16 +3,20 @@
     python3 tools/ab_trees.py --parent ../parent-tree --change . \\
         --workload fast-switching --units 100 --stages
 
+    python3 tools/ab_trees.py --parent ../parent-tree --change . \\
+        --config step-a.json --units 12
+
 ``--parent`` and ``--change`` are two checkouts of the repository, each
 holding ``src/switchsde``.  The package imports its own modules relatively,
 so each tree loads under a name of its own (``ab_parent``, ``ab_change``) and
-both live in this process side by side.  Unit i runs the workload's study
-(``bench/configs/<workload>.json`` beside this script, loaded by each tree's
-``cli.load_config``) at study seed ``--first-seed`` + i (0 + i by default) in
-both trees, the parent first in even units and the change first in odd ones,
-and checks that the two trees' output arrays are bitwise equal.  A claim
-sized on the first seeds can so be checked on held-out ones.  It writes no
-output files.
+both live in this process side by side.  Unit i runs the study of a CLI
+config (``--config``, a file that names its ``experiment``, or else the
+workload's ``bench/configs/<workload>.json`` beside this script; each tree's
+``cli.load_config`` loads it) at study seed ``--first-seed`` + i (0 + i by
+default) in both trees, the parent first in even units and the change first
+in odd ones, and checks that the two trees' output arrays are bitwise equal.
+A claim sized on the first seeds can so be checked on held-out ones.  It
+writes no output files.
 
 It prints the median over the units of the per-unit ratio parent seconds /
 change seconds (above 1: the change is faster), its quartiles, and the units
@@ -71,16 +75,16 @@ def load_tree(tree: Path, name: str):
     return package
 
 
-def study(package, workload: str):
-    """``run(seed)`` of the workload in ``package``: its output arrays."""
+def study(package, config: Path):
+    """``run(seed)`` of the CLI config ``config`` in ``package``: its output arrays."""
     cli, harness = (importlib.import_module(f"{package.__name__}.{m}") for m in ("cli", "harness"))
-    experiment = json.loads((CONFIG_DIR / f"{workload}.json").read_text())["experiment"]
+    experiment = json.loads(config.read_text())["experiment"]
     cfg = cli.load_config(experiment, cli.build_parser().parse_args(
-        [experiment, "--config", str(CONFIG_DIR / f"{workload}.json")]))
+        [experiment, "--config", str(config)]))
     x = cfg.extra
     if experiment == "ensemble":
         def run(seed):
-            s = harness.run_ensemble(cfg.model, cfg.generator, float(x["initial"]), x["r0"],
+            s = harness.run_ensemble(cfg.model, cfg.generator, x["initial"], x["r0"],
                                      float(x["horizon"]), cfg.step, int(x["trajectories"]),
                                      int(x["runs_per_initial"]), seed, cfg.scheme)
             return (s.terminal_values,)
@@ -131,6 +135,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", default="fast-switching")
+    parser.add_argument("--config", type=Path,
+                        help="time this CLI config in place of the workload's")
     parser.add_argument("--units", type=int, default=100)
     parser.add_argument("--first-seed", type=int, default=0,
                         help="the study seed of unit 0; unit i runs seed first + i")
@@ -139,6 +145,7 @@ def main(argv=None) -> int:
                              "in each tree")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
+    config = args.config or CONFIG_DIR / f"{args.workload}.json"
     runs, totals, stages = {}, {}, {side: {stage: [] for stage in STAGES} for side in SIDES}
     for side in SIDES:
         package = load_tree(trees[side], f"ab_{side}")
@@ -146,7 +153,7 @@ def main(argv=None) -> int:
         totals[side] = dict.fromkeys(STAGES, 0.0)
         if args.stages:
             wrap_stages(package, totals[side])
-        runs[side] = study(package, args.workload)
+        runs[side] = study(package, config)
     seconds = {side: [] for side in SIDES}
     for unit in range(args.units):
         outputs, seed = {}, args.first_seed + unit
@@ -166,7 +173,7 @@ def main(argv=None) -> int:
             return 1
     ratios = [p / c for p, c in zip(seconds["parent"], seconds["change"])]
     low, mid, high = _quartiles(ratios)
-    print(f"{args.workload}: {args.units} units, outputs equal")
+    print(f"{config.stem}: {args.units} units, outputs equal")
     for side in SIDES:
         print(f"{side:<7} median {1e3 * statistics.median(seconds[side]):.2f} ms a unit")
     print(f"ratio parent/change: median {mid:.3f}, quartiles {low:.3f} .. {high:.3f}; "
