@@ -60,9 +60,9 @@ BACKSTOP_WARN_FRACTION = 0.05
 LANE_GROUP = 1024
 # Brownian points the strong-order study's lanes hold at once, 16 bytes each
 # (a time and a value).  A lane's row holds every point its path will have
-# (the levels' steps, ``room``) and an eighth more, beside a cell table of one
-# int32 per four points and a block of 256 normals (2 kB); so a fine grid
-# walks fewer samples together.
+# (the levels' steps, ``room``) and an eighth more, beside search keys of one
+# byte a column and a block of 256 normals (2 kB); so a fine grid walks fewer
+# samples together.
 COUPLED_POINTS = 2 ** 22
 
 _TRAJECTORY_FAILURES = (NonfiniteResultError, RootNotFoundError, StepBudgetExceededError)
@@ -383,7 +383,7 @@ def _coupled_errors(params: LinearModelParams, model: RegimeModel, x0: float, T:
             exact[j] = exact_linear_solution(params, x0, chains.path(j), path, T)
         except NonfiniteResultError:  # a failed sample: NaN starts no lane
             exact[j] = start[j] = math.nan
-    noise = BridgeNoise(paths, room, T)
+    noise = BridgeNoise(paths, room)
     errors = np.empty((len(step_params), len(chains)))
     n_steps = np.empty(errors.shape, dtype=np.int64)
     n_backstop = np.empty_like(n_steps)

@@ -38,8 +38,7 @@ from .errors import NegativeTimeError, ReversedIntervalError
 MAX_BLOCK = 512
 _NEVER = 2 ** 62  # a call count no walk reaches
 BRIDGE_BLOCK = 256  # normals a bridge lane holds
-_CELL = 4  # known points a bridge search cell holds, at least, as sized from the room
-_CELL_BATCH = 2 ** 12  # points or cells a merge counts at once, to bound its memory
+_KEY = 16  # a bridge row's columns per search key: every 16th column is keyed
 # np.count_nonzero without its __array_function__ dispatch, which costs more
 # than the count on a few dozen lanes; the lane engine's masks are ndarrays.
 _count = np.count_nonzero.__wrapped__
@@ -210,15 +209,17 @@ class BridgeNoise:
     follows every point (a study's levels step at most 1 at a time, so its
     horizon could never come near).  Otherwise every lane finds the first
     known point after its query in the same few array operations, however
-    many points the step passes: cells of one power-of-two width split the
-    time axis, a table holds each row's first point in each cell, and a
-    window as wide as the fullest cell, plus one, from the start of the
-    query's cell holds the point.  The point before it, unless the lane's own
-    (t, w) is later, is the left neighbour; at the query's time it is a hit.
-    Every lane then takes the same arithmetic, in ``sample_at``'s order of
-    operations (``np.sqrt`` is correctly rounded, like ``math.sqrt``): a
-    hit's left neighbour is at the query, so its value comes out as the
-    memoized one, bit for bit, and it draws no normal.
+    many points the step passes: rows are a whole number of 16-column spans,
+    and one sorted complex array keys column 16c of row j as (j, its time),
+    which numpy orders row first.  One ``searchsorted`` of every lane's
+    (j, query) finds the last key at or before it, and 16 times that key's
+    index is its flat position in the table; the first known point after the
+    query is among the 16 that follow.  The point before it, unless the
+    lane's own (t, w) is later, is the left neighbour; at the query's time it
+    is a hit.  Every lane then takes the same arithmetic, in ``sample_at``'s
+    order of operations (``np.sqrt`` is correctly rounded, like
+    ``math.sqrt``): a hit's left neighbour is at the query, so its value
+    comes out as the memoized one, bit for bit, and it draws no normal.
 
     Each lane holds a block of ``BRIDGE_BLOCK`` normals; hits draw none; when
     the lane furthest into its block reaches its end, every walking lane
@@ -226,57 +227,45 @@ class BridgeNoise:
     single draws, bit for bit).  A walk's new points join the known ones in
     one call, :meth:`merge`, which the caller makes before the next walk and
     before :meth:`known_points`.  ``room``, the new points per lane as far as
-    known, sizes the columns and the cells, and the cells span [0, ``horizon``],
-    the walks' last query time.
+    known, sizes the columns.
     """
 
-    def __init__(self, paths, room: int, horizon: float):
+    def __init__(self, paths, room: int):
         self._rngs = [path._rng for path in paths]
-        known = max((len(path._times) for path in paths), default=0)
-        self._points = _table(len(paths), known + room + room // 8 + 1)
-        self._flat = self._points.ravel()  # times the real part, values the imaginary
-        self._times, self._values = self._flat.real, self._flat.imag
+        self._count = np.array([len(path._times) for path in paths], dtype=np.intp)
+        self._points = self._keys = None
+        self._resize(int(self._count.max(initial=0)) + _KEY + room + room // 8)
         for row, path in zip(self._points, paths):
             row[:len(path._times)] = path._times
             row.imag[:len(path._values)] = path._values
-        # Cells of a power-of-two width: a time's cell is exact arithmetic, or a search.
-        width = math.ldexp(1.0, math.frexp(horizon * _CELL / max(1, known + room))[1])
-        cells = math.ceil(horizon / width)
-        self._edges = np.arange(1, cells + 1) * width
-        self._inv, self._top = np.array(1.0 / width), np.array(float(cells))
-        self._cells = np.zeros((len(paths), cells + 1), dtype=np.int32)
-        self._cells += np.arange(len(paths), dtype=np.int32)[:, None] * self._points.shape[1]
-        self._starts = self._cells.ravel()  # a view: the table's updates show
-        self._count = np.zeros(len(paths), dtype=np.intp)
+        self._key(self._points.shape[1])
         self._z = np.empty((len(paths), BRIDGE_BLOCK))
         self._zs = self._z.ravel()  # indexed by flat block positions
         self._col = np.full(len(paths), BRIDGE_BLOCK)  # each lane's next normal
-        self._count_in(self._points[:, :known].real)
         self._lane = None  # the walking lanes, or None between walks
 
-    def _count_in(self, times):
-        """Count ``times``, columns of every row (padding counts nowhere), into
-        the rows' counts and cells, in batches of rows to bound the
-        temporaries; size the window to the fullest cell, and start the next
-        walk's columns a window past them all."""
-        columns = self._cells.shape[1]  # one a cell, and one past the last
-        rows, fullest = max(1, _CELL_BATCH // max(times.shape[1], columns)), 0
-        offsets = np.arange(rows)[:, None] * columns
-        for r in range(0, len(times), rows):
-            block, cells = times[r:r + rows], self._cells[r:r + rows]
-            count = self._count[r:r + rows]
-            key = np.minimum(block * self._inv, self._top).astype(np.intp)  # each time's cell
-            key += offsets[:len(key)]
-            n = np.bincount(key.ravel(), minlength=len(key) * columns).astype(np.int32)
-            before = (n.cumsum(dtype=np.int32) - n).reshape(-1, columns)  # int32: no cast buffers
-            cells += before - before[:, :1]
-            count += np.add.reduce(block < _PAD, axis=1)
-            last = cells[:, 0] + count - cells[:, -1]  # points past the last cell's start
-            fullest = max(fullest, np.maximum.reduce(cells[:, 1:] - cells[:, :-1], axis=None),
-                          np.maximum.reduce(last))
-        self._width = int(fullest) + 1
-        self._window = sliding_window_view(self._times, self._width)
-        self._base = self._step = int(self._count.max(initial=0)) + self._width
+    def _resize(self, columns):
+        """Point and key tables of at least ``columns`` columns, a whole
+        number of keys' spans, holding the old tables' entries."""
+        rows, columns = len(self._rngs), -(-columns // _KEY) * _KEY
+        points, self._points = self._points, _table(rows, columns)
+        keys, self._keys = self._keys, np.empty((rows, columns // _KEY), complex)
+        self._keys.real, self._keys.imag = np.arange(rows)[:, None], _PAD
+        if points is not None:
+            self._points[:, :points.shape[1]] = points
+            self._keys[:, :keys.shape[1]] = keys
+        self._flat = self._points.ravel()  # times the real part, values the imaginary
+        self._times, self._values = self._flat.real, self._flat.imag
+        self._window = sliding_window_view(self._times, _KEY + 1)
+        # A query's count of keys at or before it, less row 0's first, is the
+        # index of the last of them.
+        self._search = self._keys.ravel()[1:]
+
+    def _key(self, columns):
+        """Key the sorted rows' first ``columns`` columns, and start the next
+        walk's columns past every window a lookup reads."""
+        self._keys.imag[:, :-(-columns // _KEY)] = self._points[:, :columns:_KEY].real
+        self._base = self._step = int(self._count.max(initial=0)) + _KEY
 
     def advance(self, lane, t, w, t_next, dt=None):
         """W(t_next) of each lane in ``lane``, from its value ``w`` at ``t``
@@ -286,8 +275,8 @@ class BridgeNoise:
         elif lane is not self._lane:  # lanes have left: keep the others' cursors
             keep = np.searchsorted(self._lane, lane)
             self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
-            self._zpos, self._first, self._cell, self._u, self._wu = (
-                a[keep] for a in (self._zpos, self._first, self._cell, self._u, self._wu))
+            self._zpos, self._first, self._query, self._u, self._wu = (
+                a[keep] for a in (self._zpos, self._first, self._query, self._u, self._wu))
             self._lane = lane
         if self._step >= self._points.shape[1]:
             self._grow()
@@ -297,7 +286,9 @@ class BridgeNoise:
         s, ws, hits = t, w, 0
         reached = _count(u <= t_next)
         if reached:  # every lane looks up the first known point after t_next
-            start = self._starts.take(self._cell + self._edges.searchsorted(t_next, "right"))
+            self._query.imag = t_next
+            start = self._search.searchsorted(self._query, "right")
+            start *= _KEY  # the last keyed point at or before t_next
             k = start + (self._window[start] <= t_next[:, None]).argmin(axis=1)
             before, p = self._flat.take(k - 1), self._flat.take(k)
             s, ws = before.real, before.imag  # the last known point at or before t_next
@@ -339,22 +330,16 @@ class BridgeNoise:
         self._lane, self._first = lane, lane * self._points.shape[1]  # each lane's row, flat
         p = self._flat.take(self._first + 1)  # the first after t = 0, each row's first point
         self._u, self._wu = p.real, p.imag
-        self._cell = lane * self._cells.shape[1]
+        self._query = lane.astype(complex)  # (row, query time) keys, times set each lookup
         col = self._col[lane]
         self._zpos = lane * BRIDGE_BLOCK + col
         self._left = BRIDGE_BLOCK - int(col.max(initial=0))
 
     def _grow(self):
         """Add columns for more steps, and move the flat positions with their rows."""
-        rows, capacity = self._points.shape
-        more = max(capacity // 8, 64, self._step + 1 - capacity)
-        self._first += self._lane * more
-        self._cells += np.arange(rows)[:, None] * more
-        points, self._points = self._points, _table(rows, capacity + more)
-        self._points[:, :capacity] = points
-        self._flat = self._points.ravel()
-        self._times, self._values = self._flat.real, self._flat.imag
-        self._window = sliding_window_view(self._times, self._width)
+        capacity = self._points.shape[1]
+        self._resize(capacity + max(capacity // 8, 64, self._step + 1 - capacity))
+        self._first += self._lane * (self._points.shape[1] - capacity)
 
     def _top_up(self):
         """Refill each walking lane's block: its unused normals, then new ones."""
@@ -368,17 +353,18 @@ class BridgeNoise:
         self._left = BRIDGE_BLOCK
 
     def merge(self):
-        """End the walk, and merge its new points into the known ones: the
-        cell table counts them in, and a stable sort of each row merges its
-        two runs.  Every lane rewinds to t = 0; with no new points, nothing
+        """End the walk, and merge its new points into the known ones: count
+        them, merge each row's two runs with a stable sort, and key the rows
+        again.  Every lane rewinds to t = 0; with no new points, nothing
         changes."""
         if self._lane is not None:
             self._col[self._lane] = self._zpos - self._lane * BRIDGE_BLOCK
             self._lane = None
         step = self._step
         if step > self._base:
-            self._count_in(self._points[:, self._base:step].real)
+            self._count += np.add.reduce(self._points[:, self._base:step].real < _PAD, axis=1)
             self._points[:, :step].sort(kind="stable")
+            self._key(step)
 
     def known_points(self, j: int) -> list[tuple[float, float]]:
         """Lane ``j``'s known (time, value) pairs in time order, as of the last merge."""

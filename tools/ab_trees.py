@@ -24,10 +24,11 @@ the change won.  ``--stages`` wraps ``harness.simulate_chains``, the stream
 setup that the harness calls (whichever of ``STREAM_CALLS`` it binds:
 substream derivation, lane uniform sources and noise generators),
 ``harness.solve_terminals``, the noise sources' ``advance`` (each of
-``NOISE_SOURCES``, its block draws included) and ``schemes._newton_values``
-in both trees and prints each tree's median milliseconds per unit in the
-chains, the streams, the walk (``solve_terminals`` less the noise and the
-Newton), the noise, the Newton and the rest of the study.
+``NOISE_SOURCES``, its block draws included), ``schemes._newton_values`` and
+``BridgeNoise.merge`` in both trees and prints each tree's median
+milliseconds per unit in the chains, the streams, the walk
+(``solve_terminals`` less the noise and the Newton), the noise, the Newton,
+the bridge merges and the rest of the study.
 
 Runs of two subprocesses minutes apart feel the host's swings of speed; units
 interleaved in one process feel them alike.  Exits 1 at the first unit whose
@@ -55,7 +56,7 @@ import numpy as np
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "bench" / "configs"
 SIDES = ("parent", "change")
-STAGES = ("chains", "streams", "walk", "noise", "newton", "rest")
+STAGES = ("chains", "streams", "walk", "noise", "newton", "merge", "rest")
 # The stream setup a harness may call, none of them through another.
 STREAM_CALLS = ("substream_states", "seeded_generators", "LaneUniforms", "substream_uniforms",
                 "substream_rngs")
@@ -112,7 +113,7 @@ def wrap_stages(package, totals: dict) -> None:
     harness, noise, schemes = (importlib.import_module(f"{package.__name__}.{m}")
                                for m in ("harness", "noise", "schemes"))
     staged = [(harness, "simulate_chains", "chains"), (harness, "solve_terminals", "walk"),
-              (schemes, "_newton_values", "newton")]
+              (schemes, "_newton_values", "newton"), (noise.BridgeNoise, "merge", "merge")]
     staged += [(harness, name, "streams") for name in STREAM_CALLS if hasattr(harness, name)]
     staged += [(getattr(noise, name), "advance", "noise") for name in NOISE_SOURCES]
     for owner, name, stage in staged:
@@ -141,8 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("--first-seed", type=int, default=0,
                         help="the study seed of unit 0; unit i runs seed first + i")
     parser.add_argument("--stages", action="store_true",
-                        help="time the chains, the streams, the walk, the noise and the Newton "
-                             "in each tree")
+                        help="time the chains, the streams, the walk, the noise, the Newton "
+                             "and the bridge merges in each tree")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
     config = args.config or CONFIG_DIR / f"{args.workload}.json"
@@ -163,10 +164,12 @@ def main(argv=None) -> int:
             outputs[side] = runs[side](seed)
             seconds[side].append(time.perf_counter() - t0)
             spent = totals[side]
-            rest = seconds[side][-1] - spent["chains"] - spent["streams"] - spent["walk"]
+            rest = seconds[side][-1] - spent["chains"] - spent["streams"] - spent["walk"] \
+                - spent["merge"]
             walk = spent["walk"] - spent["noise"] - spent["newton"]
             for stage, value in zip(STAGES, (spent["chains"], spent["streams"], walk,
-                                             spent["noise"], spent["newton"], rest)):
+                                             spent["noise"], spent["newton"], spent["merge"],
+                                             rest)):
                 stages[side][stage].append(value)
         if not all(a.tobytes() == b.tobytes() for a, b in zip(*outputs.values())):
             print(f"unit {unit} (study seed {seed}): the trees' outputs differ", file=sys.stderr)
